@@ -41,13 +41,11 @@ from repro.monitor.feedback import day_signals
 from repro.monitor.sinks import JsonlAlertSink, MonitorHub, RingAlertSink
 from repro.stream.fleet import (
     FleetConfig,
-    SummaryAccumulator,
+    UserDriver,
     _spec_trace,
     stream_one_user,
     stream_one_user_monitored,
 )
-from repro.stream.ingest import stream_trace
-from repro.stream.online_netmaster import OnlineNetMaster
 from repro.stream.specgen import iter_fleet_specs
 from repro.telemetry import tracer
 from repro.traces.events import Trace
@@ -102,26 +100,14 @@ class MonitorResult:
 
 def _clean_signals(trace: Trace, *, config: FleetConfig) -> list:
     """Day signals of an unmonitored causal drive (for the MAE study)."""
-    engine = OnlineNetMaster(
-        trace.user_id,
-        config=config.netmaster,
-        start_weekday=trace.start_weekday,
-        train_days=config.train_days,
-        update_model=config.update_model,
-        window_days=config.window_days,
-        decay=config.decay,
-    )
-    power = config.netmaster.power
-    acc = SummaryAccumulator()
-    signals = []
-    for record in stream_trace(trace):
-        engine.observe(record)
-        done = engine.drain()
-        if done:
-            signals.extend(day_signals(engine, done, acc.consume(done, power)))
-    final = engine.finish(trace.n_days)
-    if final:
-        signals.extend(day_signals(engine, final, acc.consume(final, power)))
+    signals: list = []
+
+    def on_days(engine, days, priced) -> None:
+        signals.extend(day_signals(engine, days, priced))
+
+    UserDriver(
+        trace.user_id, config, start_weekday=trace.start_weekday, on_days=on_days
+    ).drive(trace)
     return signals
 
 

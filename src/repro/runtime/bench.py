@@ -769,7 +769,7 @@ def run_bench(
     quick: bool = False,
     cache_dir: str | Path | None = None,
 ) -> dict:
-    """Run every perf benchmark and (optionally) write ``BENCH_perf.json``.
+    """Run every perf benchmark and (optionally) merge it into ``BENCH_perf.json``.
 
     ``quick`` shrinks the workloads for CI smoke runs; the structure of
     the report is identical so trend tooling can read both.  The run
@@ -832,78 +832,52 @@ def run_bench(
         "service_load": service_load,
     }
     if out_path is not None:
-        Path(out_path).write_text(json.dumps(report, indent=2) + "\n")
+        merge_report(out_path, report)
     return report
+
+
+#: The ``--compare`` gates: (section, metric, better direction, value
+#: format).  A metric fails when it moves the wrong way by more than
+#: the comparison factor.
+COMPARE_GATES = (
+    ("grid_throughput", "grid_user_days_per_s", "higher", "{:.0f}/s"),
+    ("fptas_batch", "solves_per_s", "higher", "{:.1f}/s"),
+    ("cohort_generation", "warm_s", "lower", "{:.4f}s"),
+    ("stream", "stream_events_per_s", "higher", "{:.0f}/s"),
+    ("service_load", "service_events_per_s", "higher", "{:.0f}/s"),
+    ("monitor", "monitored_events_per_s", "higher", "{:.0f}/s"),
+    ("shard_recovery", "durable_events_per_s", "higher", "{:.0f}/s"),
+    ("shard_recovery", "recovery_records_per_s", "higher", "{:.0f}/s"),
+    ("fleet_scale", "events_per_s", "higher", "{:.0f}/s"),
+)
 
 
 def compare_reports(fresh: dict, baseline: dict, *, factor: float = 2.0) -> list[str]:
     """Regressions of ``fresh`` vs a committed ``baseline`` report.
 
-    Returns human-readable failure strings for every tracked metric that
-    regressed by more than ``factor`` — grid pricing throughput
-    (``grid_throughput.grid_user_days_per_s``, the headline, lower is
-    worse), solver throughput (``fptas_batch.solves_per_s``, lower is
-    worse) and warm-cache cohort time (``cohort_generation.warm_s``,
-    higher is worse).  Workload sizes may differ between quick and full
-    reports, which only makes the check lenient (smaller instances run
-    faster), never flaky.  Sections the baseline predates are skipped —
-    an old report is "no baseline, record only", never a failure.
+    Returns human-readable failure strings for every
+    :data:`COMPARE_GATES` metric that regressed by more than ``factor``
+    — the headline is grid pricing throughput
+    (``grid_throughput.grid_user_days_per_s``) — plus the monitor's
+    absolute overhead bound.  Workload sizes may differ between quick
+    and full reports, which only makes the check lenient (smaller
+    instances run faster), never flaky.  Sections the baseline predates
+    are skipped — an old report is "no baseline, record only", never a
+    failure.
     """
     failures = []
-    base_grid = baseline.get("grid_throughput")
-    if base_grid is not None and "grid_throughput" in fresh:
-        fresh_gps = fresh["grid_throughput"]["grid_user_days_per_s"]
-        base_gps = base_grid["grid_user_days_per_s"]
-        if fresh_gps < base_gps / factor:
+    for section, metric, better, fmt in COMPARE_GATES:
+        if baseline.get(section) is None or section not in fresh:
+            continue
+        new = fresh[section][metric]
+        old = baseline[section][metric]
+        regressed = new > old * factor if better == "lower" else new < old / factor
+        if regressed:
             failures.append(
-                f"grid_throughput.grid_user_days_per_s regressed >{factor:g}x: "
-                f"{fresh_gps:.0f}/s vs committed {base_gps:.0f}/s"
+                f"{section}.{metric} regressed >{factor:g}x: "
+                f"{fmt.format(new)} vs committed {fmt.format(old)}"
             )
-    base_fptas = baseline.get("fptas_batch")
-    if base_fptas is not None and "fptas_batch" in fresh:
-        fresh_rate = fresh["fptas_batch"]["solves_per_s"]
-        base_rate = base_fptas["solves_per_s"]
-        if fresh_rate < base_rate / factor:
-            failures.append(
-                f"fptas_batch.solves_per_s regressed >{factor:g}x: "
-                f"{fresh_rate:.1f}/s vs committed {base_rate:.1f}/s"
-            )
-    base_cohort = baseline.get("cohort_generation")
-    if base_cohort is not None and "cohort_generation" in fresh:
-        fresh_warm = fresh["cohort_generation"]["warm_s"]
-        base_warm = base_cohort["warm_s"]
-        if fresh_warm > base_warm * factor:
-            failures.append(
-                f"cohort_generation.warm_s regressed >{factor:g}x: "
-                f"{fresh_warm:.4f}s vs committed {base_warm:.4f}s"
-            )
-    base_stream = baseline.get("stream")
-    if base_stream is not None and "stream" in fresh:
-        fresh_eps = fresh["stream"]["stream_events_per_s"]
-        base_eps = base_stream["stream_events_per_s"]
-        if fresh_eps < base_eps / factor:
-            failures.append(
-                f"stream.stream_events_per_s regressed >{factor:g}x: "
-                f"{fresh_eps:.0f}/s vs committed {base_eps:.0f}/s"
-            )
-    base_service = baseline.get("service_load")
-    if base_service is not None and "service_load" in fresh:
-        fresh_seps = fresh["service_load"]["service_events_per_s"]
-        base_seps = base_service["service_events_per_s"]
-        if fresh_seps < base_seps / factor:
-            failures.append(
-                f"service_load.service_events_per_s regressed >{factor:g}x: "
-                f"{fresh_seps:.0f}/s vs committed {base_seps:.0f}/s"
-            )
-    base_monitor = baseline.get("monitor")
-    if base_monitor is not None and "monitor" in fresh:
-        fresh_meps = fresh["monitor"]["monitored_events_per_s"]
-        base_meps = base_monitor["monitored_events_per_s"]
-        if fresh_meps < base_meps / factor:
-            failures.append(
-                f"monitor.monitored_events_per_s regressed >{factor:g}x: "
-                f"{fresh_meps:.0f}/s vs committed {base_meps:.0f}/s"
-            )
+    if baseline.get("monitor") is not None and "monitor" in fresh:
         # Absolute bound, not baseline-relative: attaching the monitor
         # may cost at most 10% of stream throughput (quick runs are
         # noisy at their tiny size, so they get slack).
@@ -914,32 +888,22 @@ def compare_reports(fresh: dict, baseline: dict, *, factor: float = 2.0) -> list
                 f"monitor.overhead_frac exceeds the {bound:.0%} stream-path "
                 f"budget: {fresh_overhead:.3f}"
             )
-    base_shards = baseline.get("shard_recovery")
-    if base_shards is not None and "shard_recovery" in fresh:
-        fresh_deps = fresh["shard_recovery"]["durable_events_per_s"]
-        base_deps = base_shards["durable_events_per_s"]
-        if fresh_deps < base_deps / factor:
-            failures.append(
-                f"shard_recovery.durable_events_per_s regressed >{factor:g}x: "
-                f"{fresh_deps:.0f}/s vs committed {base_deps:.0f}/s"
-            )
-        fresh_rps = fresh["shard_recovery"]["recovery_records_per_s"]
-        base_rps = base_shards["recovery_records_per_s"]
-        if fresh_rps < base_rps / factor:
-            failures.append(
-                f"shard_recovery.recovery_records_per_s regressed >{factor:g}x: "
-                f"{fresh_rps:.0f}/s vs committed {base_rps:.0f}/s"
-            )
-    base_scale = baseline.get("fleet_scale")
-    if base_scale is not None and "fleet_scale" in fresh:
-        fresh_feps = fresh["fleet_scale"]["events_per_s"]
-        base_feps = base_scale["events_per_s"]
-        if fresh_feps < base_feps / factor:
-            failures.append(
-                f"fleet_scale.events_per_s regressed >{factor:g}x: "
-                f"{fresh_feps:.0f}/s vs committed {base_feps:.0f}/s"
-            )
     return failures
+
+
+def merge_report(path: str | Path, sections: dict) -> dict:
+    """Read-merge-write ``sections`` into the JSON report at ``path``.
+
+    Every writer of ``BENCH_perf.json`` goes through here, so one
+    writer never drops the sections another wrote (``run_bench`` keeps
+    ``fleet-scale``'s, and the reverse).  A missing file starts from a
+    bare schema-1 report.  Returns the merged report.
+    """
+    path = Path(path)
+    report = json.loads(path.read_text()) if path.exists() else {"schema": 1}
+    report.update(sections)
+    path.write_text(json.dumps(report, indent=2) + "\n")
+    return report
 
 
 def fleet_scale_main(argv: list[str] | None = None) -> int:
@@ -1026,15 +990,9 @@ def fleet_scale_main(argv: list[str] | None = None) -> int:
 
     out = Path(args.out)
     try:
-        report = json.loads(out.read_text()) if out.exists() else {"schema": 1}
+        merge_report(out, {"fleet_scale": section})
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read existing report {out}: {exc}", file=sys.stderr)
-        return 2
-    report["fleet_scale"] = section
-    try:
-        out.write_text(json.dumps(report, indent=2) + "\n")
-    except OSError as exc:
-        print(f"cannot write report {out}: {exc}", file=sys.stderr)
+        print(f"cannot update report {out}: {exc}", file=sys.stderr)
         return 2
     print(f"fleet_scale section merged into {out}")
 

@@ -375,12 +375,27 @@ def _shipped(fn: Callable[[T], R], payload: T, *, with_tracing: bool):
         return result, registry.snapshot(), trc.export_spans()
 
 
-def _measure_chunk_shipped(chunk: Sequence[_WireTask], *, with_tracing: bool = True):
-    return _shipped(_measure_chunk, chunk, with_tracing=with_tracing)
+def map_shipped(fn: Callable[[T], R], payloads: Sequence[T], jobs: int) -> list[R]:
+    """``fn`` over ``payloads`` on the shared pool, results in order.
 
+    With telemetry on, each worker's snapshot and spans merge back **in
+    payload order**, which reproduces the serial registry exactly (see
+    :mod:`repro.telemetry.registry`).
+    """
+    from repro import telemetry
 
-def _execute_chunk_shipped(chunk: Sequence[_WireTask], *, with_tracing: bool = True):
-    return _shipped(_execute_chunk, chunk, with_tracing=with_tracing)
+    registry = telemetry.metrics()
+    trc = telemetry.tracer()
+    runner = shared_runner(jobs)
+    if not (registry.enabled or trc.enabled):
+        return runner.map(fn, payloads)
+    shipped = partial(_shipped, fn, with_tracing=trc.enabled)
+    results: list[R] = []
+    for result, snap, spans in runner.map(shipped, payloads):
+        registry.merge_snapshot(snap)
+        trc.ingest(spans)
+        results.append(result)
+    return results
 
 
 def _chunk_size(n_tasks: int, jobs: int) -> int:
@@ -403,7 +418,6 @@ def _fan_out(
     tasks: Sequence[PolicyTask],
     plain_fn: Callable[[PolicyTask], R],
     chunk_fn: Callable[[Sequence[_WireTask]], list[R]],
-    chunk_shipped_fn: Callable[..., tuple[list[R], dict, list[dict]]],
     jobs: int,
 ) -> list[R]:
     """Run a grid, shipping worker telemetry back when it is enabled.
@@ -412,15 +426,12 @@ def _fan_out(
     tracer.  Parallel runs split the grid into worker-chunks (one pool
     submission per chunk, not per cell), swap day traces for
     content-addressed handles where the on-disk store can serve them,
-    and dispatch over the shared persistent pool.  With telemetry on,
-    each chunk's snapshot and spans merge back **in task order**, which
-    reproduces the serial registry exactly (see
-    :mod:`repro.telemetry.registry`).
+    and dispatch over the shared persistent pool through
+    :func:`map_shipped`.
     """
     from repro import telemetry
 
     registry = telemetry.metrics()
-    trc = telemetry.tracer()
     registry.inc("runtime.parallel.tasks", len(tasks))
     registry.inc("runtime.parallel.days", sum(len(t.days) for t in tasks))
 
@@ -431,18 +442,7 @@ def _fan_out(
     size = _chunk_size(len(wire), jobs)
     chunks = [wire[i : i + size] for i in range(0, len(wire), size)]
     registry.inc("runner.chunk_count", len(chunks))
-    runner = shared_runner(jobs)
-
-    if not (registry.enabled or trc.enabled):
-        return [r for chunk in runner.map(chunk_fn, chunks) for r in chunk]
-
-    fn = partial(chunk_shipped_fn, with_tracing=trc.enabled)
-    results: list[R] = []
-    for chunk_results, snap, spans in runner.map(fn, chunks):
-        registry.merge_snapshot(snap)
-        trc.ingest(spans)
-        results.extend(chunk_results)
-    return results
+    return [r for chunk in map_shipped(chunk_fn, chunks, jobs) for r in chunk]
 
 
 def run_policy_tasks(
@@ -455,7 +455,7 @@ def run_policy_tasks(
     once per task.  A failing cell raises :class:`PolicyTaskError`
     naming the task, day and policy.
     """
-    return _fan_out(tasks, _measure_task, _measure_chunk, _measure_chunk_shipped, jobs)
+    return _fan_out(tasks, _measure_task, _measure_chunk, jobs)
 
 
 def execute_policy_tasks(
@@ -463,4 +463,4 @@ def execute_policy_tasks(
 ) -> list[list[PolicyOutcome]]:
     """Like :func:`run_policy_tasks` but returning raw day outcomes
     (for pipelines that post-process outcomes, e.g. fault injection)."""
-    return _fan_out(tasks, _execute_task, _execute_chunk, _execute_chunk_shipped, jobs)
+    return _fan_out(tasks, _execute_task, _execute_chunk, jobs)

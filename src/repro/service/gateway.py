@@ -30,6 +30,7 @@ restored gateway continues byte-identically.
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 
 from repro._util import peak_rss_bytes, write_json_atomic
@@ -37,7 +38,7 @@ from repro.baselines.naive import NaivePolicy
 from repro.evaluation.metrics import measure_outcome
 from repro.monitor import MonitorHub, RingAlertSink, UserMonitor, signal_of
 from repro.service.schemas import SchemaError, decision_doc, saving_of
-from repro.stream.fleet import FleetConfig, SummaryAccumulator
+from repro.stream.fleet import FleetConfig, UserDriver
 from repro.stream.ingest import event_time, stream_trace
 from repro.stream.online_netmaster import (
     CheckpointError,
@@ -68,14 +69,19 @@ class ServiceOverloadError(RuntimeError):
 
 
 class _UserSession:
-    """One tenant's serving state (engine + compacted aggregate + window)."""
+    """One tenant's serving state (driver + naive baseline + window)."""
 
-    __slots__ = ("engine", "acc", "naive_energy_j", "naive_radio_on_s",
+    __slots__ = ("driver", "naive_energy_j", "naive_radio_on_s",
                  "decisions", "evicted_days", "monitor")
 
-    def __init__(self, engine: OnlineNetMaster) -> None:
-        self.engine = engine
-        self.acc = SummaryAccumulator()
+    def __init__(
+        self,
+        gateway: "FleetGateway",
+        user_id: str,
+        *,
+        start_weekday: int = 0,
+        resume: dict | None = None,
+    ) -> None:
         self.naive_energy_j = 0.0
         self.naive_radio_on_s = 0.0
         self.decisions: list[dict] = []
@@ -83,6 +89,17 @@ class _UserSession:
         #: Per-user anomaly monitor; ``None`` unless the fleet config
         #: carries a :class:`~repro.monitor.detectors.MonitorConfig`.
         self.monitor: UserMonitor | None = None
+        self.driver = UserDriver(
+            user_id,
+            gateway.config,
+            start_weekday=start_weekday,
+            resume=resume,
+            on_days=partial(gateway._close_days, self),
+        )
+
+    @property
+    def engine(self) -> OnlineNetMaster:
+        return self.driver.engine
 
 
 class FleetGateway:
@@ -117,19 +134,10 @@ class FleetGateway:
         """The session for ``user_id``, created on first ingest."""
         session = self._users.get(user_id)
         if session is None:
-            config = self.config
-            engine = OnlineNetMaster(
-                user_id,
-                config=config.netmaster,
-                start_weekday=start_weekday,
-                train_days=config.train_days,
-                update_model=config.update_model,
-                window_days=config.window_days,
-                decay=config.decay,
-            )
-            session = self._users[user_id] = _UserSession(engine)
-            if config.monitor is not None:
-                session.monitor = UserMonitor(user_id, config.monitor)
+            session = _UserSession(self, user_id, start_weekday=start_weekday)
+            self._users[user_id] = session
+            if self.config.monitor is not None:
+                session.monitor = UserMonitor(user_id, self.config.monitor)
             registry = metrics()
             registry.inc("service.users_created")
             # Sessions are never dropped, so the live count is also the
@@ -163,8 +171,9 @@ class FleetGateway:
         The batch is validated against the causal order *before* any
         record reaches the engine: an out-of-order batch raises
         :class:`CausalityError` and leaves the session untouched.
-        Records are then observed one by one — days close exactly as in
-        :func:`repro.stream.fleet.stream_one_user`, including the
+        Records then go through the session's
+        :class:`~repro.stream.fleet.UserDriver` — days close exactly as
+        in :func:`repro.stream.fleet.stream_one_user`, including the
         ``checkpoint_every_days`` in-line round-trip cadence — so the
         decisions are byte-equal to the library drive.
         """
@@ -176,8 +185,7 @@ class FleetGateway:
                 "batch shed whole"
             )
         session = self.ensure_user(user_id, start_weekday=start_weekday)
-        engine = session.engine
-        prev = engine.last_time
+        prev = session.engine.last_time
         for i, record in enumerate(records):
             t = event_time(record)
             if t < prev:
@@ -186,20 +194,10 @@ class FleetGateway:
                     f"t={prev}; batch rejected whole"
                 )
             prev = t
-        every = self.config.checkpoint_every_days
-        days_closed = 0
-        for record in records:
-            engine.observe(record)
-            done = engine.drain()
-            if done:
-                days_closed += self._absorb(session, done)
-                if every and engine.days_executed % every == 0:
-                    session.engine = engine = OnlineNetMaster.from_json(
-                        engine.to_json()
-                    )
-                    session.acc.checkpoints += 1
+        days_closed = session.driver.feed(records)
         self.events_total += len(records)
         metrics().inc("service.events_ingested", len(records))
+        engine = session.engine
         return {
             "user_id": user_id,
             "accepted": len(records),
@@ -211,12 +209,12 @@ class FleetGateway:
     def finish(self, user_id: str, n_days: int) -> dict:
         """Close a user's stream through day ``n_days`` (horizon known).
 
-        Mirrors the ``engine.finish`` tail of
+        Mirrors the finish tail of
         :func:`~repro.stream.fleet.stream_one_user`: remaining days are
         closed and priced with no checkpoint cadence applied.
         """
         session = self.session(user_id)
-        days_closed = self._absorb(session, session.engine.finish(n_days))
+        days_closed = session.driver.finish(n_days)
         return {
             "user_id": user_id,
             "n_days": n_days,
@@ -224,44 +222,43 @@ class FleetGateway:
             "days_executed": session.engine.days_executed,
         }
 
-    def _absorb(self, session: _UserSession, completed: list[CompletedDay]) -> int:
-        """Price completed days, fold the aggregate, retain the window."""
+    def _close_days(
+        self,
+        session: _UserSession,
+        engine: OnlineNetMaster,
+        days: list[CompletedDay],
+        priced: list,
+    ) -> None:
+        """The sessions' day-close hook: price the naive baseline, keep
+        the decision window, feed the monitor."""
         power = self.config.netmaster.power
         retention = self.config.retention_days
-        acc = session.acc
         monitor = session.monitor
-        drift_total = session.engine.habits.drift_alerts
-        for day in completed:
-            priced = measure_outcome(day.outcome(), power, day.trace)
+        drift_total = engine.habits.drift_alerts
+        signals = []
+        for day, m in zip(days, priced):
             naive = measure_outcome(
                 NaivePolicy().execute_day(day.trace), power, day.trace
             )
-            # Same fold order and arithmetic as SummaryAccumulator.consume,
-            # so the aggregate equals the library drive bit for bit.
-            acc.energy_j += priced.energy_j
-            acc.radio_on_s += priced.radio_on_s
-            acc.interrupts += priced.interrupts
-            acc.user_interactions += priced.user_interactions
-            acc.deferred += priced.deferred
             session.naive_energy_j += naive.energy_j
             session.naive_radio_on_s += naive.radio_on_s
-            session.decisions.append(decision_doc(day, priced, naive))
+            session.decisions.append(decision_doc(day, m, naive))
             if monitor is not None:
                 # The naive pricing is already on hand here, so the
                 # signal assembly costs no extra policy run.
-                alerts = monitor.feed(
-                    session.engine,
-                    [signal_of(day, priced, naive, drift_alerts_total=drift_total)],
+                signals.append(
+                    signal_of(day, m, naive, drift_alerts_total=drift_total)
                 )
-                if alerts:
-                    self.hub.publish_many(alerts)
             metrics().inc("service.days_closed")
             if retention is not None:
                 while len(session.decisions) > retention:
                     session.decisions.pop(0)
                     session.evicted_days += 1
                     metrics().inc("service.days_evicted")
-        return len(completed)
+        if monitor is not None:
+            alerts = monitor.feed(engine, signals)
+            if alerts:
+                self.hub.publish_many(alerts)
 
     # ------------------------------------------------------------------
     # reads
@@ -281,7 +278,7 @@ class FleetGateway:
         aggregate — complete even when retention evicted the day records."""
         session = self.session(user_id)
         engine = session.engine
-        acc = session.acc
+        acc = session.driver.acc
         return {
             "user_id": user_id,
             "events": engine.events,
@@ -356,8 +353,7 @@ class FleetGateway:
         users = {}
         for user_id, session in self._users.items():
             doc = {
-                "engine": session.engine.state_dict(),
-                "acc": session.acc.state_dict(),
+                **session.driver.state_dict(),
                 "naive_energy_j": session.naive_energy_j,
                 "naive_radio_on_s": session.naive_radio_on_s,
                 "decisions": session.decisions,
@@ -388,8 +384,7 @@ class FleetGateway:
         users: dict[str, _UserSession] = {}
         try:
             for user_id, doc in state["users"].items():
-                session = _UserSession(OnlineNetMaster.from_state(doc["engine"]))
-                session.acc = SummaryAccumulator.from_state(doc["acc"])
+                session = _UserSession(self, str(user_id), resume=doc)
                 session.naive_energy_j = float(doc["naive_energy_j"])
                 session.naive_radio_on_s = float(doc["naive_radio_on_s"])
                 session.decisions = [dict(d) for d in doc["decisions"]]
@@ -437,9 +432,10 @@ def reference_decisions(trace: Trace, *, config: FleetConfig | None = None) -> d
     """Drive the library directly and emit the service's wire documents.
 
     This is the parity oracle: one engine streamed record by record
-    (exactly :func:`repro.stream.fleet.stream_one_user`'s loop shape,
-    checkpoint cadence included), every closed day priced and rendered
-    through the same :func:`~repro.service.schemas.decision_doc`.
+    through the same :class:`~repro.stream.fleet.UserDriver` as
+    :func:`repro.stream.fleet.stream_one_user` (checkpoint cadence
+    included), every closed day priced and rendered through the same
+    :func:`~repro.service.schemas.decision_doc`.
     Decisions served over HTTP must equal this output byte for byte.
     """
     gateway = FleetGateway(config)

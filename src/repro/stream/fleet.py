@@ -4,11 +4,12 @@ The fleet drives one :class:`~repro.stream.online_netmaster.OnlineNetMaster`
 per user over that user's event stream, with three serving-shaped
 properties the offline harness never needed:
 
-* **bounded per-user memory** — finished days are buffered up to
-  ``price_batch_days`` deep, priced in one columnar lane-kernel pass
-  (:func:`repro.core.batch.measure_outcomes_columnar`, bit-identical to
-  per-day :func:`repro.evaluation.metrics.measure_outcome`) and dropped;
-  only a small numeric :class:`UserStreamSummary` survives per user;
+* **bounded per-user memory** — finished days are priced (a plain drive
+  buffers up to :data:`PRICE_BATCH_DAYS` of them per columnar lane-kernel
+  pass, :func:`repro.core.batch.measure_outcomes_columnar`, bit-identical
+  to per-day :func:`repro.evaluation.metrics.measure_outcome`) and
+  dropped; only a small numeric :class:`UserStreamSummary` survives per
+  user;
 * **admission batching** — users are admitted in batches over the
   existing :class:`~repro.runtime.parallel.ParallelRunner`, so a big
   fleet fans over worker processes with the same telemetry-merge
@@ -20,6 +21,10 @@ properties the offline harness never needed:
 Checkpointing is exercised in-line: with ``checkpoint_every_days`` set,
 the engine is serialized to JSON and restored every N executed days, so
 a fleet run continuously proves the kill/resume path on live state.
+
+Every per-user drive in the repo — the fleet worker, the monitored and
+durable streamers, the HTTP gateway and the monitoring experiment — is
+one :class:`UserDriver`; see its docstring for the day-close order.
 """
 
 from __future__ import annotations
@@ -27,25 +32,26 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro._util import peak_rss_bytes, write_json_atomic
 from repro.core.batch import measure_outcomes_columnar
 from repro.core.netmaster import NetMasterConfig
 from repro.evaluation.metrics import measure_outcome
-from repro.runtime.parallel import shared_runner
+from repro.runtime.parallel import map_shipped
 from repro.stream.ingest import stream_trace
 from repro.stream.online_netmaster import CheckpointError, OnlineNetMaster
 from repro.stream.rollup import FleetRollup, SummarySpill, read_spilled
-from repro.telemetry import metrics, tracer
+from repro.telemetry import metrics
 from repro.traces.events import Trace
+from repro.traces.io import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.detectors import Alert, MonitorConfig
     from repro.monitor.sinks import MonitorHub
+    from repro.stream.shards.store import UserShardState
 
 #: Schema version of the fleet checkpoint document.  Format 2 carries
 #: the rollup aggregates (format 1 stored only the raw summary list);
@@ -67,10 +73,6 @@ class FleetConfig:
     event_budget: int | None = None
     #: Serialize/restore each engine every N executed days (``None`` off).
     checkpoint_every_days: int | None = None
-    #: Completed days buffered before one columnar pricing pass; ``1``
-    #: prices each day individually (the pre-lane-kernel behaviour).
-    #: Totals are bit-identical either way — only batching changes.
-    price_batch_days: int = 8
     #: Per-user day records retained by service-lifetime consumers (the
     #: HTTP gateway): after a day closes, only the newest N decision
     #: documents survive; older days are evicted and live on solely in
@@ -107,10 +109,6 @@ class FleetConfig:
         if self.checkpoint_every_days is not None and self.checkpoint_every_days < 1:
             raise ValueError(
                 f"checkpoint_every_days must be >= 1, got {self.checkpoint_every_days}"
-            )
-        if self.price_batch_days < 1:
-            raise ValueError(
-                f"price_batch_days must be >= 1, got {self.price_batch_days}"
             )
         if self.retention_days is not None and self.retention_days < 0:
             raise ValueError(
@@ -179,8 +177,7 @@ class UserStreamSummary:
 class SummaryAccumulator:
     """Running scalar totals of one user's stream.
 
-    Shared by :func:`stream_one_user` and the durable sharded streamer
-    (:mod:`repro.stream.shards`): the accumulator is the part of a
+    Owned by :class:`UserDriver`: the accumulator is the part of a
     user's serving state that is *not* inside the engine, and it
     round-trips through JSON bit-exactly so a write-ahead log record can
     carry it next to the engine checkpoint.
@@ -338,97 +335,168 @@ class FleetResult:
         return self.events / self.elapsed_s
 
 
-def stream_one_user(trace: Trace, *, config: FleetConfig) -> UserStreamSummary:
-    """Drive one user's full stream through the online engine.
+#: Completed days a plain drive buffers before one columnar pricing pass
+#: (and prices at finish).  A drive with a day-close hook or a WAL sink
+#: prices at every drain instead: those consumers need the rows as days
+#: close.  Totals are bit-identical either way — only batching changes.
+PRICE_BATCH_DAYS = 8
 
-    Completed days are buffered up to ``config.price_batch_days`` and
-    priced in one columnar pass through the lane kernel, then dropped —
-    the per-user memory is the engine state plus a few days' buffers,
-    and the totals are bit-identical to pricing each day individually.
-    With ``checkpoint_every_days`` the engine round-trips through its
-    JSON checkpoint on that cadence, proving resumability in-line.
+
+class UserDriver:
+    """One user's engine and accumulator, driven record by record.
+
+    The only per-user drive loop.  At every drain that closes days it:
+
+    1. prices the closed days (:meth:`SummaryAccumulator.consume`);
+    2. calls the day-close hook ``on_days(engine, days, priced)``
+       (monitor feed, the gateway's naive pricing and decision docs),
+       so feedback it writes into the engine survives step 3;
+    3. round-trips the engine through its JSON checkpoint when
+       ``checkpoint_every_days`` divides the executed-day count;
+    4. calls ``sink.log_day(user_id, state)``, after the round-trip so
+       a crash-resume replays the bumped counter.
+
+    :meth:`finish` runs steps 1–2 on the last days, then
+    ``sink.log_done``.  ``resume`` — a :meth:`state_dict` document —
+    restarts the drive where that state left off.
     """
-    engine = OnlineNetMaster(
-        trace.user_id,
-        config=config.netmaster,
-        start_weekday=trace.start_weekday,
-        train_days=config.train_days,
-        update_model=config.update_model,
-        window_days=config.window_days,
-        decay=config.decay,
-    )
-    power = config.netmaster.power
-    acc = SummaryAccumulator()
-    every = config.checkpoint_every_days
-    flush_at = config.price_batch_days
-    pending: list = []
 
-    for record in stream_trace(trace):
-        engine.observe(record)
-        done = engine.drain()
-        pending.extend(done)
-        if len(pending) >= flush_at:
-            acc.consume(pending, power)
-            pending = []
-        if done and every and engine.days_executed % every == 0:
-            engine = OnlineNetMaster.from_json(engine.to_json())
-            acc.checkpoints += 1
-    pending.extend(engine.finish(trace.n_days))
-    acc.consume(pending, power)
-    return acc.summary(engine, trace.n_days)
+    def __init__(
+        self,
+        user_id: str,
+        config: FleetConfig,
+        *,
+        start_weekday: int = 0,
+        resume: dict | None = None,
+        on_days: Callable[[OnlineNetMaster, list, list], None] | None = None,
+        sink=None,
+    ) -> None:
+        if resume is None:
+            self.engine = OnlineNetMaster(
+                user_id,
+                config=config.netmaster,
+                start_weekday=start_weekday,
+                train_days=config.train_days,
+                update_model=config.update_model,
+                window_days=config.window_days,
+                decay=config.decay,
+            )
+            self.acc = SummaryAccumulator()
+        else:
+            self.engine = OnlineNetMaster.from_state(resume["engine"])
+            self.acc = SummaryAccumulator.from_state(resume["acc"])
+        self.on_days = on_days
+        self.sink = sink
+        self._power = config.netmaster.power
+        self._every = config.checkpoint_every_days
+        self._flush_at = (
+            PRICE_BATCH_DAYS if on_days is None and sink is None else 1
+        )
+        self._pending: list = []
+
+    def feed(self, records: Iterable[TraceRecord]) -> int:
+        """Observe ``records`` in order; returns how many days closed."""
+        closed = 0
+        engine = self.engine
+        for record in records:
+            engine.observe(record)
+            done = engine.drain()
+            if done:
+                closed += len(done)
+                self._close(done)
+                engine = self.engine
+        return closed
+
+    def _close(self, done: list) -> None:
+        self._pending.extend(done)
+        if len(self._pending) >= self._flush_at:
+            self._price()
+        engine = self.engine
+        if self._every and engine.days_executed % self._every == 0:
+            self.engine = engine = OnlineNetMaster.from_json(engine.to_json())
+            self.acc.checkpoints += 1
+        if self.sink is not None:
+            self.sink.log_day(engine.user_id, self.state_dict())
+
+    def _price(self) -> None:
+        days, self._pending = self._pending, []
+        if days:
+            priced = self.acc.consume(days, self._power)
+            if self.on_days is not None:
+                self.on_days(self.engine, days, priced)
+
+    def finish(self, n_days: int) -> int:
+        """Close the stream through day ``n_days``; returns the days closed."""
+        final = self.engine.finish(n_days)
+        self._pending.extend(final)
+        self._price()
+        if self.sink is not None:
+            summary = self.acc.summary(self.engine, n_days)
+            self.sink.log_done(
+                self.engine.user_id, self.state_dict(), summary.as_dict()
+            )
+        return len(final)
+
+    def state_dict(self) -> dict:
+        """The ``resume`` document of the current state (JSON-safe)."""
+        return {"engine": self.engine.state_dict(), "acc": self.acc.state_dict()}
+
+    def drive(self, trace: Trace) -> UserStreamSummary:
+        """Stream ``trace`` from the engine's position to its horizon.
+
+        ``engine.events`` counts observed records, so a resumed driver
+        skips exactly the records its state already holds.
+        """
+        self.feed(islice(stream_trace(trace), self.engine.events, None))
+        self.finish(trace.n_days)
+        return self.acc.summary(self.engine, trace.n_days)
+
+
+def _monitor_hook(user_id: str, config: "MonitorConfig | None", alerts: list):
+    """A day-close hook feeding a fresh
+    :class:`~repro.monitor.feedback.UserMonitor`; alerts go to ``alerts``."""
+    from repro.monitor.feedback import UserMonitor
+
+    monitor = UserMonitor(user_id, config)
+
+    def on_days(engine: OnlineNetMaster, days: list, priced: list) -> None:
+        alerts.extend(monitor.feed_days(engine, days, priced))
+
+    return on_days
+
+
+def stream_one_user(trace: Trace, *, config: FleetConfig) -> UserStreamSummary:
+    """Drive one user's full stream through a plain :class:`UserDriver`.
+
+    Completed days are priced :data:`PRICE_BATCH_DAYS` at a time and
+    dropped, so the per-user memory is the engine state plus a few
+    days' buffers.
+    """
+    driver = UserDriver(trace.user_id, config, start_weekday=trace.start_weekday)
+    return driver.drive(trace)
 
 
 def stream_one_user_monitored(
     trace: Trace, *, config: FleetConfig
 ) -> "tuple[UserStreamSummary, list[Alert]]":
-    """:func:`stream_one_user` with the anomaly monitor attached.
+    """:func:`stream_one_user` with a
+    :class:`~repro.monitor.feedback.UserMonitor` as the day-close hook.
 
-    Kept as a separate loop so the unmonitored hot path stays
-    monitor-free.  Completed days are priced at every drain (the
-    columnar batching guarantee makes the totals bit-identical to the
-    buffered pricing of the plain loop), their signals feed the
-    per-user :class:`~repro.monitor.feedback.UserMonitor`, and the
-    feedback windows are applied *before* the checkpoint-cadence
-    round-trip so a restored engine carries the hold.  When no alert
-    fires the summary — and every engine checkpoint along the way — is
-    byte-identical to the unmonitored drive.
+    When no alert fires the summary — and every engine checkpoint along
+    the way — is byte-identical to the unmonitored drive.
     """
-    from repro.monitor.detectors import MonitorConfig
-    from repro.monitor.feedback import UserMonitor
-
-    monitor = UserMonitor(trace.user_id, config.monitor or MonitorConfig())
-    engine = OnlineNetMaster(
-        trace.user_id,
-        config=config.netmaster,
-        start_weekday=trace.start_weekday,
-        train_days=config.train_days,
-        update_model=config.update_model,
-        window_days=config.window_days,
-        decay=config.decay,
-    )
-    power = config.netmaster.power
-    acc = SummaryAccumulator()
-    every = config.checkpoint_every_days
     alerts: list = []
-
-    for record in stream_trace(trace):
-        engine.observe(record)
-        done = engine.drain()
-        if done:
-            priced = acc.consume(done, power)
-            alerts.extend(monitor.feed_days(engine, done, priced))
-            if every and engine.days_executed % every == 0:
-                engine = OnlineNetMaster.from_json(engine.to_json())
-                acc.checkpoints += 1
-    final = engine.finish(trace.n_days)
-    if final:
-        priced = acc.consume(final, power)
-        alerts.extend(monitor.feed_days(engine, final, priced))
-    return acc.summary(engine, trace.n_days), alerts
+    driver = UserDriver(
+        trace.user_id,
+        config,
+        start_weekday=trace.start_weekday,
+        on_days=_monitor_hook(trace.user_id, config.monitor, alerts),
+    )
+    return driver.drive(trace), alerts
 
 
 # ----------------------------------------------------------------------
-# module-level workers (picklable for the process pool)
+# the pool worker (module-level, so it pickles)
 # ----------------------------------------------------------------------
 
 
@@ -450,54 +518,36 @@ def _spec_trace(spec: FleetUserSpec) -> Trace:
     )
 
 
-def _stream_spec(payload: tuple[FleetUserSpec, FleetConfig]) -> UserStreamSummary:
-    spec, config = payload
-    return stream_one_user(_spec_trace(spec), config=config)
+def _stream_spec(payload: "tuple[FleetUserSpec, FleetConfig, UserShardState | None]"):
+    """Stream one admitted user; returns ``(summary, alerts, wal_records)``.
 
-
-def _stream_spec_shipped(
-    payload: tuple[FleetUserSpec, FleetConfig], *, with_tracing: bool = True
-):
-    from repro import telemetry
-
-    with telemetry.isolated(with_tracing=with_tracing) as (registry, trc):
-        result = _stream_spec(payload)
-        return result, registry.snapshot(), trc.export_spans()
-
-
-def _stream_spec_monitored(payload: tuple[FleetUserSpec, FleetConfig]):
-    spec, config = payload
-    return stream_one_user_monitored(_spec_trace(spec), config=config)
-
-
-def _stream_spec_monitored_shipped(
-    payload: tuple[FleetUserSpec, FleetConfig], *, with_tracing: bool = True
-):
-    from repro import telemetry
-
-    with telemetry.isolated(with_tracing=with_tracing) as (registry, trc):
-        summary, alerts = _stream_spec_monitored(payload)
-        return summary, alerts, registry.snapshot(), trc.export_spans()
-
-
-def _shed_remaining(batch: list, rest: Iterable) -> int:
-    """Count the users shed whole: the drawn batch plus the iterator tail.
-
-    For a list-sourced run this equals the old ``len(specs) - offset``;
-    for an iterator source it drains the tail without materializing it.
+    With no shard state the user streams as in the plain fleet.  With
+    one the user streams durably from it (resuming when it is
+    resumable), and the day closes are recorded for the parent to
+    append to the owning shard in admission order.
     """
-    return len(batch) + sum(1 for _ in rest)
+    spec, config, shard_state = payload
+    trace = _spec_trace(spec)
+    if shard_state is not None:
+        # Lazy: the shards layer imports this module.
+        from repro.stream.shards import service as shards
+
+        sink = shards._RecordingSink()
+        summary, alerts = shards.stream_user_durable(
+            trace, config=config, sink=sink, resume=shard_state
+        )
+        return summary, alerts, sink.records
+    if config.monitor is not None:
+        return (*stream_one_user_monitored(trace, config=config), [])
+    return stream_one_user(trace, config=config), [], []
 
 
-def _note_batch_rss(registry, active: int, high_water: int) -> int:
-    """Record the batch-boundary RSS/active-user gauges; returns the hwm."""
-    if active > high_water:
-        high_water = active
-        registry.set_gauge("fleet.active_users", high_water)
-    rss = peak_rss_bytes()
-    if rss is not None:
-        registry.set_gauge("fleet.peak_rss_bytes", rss)
-    return high_water
+def _map_users(payloads: list, jobs: int) -> list:
+    """:func:`_stream_spec` over ``payloads``, results in admission order,
+    fanned over the shared process pool when ``jobs > 1``."""
+    if jobs == 1 or len(payloads) <= 1:
+        return [_stream_spec(p) for p in payloads]
+    return map_shipped(_stream_spec, payloads, jobs)
 
 
 @dataclass(frozen=True)
@@ -719,26 +769,26 @@ class FleetService:
                     config.event_budget is not None
                     and rollup.events >= config.event_budget
                 ):
-                    rollup.shed_users = _shed_remaining(batch, source)
+                    rollup.shed_users = len(batch) + sum(1 for _ in source)
                     registry.inc("stream.shed_users", rollup.shed_users)
                     break
                 registry.inc("stream.batches")
-                if config.monitor is not None:
-                    pairs = self._run_batch_monitored(batch, jobs, config)
-                    results = [summary for summary, _ in pairs]
-                    if monitor is not None:
-                        for _, alerts in pairs:
-                            monitor.publish_many(alerts)
-                else:
-                    results = self._run_batch(batch, jobs)
-                for summary in results:
+                results = self._admit(batch, jobs, config)
+                for summary, alerts in results:
                     rollup.fold(summary)
                     if spill is not None:
                         spill.append(summary)
                     if retained is not None:
                         retained.append(summary)
+                    if monitor is not None and alerts:
+                        monitor.publish_many(alerts)
                 registry.inc("stream.users", len(results))
-                high_water = _note_batch_rss(registry, len(batch), high_water)
+                if len(batch) > high_water:
+                    high_water = len(batch)
+                    registry.set_gauge("fleet.active_users", high_water)
+                rss = peak_rss_bytes()
+                if rss is not None:
+                    registry.set_gauge("fleet.peak_rss_bytes", rss)
         except BaseException:
             if spill is not None:
                 spill.abort()
@@ -754,42 +804,17 @@ class FleetService:
             retained=tuple(retained) if retained is not None else None,
         )
 
-    def _run_batch(
-        self, batch: list[FleetUserSpec], jobs: int
-    ) -> list[UserStreamSummary]:
-        payloads = [(spec, self.config) for spec in batch]
-        if jobs == 1 or len(payloads) <= 1:
-            return [_stream_spec(p) for p in payloads]
-        registry = metrics()
-        trc = tracer()
-        runner = shared_runner(jobs)
-        if not (registry.enabled or trc.enabled):
-            return runner.map(_stream_spec, payloads)
-        fn = partial(_stream_spec_shipped, with_tracing=trc.enabled)
-        out: list[UserStreamSummary] = []
-        for summary, snap, spans in runner.map(fn, payloads):
-            registry.merge_snapshot(snap)
-            trc.ingest(spans)
-            out.append(summary)
-        return out
-
-    def _run_batch_monitored(
+    def _admit(
         self, batch: list[FleetUserSpec], jobs: int, config: FleetConfig
     ) -> "list[tuple[UserStreamSummary, list[Alert]]]":
-        """One admission batch with monitoring; returns (summary, alerts)
-        per user, in admission order, identical serial or parallel."""
-        payloads = [(spec, config) for spec in batch]
-        if jobs == 1 or len(payloads) <= 1:
-            return [_stream_spec_monitored(p) for p in payloads]
-        registry = metrics()
-        trc = tracer()
-        runner = shared_runner(jobs)
-        if not (registry.enabled or trc.enabled):
-            return runner.map(_stream_spec_monitored, payloads)
-        fn = partial(_stream_spec_monitored_shipped, with_tracing=trc.enabled)
-        out: "list[tuple[UserStreamSummary, list[Alert]]]" = []
-        for summary, alerts, snap, spans in runner.map(fn, payloads):
-            registry.merge_snapshot(snap)
-            trc.ingest(spans)
-            out.append((summary, alerts))
-        return out
+        """Stream one admission batch: ``(summary, alerts)`` per user
+        streamed, in admission order, identical serial or parallel.
+
+        The one per-batch step a subclass overrides (the sharded fleet
+        serves users from its logs and sheds per shard here).
+        """
+        payloads = [(spec, config, None) for spec in batch]
+        return [
+            (summary, alerts)
+            for summary, alerts, _ in _map_users(payloads, jobs)
+        ]

@@ -28,26 +28,23 @@ order — the WALs end up byte-identical to a serial run.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from functools import partial
-from itertools import islice
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.stream.fleet import (
     FleetConfig,
+    FleetResult,
+    FleetService,
     FleetUserSpec,
-    SummaryAccumulator,
+    UserDriver,
     UserStreamSummary,
-    _note_batch_rss,
-    _shed_remaining,
+    _map_users,
+    _monitor_hook,
     _spec_trace,
 )
-from repro.stream.rollup import FleetRollup, SummarySpill, read_spilled
-from repro.stream.ingest import stream_trace
-from repro.stream.online_netmaster import OnlineNetMaster
 from repro.stream.shards.store import (
+    DayCloseLog,
     RecoveryReport,
     ShardStore,
     UserShardState,
@@ -55,6 +52,9 @@ from repro.stream.shards.store import (
 )
 from repro.telemetry import metrics, tracer
 from repro.traces.events import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.monitor.detectors import Alert
 
 
 @dataclass(frozen=True)
@@ -85,29 +85,14 @@ class ShardConfig:
         return self.root / f"shard-{index:03d}"
 
 
-class _RecordingSink:
-    """Collects day-close payloads instead of writing them (for workers)."""
+class _RecordingSink(DayCloseLog):
+    """Collects day-close records instead of writing them (for workers)."""
 
     def __init__(self) -> None:
         self.records: list[dict] = []
 
-    def log_day(self, user_id: str, engine_state: dict, acc_state: dict) -> None:
-        self.records.append(
-            {"type": "day", "user_id": user_id, "engine": engine_state, "acc": acc_state}
-        )
-
-    def log_done(
-        self, user_id: str, engine_state: dict, acc_state: dict, summary: dict
-    ) -> None:
-        self.records.append(
-            {
-                "type": "done",
-                "user_id": user_id,
-                "engine": engine_state,
-                "acc": acc_state,
-                "summary": summary,
-            }
-        )
+    def append(self, payload: dict) -> None:
+        self.records.append(payload)
 
 
 def stream_user_durable(
@@ -116,123 +101,35 @@ def stream_user_durable(
     config: FleetConfig,
     sink,
     resume: UserShardState | None = None,
-    monitor=None,
-    alert_log: list | None = None,
-) -> UserStreamSummary:
-    """Drive one user's stream, logging every day close to ``sink``.
+) -> "tuple[UserStreamSummary, list[Alert]]":
+    """Drive one user's stream with ``sink`` as the WAL sink.
 
-    Mirrors :func:`repro.stream.fleet.stream_one_user` decision for
-    decision (including the in-line checkpoint cadence), adding one
-    side effect: after each completed day the engine and accumulator
-    states go to ``sink.log_day`` — *after* any cadence round-trip, so a
-    crash-resume replays the incremented checkpoint counter and stays
-    byte-identical to the uninterrupted run.  With ``resume`` holding a
-    prior day-close state, streaming restarts from the record after the
-    last durable day (``engine.events`` counts observed records, so the
-    resume offset is exact).
-
-    ``monitor`` optionally attaches a
-    :class:`~repro.monitor.feedback.UserMonitor`: each drained batch is
-    fed *before* the cadence round-trip and the WAL append, so the
-    logged engine state carries any quarantine window and a crash-resume
-    keeps the hold.  Alerts are appended to ``alert_log``.  Monitor
-    state itself is rebuilt fresh on resume (detector history restarts);
-    a quiet monitor leaves the WAL bytes untouched.
+    :func:`repro.stream.fleet.stream_one_user`'s drive, decision for
+    decision, plus a ``sink.log_day`` per day close.  ``resume`` — a
+    prior day-close state — restarts the stream at the record after the
+    last durable day.  With ``config.monitor`` set a
+    :class:`~repro.monitor.feedback.UserMonitor` is the day-close hook;
+    its state is rebuilt fresh on resume (detector history restarts).
+    Returns the summary and the alerts raised.
     """
+    state = None
     if resume is not None and resume.resumable:
-        engine = OnlineNetMaster.from_state(resume.engine_state)
-        acc = SummaryAccumulator.from_state(resume.acc_state)
-        stream = islice(stream_trace(trace), engine.events, None)
+        state = {"engine": resume.engine_state, "acc": resume.acc_state}
         metrics().inc("shard.resumed_users")
-    else:
-        engine = OnlineNetMaster(
-            trace.user_id,
-            config=config.netmaster,
-            start_weekday=trace.start_weekday,
-            train_days=config.train_days,
-            update_model=config.update_model,
-            window_days=config.window_days,
-            decay=config.decay,
-        )
-        acc = SummaryAccumulator()
-        stream = stream_trace(trace)
-    power = config.netmaster.power
-    every = config.checkpoint_every_days
-
-    for record in stream:
-        engine.observe(record)
-        done = engine.drain()
-        if done:
-            priced = acc.consume(done, power)
-            if monitor is not None:
-                alerts = monitor.feed_days(engine, done, priced)
-                if alert_log is not None:
-                    alert_log.extend(alerts)
-            if every and engine.days_executed % every == 0:
-                engine = OnlineNetMaster.from_json(engine.to_json())
-                acc.checkpoints += 1
-            sink.log_day(trace.user_id, engine.state_dict(), acc.state_dict())
-    final = engine.finish(trace.n_days)
-    if final:
-        priced = acc.consume(final, power)
-        if monitor is not None:
-            alerts = monitor.feed_days(engine, final, priced)
-            if alert_log is not None:
-                alert_log.extend(alerts)
-    summary = acc.summary(engine, trace.n_days)
-    sink.log_done(
-        trace.user_id, engine.state_dict(), acc.state_dict(), summary.as_dict()
-    )
-    return summary
-
-
-# ----------------------------------------------------------------------
-# module-level workers (picklable for the process pool)
-# ----------------------------------------------------------------------
-
-
-def _make_monitor(spec: FleetUserSpec, config: FleetConfig):
-    if config.monitor is None:
-        return None
-    from repro.monitor.feedback import UserMonitor
-
-    return UserMonitor(spec.user_id, config.monitor)
-
-
-def _stream_spec_durable(
-    payload: tuple[FleetUserSpec, FleetConfig, dict | None],
-) -> tuple[UserStreamSummary, list[dict], list]:
-    spec, config, resume_doc = payload
-    resume = None
-    if resume_doc is not None:
-        resume = UserShardState(
-            user_id=spec.user_id,
-            engine_state=resume_doc.get("engine"),
-            acc_state=resume_doc.get("acc"),
-        )
-    sink = _RecordingSink()
     alerts: list = []
-    summary = stream_user_durable(
-        _spec_trace(spec),
-        config=config,
+    driver = UserDriver(
+        trace.user_id,
+        config,
+        start_weekday=trace.start_weekday,
+        resume=state,
+        on_days=(
+            _monitor_hook(trace.user_id, config.monitor, alerts)
+            if config.monitor is not None
+            else None
+        ),
         sink=sink,
-        resume=resume,
-        monitor=_make_monitor(spec, config),
-        alert_log=alerts,
     )
-    return summary, sink.records, alerts
-
-
-def _stream_spec_durable_shipped(
-    payload: tuple[FleetUserSpec, FleetConfig, dict | None],
-    *,
-    with_tracing: bool = True,
-):
-    from repro import telemetry
-
-    with telemetry.isolated(with_tracing=with_tracing) as (registry, trc):
-        summary, records, alerts = _stream_spec_durable(payload)
-        return summary, records, alerts, registry.snapshot(), trc.export_spans()
+    return driver.drive(trace), alerts
 
 
 @dataclass(frozen=True)
@@ -247,86 +144,47 @@ class ShardStats:
     wal_records: int
     appends: int
     compactions: int
+    #: Users this shard's own event budget shed during the run.
     shed_users: int
 
 
 @dataclass(frozen=True)
-class ShardedFleetResult:
+class ShardedFleetResult(FleetResult):
     """Outcome of one sharded fleet run.
 
-    Rollup-backed with exactly the
-    :class:`~repro.stream.fleet.FleetResult` semantics — O(1) aggregate
-    reads, summaries retained or spilled — plus the durability layer's
-    accounting (per-shard stats, resumed/recovered user counts,
-    shard-budget sheds).
+    A :class:`~repro.stream.fleet.FleetResult` — rollup-backed O(1)
+    aggregate reads, summaries retained or spilled — plus the
+    durability layer's accounting: resumed/recovered user counts and
+    per-shard stats.
     """
 
-    rollup: FleetRollup
-    elapsed_s: float
-    resumed_users: int
-    recovered_users: int
-    shard_stats: tuple[ShardStats, ...]
-    spill_path: Path | None = None
-    retained: tuple[UserStreamSummary, ...] | None = None
-
-    @property
-    def summaries(self) -> tuple[UserStreamSummary, ...]:
-        """Per-user summaries, from memory or the spill file."""
-        if self.retained is not None:
-            return self.retained
-        if self.spill_path is not None:
-            return read_spilled(self.spill_path)
-        raise RuntimeError(
-            "per-user summaries were neither retained nor spilled "
-            "(retain_summaries=False and no summary_spill configured); "
-            "only the rollup aggregates exist for this run"
-        )
-
-    @property
-    def shed_users(self) -> int:
-        """Users shed whole when the fleet event budget ran out."""
-        return self.rollup.shed_users
+    resumed_users: int = 0
+    recovered_users: int = 0
+    shard_stats: tuple[ShardStats, ...] = ()
 
     @property
     def shard_shed_users(self) -> int:
         """Users shed by their shard's own event budget."""
         return self.rollup.shard_shed_users
 
-    @property
-    def users(self) -> int:
-        """Users fully streamed (admitted, not shed)."""
-        return self.rollup.users
 
-    @property
-    def events(self) -> int:
-        """Total events streamed across the fleet (O(1))."""
-        return self.rollup.events
+class ShardedFleetService(FleetService):
+    """Durable, crash-recoverable fleet over N WAL-backed shards.
 
-    @property
-    def user_days_streamed(self) -> int:
-        """Total days streamed through the engines (incl. training)."""
-        return self.rollup.user_days
-
-    @property
-    def days_executed(self) -> int:
-        """Causally executed (post-training) days across the fleet."""
-        return self.rollup.days_executed
-
-    @property
-    def events_per_s(self) -> float:
-        """Fleet-level streaming throughput."""
-        if self.elapsed_s <= 0:
-            return 0.0
-        return self.events / self.elapsed_s
-
-
-class ShardedFleetService:
-    """Durable, crash-recoverable fleet over N WAL-backed shards."""
+    The admission loop is :meth:`FleetService.run`'s; only the
+    per-batch step (:meth:`_admit`) differs: users whose shard holds
+    their completed summary are served from the log without
+    recomputation (their events still count against the budget, so the
+    decisions match an uninterrupted single run), users on an
+    over-budget shard are shed, interrupted users resume from their
+    last durable day, and every day close reaches the WAL in admission
+    order.
+    """
 
     def __init__(
         self, config: FleetConfig | None = None, *, shards: ShardConfig
     ) -> None:
-        self.config = config or FleetConfig()
+        super().__init__(config)
         self.shards = shards
         self.stores = [
             ShardStore(
@@ -337,10 +195,9 @@ class ShardedFleetService:
             for i in range(shards.n_shards)
         ]
         self.recoveries: tuple[RecoveryReport, ...] = ()
-
-    def store_for(self, user_id: str) -> ShardStore:
-        """The shard that owns ``user_id`` (pure routing function)."""
-        return self.stores[shard_of(user_id, self.shards.n_shards)]
+        self._resumed = 0
+        self._recovered = 0
+        self._shed = [0] * shards.n_shards
 
     def recover(self) -> tuple[RecoveryReport, ...]:
         """Replay every shard from disk; safe on an empty root."""
@@ -356,115 +213,60 @@ class ShardedFleetService:
         jobs: int = 1,
         monitor=None,
     ) -> ShardedFleetResult:
-        """Stream every admitted user durably; aggregates in spec order.
-
-        The admission loop is the fleet loop: ``specs`` may be any
-        iterable (a list or a lazy generator), windowed one ``islice``
-        batch at a time, global event budget checked at batch starts,
-        remaining users shed whole.  Users whose shard already holds
-        their completed summary (prior run, recovered) are served from
-        the log without recomputation — their events still count
-        against the budget, so the decisions match an uninterrupted
-        single run.
-
-        Passing a :class:`~repro.monitor.sinks.MonitorHub` (or setting
-        ``config.monitor``) attaches anomaly monitoring exactly as in
-        :meth:`repro.stream.fleet.FleetService.run`; alerts publish to
-        the hub in admission order, identical serial or parallel.
-        """
-        config = self.config
-        if monitor is not None and config.monitor is None:
-            from dataclasses import replace
-
-            from repro.monitor.detectors import MonitorConfig
-
-            config = replace(config, monitor=MonitorConfig())
-        registry = metrics()
-        start = time.perf_counter()
-        rollup = FleetRollup()
-        spill = (
-            SummarySpill(config.summary_spill)
-            if config.summary_spill is not None
-            else None
-        )
-        retained: list[UserStreamSummary] | None = (
-            [] if config.retain_summaries else None
-        )
-        resumed = 0
-        recovered = 0
-        high_water = 0
-        source = iter(specs)
-        try:
-            while True:
-                batch = list(islice(source, config.batch_size))
-                if not batch:
-                    break
-                if (
-                    config.event_budget is not None
-                    and rollup.events >= config.event_budget
-                ):
-                    rollup.shed_users = _shed_remaining(batch, source)
-                    registry.inc("stream.shed_users", rollup.shed_users)
-                    break
-                registry.inc("stream.batches")
-                # Per-shard admission: budgets are read once, at the start
-                # of the batch, so jobs=1 and jobs=N make the same calls.
-                over_budget = self._over_budget_shards()
-                slots: list[UserStreamSummary | None] = [None] * len(batch)
-                todo: list[tuple[int, FleetUserSpec, dict | None]] = []
-                for i, spec in enumerate(batch):
-                    state = self.store_for(spec.user_id).get(spec.user_id)
-                    if state is not None and state.done and state.summary is not None:
-                        slots[i] = UserStreamSummary.from_dict(state.summary)
-                        recovered += 1
-                        continue
-                    if shard_of(spec.user_id, self.shards.n_shards) in over_budget:
-                        rollup.shard_shed_users += 1
-                        registry.inc("shard.shed_users")
-                        continue
-                    resume_doc = None
-                    if state is not None and state.resumable:
-                        resume_doc = {
-                            "engine": state.engine_state,
-                            "acc": state.acc_state,
-                        }
-                        resumed += 1
-                    todo.append((i, spec, resume_doc))
-                alert_slots: list[list] = [[] for _ in batch]
-                for i, summary, alerts in self._run_batch(todo, jobs, config):
-                    slots[i] = summary
-                    alert_slots[i] = alerts
-                streamed = 0
-                for i, summary in enumerate(slots):
-                    if summary is None:
-                        continue
-                    streamed += 1
-                    rollup.fold(summary)
-                    if spill is not None:
-                        spill.append(summary)
-                    if retained is not None:
-                        retained.append(summary)
-                    if monitor is not None and alert_slots[i]:
-                        monitor.publish_many(alert_slots[i])
-                registry.inc("stream.users", streamed)
-                high_water = _note_batch_rss(registry, len(batch), high_water)
-        except BaseException:
-            if spill is not None:
-                spill.abort()
-            raise
-        spill_path = spill.close() if spill is not None else None
-        if spill is not None:
-            rollup.spilled = spill.count
-        elapsed = time.perf_counter() - start
+        """:meth:`FleetService.run` over the durable per-batch step,
+        plus the run's resume, recovery and per-shard accounting."""
+        self._resumed = self._recovered = 0
+        self._shed = [0] * self.shards.n_shards
+        result = super().run(specs, jobs=jobs, monitor=monitor)
+        result.rollup.shard_shed_users = sum(self._shed)
         return ShardedFleetResult(
-            rollup=rollup,
-            elapsed_s=elapsed,
-            resumed_users=resumed,
-            recovered_users=recovered,
-            shard_stats=self.stats(rollup.shard_shed_users),
-            spill_path=spill_path,
-            retained=tuple(retained) if retained is not None else None,
+            **vars(result),
+            resumed_users=self._resumed,
+            recovered_users=self._recovered,
+            shard_stats=self.stats(),
         )
+
+    def _admit(
+        self, batch: list[FleetUserSpec], jobs: int, config: FleetConfig
+    ) -> list[tuple[UserStreamSummary, list]]:
+        # Per-shard budgets are read once, at the start of the batch, so
+        # jobs=1 and jobs=N make the same calls.
+        over_budget = self._over_budget_shards()
+        slots: list[tuple[UserStreamSummary, list] | None] = [None] * len(batch)
+        todo: list[tuple[int, FleetUserSpec, ShardStore, UserShardState]] = []
+        for i, spec in enumerate(batch):
+            shard = shard_of(spec.user_id, self.shards.n_shards)
+            store = self.stores[shard]
+            state = store.get(spec.user_id)
+            if state is not None and state.done and state.summary is not None:
+                slots[i] = (UserStreamSummary.from_dict(state.summary), [])
+                self._recovered += 1
+            elif shard in over_budget:
+                self._shed[shard] += 1
+                metrics().inc("shard.shed_users")
+            else:
+                if state is None:
+                    state = UserShardState(user_id=spec.user_id)
+                elif state.resumable:
+                    self._resumed += 1
+                todo.append((i, spec, store, state))
+        if jobs == 1 or len(todo) <= 1:
+            # Serial: every day close reaches the shard before the next.
+            for i, spec, store, state in todo:
+                slots[i] = stream_user_durable(
+                    _spec_trace(spec), config=config, sink=store, resume=state
+                )
+        else:
+            # Parallel: workers record their day closes; appending them
+            # here, in admission order, writes the serial run's WAL bytes.
+            payloads = [(spec, config, state) for _, spec, _, state in todo]
+            for (i, _, store, _), (summary, alerts, records) in zip(
+                todo, _map_users(payloads, jobs)
+            ):
+                for record in records:
+                    store.append(record)
+                slots[i] = (summary, alerts)
+        return [slot for slot in slots if slot is not None]
 
     def _over_budget_shards(self) -> frozenset[int]:
         budget = self.shards.shard_event_budget
@@ -474,8 +276,8 @@ class ShardedFleetService:
             i for i, store in enumerate(self.stores) if store.events >= budget
         )
 
-    def stats(self, shard_shed: int = 0) -> tuple[ShardStats, ...]:
-        """Per-shard durability accounting (shed count is fleet-wide)."""
+    def stats(self) -> tuple[ShardStats, ...]:
+        """Per-shard durability accounting (sheds are the last run's)."""
         out = []
         for i, store in enumerate(self.stores):
             users = store.users
@@ -489,71 +291,7 @@ class ShardedFleetService:
                     wal_records=store.wal_records,
                     appends=store.appends,
                     compactions=store.compactions,
-                    shed_users=shard_shed,
+                    shed_users=self._shed[i],
                 )
             )
         return tuple(out)
-
-    # ------------------------------------------------------------------
-    # batch execution
-    # ------------------------------------------------------------------
-    def _run_batch(
-        self,
-        todo: list[tuple[int, FleetUserSpec, dict | None]],
-        jobs: int,
-        config: FleetConfig,
-    ) -> list[tuple[int, UserStreamSummary, list]]:
-        if not todo:
-            return []
-        if jobs == 1 or len(todo) <= 1:
-            out = []
-            for i, spec, resume_doc in todo:
-                store = self.store_for(spec.user_id)
-                resume = store.get(spec.user_id) if resume_doc is not None else None
-                alerts: list = []
-                summary = stream_user_durable(
-                    _spec_trace(spec),
-                    config=config,
-                    sink=store,
-                    resume=resume,
-                    monitor=_make_monitor(spec, config),
-                    alert_log=alerts,
-                )
-                out.append((i, summary, alerts))
-            return out
-        return self._run_batch_parallel(todo, jobs, config)
-
-    def _run_batch_parallel(
-        self,
-        todo: list[tuple[int, FleetUserSpec, dict | None]],
-        jobs: int,
-        config: FleetConfig,
-    ) -> list[tuple[int, UserStreamSummary, list]]:
-        from repro.runtime.parallel import shared_runner
-
-        registry = metrics()
-        trc = tracer()
-        runner = shared_runner(jobs)
-        payloads = [(spec, config, resume_doc) for _, spec, resume_doc in todo]
-        if not (registry.enabled or trc.enabled):
-            results = runner.map(_stream_spec_durable, payloads)
-            shipped = [
-                (summary, records, alerts, None, None)
-                for summary, records, alerts in results
-            ]
-        else:
-            fn = partial(_stream_spec_durable_shipped, with_tracing=trc.enabled)
-            shipped = runner.map(fn, payloads)
-        out: list[tuple[int, UserStreamSummary, list]] = []
-        # Appends happen in admission order, so the WALs are
-        # byte-identical to what a serial run would have written.
-        for (i, spec, _), (summary, records, alerts, snap, spans) in zip(todo, shipped):
-            if snap is not None:
-                registry.merge_snapshot(snap)
-            if spans is not None:
-                trc.ingest(spans)
-            store = self.store_for(spec.user_id)
-            for record in records:
-                store.append(record)
-            out.append((i, summary, alerts))
-        return out

@@ -95,8 +95,26 @@ class RecoveryReport:
     issues: tuple[str, ...] = ()
 
 
+class DayCloseLog:
+    """The WAL's day-close record format, written through ``append``."""
+
+    def append(self, payload: dict) -> None:
+        raise NotImplementedError
+
+    def log_day(self, user_id: str, state: dict) -> None:
+        """Log one day close: the user's driver state after that day
+        (``{"engine": ..., "acc": ...}``)."""
+        self.append({"type": "day", "user_id": user_id, **state})
+
+    def log_done(self, user_id: str, state: dict, summary: dict) -> None:
+        """Log a user's completion with their frozen summary."""
+        self.append(
+            {"type": "done", "user_id": user_id, **state, "summary": summary}
+        )
+
+
 @dataclass
-class ShardStore:
+class ShardStore(DayCloseLog):
     """Durable state of one shard: append-only WAL + compacted snapshots."""
 
     path: Path
@@ -206,31 +224,6 @@ class ShardStore:
         self._apply(payload, during_replay=False)
         if self._wal_records >= self.compact_every_records:
             self.compact()
-
-    def log_day(self, user_id: str, engine_state: dict, acc_state: dict) -> None:
-        """Log one day-close delta: the user's state after that day."""
-        self.append(
-            {
-                "type": "day",
-                "user_id": user_id,
-                "engine": engine_state,
-                "acc": acc_state,
-            }
-        )
-
-    def log_done(
-        self, user_id: str, engine_state: dict, acc_state: dict, summary: dict
-    ) -> None:
-        """Log a user's completion with their frozen summary."""
-        self.append(
-            {
-                "type": "done",
-                "user_id": user_id,
-                "engine": engine_state,
-                "acc": acc_state,
-                "summary": summary,
-            }
-        )
 
     def _apply(self, payload: dict, *, during_replay: bool) -> None:
         kind = payload.get("type")

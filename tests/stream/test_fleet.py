@@ -57,35 +57,6 @@ class TestStreamOneUser:
         assert ckpt.interrupts == plain.interrupts
         assert ckpt.radio_on_s == plain.radio_on_s
 
-    def test_price_batch_depth_does_not_change_results(self, volunteer):
-        # Depth 8 (default) prices through the columnar lane kernel,
-        # depth 1 is the pre-lane-kernel per-day path: bit-identical.
-        batched = stream_one_user(volunteer, config=CONFIG)
-        per_day = stream_one_user(
-            volunteer,
-            config=FleetConfig(
-                train_days=10, price_batch_days=1, netmaster=CONFIG.netmaster
-            ),
-        )
-        assert batched == per_day
-
-    def test_price_batching_composes_with_checkpoint_cadence(self, volunteer):
-        # The pricing buffer must not starve or double-fire the
-        # checkpoint trigger, and totals stay identical.
-        kw = dict(
-            train_days=10, checkpoint_every_days=2, netmaster=CONFIG.netmaster
-        )
-        batched = stream_one_user(volunteer, config=FleetConfig(**kw))
-        per_day = stream_one_user(
-            volunteer, config=FleetConfig(price_batch_days=1, **kw)
-        )
-        assert batched == per_day
-        assert batched.checkpoints > 0
-
-    def test_price_batch_days_validated(self):
-        with pytest.raises(ValueError, match="price_batch_days"):
-            FleetConfig(price_batch_days=0)
-
 
 class TestFleetService:
     def test_runs_all_users_in_spec_order(self, volunteers):
@@ -111,15 +82,6 @@ class TestFleetService:
             )
         ).run(_specs(volunteers))
         assert wide.summaries == one.summaries
-
-    def test_price_batch_depth_does_not_change_fleet_results(self, volunteers):
-        batched = FleetService(CONFIG).run(_specs(volunteers))
-        per_day = FleetService(
-            FleetConfig(
-                train_days=10, price_batch_days=1, netmaster=CONFIG.netmaster
-            )
-        ).run(_specs(volunteers))
-        assert batched.summaries == per_day.summaries
 
     def test_event_budget_sheds_remaining_users_whole(self, volunteers):
         config = FleetConfig(

@@ -82,10 +82,6 @@ _SEEDABLE = {
 #: Experiments whose drivers accept a ``jobs`` keyword (process fan-out).
 _PARALLEL = {"fig7", "fig8", "fig9", "fig10c", "robustness", "stream", "shards"}
 
-#: Experiments whose drivers accept a ``columnar`` keyword (lane-kernel
-#: grid pricing; bit-identical to the per-lane path, just faster).
-_COLUMNAR = {"fig7", "fig8", "fig9", "fig10c"}
-
 #: ``--quick`` keyword overrides: shrunk but still-representative runs.
 #: Every entry keeps the experiment's structure (same policies, same
 #: pipeline) while cutting the simulated horizon and sweep density, so a
@@ -178,13 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"(applies to: {', '.join(sorted(_PARALLEL))})",
     )
     parser.add_argument(
-        "--columnar",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="price replay grids through the columnar lane kernel "
-        f"(bit-identical results; applies to: {', '.join(sorted(_COLUMNAR))})",
-    )
-    parser.add_argument(
         "--quick",
         action="store_true",
         help="run a shrunk variant (shorter horizon, sparser sweeps); "
@@ -241,7 +230,6 @@ def run(
     out=None,
     jobs: int = 1,
     quick: bool = False,
-    columnar: bool = False,
     telemetry_out: str | None = None,
 ) -> int:
     """Run the named experiments; returns a process exit code."""
@@ -293,8 +281,6 @@ def run(
                 kwargs["seed"] = seed
             if jobs > 1 and name in _PARALLEL:
                 kwargs["jobs"] = jobs
-            if columnar and name in _COLUMNAR:
-                kwargs["columnar"] = True
             before = reg.snapshot()
             result = driver(**kwargs)
             per_experiment[name] = telemetry.diff_snapshots(
@@ -360,7 +346,6 @@ def main(argv: list[str] | None = None) -> int:
     run_kwargs = dict(
         jobs=args.jobs,
         quick=args.quick,
-        columnar=args.columnar,
         telemetry_out=args.telemetry_out,
     )
     if args.out is not None:

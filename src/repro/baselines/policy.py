@@ -107,7 +107,7 @@ class PolicyOutcome:
     def finalize_energy(self, base: EnergyReport, model: RadioPowerModel) -> EnergyReport:
         """Fold wake-up and fault surcharges into a base RRC report.
 
-        Split out of :meth:`energy` so the columnar batch pricer
+        Split out of :meth:`energy` so the batch pricer
         (:mod:`repro.core.batch`) can apply the identical scalar
         adjustment to reports produced by the lane kernel.
         """

@@ -1,7 +1,7 @@
 """Core NetMaster contribution: scheduling, knapsacks, duty cycle."""
 
 from repro.core.adjustment import GapServicer, GapServiceResult, RealTimeAdjustment
-from repro.core.batch import measure_outcomes_columnar, run_policy_tasks_columnar
+from repro.core.batch import measure_outcomes_columnar
 from repro.core.channel_aware import (
     ChannelComparison,
     PlacedBatch,
@@ -87,7 +87,6 @@ __all__ = [
     "place_channel_aware",
     "placement_profit",
     "radio_on_fraction_after",
-    "run_policy_tasks_columnar",
     "slot_capacity_bytes",
     "solve_exact_bruteforce",
     "solve_overlapped",

@@ -1,17 +1,16 @@
-"""Columnar batch pricing: many (outcome, day) cells per array pass.
+"""Batch pricing: many (outcome, day) cells per lane-engine pass.
 
-The per-lane evaluation path prices each grid cell with two full trips
-through the interval engine (``outcome.energy`` merges + decomposes,
-then ``outcome.radio_on`` merges + decomposes again).  This front-end
-routes whole grids through :func:`repro.radio.lanes.replay_many`: one
-merge + one decomposition per lane, batched across all lanes, with the
+Every priced day in the repo — a figure grid, a fleet drain, one gateway
+day close — goes through :func:`measure_outcomes_columnar`.  It routes
+the cells through :func:`repro.radio.lanes.replay_many_lengths`: one
+merge + one decomposition per cell, batched across all cells, with the
 scalar per-cell adjustments (wake-up/fault surcharges, payload checks,
-utilization) applied identically afterwards.
+utilization) applied afterwards.  A single day is the one-cell call
+(:func:`repro.evaluation.metrics.measure_outcome`).
 
-Bit-identity contract: every returned :class:`PolicyDayMetrics` equals
-the one :func:`repro.evaluation.metrics.measure_outcome` produces for
-the same cell — the lane kernel is bit-exact and the assembly reuses
-the exact same scalar code paths (``finalize_energy``,
+Bit-identity contract: a cell's :class:`PolicyDayMetrics` never depends
+on the other cells in its batch — the lane engine is per-lane exact and
+the assembly is per-cell scalar code (``finalize_energy``,
 ``merge_radio_on``, ``assemble_day_metrics``).
 
 Imports of :mod:`repro.evaluation` / :mod:`repro.runtime` stay
@@ -22,6 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
+from repro._util import total_length
 from repro.baselines.policy import PolicyOutcome
 from repro.radio.bandwidth import activity_digest
 from repro.radio.lanes import replay_many_lengths
@@ -30,25 +30,27 @@ from repro.traces.events import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.evaluation.metrics import PolicyDayMetrics
-    from repro.runtime.parallel import PolicyTask
 
-__all__ = ["measure_outcomes_columnar", "run_policy_tasks_columnar"]
+__all__ = ["measure_outcomes_columnar"]
 
 
 def measure_outcomes_columnar(
-    cells: Sequence[tuple[PolicyOutcome, Trace]], model: RadioPowerModel
+    cells: Sequence[tuple[PolicyOutcome, Trace]],
+    model: RadioPowerModel,
+    *,
+    sim_contexts: Sequence[str] | None = None,
 ) -> list["PolicyDayMetrics"]:
-    """Batched :func:`repro.evaluation.metrics.measure_outcome`.
+    """Price every ``(outcome, day)`` cell under ``model`` in one batch.
 
-    ``results[i]`` is bit-equal to
-    ``measure_outcome(cells[i][0], model, cells[i][1])``; the RRC merge,
+    ``results[i]`` equals pricing ``cells[i]`` alone; the RRC merge,
     decomposition and energy reduction run once per cell (serving both
-    energy and radio-on) inside one cross-cell lane batch.
+    energy and radio-on) inside one cross-cell lane batch.  A cell whose
+    outcome lost or gained payload raises ``ValueError``.
+    ``sim_contexts`` names each cell's trace track prefix for its RRC
+    spans (default: the tracer's current context); results never depend
+    on it.
     """
-    from repro.evaluation.metrics import (
-        assemble_day_metrics,
-        assemble_day_metrics_from_time,
-    )
+    from repro.evaluation.metrics import assemble_day_metrics
 
     # One cached pass per distinct activity list serves both the payload
     # check and the utilization stats (grids also reuse the same day
@@ -78,61 +80,33 @@ def measure_outcomes_columnar(
     # radio-on length, which the kernel totals in-array.
     keep = [bool(outcome.extra_windows) for outcome, _ in cells]
     priced = replay_many_lengths(
-        window_lists, model, policies, window_tails=tails, keep_intervals=keep
+        window_lists,
+        model,
+        policies,
+        window_tails=tails,
+        keep_intervals=keep,
+        sim_contexts=sim_contexts,
     )
     out: list["PolicyDayMetrics"] = []
     for (outcome, _), (base, on_s, intervals) in zip(cells, priced):
-        report = outcome.finalize_energy(base, model)
-        stats = digest(outcome.activities)
-        if intervals is None:
-            out.append(
-                assemble_day_metrics_from_time(
-                    outcome, report, on_s, digest=stats
-                )
+        if intervals is not None:
+            on_s = total_length(outcome.merge_radio_on(intervals))
+        out.append(
+            assemble_day_metrics(
+                outcome,
+                outcome.finalize_energy(base, model),
+                on_s,
+                digest(outcome.activities),
             )
-        else:
-            radio_on = outcome.merge_radio_on(intervals)
-            out.append(
-                assemble_day_metrics(outcome, report, radio_on, digest=stats)
-            )
+        )
     return out
 
 
-def run_policy_tasks_columnar(
-    tasks: Sequence["PolicyTask"], *, jobs: int = 1
-) -> list[list["PolicyDayMetrics"]]:
-    """Columnar twin of :func:`repro.runtime.parallel.run_policy_tasks`.
+def __getattr__(name: str):
+    # The grid runner's former name, kept for existing importers: it is
+    # the one runner, repro.runtime.parallel.run_policy_tasks.
+    if name == "run_policy_tasks_columnar":
+        from repro.runtime.parallel import run_policy_tasks
 
-    Executes the task grid as usual (serial or fanned over ``jobs``
-    workers), then prices every (outcome, day) cell through the lane
-    kernel in one batch per distinct power model — instead of two
-    interval-engine trips per cell.  Results are bit-identical in task
-    and day order.
-    """
-    from repro.runtime.parallel import execute_policy_tasks
-
-    outcomes = execute_policy_tasks(tasks, jobs=jobs)
-    flat_cells: list[tuple[PolicyOutcome, Trace]] = []
-    flat_models: list[RadioPowerModel] = []
-    for task, outs in zip(tasks, outcomes):
-        for day, outcome in zip(task.days, outs):
-            flat_cells.append((outcome, day))
-            flat_models.append(task.model)
-    # One lane batch per distinct model (RadioPowerModel is frozen and
-    # hashable); grids are usually single-model, so this is one pass.
-    by_model: dict[RadioPowerModel, list[int]] = {}
-    for i, model in enumerate(flat_models):
-        by_model.setdefault(model, []).append(i)
-    flat_metrics: list["PolicyDayMetrics" | None] = [None] * len(flat_cells)
-    for model, idxs in by_model.items():
-        measured = measure_outcomes_columnar(
-            [flat_cells[i] for i in idxs], model
-        )
-        for i, m in zip(idxs, measured):
-            flat_metrics[i] = m
-    result: list[list["PolicyDayMetrics"]] = []
-    pos = 0
-    for task in tasks:
-        result.append(flat_metrics[pos : pos + len(task.days)])
-        pos += len(task.days)
-    return result
+        return run_policy_tasks
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

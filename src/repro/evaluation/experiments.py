@@ -30,7 +30,6 @@ from repro.core.duty_cycle import (
     radio_on_fraction_after,
     wakeup_times,
 )
-from repro.core.batch import run_policy_tasks_columnar
 from repro.core.netmaster import NetMasterConfig
 from repro.core.overlapped import MKPItem, MKPSlot, solve_exact_bruteforce, solve_overlapped
 from repro.evaluation.metrics import (
@@ -59,19 +58,6 @@ from repro.traces.generator import generate_cohort, generate_volunteers
 #: first days of each volunteer trace, evaluate on the rest.
 DEFAULT_HISTORY_DAYS = 10
 DEFAULT_TEST_DAYS = 4
-
-
-def _run_grid(
-    tasks: list[PolicyTask], *, jobs: int, columnar: bool
-) -> list[list[PolicyDayMetrics]]:
-    """Run a (policy × days) task grid, per-lane or columnar.
-
-    Both paths return results in submission order and are bit-identical;
-    ``columnar`` only changes how the replay arithmetic is batched.
-    """
-    if columnar:
-        return run_policy_tasks_columnar(tasks, jobs=jobs)
-    return run_policy_tasks(tasks, jobs=jobs)
 
 
 def split_history(trace: Trace, n_history_days: int) -> tuple[Trace, list[Trace]]:
@@ -271,15 +257,12 @@ def fig7(
     model: RadioPowerModel | None = None,
     config: NetMasterConfig | None = None,
     jobs: int = 1,
-    columnar: bool = False,
 ) -> Fig7Result:
     """The three-volunteer evaluation of Section VI-A.
 
     ``jobs>1`` fans the (volunteer × policy) grid over a process pool;
     results are reassembled in submission order, so the figure output is
-    bit-identical to the serial run.  ``columnar=True`` prices the whole
-    grid through the lane kernel (`repro.radio.lanes`) in a handful of
-    array passes — also bit-identical, just faster.
+    bit-identical to the serial run.
     """
     model = model or wcdma_model()
     volunteers = generate_volunteers(n_days, seed=seed)
@@ -314,7 +297,7 @@ def fig7(
         for name, policy in policies.items()
     ]
     with tracer().span("fig7-grid", "experiment", tasks=len(tasks), jobs=jobs):
-        grid = iter(_run_grid(tasks, jobs=jobs, columnar=columnar))
+        grid = iter(run_policy_tasks(tasks, jobs=jobs))
 
     for trace, test_days, policies in prepared:
         per_policy = {name: next(grid) for name in policies}
@@ -424,7 +407,6 @@ def fig8(
     delays_s: tuple[float, ...] = DELAY_SWEEP_S,
     model: RadioPowerModel | None = None,
     jobs: int = 1,
-    columnar: bool = False,
 ) -> Fig8Result:
     """Off-line analysis of the pure delay method."""
     model = model or wcdma_model()
@@ -433,9 +415,7 @@ def fig8(
     all_days = [day for _, days in split for day in days]
 
     with tracer().span("fig8-baseline", "experiment", days=len(all_days)):
-        base_metrics = run_policy_over_days(
-            NaivePolicy(), all_days, model, columnar=columnar
-        )
+        base_metrics = run_policy_over_days(NaivePolicy(), all_days, model)
     base_energy = sum(m.energy_j for m in base_metrics)
     base_radio = sum(m.radio_on_s for m in base_metrics)
     base_rate = (
@@ -447,7 +427,7 @@ def fig8(
         for d in delays_s
     ]
     with tracer().span("fig8-sweep", "experiment", tasks=len(tasks), jobs=jobs):
-        sweep = _run_grid(tasks, jobs=jobs, columnar=columnar)
+        sweep = run_policy_tasks(tasks, jobs=jobs)
 
     energy_saving, radio_saving, bw_increase, affected = [], [], [], []
     for metrics in sweep:
@@ -504,7 +484,6 @@ def fig9(
     batch_sizes: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 8, 10),
     model: RadioPowerModel | None = None,
     jobs: int = 1,
-    columnar: bool = False,
 ) -> Fig9Result:
     """Off-line analysis of the pure batch method."""
     model = model or wcdma_model()
@@ -513,9 +492,7 @@ def fig9(
     all_days = [day for _, days in split for day in days]
 
     with tracer().span("fig9-baseline", "experiment", days=len(all_days)):
-        base_metrics = run_policy_over_days(
-            NaivePolicy(), all_days, model, columnar=columnar
-        )
+        base_metrics = run_policy_over_days(NaivePolicy(), all_days, model)
     base_energy = sum(m.energy_j for m in base_metrics)
     base_radio = sum(m.radio_on_s for m in base_metrics)
     base_rate = (
@@ -527,7 +504,7 @@ def fig9(
         for s in batch_sizes
     ]
     with tracer().span("fig9-sweep", "experiment", tasks=len(tasks), jobs=jobs):
-        sweep = _run_grid(tasks, jobs=jobs, columnar=columnar)
+        sweep = run_policy_tasks(tasks, jobs=jobs)
 
     energy_saving, radio_saving, bw_increase, affected = [], [], [], []
     for metrics in sweep:
@@ -648,7 +625,6 @@ def fig10c(
     ),
     model: RadioPowerModel | None = None,
     jobs: int = 1,
-    columnar: bool = False,
 ) -> Fig10cResult:
     """Sweep the prediction threshold δ on the volunteer cohort.
 
@@ -665,8 +641,8 @@ def fig10c(
     oracle_e = base_e = 0.0
     with tracer().span("fig10c-oracle", "experiment", volunteers=len(split)):
         for _, days in split:
-            base = run_policy_over_days(NaivePolicy(), days, model, columnar=columnar)
-            oracle = run_policy_over_days(OraclePolicy(), days, model, columnar=columnar)
+            base = run_policy_over_days(NaivePolicy(), days, model)
+            oracle = run_policy_over_days(OraclePolicy(), days, model)
             base_e += sum(m.energy_j for m in base)
             oracle_e += sum(m.energy_j for m in oracle)
     oracle_saving = 1.0 - oracle_e / base_e
@@ -692,7 +668,7 @@ def fig10c(
         for history, days in split
     ]
     with tracer().span("fig10c-grid", "experiment", tasks=len(tasks), jobs=jobs):
-        grid = iter(_run_grid(tasks, jobs=jobs, columnar=columnar))
+        grid = iter(run_policy_tasks(tasks, jobs=jobs))
 
     accuracy, saving = [], []
     for delta in thresholds:

@@ -1,23 +1,20 @@
 """Evaluation metrics shared by all experiments (Section VI).
 
-Every policy outcome is priced by the same RRC machine; the metrics here
-wrap that accounting into the three dimensions the paper reports —
-energy saving, radio-on time, and bandwidth utilization — plus the user-
-experience counters.
+Every policy outcome is priced by the same RRC engine, in batches
+(:mod:`repro.core.batch`); the metrics here wrap that accounting into the
+three dimensions the paper reports — energy saving, radio-on time, and
+bandwidth utilization — plus the user-experience counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._util import total_length
 from repro.baselines.policy import PolicyOutcome, SchedulingPolicy
-from repro.radio.bandwidth import (
-    UtilizationStats,
-    utilization_from_digest,
-    utilization_over_time,
-)
+from repro.core.batch import measure_outcomes_columnar
+from repro.radio.bandwidth import UtilizationStats, utilization_from_digest
 from repro.radio.power import RadioPowerModel
+from repro.radio.rrc import EnergyReport
 from repro.traces.events import Trace
 
 
@@ -53,56 +50,29 @@ class PolicyDayMetrics:
 def measure_outcome(
     outcome: PolicyOutcome, model: RadioPowerModel, day: Trace
 ) -> PolicyDayMetrics:
-    """Price a policy outcome with the shared RRC accounting."""
-    outcome.validate_payload(day)
-    report = outcome.energy(model)
-    radio_on = outcome.radio_on(model)
-    return assemble_day_metrics(outcome, report, radio_on)
+    """Price one policy outcome: the one-cell batch of
+    :func:`repro.core.batch.measure_outcomes_columnar`."""
+    return measure_outcomes_columnar([(outcome, day)], model)[0]
 
 
 def assemble_day_metrics(
     outcome: PolicyOutcome,
-    report,
-    radio_on: list[tuple[float, float]],
-    *,
-    digest: tuple[float, float, float, float, float] | None = None,
-) -> PolicyDayMetrics:
-    """Build the metric set from an already-priced outcome.
-
-    Shared by :func:`measure_outcome` and the columnar batch pricer
-    (:mod:`repro.core.batch`) so both assemble byte-identical rows.
-    """
-    return assemble_day_metrics_from_time(
-        outcome, report, total_length(radio_on), digest=digest
-    )
-
-
-def assemble_day_metrics_from_time(
-    outcome: PolicyOutcome,
-    report,
+    report: EnergyReport,
     radio_on_s: float,
-    *,
-    digest: tuple[float, float, float, float, float] | None = None,
+    digest: tuple[float, float, float, float, float],
 ) -> PolicyDayMetrics:
-    """:func:`assemble_day_metrics` with the radio-on time pre-totalled.
+    """Build the metric set of an already-priced outcome.
 
-    The columnar pricer computes merged radio-on lengths inside the lane
-    kernel; entering with the scalar skips rebuilding interval lists
-    while producing bit-identical rows.  ``digest`` optionally supplies
-    the precomputed :func:`repro.radio.bandwidth.activity_digest` of
-    ``outcome.activities`` so the batch pricer's single cached pass also
-    serves the utilization stats.
+    ``radio_on_s`` is the merged radio-on time and ``digest`` the
+    :func:`repro.radio.bandwidth.activity_digest` of
+    ``outcome.activities``, both computed once by the batch pricer.
     """
-    if digest is None:
-        bandwidth = utilization_over_time(outcome.activities, radio_on_s)
-    else:
-        bandwidth = utilization_from_digest(digest, radio_on_s)
     return PolicyDayMetrics(
         policy=outcome.policy,
         energy_j=report.energy_j,
         radio_on_s=radio_on_s,
         transfer_s=report.transfer_s,
-        bandwidth=bandwidth,
+        bandwidth=utilization_from_digest(digest, radio_on_s),
         interrupts=outcome.interrupts,
         user_interactions=outcome.user_interactions,
         affected_user_activities=outcome.affected_user_activities,
@@ -116,7 +86,6 @@ def run_policy_over_days(
     model: RadioPowerModel,
     *,
     jobs: int = 1,
-    columnar: bool = False,
 ) -> list[PolicyDayMetrics]:
     """Execute and measure a policy over several held-out days.
 
@@ -125,51 +94,21 @@ def run_policy_over_days(
     results keep day order, so the output is bit-identical to the serial
     loop.  Stateful policies (e.g. NetMaster's circuit breaker) always
     replay serially here — parallelize them at the grid level with
-    :func:`repro.runtime.parallel.run_policy_tasks` instead.
-
-    ``columnar=True`` executes the days as usual but prices all outcomes
-    through the lane kernel in one batch (:mod:`repro.core.batch`) —
-    bit-identical results, one array pass instead of ``len(days)``.
+    :func:`repro.runtime.parallel.run_policy_tasks` instead.  Either way
+    every day is priced in one batch once the days have executed.
     """
-    label = getattr(policy, "name", type(policy).__name__)
-    if columnar:
-        # Imported lazily: repro.core.batch prices via evaluation.metrics.
-        from repro.core.batch import run_policy_tasks_columnar
-        from repro.runtime.parallel import PolicyTask
+    # Imported lazily: repro.runtime.parallel prices via this module.
+    from repro.runtime.parallel import PolicyTask, run_policy_tasks
 
-        if jobs > 1 and len(days) > 1 and getattr(policy, "day_independent", False):
-            tasks = [
-                PolicyTask(name="day", policy=policy, days=(day,), model=model)
-                for day in days
-            ]
-        else:
-            tasks = [
-                PolicyTask(name=label, policy=policy, days=tuple(days), model=model)
-            ]
-        return [
-            m
-            for metrics in run_policy_tasks_columnar(tasks, jobs=jobs)
-            for m in metrics
-        ]
     if jobs > 1 and len(days) > 1 and getattr(policy, "day_independent", False):
-        # Imported lazily: repro.runtime.parallel imports this module.
-        from repro.runtime.parallel import PolicyTask, run_policy_tasks
-
         tasks = [
             PolicyTask(name="day", policy=policy, days=(day,), model=model)
             for day in days
         ]
-        return [m for metrics in run_policy_tasks(tasks, jobs=jobs) for m in metrics]
-    from repro.telemetry import tracer
-
-    trc = tracer()
-    out: list[PolicyDayMetrics] = []
-    for i, day in enumerate(days):
-        with trc.sim_context(f"{label}:d{i + 1}"), trc.span(
-            "replay-day", "evaluation", track=f"replay/{label}", day=i + 1
-        ):
-            out.append(measure_outcome(policy.execute_day(day), model, day))
-    return out
+    else:
+        label = getattr(policy, "name", type(policy).__name__)
+        tasks = [PolicyTask(name=label, policy=policy, days=tuple(days), model=model)]
+    return [m for metrics in run_policy_tasks(tasks, jobs=jobs) for m in metrics]
 
 
 def energy_saving(metrics: PolicyDayMetrics, baseline: PolicyDayMetrics) -> float:

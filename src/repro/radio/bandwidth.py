@@ -81,7 +81,7 @@ def utilization(
     per-activity instantaneous rates, which no scheduler can raise because
     they are set by the channel (paper, Section VI-A).
     """
-    return utilization_over_time(activities, total_length(radio_on))
+    return utilization_from_digest(activity_digest(activities), total_length(radio_on))
 
 
 def activity_digest(
@@ -96,7 +96,7 @@ def activity_digest(
     ``total_bytes`` (= ``down + up``) in the same order as
     ``sum(a.total_bytes for a in activities)``.  Interleaving them in
     one loop changes no intermediate value — this sits under every
-    priced cell, and the columnar batch pricer caches it per list.
+    priced cell, and the batch pricer caches it per list.
     """
     down = up = payload = 0.0
     peak_down = peak_up = 0.0
@@ -132,15 +132,3 @@ def utilization_from_digest(
         peak_down_bps=peak_down,
         peak_up_bps=peak_up,
     )
-
-
-def utilization_over_time(
-    activities: Sequence[NetworkActivity], on_time: float
-) -> UtilizationStats:
-    """:func:`utilization` with the radio-on time already totalled.
-
-    The columnar batch pricer computes merged radio-on lengths inside
-    the lane kernel, so it enters here with the scalar directly; the
-    stats are bit-identical to the interval-list entry point.
-    """
-    return utilization_from_digest(activity_digest(activities), on_time)

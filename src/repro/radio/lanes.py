@@ -1,31 +1,38 @@
-"""Columnar multi-lane replay: many RRC problems per numpy pass.
+"""The RRC replay engine: many replay problems per numpy pass.
 
-:mod:`repro.radio.intervals` vectorized *one* replay; cohort-scale sweeps
-still paid one Python round-trip through that engine per (user, day,
-policy) cell.  This module packs many independent replay problems —
-"lanes" — into a single structure-of-arrays representation (concatenated
+Every energy number in the reproduction comes from one accounting
+(Section V): a promotion before each transfer burst, DCH while bytes
+move, then a DCH and a FACH inactivity tail that the next transfer, a
+software cutoff or the carrier timers end.  This module is the only
+implementation of that walk.  It packs independent replay problems —
+"lanes" — into one structure-of-arrays representation (concatenated
 window ``starts``/``ends`` plus per-lane ``offsets``) and runs the whole
 pipeline (merge, allowance merge, decomposition, tail extension, energy
-reduction) across all lanes in a handful of array passes:
+reduction) across all lanes in a handful of array passes;
+:func:`repro.radio.rrc.simulate` and
+:func:`repro.radio.rrc.radio_on_intervals` are one-lane calls into it.
 
 * lane-major sorting via ``np.lexsort`` with the lane id as the primary
   key reproduces each lane's private sort;
 * the running-maximum merge becomes a *segmented* cumulative maximum
-  (Hillis–Steele doubling scan) that resets at lane boundaries;
+  (Hillis–Steele doubling scan) that resets at lane boundaries, or the
+  plain ``np.maximum.accumulate`` when the input holds one segment;
 * per-lane left-to-right energy sums use a padded-row cumulative sum
   (one zero-padded row per lane, seeded with the lane's initial term)
   instead of ``np.add.reduceat``, whose pairwise accumulation would
-  break the bit-identity contract.
+  change low bits.
 
 **Bit-identity contract.**  Every lane's result is bit-for-bit equal to
-running the per-lane :mod:`repro.radio.intervals` /
-:func:`repro.radio.rrc.simulate` path on that lane alone.  Elementwise
-arithmetic is exact under batching; sorts stay per-lane-stable because
-``np.lexsort`` is stable and the lane id dominates; the segmented scan
-only ever *selects* one of its float inputs (max is associative); and
-the padded cumulative sums append only trailing ``+0.0`` terms, which
-cannot change an accumulator that is never ``-0.0`` (all summed series
-here start from a ``>= +0.0`` initial and add ``>= +0.0`` terms).
+the scalar walk over that lane alone — windows merged in sorted order,
+then one left-to-right ``+=`` per accumulator (the reference port lives
+in ``tests/radio/rrc_oracle.py``).  Elementwise arithmetic is exact
+under batching; sorts stay per-lane-stable because ``np.lexsort`` is
+stable and the lane id dominates; the segmented scan only ever
+*selects* one of its float inputs (max is associative); and the padded
+cumulative sums append only trailing ``+0.0`` terms, which cannot change
+an accumulator that is never ``-0.0`` (all summed series here start
+from a ``>= +0.0`` initial and add ``>= +0.0`` terms).  A lane's result
+therefore never depends on the other lanes in its batch.
 
 Memory note: the padded sum materializes ``n_lanes × (max_lane_len + 1)``
 rows, so one pathologically long lane among many short ones inflates the
@@ -36,40 +43,108 @@ magnitude, which keeps the pad dense.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
-from typing import Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro._util import check_interval
-from repro.radio.intervals import ReplayDecomposition, pair_durations
+from repro._util import check_interval, check_positive
 from repro.radio.power import RadioPowerModel
-from repro.radio.rrc import (
-    EnergyReport,
-    FullTail,
-    TailPolicy,
-    _record_rrc_spans,
-)
 from repro.telemetry import metrics, tracer
 
 __all__ = [
+    "EnergyReport",
+    "FullTail",
     "LaneDecomposition",
     "LaneWindows",
+    "TailPolicy",
+    "TruncatedTail",
     "decompose_lanes",
     "extend_lanes_by_tails",
     "lane_ids",
-    "lane_sequential_sums",
+    "lane_radio_on_lengths",
+    "lane_serial_sums",
     "merge_lanes",
     "merge_lanes_with_allowances",
     "pack_lanes",
     "replay_many",
+    "replay_many_lengths",
     "segmented_cummax",
     "simulate_many",
 ]
 
 _EMPTY_F = np.empty(0)
 _EMPTY_B = np.empty(0, dtype=bool)
+
+
+class TailPolicy(Protocol):
+    """Decides how much inactivity tail the radio keeps after a transfer."""
+
+    def max_tail_s(self) -> float:
+        """Upper bound on post-transfer tail time before a forced IDLE."""
+        ...
+
+
+@dataclass(frozen=True, slots=True)
+class FullTail:
+    """Stock behaviour: carrier inactivity timers run to completion."""
+
+    def max_tail_s(self) -> float:
+        """No software cutoff — tails are bounded only by the timers."""
+        return math.inf
+
+
+@dataclass(frozen=True, slots=True)
+class TruncatedTail:
+    """Force the radio to IDLE ``guard_s`` seconds after the last byte.
+
+    ``guard_s = 0`` is the aggressive ideal; a small positive guard models
+    the detection delay of polling ``TELEPHONY_SERVICE`` for ongoing
+    transfers before dropping the connection.
+    """
+
+    guard_s: float = 1.0
+
+    def __post_init__(self) -> None:
+        check_positive("guard_s", self.guard_s, strict=False)
+
+    def max_tail_s(self) -> float:
+        """Tail time is capped at the guard interval."""
+        return self.guard_s
+
+
+@dataclass(frozen=True, slots=True)
+class EnergyReport:
+    """Outcome of one RRC replay.
+
+    ``energy_j`` excludes IDLE baseline; ``radio_on_s`` counts every
+    non-IDLE second (transfers, promotions, tails).
+    """
+
+    energy_j: float
+    radio_on_s: float
+    transfer_s: float
+    tail_s: float
+    promo_idle_count: int
+    promo_fach_count: int
+    window_count: int
+    state_energy_j: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def tail_energy_j(self) -> float:
+        """Energy spent in inactivity tails."""
+        return self.state_energy_j.get("tail", 0.0)
+
+    @property
+    def promo_energy_j(self) -> float:
+        """Energy spent in promotions."""
+        return self.state_energy_j.get("promo", 0.0)
+
+    @property
+    def transfer_energy_j(self) -> float:
+        """Energy spent actually moving bytes (DCH)."""
+        return self.state_energy_j.get("transfer", 0.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,7 +221,13 @@ def segmented_cummax(values: np.ndarray, head: np.ndarray) -> np.ndarray:
     max of itself and the value ``d`` back, unless a segment head lies in
     between (tracked by OR-ing the head flags along).  Exact by
     construction — max only ever returns one of its float inputs.
+
+    With a single segment (no head past position 0) the scan is the
+    plain running maximum, which ``np.maximum.accumulate`` computes in
+    one pass.
     """
+    if not head[1:].any():
+        return np.maximum.accumulate(values, dtype=np.float64)
     out = values.astype(np.float64, copy=True)
     blocked = np.array(head, dtype=bool, copy=True)
     n = out.size
@@ -180,9 +261,10 @@ def _group_lanes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fused-group bounds across all lanes at once.
 
-    Mirrors ``intervals._group_bounds`` with one extra rule: a lane head
-    always opens a group (the running maximum never carries across
-    lanes).  Returns ``(first, last, group_ids, merged_offsets)``.
+    ``run_end`` is the running maximum of (possibly extended) end times:
+    a new group opens where a start clears everything before it, and a
+    lane head always opens one (the running maximum never carries
+    across lanes).  Returns ``(first, last, group_ids, merged_offsets)``.
     """
     n = starts.size
     new_group = np.empty(n, dtype=bool)
@@ -201,20 +283,21 @@ def _group_lanes(
 
 
 def merge_lanes(lanes: LaneWindows) -> LaneWindows:
-    """All-lane :func:`repro.radio.intervals.merge_windows` in one pass.
+    """Fuse overlapping windows within every lane, in one pass.
 
-    Each lane of the result equals ``merge_windows(lanes.lane(i))``
-    bit-for-bit: the lane-major ``lexsort`` reproduces every lane's
-    private ``(start, end)`` sort, and the segmented running maximum
-    reproduces its private ``np.maximum.accumulate``.
+    Per lane this is :func:`repro._util.merge_intervals` (``gap=0``):
+    sort by ``(start, end)`` and fuse wherever a start does not exceed
+    the running maximum end.  The lane-major ``lexsort`` reproduces
+    every lane's private sort, and the segmented running maximum its
+    private ``np.maximum.accumulate``.
     """
     n = lanes.n_windows
     if n == 0:
         return LaneWindows(
             starts=_EMPTY_F, ends=_EMPTY_F, offsets=lanes.offsets.copy()
         )
-    # Validate in concatenated input order — identical to looping lanes
-    # and letting each lane's merge_windows raise on its first bad window.
+    # Validate in concatenated input order — the first bad window of the
+    # first lane holding one raises, exactly as lane-by-lane merging would.
     bad = np.flatnonzero(lanes.starts > lanes.ends)
     if bad.size:
         i = int(bad[0])
@@ -241,10 +324,10 @@ def merge_lanes_with_allowances(
 ) -> tuple[LaneWindows, np.ndarray]:
     """All-lane fast-dormancy merge, carrying per-window tail allowances.
 
-    Per lane this is exactly
-    :func:`repro.radio.intervals.merge_windows_with_allowances`: sort by
-    start (stable), fuse on the running maximum end, and give each fused
-    window the largest allowance among members achieving its final end.
+    Per lane: sort by start (stable), fuse on the running maximum end,
+    and give each fused window the largest allowance among members
+    achieving its final end (the tail follows the final transfer; ties
+    take the most permissive holder, which keeps the radio up).
     """
     n = lanes.n_windows
     if n == 0:
@@ -292,8 +375,13 @@ def merge_lanes_with_allowances(
 class LaneDecomposition:
     """Per-window replay arrays of many lanes, plus lane ``offsets``.
 
-    Lane ``i``'s slice is bit-equal to the
-    :class:`~repro.radio.intervals.ReplayDecomposition` of that lane.
+    All arrays are parallel to the merged windows.  ``gaps[j]`` is the
+    idle time before the lane's next window (``inf`` after its last);
+    ``budgets`` is the granted tail per window, split into ``dch_parts``
+    and ``fach_parts``; ``promo_fach``/``promo_idle`` flag the windows
+    followed by a FACH→DCH or IDLE→DCH re-promotion (never a lane's
+    last).  This is where a replay's energy splits into transfer, tail
+    and promotion components.
     """
 
     offsets: np.ndarray
@@ -312,10 +400,11 @@ class LaneDecomposition:
         """Number of lanes (including empty ones)."""
         return int(self.offsets.size - 1)
 
-    def lane(self, i: int) -> ReplayDecomposition:
-        """Lane ``i``'s slice as a per-lane decomposition (views)."""
+    def lane(self, i: int) -> "LaneDecomposition":
+        """Lane ``i`` alone, as a one-lane decomposition (views)."""
         lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
-        return ReplayDecomposition(
+        return LaneDecomposition(
+            offsets=np.array([0, hi - lo], dtype=np.intp),
             starts=self.starts[lo:hi],
             ends=self.ends[lo:hi],
             durations=self.durations[lo:hi],
@@ -335,7 +424,16 @@ def decompose_lanes(
     tail_s: float,
     dch_tail_s: float,
 ) -> LaneDecomposition:
-    """All-lane :func:`repro.radio.intervals.decompose_replay`.
+    """The RRC walk over every lane's disjoint, sorted windows.
+
+    Per window ``j`` (elementwise, so exact)::
+
+        gap      = start[j+1] - end[j]          (inf for a lane's last)
+        budget   = min(gap, allowance[j], tail_s)
+        dch_part = min(budget, dch_tail_s)
+        fach     = gap past the DCH timer but inside the (possibly
+                   truncated) tail: a FACH→DCH re-promotion
+        idle     = gap past the tail entirely: an IDLE→DCH re-promotion
 
     Gaps are computed globally (``starts[1:] - ends[:-1]``) and the last
     window of every non-empty lane is then reset to ``inf`` — which also
@@ -375,7 +473,7 @@ def decompose_lanes(
         offsets=offsets,
         starts=starts,
         ends=ends,
-        durations=pair_durations(starts, ends),
+        durations=ends - starts,
         gaps=gaps,
         budgets=budgets,
         dch_parts=dch_parts,
@@ -386,12 +484,13 @@ def decompose_lanes(
 
 
 def extend_lanes_by_tails(decomp: LaneDecomposition) -> LaneWindows:
-    """All-lane :func:`repro.radio.intervals.extend_by_tails`.
+    """Radio-on intervals: windows extended by their tail budgets, fused.
 
-    Each lane of the result equals ``extend_by_tails(decomp.lane(i))``:
-    windows extended to ``end + budget`` and re-fused with the segmented
-    running maximum (budgets never bridge lanes — the last window of a
-    lane has an ``inf`` gap but its budget is still finite).
+    Each window is extended to ``end + budget`` and the lane re-fused
+    with the segmented running maximum, so windows whose gaps stay
+    within the tail budget become one radio-on interval (budgets never
+    bridge lanes — the last window of a lane has an ``inf`` gap but its
+    budget is still finite).
     """
     n = decomp.starts.size
     offsets = decomp.offsets
@@ -421,18 +520,18 @@ def lane_radio_on_lengths(extended: LaneWindows) -> np.ndarray:
     bit-equal to ``total_length(merge_intervals(extended.lane(i)))``.
     """
     lengths = extended.ends - extended.starts
-    return lane_sequential_sums(lengths[None, :], extended.offsets, (0.0,))[0]
+    return lane_serial_sums(lengths[None, :], extended.offsets, (0.0,))[0]
 
 
-def lane_sequential_sums(
+def lane_serial_sums(
     rows: np.ndarray, offsets: np.ndarray, initials: Sequence[float]
 ) -> np.ndarray:
     """Per-lane left-to-right float sums for ``k`` value rows at once.
 
     ``rows`` is ``(k, n_windows)`` lane-major values; ``initials`` seeds
     row ``j``'s accumulator in every lane.  Returns ``(k, n_lanes)``
-    totals, each bit-equal to
-    ``sequential_sum(rows[j, lane_slice], initial=initials[j])``.
+    totals, each bit-equal to the serial loop ``total = initials[j]``
+    then ``total += v`` for every ``v`` of the lane's slice of row ``j``.
 
     The trick: scatter each lane's values into a zero-padded row whose
     column 0 holds the initial, cumulative-sum along the rows, and read
@@ -458,27 +557,17 @@ def lane_sequential_sums(
     return flat[:, -1].reshape(k, n_lanes)
 
 
-_ZERO_REPORT = EnergyReport(
-    energy_j=0.0,
-    radio_on_s=0.0,
-    transfer_s=0.0,
-    tail_s=0.0,
-    promo_idle_count=0,
-    promo_fach_count=0,
-    window_count=0,
-)
-
-
 def _machine_reports(
-    merged: LaneWindows, decomp: LaneDecomposition, model: RadioPowerModel
+    decomp: LaneDecomposition, model: RadioPowerModel
 ) -> list[EnergyReport]:
-    """Per-lane :func:`repro.radio.rrc._run_machine` outputs in one pass."""
-    n_lanes = merged.n_lanes
-    counts = merged.counts()
-    reg = metrics()
-    if reg.enabled:
-        reg.inc("radio.rrc.simulations", n_lanes)
-        reg.inc("radio.rrc.windows", merged.n_windows)
+    """Every lane's :class:`EnergyReport`, reduced in one pass.
+
+    Telemetry counters equal the sum over lanes of one-lane replays: an
+    empty lane counts a simulation but no promotion.
+    """
+    offsets = decomp.offsets
+    n_lanes = decomp.n_lanes
+    counts = np.diff(offsets)
     rows = np.stack(
         (
             decomp.durations,
@@ -498,25 +587,25 @@ def _machine_reports(
             ),
         )
     )
-    totals = lane_sequential_sums(
+    # The first window of a lane always promotes from IDLE: that term
+    # seeds the promotion accumulators.
+    totals = lane_serial_sums(
         rows,
-        merged.offsets,
+        offsets,
         (0.0, 0.0, 0.0, 0.0, model.promo_idle_energy_j, model.promo_idle_dch_s),
     )
     transfer_s, transfer_e, tail_s, tail_e, promo_e, promo_s = (
         t.tolist() for t in totals
     )
-    lids = lane_ids(merged.offsets)
+    lids = lane_ids(offsets)
     idle_counts = np.bincount(lids[decomp.promo_idle], minlength=n_lanes)
     fach_counts = np.bincount(lids[decomp.promo_fach], minlength=n_lanes)
-    trc = tracer()
     reports: list[EnergyReport] = []
     total_idle = 0
     total_fach = 0
     for i in range(n_lanes):
         count = int(counts[i])
         if count == 0:
-            # _run_machine's empty shortcut: no promotions, fresh dict.
             reports.append(
                 EnergyReport(
                     energy_j=0.0,
@@ -534,8 +623,6 @@ def _machine_reports(
         promo_fach = int(fach_counts[i])
         total_idle += promo_idle
         total_fach += promo_fach
-        if trc.enabled:
-            _record_rrc_spans(trc, decomp.lane(i))
         reports.append(
             EnergyReport(
                 energy_j=transfer_e[i] + tail_e[i] + promo_e[i],
@@ -552,53 +639,31 @@ def _machine_reports(
                 },
             )
         )
+    reg = metrics()
     if reg.enabled:
-        reg.inc("radio.rrc.promotions_idle", total_idle)
-        reg.inc("radio.rrc.promotions_fach", total_fach)
+        reg.inc("radio.rrc.simulations", n_lanes)
+        reg.inc("radio.rrc.windows", int(offsets[-1]))
+        if total_idle:
+            reg.inc("radio.rrc.promotions_idle", total_idle)
+            reg.inc("radio.rrc.promotions_fach", total_fach)
     return reports
 
 
-def _replay_group(
-    window_lists: list[Sequence[tuple[float, float]]],
-    flat_tails: np.ndarray | None,
-    lane_allowances: list[float] | None,
-    model: RadioPowerModel,
-    want_radio_on: bool,
-    keep: list[bool] | None = None,
-) -> tuple[
-    list[EnergyReport],
-    list[list[tuple[float, float]] | None] | None,
-    list[float] | None,
-]:
-    """Merge, decompose and price one homogeneous group of lanes.
-
-    With ``keep`` set (lengths mode), the third return element carries
-    the per-lane merged radio-on lengths and the interval lists are only
-    materialized for lanes whose ``keep`` flag is True.
-    """
-    lanes = pack_lanes(window_lists)
-    if flat_tails is not None:
-        merged, allowances = merge_lanes_with_allowances(lanes, flat_tails)
-    else:
-        merged = merge_lanes(lanes)
-        allowances = np.repeat(
-            np.asarray(lane_allowances, dtype=np.float64), merged.counts()
-        )
-    decomp = decompose_lanes(
-        merged, allowances, tail_s=model.tail_s, dch_tail_s=model.dch_tail_s
+def _record_rrc_spans(trc, decomp: LaneDecomposition) -> None:
+    """One span per DCH residency plus its (possibly truncated) tail,
+    on the simulated-seconds timeline."""
+    rows = zip(
+        decomp.starts.tolist(),
+        decomp.ends.tolist(),
+        decomp.budgets.tolist(),
+        decomp.dch_parts.tolist(),
     )
-    reports = _machine_reports(merged, decomp, model)
-    if not want_radio_on:
-        return reports, None, None
-    extended = extend_lanes_by_tails(decomp)
-    if keep is None:
-        radio_on = [extended.lane(i) for i in range(extended.n_lanes)]
-        return reports, radio_on, None
-    lengths = lane_radio_on_lengths(extended).tolist()
-    radio_on = [
-        extended.lane(i) if keep[i] else None for i in range(extended.n_lanes)
-    ]
-    return reports, radio_on, lengths
+    for start, end, budget, dch_part in rows:
+        trc.record_span("dch", "rrc", start, end)
+        if dch_part > 0:
+            trc.record_span("tail-dch", "rrc", end, end + dch_part)
+        if budget > dch_part:
+            trc.record_span("tail-fach", "rrc", end + dch_part, end + budget)
 
 
 def _replay_lanes(
@@ -606,13 +671,26 @@ def _replay_lanes(
     model: RadioPowerModel,
     tail_policies: Sequence[TailPolicy | None] | None,
     window_tails: Sequence[Sequence[float] | None] | None,
-    want_radio_on: bool,
+    *,
+    want_reports: bool = True,
+    want_radio_on: bool = False,
     keep_intervals: Sequence[bool] | None = None,
+    sim_contexts: Sequence[str] | None = None,
 ) -> tuple[
-    list[EnergyReport],
+    list[EnergyReport] | None,
     list[list[tuple[float, float]] | None] | None,
     list[float] | None,
 ]:
+    """Validate, merge, decompose and price every lane.
+
+    Lanes with per-window tails and lanes without are batched as two
+    groups (their merges have different tie rules).  Returns
+    ``(reports, radio_on, lengths)``: reports unless ``want_reports`` is
+    False; radio-on intervals with ``want_radio_on``; with
+    ``keep_intervals`` set, merged radio-on lengths for every lane and
+    intervals only where the flag is True.  Reporting lanes record their
+    RRC spans in lane order, under ``sim_contexts[i]`` when given.
+    """
     n = len(window_lists)
     if tail_policies is None:
         tail_policies = [None] * n
@@ -629,7 +707,7 @@ def _replay_lanes(
     tailed_lanes: list[Sequence[tuple[float, float]]] = []
     tailed_tails: list[float] = []
     # Per-lane argument validation in input order — the errors (and their
-    # ordering across lanes) match calling simulate() lane by lane.
+    # ordering across lanes) match replaying the lanes one by one.
     for i, windows in enumerate(window_lists):
         tails = window_tails[i]
         policy = tail_policies[i]
@@ -654,37 +732,54 @@ def _replay_lanes(
     reports: list[EnergyReport | None] = [None] * n
     radio_on: list[list[tuple[float, float]] | None] = [None] * n
     lengths: list[float | None] = [None] * n
+    trc = tracer()
+    traced: list[tuple[LaneDecomposition, int] | None] = [None] * n
     for idx, lanes, flat_tails, lane_allow in (
         (
             tailed_idx,
             tailed_lanes,
-            (
-                np.asarray(tailed_tails, dtype=np.float64)
-                if tailed_tails
-                else _EMPTY_F
-            ),
+            np.asarray(tailed_tails, dtype=np.float64),
             None,
         ),
         (plain_idx, plain_lanes, None, plain_allow),
     ):
         if not idx:
             continue
-        keep = (
-            None
-            if keep_intervals is None
-            else [bool(keep_intervals[i]) for i in idx]
+        packed = pack_lanes(lanes)
+        if flat_tails is not None:
+            merged, allowances = merge_lanes_with_allowances(packed, flat_tails)
+        else:
+            merged = merge_lanes(packed)
+            allowances = np.repeat(
+                np.asarray(lane_allow, dtype=np.float64), merged.counts()
+            )
+        decomp = decompose_lanes(
+            merged, allowances, tail_s=model.tail_s, dch_tail_s=model.dch_tail_s
         )
-        grp_reports, grp_radio, grp_lengths = _replay_group(
-            lanes, flat_tails, lane_allow, model, want_radio_on, keep
-        )
+        if want_reports:
+            for j, (i, report) in enumerate(
+                zip(idx, _machine_reports(decomp, model))
+            ):
+                reports[i] = report
+                traced[i] = (decomp, j)
+        if not want_radio_on:
+            continue
+        extended = extend_lanes_by_tails(decomp)
+        if keep_intervals is not None:
+            for i, length in zip(idx, lane_radio_on_lengths(extended).tolist()):
+                lengths[i] = length
         for j, i in enumerate(idx):
-            reports[i] = grp_reports[j]
-            if grp_radio is not None:
-                radio_on[i] = grp_radio[j]
-            if grp_lengths is not None:
-                lengths[i] = grp_lengths[j]
+            if keep_intervals is None or keep_intervals[i]:
+                radio_on[i] = extended.lane(j)
+    if want_reports and trc.enabled:
+        for i, (decomp, j) in enumerate(traced):
+            if sim_contexts is None:
+                _record_rrc_spans(trc, decomp.lane(j))
+            else:
+                with trc.sim_context(sim_contexts[i]):
+                    _record_rrc_spans(trc, decomp.lane(j))
     return (
-        reports,
+        (reports if want_reports else None),
         (radio_on if want_radio_on else None),
         (lengths if keep_intervals is not None else None),
     )
@@ -701,14 +796,10 @@ def simulate_many(
 
     ``reports[i]`` is bit-equal to
     ``simulate(window_lists[i], model, tail_policies[i],
-    window_tails=window_tails[i])``.  Lanes with per-window tails and
-    lanes without are batched as two separate groups (their merges have
-    different tie rules); telemetry counter totals match the per-lane
-    path exactly.
+    window_tails=window_tails[i])``, and telemetry counter totals equal
+    the lane-by-lane sums.
     """
-    reports, _, _ = _replay_lanes(
-        window_lists, model, tail_policies, window_tails, want_radio_on=False
-    )
+    reports, _, _ = _replay_lanes(window_lists, model, tail_policies, window_tails)
     return reports
 
 
@@ -729,7 +820,6 @@ def replay_many(
     reports, radio_on, _ = _replay_lanes(
         window_lists, model, tail_policies, window_tails, want_radio_on=True
     )
-    assert radio_on is not None
     return list(zip(reports, radio_on))
 
 
@@ -740,6 +830,7 @@ def replay_many_lengths(
     *,
     window_tails: Sequence[Sequence[float] | None] | None = None,
     keep_intervals: Sequence[bool],
+    sim_contexts: Sequence[str] | None = None,
 ) -> list[tuple[EnergyReport, float, list[tuple[float, float]] | None]]:
     """:func:`replay_many` returning merged radio-on *lengths*.
 
@@ -751,12 +842,19 @@ def replay_many_lengths(
     ``intervals`` element is only built (and only for lanes whose
     ``keep_intervals`` flag is True) for callers that must re-merge with
     extra windows; it is ``None`` elsewhere.
+
+    ``sim_contexts`` names each lane's trace track prefix (the tracer's
+    ``sim_context``) for its RRC spans; results never depend on it.
     """
-    if len(keep_intervals) != len(window_lists):
-        raise ValueError(
-            "keep_intervals must parallel window_lists: "
-            f"{len(keep_intervals)} vs {len(window_lists)}"
-        )
+    n = len(window_lists)
+    for name, values in (
+        ("keep_intervals", keep_intervals),
+        ("sim_contexts", sim_contexts),
+    ):
+        if values is not None and len(values) != n:
+            raise ValueError(
+                f"{name} must parallel window_lists: {len(values)} vs {n}"
+            )
     reports, radio_on, lengths = _replay_lanes(
         window_lists,
         model,
@@ -764,6 +862,6 @@ def replay_many_lengths(
         window_tails,
         want_radio_on=True,
         keep_intervals=keep_intervals,
+        sim_contexts=sim_contexts,
     )
-    assert radio_on is not None and lengths is not None
     return list(zip(reports, lengths, radio_on))

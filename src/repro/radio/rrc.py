@@ -4,7 +4,8 @@ Given a set of transfer windows (absolute ``(start, end)`` intervals) and a
 :class:`~repro.radio.power.RadioPowerModel`, :func:`simulate` walks the
 radio through DCH transfers, inactivity tails, demotions and promotions,
 and returns an :class:`EnergyReport` with the total network energy and
-radio-on time.
+radio-on time.  Both entry points here are one-lane calls into the
+replay engine, :mod:`repro.radio.lanes`.
 
 Two simplifications (both standard in trace-driven RRC studies, and shared
 by the paper's model-based accounting):
@@ -24,92 +25,25 @@ disable`, Section V-C).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from repro._util import check_positive
-from repro.radio.intervals import (
-    ReplayDecomposition,
-    decompose_replay,
-    extend_by_tails,
-    merge_windows,
-    merge_windows_with_allowances,
-    sequential_sum,
+from repro.radio.lanes import (
+    EnergyReport,
+    FullTail,
+    TailPolicy,
+    TruncatedTail,
+    _replay_lanes,
 )
 from repro.radio.power import RadioPowerModel
-from repro.telemetry import metrics, tracer
 
-
-class TailPolicy(Protocol):
-    """Decides how much inactivity tail the radio keeps after a transfer."""
-
-    def max_tail_s(self) -> float:
-        """Upper bound on post-transfer tail time before a forced IDLE."""
-        ...
-
-
-@dataclass(frozen=True, slots=True)
-class FullTail:
-    """Stock behaviour: carrier inactivity timers run to completion."""
-
-    def max_tail_s(self) -> float:
-        """No software cutoff — tails are bounded only by the timers."""
-        return math.inf
-
-
-@dataclass(frozen=True, slots=True)
-class TruncatedTail:
-    """Force the radio to IDLE ``guard_s`` seconds after the last byte.
-
-    ``guard_s = 0`` is the aggressive ideal; a small positive guard models
-    the detection delay of polling ``TELEPHONY_SERVICE`` for ongoing
-    transfers before dropping the connection.
-    """
-
-    guard_s: float = 1.0
-
-    def __post_init__(self) -> None:
-        check_positive("guard_s", self.guard_s, strict=False)
-
-    def max_tail_s(self) -> float:
-        """Tail time is capped at the guard interval."""
-        return self.guard_s
-
-
-@dataclass(frozen=True, slots=True)
-class EnergyReport:
-    """Outcome of one RRC simulation.
-
-    ``energy_j`` excludes IDLE baseline; ``radio_on_s`` counts every
-    non-IDLE second (transfers, promotions, tails).
-    """
-
-    energy_j: float
-    radio_on_s: float
-    transfer_s: float
-    tail_s: float
-    promo_idle_count: int
-    promo_fach_count: int
-    window_count: int
-    state_energy_j: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def tail_energy_j(self) -> float:
-        """Energy spent in inactivity tails."""
-        return self.state_energy_j.get("tail", 0.0)
-
-    @property
-    def promo_energy_j(self) -> float:
-        """Energy spent in promotions."""
-        return self.state_energy_j.get("promo", 0.0)
-
-    @property
-    def transfer_energy_j(self) -> float:
-        """Energy spent actually moving bytes (DCH)."""
-        return self.state_energy_j.get("transfer", 0.0)
+__all__ = [
+    "EnergyReport",
+    "FullTail",
+    "TailPolicy",
+    "TruncatedTail",
+    "radio_on_intervals",
+    "simulate",
+]
 
 
 def simulate(
@@ -134,133 +68,8 @@ def simulate(
     (the tail follows the final transfer).  Mutually exclusive with a
     non-default ``tail_policy``.
     """
-    if tail_policy is None:
-        tail_policy = FullTail()
-    if window_tails is not None:
-        if len(window_tails) != len(windows):
-            raise ValueError(
-                f"window_tails must match windows: {len(window_tails)} vs {len(windows)}"
-            )
-        if not isinstance(tail_policy, FullTail):
-            raise ValueError("window_tails cannot be combined with a custom tail_policy")
-        return _simulate_per_window(windows, model, window_tails)
-    merged = merge_windows(windows)
-    allowances = [tail_policy.max_tail_s()] * len(merged)
-    return _run_machine(merged, model, allowances)
-
-
-def _merge_with_allowances(
-    windows: Sequence[tuple[float, float]], window_tails: Sequence[float]
-) -> tuple[list[tuple[float, float]], list[float]]:
-    """Merge overlapping windows, carrying each merged window's tail
-    allowance: the allowance of the member that ends last (ties take the
-    larger allowance — the most permissive holder keeps the radio up)."""
-    return merge_windows_with_allowances(windows, window_tails)
-
-
-def _simulate_per_window(
-    windows: Sequence[tuple[float, float]],
-    model: RadioPowerModel,
-    window_tails: Sequence[float],
-) -> EnergyReport:
-    """Fast-dormancy path: each window carries its own tail allowance."""
-    merged, allowances = _merge_with_allowances(windows, window_tails)
-    return _run_machine(merged, model, allowances)
-
-
-def _run_machine(
-    merged: list[tuple[float, float]],
-    model: RadioPowerModel,
-    allowances: list[float],
-) -> EnergyReport:
-    """Core RRC walk over disjoint sorted windows with per-window tails."""
-    reg = metrics()
-    if reg.enabled:
-        reg.inc("radio.rrc.simulations")
-        reg.inc("radio.rrc.windows", len(merged))
-    if not merged:
-        return EnergyReport(
-            energy_j=0.0,
-            radio_on_s=0.0,
-            transfer_s=0.0,
-            tail_s=0.0,
-            promo_idle_count=0,
-            promo_fach_count=0,
-            window_count=0,
-            state_energy_j={"transfer": 0.0, "tail": 0.0, "promo": 0.0},
-        )
-
-    decomp = decompose_replay(
-        merged, allowances, tail_s=model.tail_s, dch_tail_s=model.dch_tail_s
-    )
-
-    # Sequential left-to-right sums over the elementwise arrays: each
-    # accumulator reproduces the serial loop's float accumulation order
-    # exactly (see repro.radio.intervals for the bit-identity contract).
-    transfer_s = sequential_sum(decomp.durations)
-    transfer_e = sequential_sum(decomp.durations * model.p_dch_w)
-    tail_s = sequential_sum(decomp.budgets)
-    tail_e = sequential_sum(
-        decomp.dch_parts * model.p_dch_w + decomp.fach_parts * model.p_fach_w
-    )
-
-    # First window always promotes from IDLE; re-promotions follow the
-    # per-gap classification.  The per-window energy/latency arrays keep
-    # the serial ordering of mixed FACH/IDLE promotion constants.
-    promo_idle = 1 + int(np.count_nonzero(decomp.promo_idle))
-    promo_fach = int(np.count_nonzero(decomp.promo_fach))
-    promo_e = sequential_sum(
-        np.where(
-            decomp.promo_fach,
-            model.promo_fach_energy_j,
-            np.where(decomp.promo_idle, model.promo_idle_energy_j, 0.0),
-        ),
-        initial=model.promo_idle_energy_j,
-    )
-    promo_s_total = sequential_sum(
-        np.where(
-            decomp.promo_fach,
-            model.promo_fach_dch_s,
-            np.where(decomp.promo_idle, model.promo_idle_dch_s, 0.0),
-        ),
-        initial=model.promo_idle_dch_s,
-    )
-
-    if reg.enabled:
-        reg.inc("radio.rrc.promotions_idle", promo_idle)
-        reg.inc("radio.rrc.promotions_fach", promo_fach)
-    trc = tracer()
-    if trc.enabled:
-        _record_rrc_spans(trc, decomp)
-
-    radio_on = transfer_s + tail_s + promo_s_total
-    return EnergyReport(
-        energy_j=transfer_e + tail_e + promo_e,
-        radio_on_s=radio_on,
-        transfer_s=transfer_s,
-        tail_s=tail_s,
-        promo_idle_count=promo_idle,
-        promo_fach_count=promo_fach,
-        window_count=len(merged),
-        state_energy_j={"transfer": transfer_e, "tail": tail_e, "promo": promo_e},
-    )
-
-
-def _record_rrc_spans(trc, decomp: ReplayDecomposition) -> None:
-    """One span per DCH residency plus its (possibly truncated) tail,
-    on the simulated-seconds timeline."""
-    rows = zip(
-        decomp.starts.tolist(),
-        decomp.ends.tolist(),
-        decomp.budgets.tolist(),
-        decomp.dch_parts.tolist(),
-    )
-    for start, end, budget, dch_part in rows:
-        trc.record_span("dch", "rrc", start, end)
-        if dch_part > 0:
-            trc.record_span("tail-dch", "rrc", end, end + dch_part)
-        if budget > dch_part:
-            trc.record_span("tail-fach", "rrc", end + dch_part, end + budget)
+    reports, _, _ = _replay_lanes([windows], model, [tail_policy], [window_tails])
+    return reports[0]
 
 
 def radio_on_intervals(
@@ -276,22 +85,15 @@ def radio_on_intervals(
     tail; windows whose gaps stay within the tail budget fuse into one
     radio-on interval.  Promotion latency is not laid on the timeline, in
     keeping with :func:`simulate`.  ``window_tails`` follows the same
-    fast-dormancy semantics as in :func:`simulate`.
+    fast-dormancy semantics as in :func:`simulate`.  Prices nothing, so it
+    records no RRC counters or spans.
     """
-    if tail_policy is None:
-        tail_policy = FullTail()
-    if window_tails is not None:
-        if len(window_tails) != len(windows):
-            raise ValueError(
-                f"window_tails must match windows: {len(window_tails)} vs {len(windows)}"
-            )
-        if not isinstance(tail_policy, FullTail):
-            raise ValueError("window_tails cannot be combined with a custom tail_policy")
-        merged, allowances = _merge_with_allowances(windows, window_tails)
-    else:
-        merged = merge_windows(windows)
-        allowances = [tail_policy.max_tail_s()] * len(merged)
-    decomp = decompose_replay(
-        merged, allowances, tail_s=model.tail_s, dch_tail_s=model.dch_tail_s
+    _, radio_on, _ = _replay_lanes(
+        [windows],
+        model,
+        [tail_policy],
+        [window_tails],
+        want_reports=False,
+        want_radio_on=True,
     )
-    return extend_by_tails(decomp)
+    return radio_on[0]

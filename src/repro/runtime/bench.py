@@ -11,12 +11,13 @@ the perf trajectory:
   workers with chunked dispatch and content-addressed trace shipping,
   plus a cross-check that every worker count produces identical energy
   totals.  ``parallel_regression`` flags runs where the workers lost to
-  the serial loop (expected — and not warned about — when
-  ``cpu_count == 1``);
-* **grid throughput** — the headline: the whole sweep grid priced
-  through the columnar lane kernel
-  (:func:`repro.core.batch.measure_outcomes_columnar`) vs the per-lane
-  ``measure_outcome`` loop, with a bit-identity cross-check;
+  the serial loop on a multi-core host; with ``cpu_count == 1`` the
+  pool cannot win, so losing there is recorded (with ``cpu_count``) but
+  never flagged;
+* **grid throughput** — the headline: the whole sweep grid priced in
+  one lane-engine batch
+  (:func:`repro.core.batch.measure_outcomes_columnar`) vs one cell per
+  call (``measure_outcome``), with a bit-identity cross-check;
   ``grid_user_days_per_s`` is the number the perf trajectory tracks;
 * **FPTAS batch** — the per-slot solver tier: scalar-loop vs batched
   kernel vs memo-warm batched kernel on identical random instances;
@@ -180,14 +181,15 @@ def bench_policy_sweep(
             "parallel policy sweep diverged from the serial sweep "
             f"(jobs={jobs}); determinism contract broken"
         )
-    regression = parallel_s > serial_s
+    cpu_count = os.cpu_count() or 1
     # On a single-core host the pool cannot win; losing there is the
-    # expected outcome, not a perf signal worth a warning.
-    if regression and (os.cpu_count() or 1) > 1:
+    # expected outcome, not a regression.
+    regression = parallel_s > serial_s and cpu_count > 1
+    if regression:
         print(
             f"WARNING: parallel sweep regression — jobs={jobs} took "
             f"{parallel_s:.3f}s vs {serial_s:.3f}s serial "
-            f"(cpu_count={os.cpu_count()})",
+            f"(cpu_count={cpu_count})",
             file=sys.stderr,
         )
     return {
@@ -196,6 +198,7 @@ def bench_policy_sweep(
         "n_days": n_days,
         "user_days": sum(len(task.days) for task in tasks),
         "jobs": jobs,
+        "cpu_count": cpu_count,
         "serial_s": serial_s,
         "parallel_s": parallel_s,
         "speedup": serial_s / parallel_s if parallel_s > 0 else float("inf"),
@@ -210,16 +213,18 @@ def bench_grid_throughput(
     seed: int = 7,
     repeats: int = 3,
 ) -> dict:
-    """Columnar lane-kernel grid pricing vs the per-lane loop.
+    """Grid pricing in one batch vs one cell per call.
 
     Executes the profiling sweep grid once (policy execution is shared
-    work either way), then times pricing every (outcome, day) cell —
-    the per-lane :func:`~repro.evaluation.metrics.measure_outcome` loop
-    against one columnar :func:`~repro.core.batch.measure_outcomes_columnar`
-    pass — and asserts both produce identical metrics before reporting.
-    Each path is timed ``repeats`` times and the best run is kept (the
-    standard microbenchmark guard against scheduler/GC noise).
-    ``grid_user_days_per_s`` (columnar cells priced per second) is the
+    work either way), then times pricing every (outcome, day) cell — one
+    :func:`~repro.evaluation.metrics.measure_outcome` call per cell
+    (``per_lane_s``) against one
+    :func:`~repro.core.batch.measure_outcomes_columnar` pass over all of
+    them (``columnar_s``) — and asserts both produce identical metrics
+    before reporting, which pins cross-lane independence.  Each is timed
+    ``repeats`` times and the best run is kept (the standard
+    microbenchmark guard against scheduler/GC noise).
+    ``grid_user_days_per_s`` (batched cells priced per second) is the
     headline throughput number the perf trajectory tracks.
     """
     from repro.core.batch import measure_outcomes_columnar
@@ -250,7 +255,7 @@ def bench_grid_throughput(
         columnar_s = min(columnar_s, t)
     if columnar != per_lane:
         raise AssertionError(
-            "columnar grid pricing diverged from the per-lane loop; "
+            "batched grid pricing diverged from one cell per call; "
             "bit-identity contract broken"
         )
     n_user_days = len(cells)
@@ -329,11 +334,11 @@ def bench_fptas_batch(
 def bench_replay_kernel(
     n_sims: int = 200, n_windows: int = 400, seed: int = 5
 ) -> dict:
-    """The vectorized RRC interval engine on synthetic window lists.
+    """One-lane replays of the RRC engine on synthetic window lists.
 
     Draws one day of Poisson-ish transfer windows and replays it
-    ``n_sims`` times through :func:`repro.radio.simulate` — the tier-2
-    hot path under every policy evaluation day.
+    ``n_sims`` times through :func:`repro.radio.simulate`, a one-lane
+    call into :mod:`repro.radio.lanes` (the single-segment path).
     """
     rng = np.random.default_rng(seed)
     starts = np.sort(rng.uniform(0.0, 86_400.0, n_windows))
@@ -1080,16 +1085,12 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"policy sweep ({sweep['n_tasks']} tasks): serial {sweep['serial_s']:.3f}s, "
         f"jobs={sweep['jobs']} {sweep['parallel_s']:.3f}s ({sweep['speedup']:.2f}x)"
-        + (
-            " [PARALLEL REGRESSION]"
-            if sweep["parallel_regression"] and (report.get("cpu_count") or 1) > 1
-            else ""
-        )
+        + (" [PARALLEL REGRESSION]" if sweep["parallel_regression"] else "")
     )
     grid = report["grid_throughput"]
     print(
         f"grid throughput: {grid['n_user_days']} user-days priced in "
-        f"{grid['columnar_s']:.3f}s columnar vs {grid['per_lane_s']:.3f}s per-lane "
+        f"{grid['columnar_s']:.3f}s batched vs {grid['per_lane_s']:.3f}s one cell per call "
         f"({grid['grid_user_days_per_s']:,.0f} user-days/s, "
         f"{grid['columnar_speedup']:.2f}x)"
     )

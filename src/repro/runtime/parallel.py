@@ -31,10 +31,12 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from pickle import PicklingError
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 from repro.baselines.policy import PolicyOutcome, SchedulingPolicy
+from repro.core import batch
 from repro.radio.power import RadioPowerModel
 from repro.runtime.cache import TraceRef, default_cache, read_disk_cohort
 from repro.traces.events import Trace
@@ -193,31 +195,6 @@ def _cell_error(task: PolicyTask, day_index: int, exc: BaseException) -> PolicyT
     )
 
 
-def _measure_task(task: PolicyTask) -> list[PolicyDayMetrics]:
-    """Worker: execute and price a policy over its days, in order."""
-    # Imported here, not at module top: repro.evaluation pulls in this
-    # module (experiments/robustness fan their grids through it), so a
-    # top-level import would be circular.
-    from repro.evaluation.metrics import measure_outcome
-    from repro.telemetry import tracer
-
-    trc = tracer()
-    out: list[PolicyDayMetrics] = []
-    for i, day in enumerate(task.days):
-        with trc.sim_context(_cell_label(task, i)), trc.span(
-            "replay-day", "evaluation", track=f"replay/{task.name}", day=i + 1
-        ):
-            try:
-                out.append(
-                    measure_outcome(task.policy.execute_day(day), task.model, day)
-                )
-            except PolicyTaskError:
-                raise
-            except Exception as exc:
-                raise _cell_error(task, i, exc) from exc
-    return out
-
-
 def _execute_task(task: PolicyTask) -> list[PolicyOutcome]:
     """Worker: execute a policy over its days, returning raw outcomes."""
     from repro.telemetry import tracer
@@ -346,18 +323,8 @@ def _rebuild_task(wire: _WireTask) -> PolicyTask:
     )
 
 
-def _run_chunk(
-    chunk: Sequence[_WireTask], fn: Callable[[PolicyTask], R]
-) -> list[R]:
-    return [fn(_rebuild_task(wire)) for wire in chunk]
-
-
-def _measure_chunk(chunk: Sequence[_WireTask]):
-    return _run_chunk(chunk, _measure_task)
-
-
-def _execute_chunk(chunk: Sequence[_WireTask]):
-    return _run_chunk(chunk, _execute_task)
+def _execute_chunk(chunk: Sequence[_WireTask]) -> list[list[PolicyOutcome]]:
+    return [_execute_task(_rebuild_task(wire)) for wire in chunk]
 
 
 def _shipped(fn: Callable[[T], R], payload: T, *, with_tracing: bool):
@@ -414,20 +381,18 @@ def _chunk_size(n_tasks: int, jobs: int) -> int:
     return math.ceil(n_tasks / jobs)
 
 
-def _fan_out(
-    tasks: Sequence[PolicyTask],
-    plain_fn: Callable[[PolicyTask], R],
-    chunk_fn: Callable[[Sequence[_WireTask]], list[R]],
-    jobs: int,
-) -> list[R]:
-    """Run a grid, shipping worker telemetry back when it is enabled.
+def execute_policy_tasks(
+    tasks: Sequence[PolicyTask], *, jobs: int = 1
+) -> list[list[PolicyOutcome]]:
+    """Execute every task's days, returning raw day outcomes in task order.
 
-    Serial runs use ``plain_fn`` against the process-global registry and
-    tracer.  Parallel runs split the grid into worker-chunks (one pool
-    submission per chunk, not per cell), swap day traces for
-    content-addressed handles where the on-disk store can serve them,
-    and dispatch over the shared persistent pool through
-    :func:`map_shipped`.
+    Serial runs use the process-global registry and tracer.  Parallel
+    runs split the grid into worker-chunks (one pool submission per
+    chunk, not per cell), swap day traces for content-addressed handles
+    where the on-disk store can serve them, and dispatch over the shared
+    persistent pool through :func:`map_shipped`, shipping worker
+    telemetry back when it is enabled.  A failing cell raises
+    :class:`PolicyTaskError` naming the task, day and policy.
     """
     from repro import telemetry
 
@@ -436,31 +401,64 @@ def _fan_out(
     registry.inc("runtime.parallel.days", sum(len(t.days) for t in tasks))
 
     if jobs == 1 or len(tasks) <= 1:
-        return [plain_fn(task) for task in tasks]
+        return [_execute_task(task) for task in tasks]
 
     wire = _to_wire(tasks)
     size = _chunk_size(len(wire), jobs)
     chunks = [wire[i : i + size] for i in range(0, len(wire), size)]
     registry.inc("runner.chunk_count", len(chunks))
-    return [r for chunk in map_shipped(chunk_fn, chunks, jobs) for r in chunk]
+    return [r for chunk in map_shipped(_execute_chunk, chunks, jobs) for r in chunk]
 
 
 def run_policy_tasks(
     tasks: Sequence[PolicyTask], *, jobs: int = 1
 ) -> list[list[PolicyDayMetrics]]:
-    """Fan a grid of :class:`PolicyTask` over ``jobs`` workers.
+    """Execute a grid of :class:`PolicyTask` and price every cell.
 
-    Returns one metrics list per task, in task order — the parallel twin
-    of calling :func:`repro.evaluation.metrics.run_policy_over_days`
-    once per task.  A failing cell raises :class:`PolicyTaskError`
-    naming the task, day and policy.
+    Days execute through :func:`execute_policy_tasks` (serial or fanned
+    over ``jobs`` workers); the parent then prices all (outcome, day)
+    cells in one lane batch per distinct power model.  Returns one
+    metrics list per task, in task order — the same rows as calling
+    :func:`repro.evaluation.metrics.run_policy_over_days` once per task.
+    Each cell's RRC spans land on its own ``<task>:d<day>`` track.  A
+    failing cell raises :class:`PolicyTaskError` naming the task, day
+    and policy.
     """
-    return _fan_out(tasks, _measure_task, _measure_chunk, jobs)
+    outcomes = execute_policy_tasks(tasks, jobs=jobs)
+    cells = [
+        (task, i, outcome)
+        for task, outs in zip(tasks, outcomes)
+        for i, outcome in enumerate(outs)
+    ]
+    # One lane batch per distinct model (RadioPowerModel is frozen and
+    # hashable); grids are usually single-model, so this is one pass.
+    by_model: dict[RadioPowerModel, list[int]] = {}
+    for k, (task, _, _) in enumerate(cells):
+        by_model.setdefault(task.model, []).append(k)
+    flat: list[PolicyDayMetrics | None] = [None] * len(cells)
+    for model, idxs in by_model.items():
+        priced = _price_cells([cells[k] for k in idxs], model)
+        for k, m in zip(idxs, priced):
+            flat[k] = m
+    rows = iter(flat)
+    return [list(islice(rows, len(task.days))) for task in tasks]
 
 
-def execute_policy_tasks(
-    tasks: Sequence[PolicyTask], *, jobs: int = 1
-) -> list[list[PolicyOutcome]]:
-    """Like :func:`run_policy_tasks` but returning raw day outcomes
-    (for pipelines that post-process outcomes, e.g. fault injection)."""
-    return _fan_out(tasks, _execute_task, _execute_chunk, jobs)
+def _price_cells(
+    cells: Sequence[tuple[PolicyTask, int, PolicyOutcome]], model: RadioPowerModel
+) -> list[PolicyDayMetrics]:
+    """Price ``(task, day index, outcome)`` cells in one batch."""
+    pairs = [(outcome, task.days[i]) for task, i, outcome in cells]
+    try:
+        return batch.measure_outcomes_columnar(
+            pairs, model, sim_contexts=[_cell_label(task, i) for task, i, _ in cells]
+        )
+    except Exception:
+        # Cells price independently, so the first one that fails alone
+        # is the one that failed the batch: name it.
+        for (task, i, _), pair in zip(cells, pairs):
+            try:
+                batch.measure_outcomes_columnar([pair], model)
+            except Exception as exc:
+                raise _cell_error(task, i, exc) from exc
+        raise

@@ -5,11 +5,10 @@ per user over that user's event stream, with three serving-shaped
 properties the offline harness never needed:
 
 * **bounded per-user memory** — finished days are priced (a plain drive
-  buffers up to :data:`PRICE_BATCH_DAYS` of them per columnar lane-kernel
-  pass, :func:`repro.core.batch.measure_outcomes_columnar`, bit-identical
-  to per-day :func:`repro.evaluation.metrics.measure_outcome`) and
-  dropped; only a small numeric :class:`UserStreamSummary` survives per
-  user;
+  buffers up to :data:`PRICE_BATCH_DAYS` of them per lane-engine batch,
+  :func:`repro.core.batch.measure_outcomes_columnar`, bit-identical to
+  pricing each day alone) and dropped; only a small numeric
+  :class:`UserStreamSummary` survives per user;
 * **admission batching** — users are admitted in batches over the
   existing :class:`~repro.runtime.parallel.ParallelRunner`, so a big
   fleet fans over worker processes with the same telemetry-merge
@@ -193,11 +192,12 @@ class SummaryAccumulator:
     def consume(self, completed_days, power) -> list:
         """Price completed days and fold in the scalars.
 
-        Multi-day lists go through the columnar lane kernel in one
-        array pass (:func:`repro.core.batch.measure_outcomes_columnar`);
-        single days take the scalar path.  Both produce bit-identical
-        per-day metrics and the fold runs in day order either way, so
-        the totals do not depend on the batching.
+        Multi-day lists are priced in one lane-engine batch
+        (:func:`repro.core.batch.measure_outcomes_columnar`); a single
+        day is its one-cell call
+        (:func:`repro.evaluation.metrics.measure_outcome`).  A day's
+        metrics do not depend on its batch and the fold runs in day
+        order, so the totals do not depend on the batching.
 
         Returns the priced per-day metric rows (truthiness-compatible
         with the old day count) so day-close consumers — the monitor's
@@ -335,7 +335,7 @@ class FleetResult:
         return self.events / self.elapsed_s
 
 
-#: Completed days a plain drive buffers before one columnar pricing pass
+#: Completed days a plain drive buffers before one batched pricing pass
 #: (and prices at finish).  A drive with a day-close hook or a WAL sink
 #: prices at every drain instead: those consumers need the rows as days
 #: close.  Totals are bit-identical either way — only batching changes.

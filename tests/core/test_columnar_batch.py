@@ -1,10 +1,11 @@
-"""Columnar batch pricing vs the per-cell measurement path.
+"""Batch pricing vs one cell per call.
 
 ``core.batch`` prices whole (outcome, day) grids through the lane
-kernel; every row must equal ``measure_outcome`` on that cell exactly —
-including outcomes with extra wake windows, per-activity tails, and
-fault surcharges, which exercise the scalar adjustment path on top of
-the batched RRC base.
+engine; every row must equal pricing that cell alone
+(``measure_outcome``, the one-cell batch) exactly — a cell never depends
+on its neighbours.  Outcomes with extra wake windows, per-activity
+tails, and fault surcharges exercise the scalar adjustment path on top
+of the batched RRC base.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.baselines.policy import PolicyOutcome
 from repro.core.batch import measure_outcomes_columnar, run_policy_tasks_columnar
 from repro.core.netmaster import NetMasterConfig
 from repro.evaluation import split_history
-from repro.evaluation.metrics import measure_outcome, run_policy_over_days
+from repro.evaluation.metrics import measure_outcome
 from repro.runtime.parallel import PolicyTask, run_policy_tasks
 from repro.traces.events import NetworkActivity
 
@@ -57,10 +58,8 @@ def test_measure_outcomes_columnar_matches_per_cell(grid, wcdma):
     assert columnar == per_cell
 
 
-def test_run_policy_tasks_columnar_matches_per_lane(grid):
-    columnar = run_policy_tasks_columnar(grid, jobs=1)
-    per_lane = run_policy_tasks(grid, jobs=1)
-    assert columnar == per_lane
+def test_former_runner_name_is_the_runner():
+    assert run_policy_tasks_columnar is run_policy_tasks
 
 
 def test_mixed_models_grouped(volunteers, wcdma, lte):
@@ -69,17 +68,13 @@ def test_mixed_models_grouped(volunteers, wcdma, lte):
         PolicyTask(name="w", policy=NaivePolicy(), days=tuple(days), model=wcdma),
         PolicyTask(name="l", policy=NaivePolicy(), days=tuple(days), model=lte),
     ]
-    columnar = run_policy_tasks_columnar(tasks)
-    per_lane = run_policy_tasks(tasks)
-    assert columnar == per_lane
-
-
-def test_run_policy_over_days_columnar_kwarg(volunteers, wcdma):
-    _, days = split_history(volunteers[0], 10)
-    for policy in (NaivePolicy(), DelayBatchPolicy(120.0)):
-        plain = run_policy_over_days(policy, days, wcdma)
-        columnar = run_policy_over_days(policy, days, wcdma, columnar=True)
-        assert columnar == plain
+    grid = run_policy_tasks(tasks)
+    for task, metrics in zip(tasks, grid):
+        assert metrics == [
+            measure_outcome(NaivePolicy().execute_day(day), task.model, day)
+            for day in task.days
+        ]
+    assert grid[0] != grid[1]
 
 
 def test_fault_surcharges_match(test_day, wcdma):
@@ -121,4 +116,4 @@ def test_empty_cells():
     from repro.radio import wcdma_model
 
     assert measure_outcomes_columnar([], wcdma_model()) == []
-    assert run_policy_tasks_columnar([]) == []
+    assert run_policy_tasks([]) == []

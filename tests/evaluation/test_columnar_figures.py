@@ -1,14 +1,19 @@
-"""Figure-level bit-identity: ``columnar=True`` changes nothing.
+"""Figure-level bit-identity: batched pricing reproduces the per-lane figures.
 
-The columnar lane-kernel front-end (:mod:`repro.core.batch`) promises
-byte-identical figure outputs; these tests pin that contract at the
-experiment level with the documented ``--quick`` parameter sets, which
-exercise every code path the full runs do (including the NetMaster
-knapsack path — anything shorter than 7 history days degrades to
-duty-cycle-only scheduling).
+The grids now price every cell through one lane-engine batch
+(:mod:`repro.core.batch`).  Before the per-lane pricer (two scalar
+replays per cell) was deleted, its figure outputs were recorded as the
+sha256 of ``repr(result)``; these tests pin the batched path to those
+digests, so any change in a single low bit of any figure series fails.
+The parameter sets are the documented ``--quick`` ones, which exercise
+every code path the full runs do (including the NetMaster knapsack path
+— anything shorter than 7 history days degrades to duty-cycle-only
+scheduling).
 """
 
 from __future__ import annotations
+
+import hashlib
 
 from repro.evaluation.experiments import fig7, fig8, fig9, fig10c
 
@@ -16,10 +21,22 @@ from repro.evaluation.experiments import fig7, fig8, fig9, fig10c
 # tweak cannot silently shrink this suite below the knapsack threshold.
 QUICK = {"n_days": 9, "n_history_days": 7}
 
+#: sha256 of ``repr(result)`` as the per-lane pricer produced it.
+PER_LANE_DIGESTS = {
+    "fig7": "169ab65e05958956fc7a20cd42acb2c9ba602c440e9f29f19229c4f967121f21",
+    "fig8": "fa5d4cb78a5d546ec8198de7e766a315ed0beff80c0438160fd4955e2ba4291e",
+    "fig9": "e2f69af691ad5791a6ab153b7a9f56ab4ed4e8ef1442f5b74ea31517c3a96718",
+    "fig10c": "80aba27aba268b5466a71f2ca7be05fe36178a7c7645ffe0d62d006e78239aec",
+}
+
+
+def _digest(result) -> str:
+    return hashlib.sha256(repr(result).encode()).hexdigest()
+
 
 class TestColumnarFigureEquality:
     def test_fig7_columnar_equals_per_lane(self):
-        assert fig7(**QUICK, columnar=True) == fig7(**QUICK)
+        assert _digest(fig7(**QUICK)) == PER_LANE_DIGESTS["fig7"]
 
     def test_fig8_columnar_equals_per_lane(self):
         kw = {
@@ -27,18 +44,17 @@ class TestColumnarFigureEquality:
             "n_history_days": 5,
             "delays_s": (0.0, 60.0, 600.0),
         }
-        assert fig8(**kw, columnar=True) == fig8(**kw)
+        assert _digest(fig8(**kw)) == PER_LANE_DIGESTS["fig8"]
 
     def test_fig9_columnar_equals_per_lane(self):
         kw = {"n_days": 7, "n_history_days": 5, "batch_sizes": (0, 1, 3)}
-        assert fig9(**kw, columnar=True) == fig9(**kw)
+        assert _digest(fig9(**kw)) == PER_LANE_DIGESTS["fig9"]
 
     def test_fig10c_columnar_equals_per_lane(self):
         kw = {**QUICK, "thresholds": (0.0, 0.2, 0.4)}
-        assert fig10c(**kw, columnar=True) == fig10c(**kw)
+        assert _digest(fig10c(**kw)) == PER_LANE_DIGESTS["fig10c"]
 
     def test_fig7_columnar_parallel_equals_serial(self):
-        # jobs>1 only re-orders task submission, never results; columnar
-        # pricing happens after the pool joins, so the three variants
-        # must agree bit-for-bit.
-        assert fig7(**QUICK, columnar=True, jobs=2) == fig7(**QUICK)
+        # jobs>1 only re-orders task submission, never results; pricing
+        # happens after the pool joins, so both runs agree bit-for-bit.
+        assert fig7(**QUICK, jobs=2) == fig7(**QUICK)

@@ -1,13 +1,13 @@
-"""Vectorized RRC interval engine vs the scalar reference walk.
+"""One-lane replay (``simulate`` / ``radio_on_intervals``) vs the oracle.
 
-``radio.intervals`` (merge → ``np.maximum.accumulate`` tail extension →
-``np.diff``/``np.searchsorted`` state sums) replaced the per-window
-Python loops in ``radio.rrc``.  The replacement must be *bit-identical*:
-every :class:`EnergyReport` field and every radio-on interval produced
-through :func:`simulate`/:func:`radio_on_intervals` has to equal the
-pre-kernel scalar implementation (ported below as the reference) on
+Both entry points are one-lane calls into the lane engine
+(:mod:`repro.radio.lanes`), which replaced the per-window Python loops
+the RRC accounting started as.  The replacement must be *bit-identical*:
+every :class:`EnergyReport` field and every radio-on interval has to
+equal the scalar reference walk (``tests/radio/rrc_oracle.py``) on
 randomized seeded schedules and on the degenerate edges — empty input,
 a single window, zero-length windows, zero/infinite tail allowances.
+One-lane inputs take the engine's single-segment shortcut.
 """
 
 from __future__ import annotations
@@ -25,114 +25,16 @@ from repro.radio import (
     simulate,
     wcdma_model,
 )
-from repro.radio.intervals import merge_windows, merge_windows_with_allowances
+from repro.radio.lanes import merge_lanes, merge_lanes_with_allowances, pack_lanes
+from tests.radio.rrc_oracle import (
+    assert_report_matches,
+    reference_machine,
+    reference_merge,
+    reference_merge_with_allowances,
+    reference_radio_on,
+)
 
 MODELS = [wcdma_model(), lte_model()]
-
-
-# ----------------------------------------------------------------------
-# reference implementation (scalar port of the pre-kernel machine)
-# ----------------------------------------------------------------------
-
-
-def _reference_merge(windows):
-    merged = []
-    for start, end in sorted((float(s), float(e)) for s, e in windows):
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
-def _reference_merge_with_allowances(windows, window_tails):
-    order = sorted(range(len(windows)), key=lambda i: windows[i][0])
-    merged, allowances = [], []
-    for i in order:
-        start, end = float(windows[i][0]), float(windows[i][1])
-        tail = float(window_tails[i])
-        if merged and start <= merged[-1][1]:
-            last_start, last_end = merged[-1]
-            if end > last_end:
-                merged[-1] = (last_start, end)
-                allowances[-1] = tail
-            elif end == last_end:
-                allowances[-1] = max(allowances[-1], tail)
-        else:
-            merged.append((start, end))
-            allowances.append(tail)
-    return merged, allowances
-
-
-def _reference_machine(merged, model, allowances):
-    """The pre-kernel ``_run_machine`` accounting loop, verbatim."""
-    if not merged:
-        return {
-            "energy_j": 0.0,
-            "radio_on_s": 0.0,
-            "transfer_s": 0.0,
-            "tail_s": 0.0,
-            "promo_idle_count": 0,
-            "promo_fach_count": 0,
-            "state_energy_j": {"transfer": 0.0, "tail": 0.0, "promo": 0.0},
-        }
-    transfer_e = tail_e = promo_e = 0.0
-    transfer_s = tail_s = 0.0
-    promo_idle = promo_fach = 0
-    promo_idle += 1
-    promo_e += model.promo_idle_energy_j
-    promo_s_total = model.promo_idle_dch_s
-    for i, (start, end) in enumerate(merged):
-        allowance = allowances[i]
-        transfer_s += end - start
-        transfer_e += (end - start) * model.p_dch_w
-        gap = merged[i + 1][0] - end if i + 1 < len(merged) else math.inf
-        budget = min(gap, allowance, model.tail_s)
-        dch_part = min(budget, model.dch_tail_s)
-        fach_part = budget - dch_part
-        tail_s += budget
-        tail_e += dch_part * model.p_dch_w + fach_part * model.p_fach_w
-        if i + 1 < len(merged):
-            if gap <= min(allowance, model.dch_tail_s):
-                pass
-            elif gap <= min(allowance, model.tail_s):
-                promo_fach += 1
-                promo_e += model.promo_fach_energy_j
-                promo_s_total += model.promo_fach_dch_s
-            else:
-                promo_idle += 1
-                promo_e += model.promo_idle_energy_j
-                promo_s_total += model.promo_idle_dch_s
-    return {
-        "energy_j": transfer_e + tail_e + promo_e,
-        "radio_on_s": transfer_s + tail_s + promo_s_total,
-        "transfer_s": transfer_s,
-        "tail_s": tail_s,
-        "promo_idle_count": promo_idle,
-        "promo_fach_count": promo_fach,
-        "state_energy_j": {"transfer": transfer_e, "tail": tail_e, "promo": promo_e},
-    }
-
-
-def _reference_radio_on(merged, model, allowances):
-    extended = []
-    for i, (start, end) in enumerate(merged):
-        gap = merged[i + 1][0] - end if i + 1 < len(merged) else math.inf
-        budget = min(gap, allowances[i], model.tail_s)
-        extended.append((start, end + budget))
-    return _reference_merge(extended)
-
-
-def _assert_report_matches(report, expected):
-    # Exact equality throughout: the engine contract is bit-identity,
-    # not approximation.
-    assert report.energy_j == expected["energy_j"]
-    assert report.radio_on_s == expected["radio_on_s"]
-    assert report.transfer_s == expected["transfer_s"]
-    assert report.tail_s == expected["tail_s"]
-    assert report.promo_idle_count == expected["promo_idle_count"]
-    assert report.promo_fach_count == expected["promo_fach_count"]
-    assert report.state_energy_j == expected["state_energy_j"]
 
 
 def _random_windows(rng: np.random.Generator):
@@ -168,9 +70,9 @@ def test_simulate_matches_reference_randomized(seed, model):
     rng = np.random.default_rng(2000 + seed)
     for _ in range(25):
         windows = _random_windows(rng)
-        merged = _reference_merge(windows)
-        expected = _reference_machine(merged, model, [math.inf] * len(merged))
-        _assert_report_matches(simulate(windows, model), expected)
+        merged = reference_merge(windows)
+        expected = reference_machine(merged, model, [math.inf] * len(merged))
+        assert_report_matches(simulate(windows, model), expected)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -180,14 +82,14 @@ def test_per_window_tails_match_reference_randomized(seed, model):
     for _ in range(25):
         windows = _random_windows(rng)
         tails = _random_tails(rng, len(windows))
-        merged, allowances = _reference_merge_with_allowances(windows, tails)
-        expected = _reference_machine(merged, model, allowances)
-        _assert_report_matches(
+        merged, allowances = reference_merge_with_allowances(windows, tails)
+        expected = reference_machine(merged, model, allowances)
+        assert_report_matches(
             simulate(windows, model, window_tails=tails), expected
         )
         assert radio_on_intervals(
             windows, model, window_tails=tails
-        ) == _reference_radio_on(merged, model, allowances)
+        ) == reference_radio_on(merged, model, allowances)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -196,19 +98,19 @@ def test_radio_on_intervals_match_reference(seed, model):
     rng = np.random.default_rng(4000 + seed)
     for _ in range(25):
         windows = _random_windows(rng)
-        merged = _reference_merge(windows)
+        merged = reference_merge(windows)
         for policy in (FullTail(), TruncatedTail(0.0), TruncatedTail(2.5)):
             allowances = [policy.max_tail_s()] * len(merged)
             assert radio_on_intervals(
                 windows, model, policy
-            ) == _reference_radio_on(merged, model, allowances)
+            ) == reference_radio_on(merged, model, allowances)
 
 
 def test_merge_windows_matches_reference():
     rng = np.random.default_rng(9)
     for _ in range(50):
         windows = _random_windows(rng)
-        assert merge_windows(windows) == _reference_merge(windows)
+        assert merge_lanes(pack_lanes([windows])).lane(0) == reference_merge(windows)
 
 
 def test_merge_with_allowances_matches_reference():
@@ -216,9 +118,12 @@ def test_merge_with_allowances_matches_reference():
     for _ in range(50):
         windows = _random_windows(rng)
         tails = _random_tails(rng, len(windows))
-        assert merge_windows_with_allowances(
-            windows, tails
-        ) == _reference_merge_with_allowances(windows, tails)
+        merged, allowances = merge_lanes_with_allowances(
+            pack_lanes([windows]), np.asarray(tails, dtype=np.float64)
+        )
+        assert (merged.lane(0), allowances.tolist()) == (
+            reference_merge_with_allowances(windows, tails)
+        )
 
 
 class TestEdgeCases:
@@ -231,21 +136,21 @@ class TestEdgeCases:
 
     def test_single_window(self):
         model = MODELS[0]
-        expected = _reference_machine([(5.0, 9.0)], model, [math.inf])
-        _assert_report_matches(simulate([(5.0, 9.0)], model), expected)
+        expected = reference_machine([(5.0, 9.0)], model, [math.inf])
+        assert_report_matches(simulate([(5.0, 9.0)], model), expected)
 
     def test_zero_length_window(self):
         model = MODELS[0]
-        merged = _reference_merge([(4.0, 4.0)])
-        expected = _reference_machine(merged, model, [math.inf])
-        _assert_report_matches(simulate([(4.0, 4.0)], model), expected)
+        merged = reference_merge([(4.0, 4.0)])
+        expected = reference_machine(merged, model, [math.inf])
+        assert_report_matches(simulate([(4.0, 4.0)], model), expected)
 
     def test_zero_allowance_everywhere(self):
         model = MODELS[0]
         windows = [(0.0, 2.0), (10.0, 11.0)]
-        merged, allowances = _reference_merge_with_allowances(windows, [0.0, 0.0])
-        expected = _reference_machine(merged, model, allowances)
+        merged, allowances = reference_merge_with_allowances(windows, [0.0, 0.0])
+        expected = reference_machine(merged, model, allowances)
         report = simulate(windows, model, window_tails=[0.0, 0.0])
-        _assert_report_matches(report, expected)
+        assert_report_matches(report, expected)
         assert report.tail_s == 0.0
         assert report.promo_idle_count == 2

@@ -1,12 +1,14 @@
-"""Columnar lane kernel vs the per-lane interval engine.
+"""The lane engine vs the scalar oracle, stage by stage and end to end.
 
 ``radio.lanes`` batches many independent replay problems into one set of
-array passes; the contract is *bit-identity per lane* with the per-lane
-``radio.intervals`` / ``radio.rrc`` path (which is itself pinned to the
-scalar reference in ``test_interval_engine.py``).  Random ragged grids
-cover empty lanes, single-window lanes, zero-length windows, and lanes
-whose windows bridge promo-bearing gaps; every comparison is exact
-equality, never approximate.
+array passes; the contract is *bit-identity per lane* with the scalar
+reference walk in ``tests/radio/rrc_oracle.py``, and batched results
+must equal one-lane calls (``simulate`` / ``radio_on_intervals``) —
+a lane never depends on its neighbours.  Random ragged grids cover
+empty lanes, one-lane grids and single-window lanes (the single-segment
+shortcut), zero-length windows, and lanes whose windows bridge
+promo-bearing gaps; every comparison is exact equality, never
+approximate.
 """
 
 from __future__ import annotations
@@ -24,17 +26,10 @@ from repro.radio import (
     simulate,
     wcdma_model,
 )
-from repro.radio.intervals import (
-    decompose_replay,
-    extend_by_tails,
-    merge_windows,
-    merge_windows_with_allowances,
-    sequential_sum,
-)
 from repro.radio.lanes import (
     decompose_lanes,
     extend_lanes_by_tails,
-    lane_sequential_sums,
+    lane_serial_sums,
     merge_lanes,
     merge_lanes_with_allowances,
     pack_lanes,
@@ -43,6 +38,13 @@ from repro.radio.lanes import (
     simulate_many,
 )
 from repro.telemetry import isolated
+from tests.radio.rrc_oracle import (
+    reference_decomposition,
+    reference_merge,
+    reference_merge_with_allowances,
+    reference_radio_on,
+    reference_sequential_sum,
+)
 
 MODELS = [wcdma_model(), lte_model()]
 
@@ -62,6 +64,13 @@ def _random_lane(rng: np.random.Generator) -> list[tuple[float, float]]:
 
 
 def _random_grid(rng: np.random.Generator) -> list[list[tuple[float, float]]]:
+    shape = rng.random()
+    if shape < 0.2:
+        # One lane: every pass sees a single segment.
+        return [_random_lane(rng)]
+    if shape < 0.3:
+        # Single-window lanes: every segment has length one.
+        return [_random_lane(rng)[:1] for _ in range(int(rng.integers(1, 6)))]
     n_lanes = int(rng.integers(0, 10))
     return [_random_lane(rng) for _ in range(n_lanes)]
 
@@ -81,21 +90,12 @@ def _flat_tails(per_lane: list[list[float]]) -> np.ndarray:
     return np.asarray([t for ts in per_lane for t in ts], dtype=np.float64)
 
 
-def _assert_decomp_equal(lane_decomp, ref):
-    for name in (
-        "starts",
-        "ends",
-        "durations",
-        "gaps",
-        "budgets",
-        "dch_parts",
-        "fach_parts",
-        "promo_fach",
-        "promo_idle",
-    ):
-        got = getattr(lane_decomp, name)
-        want = getattr(ref, name)
-        assert np.array_equal(got, want), name
+def _assert_decomp_equal(lane_decomp, merged, ref):
+    assert lane_decomp.n_lanes == 1
+    assert lane_decomp.starts.tolist() == [s for s, _ in merged]
+    assert lane_decomp.ends.tolist() == [e for _, e in merged]
+    for name, want in ref.items():
+        assert getattr(lane_decomp, name).tolist() == want, name
 
 
 # ----------------------------------------------------------------------
@@ -105,10 +105,11 @@ def _assert_decomp_equal(lane_decomp, ref):
 
 def test_segmented_cummax_matches_per_segment_accumulate():
     rng = np.random.default_rng(50)
-    for _ in range(100):
+    for trial in range(100):
         n = int(rng.integers(1, 60))
         values = rng.uniform(-100.0, 100.0, n)
-        head = rng.random(n) < 0.25
+        # Every fourth trial is one segment: the accumulate shortcut.
+        head = rng.random(n) < (0.0 if trial % 4 == 0 else 0.25)
         head[0] = True
         out = segmented_cummax(values, head)
         expected = np.empty(n)
@@ -121,6 +122,7 @@ def test_segmented_cummax_matches_per_segment_accumulate():
 
 
 def test_lane_sequential_sums_match_sequential_sum():
+    """Each lane's total equals a plain left-to-right ``+=`` loop."""
     rng = np.random.default_rng(51)
     for _ in range(100):
         n_lanes = int(rng.integers(1, 9))
@@ -130,17 +132,17 @@ def test_lane_sequential_sums_match_sequential_sum():
         n = int(offsets[-1])
         rows = rng.uniform(0.0, 1e6, (3, n))
         initials = (0.0, float(rng.uniform(0, 10)), float(rng.uniform(0, 10)))
-        totals = lane_sequential_sums(rows, offsets, initials)
+        totals = lane_serial_sums(rows, offsets, initials)
         for j in range(3):
             for i in range(n_lanes):
                 lo, hi = int(offsets[i]), int(offsets[i + 1])
-                assert totals[j, i] == sequential_sum(
-                    rows[j, lo:hi], initial=initials[j]
+                assert totals[j, i] == reference_sequential_sum(
+                    rows[j, lo:hi].tolist(), initial=initials[j]
                 )
 
 
 # ----------------------------------------------------------------------
-# pipeline stages vs the per-lane engine
+# pipeline stages vs the scalar oracle
 # ----------------------------------------------------------------------
 
 
@@ -151,7 +153,7 @@ def test_merge_lanes_matches_per_lane_merge():
         merged = merge_lanes(pack_lanes(grid))
         assert merged.n_lanes == len(grid)
         for i, lane in enumerate(grid):
-            assert merged.lane(i) == merge_windows(lane)
+            assert merged.lane(i) == reference_merge(lane)
 
 
 def test_merge_lanes_with_allowances_matches_per_lane():
@@ -163,7 +165,7 @@ def test_merge_lanes_with_allowances_matches_per_lane():
             pack_lanes(grid), _flat_tails(tails)
         )
         for i, lane in enumerate(grid):
-            ref_m, ref_a = merge_windows_with_allowances(lane, tails[i])
+            ref_m, ref_a = reference_merge_with_allowances(lane, tails[i])
             lo, hi = int(merged.offsets[i]), int(merged.offsets[i + 1])
             assert merged.lane(i) == ref_m
             assert allow[lo:hi].tolist() == ref_a
@@ -183,16 +185,14 @@ def test_decompose_and_extend_match_per_lane(model):
         )
         extended = extend_lanes_by_tails(decomp)
         for i, lane in enumerate(grid):
-            ref_m, ref_a = merge_windows_with_allowances(lane, tails[i])
-            ref = decompose_replay(
-                ref_m, ref_a, tail_s=model.tail_s, dch_tail_s=model.dch_tail_s
-            )
-            _assert_decomp_equal(decomp.lane(i), ref)
-            assert extended.lane(i) == extend_by_tails(ref)
+            ref_m, ref_a = reference_merge_with_allowances(lane, tails[i])
+            ref = reference_decomposition(ref_m, model, ref_a)
+            _assert_decomp_equal(decomp.lane(i), ref_m, ref)
+            assert extended.lane(i) == reference_radio_on(ref_m, model, ref_a)
 
 
 # ----------------------------------------------------------------------
-# full batched pricing vs simulate / radio_on_intervals
+# full batched pricing vs one-lane simulate / radio_on_intervals
 # ----------------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -89,7 +90,28 @@ def test_memo_warm_batch_is_fastest(quick_report):
 def test_parallel_regression_flag_matches_timings(quick_report):
     report, _ = quick_report
     sweep = report["policy_sweep"]
-    assert sweep["parallel_regression"] == (sweep["parallel_s"] > sweep["serial_s"])
+    assert sweep["cpu_count"] == report["cpu_count"]
+    assert sweep["parallel_regression"] == (
+        sweep["parallel_s"] > sweep["serial_s"] and sweep["cpu_count"] > 1
+    )
+
+
+@pytest.mark.parametrize("cpu_count, flagged", [(1, False), (4, True)])
+def test_slower_pool_is_a_regression_only_with_cores(monkeypatch, cpu_count, flagged):
+    """A pool that loses to the serial loop is a regression on a
+    multi-core host; on one core it is the expected outcome."""
+    day = SimpleNamespace(user_id="u1")
+    timings = iter([1.0, 2.0])  # serial, then the slower pool
+    monkeypatch.setattr(bench, "_sweep_tasks", lambda *a: [SimpleNamespace(days=(day,))])
+    monkeypatch.setattr(
+        bench, "run_policy_tasks", lambda tasks, jobs: [[SimpleNamespace(energy_j=1.0)]]
+    )
+    monkeypatch.setattr(bench, "_timed", lambda fn: (next(timings), fn()))
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: cpu_count)
+    sweep = bench.bench_policy_sweep(jobs=2)
+    assert sweep["cpu_count"] == cpu_count
+    assert sweep["parallel_s"] > sweep["serial_s"]
+    assert sweep["parallel_regression"] is flagged
 
 
 def test_compare_reports_flags_regressions(quick_report):

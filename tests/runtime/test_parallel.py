@@ -151,10 +151,16 @@ def test_stateful_policy_never_fans_per_day(volunteers, wcdma, monkeypatch):
     policy = NetMasterPolicy(history, NetMasterConfig())
     assert policy.day_independent is False
 
-    def forbidden(*a, **kw):  # pragma: no cover - would mean a real bug
-        raise AssertionError("stateful policy was fanned per day")
+    # Every run goes through the grid runner; a stateful policy must
+    # reach it as one task carrying the whole day sequence.
+    run_policy_tasks = par.run_policy_tasks
 
-    monkeypatch.setattr(par, "run_policy_tasks", forbidden)
+    def whole_sequence_only(tasks, **kw):
+        if [len(t.days) for t in tasks] != [len(days)]:  # pragma: no cover
+            raise AssertionError("stateful policy was fanned per day")
+        return run_policy_tasks(tasks, **kw)
+
+    monkeypatch.setattr(par, "run_policy_tasks", whole_sequence_only)
     serial = run_policy_over_days(policy, days, wcdma)
     with_jobs = run_policy_over_days(
         NetMasterPolicy(history, NetMasterConfig()), days, wcdma, jobs=4

@@ -7,6 +7,7 @@ import pytest
 
 from repro import telemetry
 from repro.baselines import DelayBatchPolicy, NaivePolicy, NetMasterPolicy
+from repro.baselines.policy import PolicyOutcome
 from repro.core.netmaster import NetMasterConfig
 from repro.evaluation import split_history
 from repro.evaluation.metrics import run_policy_over_days
@@ -68,6 +69,13 @@ class TestMergeDeterminism:
 
         serial, parallel = sim_spans(1), sim_spans(2)
         assert serial and serial == parallel
+        # Batched pricing keeps every cell's RRC spans on the cell's own
+        # track, as pricing the cells one by one would.
+        assert {s["track"] for s in serial if s["cat"] == "rrc"} == {
+            f"{task.name}:d{i + 1}/rrc"
+            for task in small_grid
+            for i in range(len(task.days))
+        }
 
     def test_serial_run_twice_is_identical(self, small_grid):
         snaps = []
@@ -123,6 +131,16 @@ class _BoomPolicy:
         raise RuntimeError("kaboom")
 
 
+class _DropOnePolicy:
+    """Picklable policy whose outcome loses the day's first activity."""
+
+    name = "lossy"
+    day_independent = False
+
+    def execute_day(self, day):
+        return PolicyOutcome(policy=self.name, activities=list(day.activities[1:]))
+
+
 class TestErrorAttribution:
     def _task(self, volunteers, wcdma, n_days=2):
         _, days = split_history(volunteers[0], 10)
@@ -156,6 +174,28 @@ class TestErrorAttribution:
             run_policy_tasks(
                 [ok_task, self._task(volunteers, wcdma)], jobs=2
             )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pricing_error_names_the_cell(self, volunteers, wcdma, jobs):
+        """A cell that fails pricing (payload not conserved) is named
+        like one that fails executing, serial or fanned out."""
+        _, days = split_history(volunteers[0], 10)
+        ok_task = PolicyTask(
+            name="ok", policy=NaivePolicy(), days=tuple(days[:2]), model=wcdma
+        )
+        lossy_task = PolicyTask(
+            name=f"{volunteers[0].user_id}/lossy",
+            policy=_DropOnePolicy(),
+            days=tuple(days[:2]),
+            model=wcdma,
+        )
+        with pytest.raises(PolicyTaskError) as exc_info:
+            run_policy_tasks([ok_task, lossy_task], jobs=jobs)
+        msg = str(exc_info.value)
+        assert lossy_task.name in msg
+        assert "day 1/2" in msg
+        assert "_DropOnePolicy" in msg
+        assert "ValueError: lossy: payload not conserved" in msg
 
     def test_policy_task_error_is_not_runtime_error(self):
         # the fallback net catches RuntimeError; task failures must not be

@@ -21,15 +21,18 @@ library directly.  Per user it keeps:
 
 The ingest path validates a batch's causal order *before* touching the
 engine, so a rejected out-of-order batch leaves no partial state behind
-(:class:`CausalityError`, HTTP 409).  Checkpoints serialize the whole
-gateway — engines, aggregates, retained decisions — to one JSON
-document written through :func:`repro._util.write_json_atomic`, and a
-restored gateway continues byte-identically.
+(:class:`CausalityError`, HTTP 409; a non-finite event time is a
+:class:`~repro.service.schemas.SchemaError`, HTTP 400).  Checkpoints
+serialize the whole gateway — engines, aggregates, retained decisions —
+to one JSON document written through
+:func:`repro._util.write_json_atomic`, and a restored gateway continues
+byte-identically.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from functools import partial
 from pathlib import Path
 
@@ -170,7 +173,9 @@ class FleetGateway:
 
         The batch is validated against the causal order *before* any
         record reaches the engine: an out-of-order batch raises
-        :class:`CausalityError` and leaves the session untouched.
+        :class:`CausalityError`, and a record at a non-finite time
+        :class:`~repro.service.schemas.SchemaError`, leaving the session
+        untouched.
         Records then go through the session's
         :class:`~repro.stream.fleet.UserDriver` — days close exactly as
         in :func:`repro.stream.fleet.stream_one_user`, including the
@@ -188,6 +193,10 @@ class FleetGateway:
         prev = session.engine.last_time
         for i, record in enumerate(records):
             t = event_time(record)
+            if not math.isfinite(t):
+                raise SchemaError(
+                    f"events[{i}] has a non-finite time t={t}; batch rejected whole"
+                )
             if t < prev:
                 raise CausalityError(
                     f"stream went backwards: events[{i}] at t={t} after "

@@ -343,7 +343,7 @@ PRICE_BATCH_DAYS = 8
 
 
 class UserDriver:
-    """One user's engine and accumulator, driven record by record.
+    """One user's engine and accumulator, driven day close by day close.
 
     The only per-user drive loop.  At every drain that closes days it:
 
@@ -395,16 +395,18 @@ class UserDriver:
         self._pending: list = []
 
     def feed(self, records: Iterable[TraceRecord]) -> int:
-        """Observe ``records`` in order; returns how many days closed."""
+        """Observe ``records`` in order; returns how many days closed.
+
+        :meth:`OnlineNetMaster.ingest` folds records until one closes a
+        day, so the days close here at exactly that stream position.
+        """
         closed = 0
-        engine = self.engine
-        for record in records:
-            engine.observe(record)
-            done = engine.drain()
+        records = iter(records)
+        while self.engine.ingest(records):
+            done = self.engine.drain()
             if done:
                 closed += len(done)
                 self._close(done)
-                engine = self.engine
         return closed
 
     def _close(self, done: list) -> None:

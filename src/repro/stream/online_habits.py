@@ -14,6 +14,9 @@ history **bit-exactly** (``habit_models_equal`` exact-byte equality).
 Causality: contributions land in *pending* per-day rows as events
 arrive; a day only influences :meth:`to_model` once it is *closed*
 (:meth:`close_day`), which the scheduling layer does at day boundaries.
+Pending rows are plain Python float lists — the per-event folds do the
+same IEEE operations on them without creating a numpy scalar per hour
+cell — and become float64 arrays when their day closes.
 Closing also emits a drift score — how far the finished day's screen-use
 row sits from the learned profile — so a fleet can flag users whose
 habits are moving away from their model.
@@ -26,7 +29,8 @@ Both alternatives trade exact offline parity for adaptivity.
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from collections import defaultdict, deque
 from typing import Iterable
 
 import numpy as np
@@ -52,6 +56,14 @@ DEFAULT_DRIFT_THRESHOLD = 0.5
 
 def _zero_rows() -> dict[str, np.ndarray]:
     return {kind: np.zeros(HOURS_PER_DAY, dtype=np.float64) for kind in _KINDS}
+
+
+def _open_rows() -> dict[str, list[float]]:
+    return {kind: [0.0] * HOURS_PER_DAY for kind in _KINDS}
+
+
+def _open_apps() -> dict:
+    return {"usage_counts": {}, "networked": set()}
 
 
 class OnlineHabitModel:
@@ -93,9 +105,12 @@ class OnlineHabitModel:
         self.frozen = False
         self.last_drift = 0.0
         self.drift_alerts = 0
-        # Open (pending) per-day state: rows + special-app observations.
-        self._pending_rows: dict[int, dict[str, np.ndarray]] = {}
-        self._pending_apps: dict[int, dict] = {}
+        # Open (pending) per-day state: rows + special-app observations,
+        # created on a day's first event.
+        self._pending_rows: defaultdict[int, dict[str, list[float]]] = (
+            defaultdict(_open_rows)
+        )
+        self._pending_apps: defaultdict[int, dict] = defaultdict(_open_apps)
         # Closed-day state per day type.
         self._counts = {"weekday": 0, "weekend": 0}
         if decay is None:
@@ -133,55 +148,44 @@ class OnlineHabitModel:
         for record in records:
             self.observe(record)
 
-    def _rows_for(self, day: int) -> dict[str, np.ndarray]:
-        rows = self._pending_rows.get(day)
-        if rows is None:
-            rows = self._pending_rows[day] = _zero_rows()
-        return rows
-
-    def _apps_for(self, day: int) -> dict:
-        apps = self._pending_apps.get(day)
-        if apps is None:
-            apps = self._pending_apps[day] = {"usage_counts": {}, "networked": set()}
-        return apps
-
     def observe_session(self, session: ScreenSession) -> None:
         """Port of the screen-use and screen-seconds matrix walks."""
-        # screen_use_matrix: binary used-in-hour indicators.
-        t = session.start
-        last = max(session.start, session.end - 1e-9)
+        pending = self._pending_rows
+        start, end = session.start, session.end
+        # screen_use_matrix: binary used-in-hour indicators.  The floor of
+        # a finite double is exact as an int, so ``math.floor`` plus 1.0
+        # is the offline ``np.floor`` plus 1.0, bit for bit.
+        t = start
+        last = max(start, end - 1e-9)
         while True:
-            day = int(t // DAY)
-            hour = int((t % DAY) // HOUR)
-            self._rows_for(day)["use"][hour] = 1.0
-            next_bin = (np.floor(t / 3600.0) + 1.0) * 3600.0
+            pending[int(t // DAY)]["use"][int((t % DAY) // HOUR)] = 1.0
+            next_bin = (math.floor(t / 3600.0) + 1.0) * 3600.0
             if next_bin > last:
                 break
             t = next_bin
         # _screen_seconds_matrix: seconds of screen-on per hour cell.
-        t = session.start
-        while t < session.end:
-            day = int(t // DAY)
-            hour = int((t % DAY) // HOUR)
-            bin_end = (np.floor(t / HOUR) + 1.0) * HOUR
-            seg_end = min(session.end, bin_end)
-            self._rows_for(day)["screen_seconds"][hour] += seg_end - t
+        t = start
+        while t < end:
+            seg_end = min(end, (math.floor(t / HOUR) + 1.0) * HOUR)
+            pending[int(t // DAY)]["screen_seconds"][
+                int((t % DAY) // HOUR)
+            ] += seg_end - t
             t = seg_end
 
     def observe_usage(self, usage: AppUsage) -> None:
         """Foreground interaction: special-app evidence only."""
-        day = int(usage.time // DAY)
-        counts = self._apps_for(day)["usage_counts"]
+        counts = self._pending_apps[int(usage.time // DAY)]["usage_counts"]
         counts[usage.app] = counts.get(usage.app, 0) + 1
 
     def observe_activity(self, activity: NetworkActivity) -> None:
         """Port of the network count/bytes/seconds matrix updates."""
-        day = int(activity.time // DAY)
-        self._apps_for(day)["networked"].add(activity.app)
+        time = activity.time
+        day = int(time // DAY)
+        self._pending_apps[day]["networked"].add(activity.app)
         if activity.screen_on:
             return
-        hour = int((activity.time % DAY) // HOUR)
-        rows = self._rows_for(day)
+        hour = int((time % DAY) // HOUR)
+        rows = self._pending_rows[day]
         rows["net_counts"][hour] += 1.0
         rows["net_bytes"][hour] += activity.total_bytes
         rows["net_seconds"][hour] += activity.duration
@@ -203,7 +207,12 @@ class OnlineHabitModel:
         if day != self.next_day:
             raise ValueError(f"days close in order; expected {self.next_day}, got {day}")
         self.next_day += 1
-        rows = self._pending_rows.pop(day, None) or _zero_rows()
+        pending = self._pending_rows.pop(day, None)
+        rows = (
+            _zero_rows()
+            if pending is None
+            else {kind: np.array(pending[kind], dtype=np.float64) for kind in _KINDS}
+        )
         apps = self._pending_apps.pop(day, None)
         daytype = "weekend" if self.is_weekend_day(day) else "weekday"
 
@@ -303,7 +312,7 @@ class OnlineHabitModel:
         """All mutable state as JSON-safe values (exact float round-trip)."""
 
         def rows_out(rows: dict[str, np.ndarray]) -> dict:
-            return {kind: [float(v) for v in rows[kind]] for kind in _KINDS}
+            return {kind: rows[kind].tolist() for kind in _KINDS}
 
         state: dict = {
             "format": _STATE_FORMAT,
@@ -317,7 +326,10 @@ class OnlineHabitModel:
             "last_drift": self.last_drift,
             "drift_alerts": self.drift_alerts,
             "counts": dict(self._counts),
-            "pending_rows": {str(d): rows_out(r) for d, r in self._pending_rows.items()},
+            "pending_rows": {
+                str(d): {kind: list(r[kind]) for kind in _KINDS}
+                for d, r in self._pending_rows.items()
+            },
             "pending_apps": {
                 str(d): {
                     "usage_counts": dict(a["usage_counts"]),
@@ -365,16 +377,17 @@ class OnlineHabitModel:
         model.last_drift = float(state["last_drift"])
         model.drift_alerts = int(state["drift_alerts"])
         model._counts = {k: int(v) for k, v in state["counts"].items()}
-        model._pending_rows = {
-            int(d): rows_in(r) for d, r in state["pending_rows"].items()
-        }
-        model._pending_apps = {
+        model._pending_rows.update({
+            int(d): {kind: [float(v) for v in r[kind]] for kind in _KINDS}
+            for d, r in state["pending_rows"].items()
+        })
+        model._pending_apps.update({
             int(d): {
                 "usage_counts": {a: int(n) for a, n in v["usage_counts"].items()},
                 "networked": set(v["networked"]),
             }
             for d, v in state["pending_apps"].items()
-        }
+        })
         model._used = set(state["used"])
         model._networked = set(state["networked"])
         model._usage_counts = {a: int(n) for a, n in state["usage_counts"].items()}

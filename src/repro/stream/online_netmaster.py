@@ -19,8 +19,9 @@ with byte-identical subsequent decisions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro._util import DAY
 from repro.baselines.policy import PolicyOutcome
@@ -99,10 +100,11 @@ class CompletedDay:
 class OnlineNetMaster:
     """Per-user online engine: observe events, execute days causally.
 
-    Feed records with :meth:`observe`; finished days queue up and are
-    collected with :meth:`drain` (bounded memory when drained
-    regularly).  :meth:`finish` closes the remaining days of a stream
-    whose horizon is known.
+    Feed records with :meth:`ingest` (or one at a time with
+    :meth:`observe`); finished days queue up and are collected with
+    :meth:`drain` (bounded memory when drained regularly).
+    :meth:`finish` closes the remaining days of a stream whose horizon
+    is known.
     """
 
     def __init__(
@@ -162,25 +164,113 @@ class OnlineNetMaster:
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
+    def ingest(self, records: Iterator[TraceRecord]) -> bool:
+        """Fold records from ``records`` until one closes a day.
+
+        Returns ``True`` right after the record that closed a day — the
+        finished days wait for :meth:`drain` and the rest of ``records``
+        is untouched, so a caller prices and checkpoints at exactly that
+        stream position — and ``False`` once ``records`` is exhausted.
+        A record before :attr:`last_time`, or at a non-finite time,
+        raises :class:`ValueError` before it changes any state; the
+        records ahead of it stay folded.
+        """
+        habits = self.habits
+        fold_session = habits.observe_session
+        fold_usage = habits.observe_usage
+        fold_activity = habits.observe_activity
+        day = self.day
+        day_start = day * DAY
+        next_midnight = (day + 1) * DAY
+        last = self._last_time
+        # The fast path folds records of the open day only.  After
+        # finish() has closed days ahead of the stream, ``last`` lies
+        # before the open day and the empty range sends records the
+        # general way until one reaches it.
+        upper = next_midnight if last >= day_start else last
+        buffering = day >= self.train_days
+        if buffering:
+            sessions = self._sessions.setdefault(day, [])
+            usages = self._usages.setdefault(day, [])
+            activities = self._activities.setdefault(day, [])
+        n = 0
+        try:
+            for record in records:
+                kind = type(record)
+                if kind is NetworkActivity:
+                    t = record.time
+                    if last <= t < upper:
+                        last = t
+                        n += 1
+                        fold_activity(record)
+                        if buffering:
+                            activities.append(record.moved_to(t - day_start))
+                        continue
+                elif kind is ScreenSession:
+                    t = record.start
+                    if last <= t < upper:
+                        last = t
+                        n += 1
+                        fold_session(record)
+                        end = record.end
+                        if end > next_midnight:
+                            # Clipped into each day it spans, training or not.
+                            self._buffer(record)
+                        elif buffering and end > t:
+                            sessions.append(
+                                ScreenSession(t - day_start, end - day_start)
+                            )
+                        continue
+                elif kind is AppUsage:
+                    t = record.time
+                    if last <= t < upper:
+                        last = t
+                        n += 1
+                        fold_usage(record)
+                        if buffering:
+                            usages.append(
+                                AppUsage(t - day_start, record.app, record.duration)
+                            )
+                        continue
+                else:
+                    t = event_time(record)
+                # The general way: a day closes, the record is out of
+                # order or not finite, lies before the open day, or is
+                # of a record subclass.
+                if not math.isfinite(t):
+                    raise ValueError(f"event time must be finite, got t={t}")
+                if t < last:
+                    raise ValueError(
+                        f"stream went backwards: event at t={t} after t={last}"
+                    )
+                last = t
+                while t >= (self.day + 1) * DAY:
+                    self._close_day()
+                n += 1
+                habits.observe(record)
+                self._buffer(record)
+                if self.day != day:
+                    return True
+                upper = next_midnight if last >= day_start else last
+            return False
+        finally:
+            self._last_time = last
+            if n:
+                self.events += n
+                metrics().inc("stream.events", n)
+
     def observe(self, record: TraceRecord) -> None:
-        """Fold one record in; closes days as stream time crosses them."""
-        time = event_time(record)
-        if time < self._last_time:
-            raise ValueError(
-                f"stream went backwards: event at t={time} after t={self._last_time}"
-            )
-        self._last_time = time
-        while time >= (self.day + 1) * DAY:
-            self._close_day()
-        self.events += 1
-        metrics().inc("stream.events")
-        self.habits.observe(record)
-        self._buffer(record)
+        """Fold one record in; closes days as stream time crosses them.
+
+        The one-record call of :meth:`ingest`.
+        """
+        self.ingest(iter((record,)))
 
     def observe_many(self, records: Iterable[TraceRecord]) -> None:
         """Fold a chronological record iterable."""
-        for record in records:
-            self.observe(record)
+        records = iter(records)
+        while self.ingest(records):
+            pass
 
     def _buffer(self, record: TraceRecord) -> None:
         """Mirror of ``Trace.day_view`` clipping, applied incrementally."""
@@ -303,6 +393,10 @@ class OnlineNetMaster:
                 for day in sorted(
                     set(self._sessions) | set(self._usages) | set(self._activities)
                 )
+                # ingest() opens the day's lists before its first record.
+                if self._sessions.get(day)
+                or self._usages.get(day)
+                or self._activities.get(day)
             },
         }
         if self.quarantined_until:

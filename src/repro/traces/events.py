@@ -105,7 +105,10 @@ class NetworkActivity:
 
     def moved_to(self, new_time: float) -> "NetworkActivity":
         """A copy of this activity executing at ``new_time``."""
-        return replace(self, time=float(new_time))
+        return NetworkActivity(
+            float(new_time), self.app, self.down_bytes, self.up_bytes,
+            self.duration, self.screen_on,
+        )
 
     def compressed(
         self, bandwidth_bps: float, *, min_duration_s: float = 0.5
@@ -122,7 +125,10 @@ class NetworkActivity:
         duration = max(min_duration_s, self.total_bytes / bandwidth_bps)
         if duration >= self.duration:
             return self
-        return replace(self, duration=duration)
+        return NetworkActivity(
+            self.time, self.app, self.down_bytes, self.up_bytes,
+            duration, self.screen_on,
+        )
 
 
 @dataclass

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Union
@@ -192,21 +193,33 @@ def _check_header(obj: dict, path: Path) -> dict:
     return {k: v for k, v in obj.items() if k != "kind"}
 
 
+def _number(obj: dict, key: str) -> float:
+    """``obj[key]`` as a finite float.
+
+    ``json.loads`` parses ``NaN``, ``Infinity`` and overflowing literals
+    such as ``1e400``; none of them is a usable time, duration or size.
+    """
+    value = float(obj[key])
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
 def _parse_record(
     kind: str, obj: dict
 ) -> ScreenSession | AppUsage | NetworkActivity:
     """Parse one non-header JSONL record; raises on anything malformed."""
     if kind == "screen":
-        return ScreenSession(float(obj["start"]), float(obj["end"]))
+        return ScreenSession(_number(obj, "start"), _number(obj, "end"))
     if kind == "usage":
-        return AppUsage(float(obj["time"]), str(obj["app"]), float(obj["duration"]))
+        return AppUsage(_number(obj, "time"), str(obj["app"]), _number(obj, "duration"))
     if kind == "network":
         return NetworkActivity(
-            time=float(obj["time"]),
+            time=_number(obj, "time"),
             app=str(obj["app"]),
-            down_bytes=float(obj["down_bytes"]),
-            up_bytes=float(obj["up_bytes"]),
-            duration=float(obj["duration"]),
+            down_bytes=_number(obj, "down_bytes"),
+            up_bytes=_number(obj, "up_bytes"),
+            duration=_number(obj, "duration"),
             screen_on=bool(obj["screen_on"]),
         )
     raise ValueError(f"unknown record kind: {kind!r}")

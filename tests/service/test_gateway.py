@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from repro.service.schemas import SchemaError
 from repro.stream.fleet import stream_one_user
 from repro.stream.ingest import stream_trace
 from repro.stream.online_netmaster import CheckpointError, OnlineNetMaster
+from repro.traces.events import AppUsage
 
 from tests.service.conftest import service_config
 
@@ -133,6 +135,36 @@ def test_out_of_order_batch_rejected_atomically(service_trace):
     with pytest.raises(CausalityError, match="stream went backwards"):
         gateway.ingest(service_trace.user_id, bad)
     assert json.dumps(gateway.state_dict()) == before  # nothing leaked
+
+
+@pytest.mark.parametrize("bad_time", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_rejected_whole(service_trace, monkeypatch, bad_time):
+    # A spy ends the endless day-closing an infinite time would cause.
+    close_day = OnlineNetMaster._close_day
+    calls = 0
+
+    def spy(self):
+        nonlocal calls
+        calls += 1
+        if calls > 100:
+            raise RuntimeError("an infinite time closes days forever")
+        close_day(self)
+
+    monkeypatch.setattr(OnlineNetMaster, "_close_day", spy)
+    gateway = FleetGateway(service_config())
+    records = list(stream_trace(service_trace))
+    gateway.ingest(
+        service_trace.user_id, records[:500],
+        start_weekday=service_trace.start_weekday,
+    )
+    before = json.dumps(gateway.state_dict())
+    bad = records[500:510] + [AppUsage(bad_time, "mail", 1.0)] + records[510:520]
+    with pytest.raises(SchemaError, match="non-finite"):
+        gateway.ingest(service_trace.user_id, bad)
+    assert json.dumps(gateway.state_dict()) == before  # nothing leaked
+    # The stream continues where it stood.
+    gateway.ingest(service_trace.user_id, records[500:520])
+    assert gateway.savings(service_trace.user_id)["events"] == 520
 
 
 def test_unknown_user_raises():

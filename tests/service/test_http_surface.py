@@ -68,6 +68,27 @@ def test_malformed_json_is_400(server):
     assert doc["error"]["code"] == "bad-request"
 
 
+def test_non_finite_event_time_is_400_and_service_stays_up(server):
+    body = (
+        b'{"events": [{"kind": "usage", "time": 10.0, "app": "a", "duration": 1.0},'
+        b' {"kind": "usage", "time": NaN, "app": "a", "duration": 1.0}]}'
+    )
+    status, doc = server.request("POST", "/v1/users/u1/events", raw_body=body)
+    assert status == 400
+    assert doc["error"]["code"] == "bad-request"
+    assert "finite" in doc["error"]["message"]
+    status, health = server.request("GET", "/health")
+    assert status == 200
+    assert health["status"] == "ok"
+    assert health["events"] == 0
+    # The causal floor is intact: a later batch starts from zero.
+    status, doc = server.request(
+        "POST", "/v1/users/u1/events",
+        {"events": [{"kind": "usage", "time": 5.0, "app": "a", "duration": 1.0}]},
+    )
+    assert status == 200, doc
+
+
 def test_unknown_user_is_404(server):
     status, doc = server.request("GET", "/v1/users/stranger/savings")
     assert status == 404

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.service.schemas import (
@@ -53,6 +55,44 @@ def test_record_to_doc_covers_all_kinds():
 )
 def test_bad_event_batches_raise_schema_error(doc):
     with pytest.raises(SchemaError):
+        parse_event_batch(doc)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        pytest.param(
+            '{"kind": "network", "time": NaN, "app": "a", "down_bytes": 1.0,'
+            ' "up_bytes": 0.0, "duration": 1.0, "screen_on": false}',
+            id="nan-time",
+        ),
+        pytest.param(
+            '{"kind": "usage", "time": Infinity, "app": "a", "duration": 1.0}',
+            id="infinite-time",
+        ),
+        pytest.param(
+            '{"kind": "usage", "time": 1e400, "app": "a", "duration": 1.0}',
+            id="overflowing-time",
+        ),
+        pytest.param(
+            '{"kind": "screen", "start": -Infinity, "end": 1.0}', id="-inf-start"
+        ),
+        pytest.param('{"kind": "screen", "start": 1.0, "end": NaN}', id="nan-end"),
+        pytest.param(
+            '{"kind": "network", "time": 1.0, "app": "a", "down_bytes": Infinity,'
+            ' "up_bytes": 0.0, "duration": 1.0, "screen_on": false}',
+            id="infinite-bytes",
+        ),
+        pytest.param(
+            '{"kind": "usage", "time": 1.0, "app": "a", "duration": NaN}',
+            id="nan-duration",
+        ),
+    ],
+)
+def test_non_finite_numbers_raise_schema_error(body):
+    # json.loads accepts these literals; the schema must not.
+    doc = json.loads('{"events": [' + body + "]}")
+    with pytest.raises(SchemaError, match="finite"):
         parse_event_batch(doc)
 
 

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from repro._util import DAY
 from repro.core.netmaster import NetMaster, NetMasterConfig
 from repro.stream import OnlineNetMaster, event_time, stream_trace
-from repro.traces import ScreenSession, Trace
+from repro.traces import AppUsage, NetworkActivity, ScreenSession, Trace
 
 TRAIN_DAYS = 10
 
@@ -151,6 +152,55 @@ class TestStreamContract:
         engine.observe(ScreenSession(1000.0, 1100.0))
         with pytest.raises(ValueError, match="backwards"):
             engine.observe(ScreenSession(500.0, 600.0))
+
+    def test_rejects_nan_time_before_any_state_change(self):
+        engine = OnlineNetMaster("u", config=CONFIG)
+        engine.observe(ScreenSession(1000.0, 1100.0))
+        before = (engine.events, engine.last_time, engine.day)
+        with pytest.raises(ValueError, match="finite"):
+            engine.observe(AppUsage(math.nan, "mail", 1.0))
+        assert (engine.events, engine.last_time, engine.day) == before
+        # The causal floor still holds after the rejected record.
+        with pytest.raises(ValueError, match="backwards"):
+            engine.observe(ScreenSession(5.0, 6.0))
+
+    def test_rejects_infinite_time_without_closing_days(self, monkeypatch):
+        engine = OnlineNetMaster("u", config=CONFIG)
+        engine.observe(ScreenSession(1000.0, 1100.0))
+        before = (engine.events, engine.last_time, engine.day)
+        calls = 0
+        close_day = OnlineNetMaster._close_day
+
+        def spy(self):
+            nonlocal calls
+            calls += 1
+            if calls > 100:
+                raise RuntimeError("an infinite time closes days forever")
+            close_day(self)
+
+        monkeypatch.setattr(OnlineNetMaster, "_close_day", spy)
+        with pytest.raises(ValueError, match="finite"):
+            engine.observe(NetworkActivity(math.inf, "sync", 10.0, 0.0, 1.0, False))
+        assert calls == 0
+        assert (engine.events, engine.last_time, engine.day) == before
+
+    def test_ingest_stops_right_after_the_day_closing_record(self, volunteer):
+        engine = OnlineNetMaster(
+            volunteer.user_id,
+            config=CONFIG,
+            start_weekday=volunteer.start_weekday,
+            train_days=TRAIN_DAYS,
+        )
+        records = list(stream_trace(volunteer))
+        days = [event_time(r) // DAY for r in records]
+        closing = [i + 1 for i in range(1, len(records)) if days[i] > days[i - 1]]
+        stream = iter(records)
+        stops = []
+        while engine.ingest(stream):
+            stops.append(engine.events)
+            assert engine.day == days[engine.events - 1]
+        assert stops == closing
+        assert engine.events == len(records)
 
     def test_training_days_produce_no_decisions(self, volunteer):
         engine = OnlineNetMaster(

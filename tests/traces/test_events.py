@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._util import DAY
 from repro.traces import AppUsage, NetworkActivity, ScreenSession, Trace
@@ -35,6 +39,18 @@ class TestAppUsage:
     def test_rejects_negative_duration(self):
         with pytest.raises(ValueError, match="duration"):
             AppUsage(100.0, "browser", -1.0)
+
+
+_times = st.floats(min_value=-1e9, max_value=1e9)
+_sizes = st.floats(min_value=0.0, max_value=1e12)
+
+
+def _bits(record) -> tuple:
+    """A record's type and fields, floats by their exact bit pattern."""
+    return (type(record),) + tuple(
+        value.hex() if isinstance(value, float) else value
+        for value in (getattr(record, f.name) for f in fields(record))
+    )
 
 
 class TestNetworkActivity:
@@ -91,6 +107,36 @@ class TestNetworkActivity:
     def test_compressed_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError, match="bandwidth"):
             self._act().compressed(0.0)
+
+    def test_copies_are_still_validated(self):
+        # A zero-byte transfer with no duration floor would last 0 s.
+        act = self._act(down_bytes=0.0, up_bytes=0.0)
+        with pytest.raises(ValueError, match="duration"):
+            act.compressed(1000.0, min_duration_s=0.0)
+        with pytest.raises(ValueError, match="duration"):
+            replace(act, duration=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        time=_times,
+        down=_sizes,
+        up=_sizes,
+        duration=st.floats(min_value=1e-6, max_value=1e6),
+        screen_on=st.booleans(),
+        new_time=st.one_of(_times, st.integers(-(10**6), 10**6)),
+        bandwidth=st.floats(min_value=1e-3, max_value=1e9),
+        min_duration=st.floats(min_value=1e-6, max_value=10.0),
+    )
+    def test_copies_equal_dataclasses_replace(
+        self, time, down, up, duration, screen_on, new_time, bandwidth, min_duration
+    ):
+        act = NetworkActivity(time, "app", down, up, duration, screen_on)
+        moved = act.moved_to(new_time)
+        assert _bits(moved) == _bits(replace(act, time=float(new_time)))
+        compressed = act.compressed(bandwidth, min_duration_s=min_duration)
+        floor = max(min_duration, act.total_bytes / bandwidth)
+        want = act if floor >= duration else replace(act, duration=floor)
+        assert _bits(compressed) == _bits(want)
 
 
 class TestTraceInvariants:

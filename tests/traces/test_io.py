@@ -127,6 +127,19 @@ class TestJsonlLenient:
         assert all(loc.startswith("line ") for loc in locations)
         _assert_traces_equal(tiny_trace, loaded)
 
+    def test_skips_non_finite_numbers(self, tiny_trace, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        trace_to_jsonl(tiny_trace, path)
+        with path.open("a") as fh:
+            fh.write('{"kind": "usage", "time": NaN, "app": "a", "duration": 1.0}\n')
+            fh.write('{"kind": "screen", "start": 1.0, "end": Infinity}\n')
+        with pytest.raises(ValueError, match="finite"):
+            trace_from_jsonl(path)
+        loaded, report = trace_from_jsonl_lenient(path)
+        assert report.n_skipped == 2
+        assert all("finite" in reason for _, reason in report.skipped)
+        _assert_traces_equal(tiny_trace, loaded)
+
     def test_still_requires_header(self, tmp_path):
         path = tmp_path / "nohdr.jsonl"
         path.write_text(json.dumps({"kind": "screen", "start": 0.0, "end": 1.0}) + "\n")

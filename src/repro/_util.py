@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import tempfile
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +126,34 @@ def write_text_atomic(path: str | Path, text: str) -> Path:
 def write_json_atomic(path: str | Path, doc: object, *, indent: int | None = None) -> Path:
     """Atomically write ``doc`` as JSON (see :func:`write_text_atomic`)."""
     return write_text_atomic(path, json.dumps(doc, indent=indent) + "\n")
+
+
+def dumps_spliced(
+    obj: dict, spliced: Mapping[str, str], separators: tuple[str, str]
+) -> str:
+    """``json.dumps(obj, separators=separators)`` with values given as text.
+
+    For every key of ``obj`` that is also a key of ``spliced``, the
+    value written is the JSON text ``spliced[key]`` (which must be
+    encoded with the same ``separators``); ``obj[key]`` itself is not
+    read.  Every other item is encoded by :func:`json.dumps`, in
+    ``obj``'s order, so the result is byte for byte the plain encoding
+    of ``obj`` with those values in place.
+    """
+    item_sep, key_sep = separators
+    parts: list[str] = []
+    plain: dict = {}
+    for key, value in obj.items():
+        if key in spliced:
+            if plain:
+                parts.append(json.dumps(plain, separators=separators)[1:-1])
+                plain = {}
+            parts.append(json.dumps(key) + key_sep + spliced[key])
+        else:
+            plain[key] = value
+    if plain:
+        parts.append(json.dumps(plain, separators=separators)[1:-1])
+    return "{" + item_sep.join(parts) + "}"
 
 
 def peak_rss_bytes() -> int | None:

@@ -352,9 +352,11 @@ class UserDriver:
        (monitor feed, the gateway's naive pricing and decision docs),
        so feedback it writes into the engine survives step 3;
     3. round-trips the engine through its JSON checkpoint when
-       ``checkpoint_every_days`` divides the executed-day count;
-    4. calls ``sink.log_day(user_id, state)``, after the round-trip so
-       a crash-resume replays the bumped counter.
+       ``checkpoint_every_days`` divides the executed-day count (the
+       restored engine takes over the old one's closed-day text, so
+       the next serialization does not encode those days again);
+    4. calls ``sink.log_day(driver)``, after the round-trip so a
+       crash-resume replays the bumped counter.
 
     :meth:`finish` runs steps 1–2 on the last days, then
     ``sink.log_done``.  ``resume`` — a :meth:`state_dict` document —
@@ -415,10 +417,12 @@ class UserDriver:
             self._price()
         engine = self.engine
         if self._every and engine.days_executed % self._every == 0:
-            self.engine = engine = OnlineNetMaster.from_json(engine.to_json())
+            restored = OnlineNetMaster.from_json(engine.to_json())
+            restored.habits.take_encoded(engine.habits)
+            self.engine = restored
             self.acc.checkpoints += 1
         if self.sink is not None:
-            self.sink.log_day(engine.user_id, self.state_dict())
+            self.sink.log_day(self)
 
     def _price(self) -> None:
         days, self._pending = self._pending, []
@@ -433,10 +437,7 @@ class UserDriver:
         self._pending.extend(final)
         self._price()
         if self.sink is not None:
-            summary = self.acc.summary(self.engine, n_days)
-            self.sink.log_done(
-                self.engine.user_id, self.state_dict(), summary.as_dict()
-            )
+            self.sink.log_done(self, self.acc.summary(self.engine, n_days).as_dict())
         return len(final)
 
     def state_dict(self) -> dict:

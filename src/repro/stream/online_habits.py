@@ -25,17 +25,23 @@ Retention is configurable: the default keeps every closed day (the
 bit-exact mode); ``window_days`` keeps a sliding window per day type;
 ``decay`` replaces storage entirely with exponentially-weighted sums.
 Both alternatives trade exact offline parity for adaptivity.
+
+A retained closed day never changes, so its rows are JSON-encoded once:
+:meth:`OnlineHabitModel.state_json` fills each day's text on the first
+serialization that needs it and reuses it after, and the text leaves
+with its rows when ``window_days`` evicts them.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import defaultdict, deque
 from typing import Iterable
 
 import numpy as np
 
-from repro._util import DAY, HOUR, HOURS_PER_DAY, is_weekend
+from repro._util import DAY, HOUR, HOURS_PER_DAY, dumps_spliced, is_weekend
 from repro.habits.prediction import HabitModel
 from repro.habits.special_apps import SpecialAppRegistry
 from repro.telemetry import metrics
@@ -46,6 +52,9 @@ _STATE_FORMAT = 1
 
 #: The five per-day row kinds feeding the fitted model's statistics.
 _KINDS = ("use", "net_counts", "net_bytes", "net_seconds", "screen_seconds")
+
+#: Separators of the cached closed-day text (compact JSON).
+_COMPACT = (",", ":")
 
 #: Default drift level that counts as an alert (mean absolute deviation
 #: of a day's 0/1 screen-use row from the learned hour probabilities; a
@@ -64,6 +73,48 @@ def _open_rows() -> dict[str, list[float]]:
 
 def _open_apps() -> dict:
     return {"usage_counts": {}, "networked": set()}
+
+
+def _rows_out(rows: dict[str, np.ndarray]) -> dict[str, list[float]]:
+    return {kind: rows[kind].tolist() for kind in _KINDS}
+
+
+def _rows_in(data: dict) -> dict[str, np.ndarray]:
+    block = np.asarray([data[kind] for kind in _KINDS], dtype=np.float64)
+    if block.shape != (len(_KINDS), HOURS_PER_DAY):
+        raise ValueError(f"a closed day needs {HOURS_PER_DAY} numbers per row")
+    return dict(zip(_KINDS, block))
+
+
+def _names(values) -> set[str]:
+    """A checkpointed list of app names as a set; raises on other types."""
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise TypeError(f"expected a list of app names, got {values!r}")
+    return set(values)
+
+
+def _pending_in(data: dict) -> dict[str, list[float]]:
+    rows = {kind: [float(v) for v in data[kind]] for kind in _KINDS}
+    if any(len(row) != HOURS_PER_DAY for row in rows.values()):
+        raise ValueError(f"an open-day row needs {HOURS_PER_DAY} numbers")
+    return rows
+
+
+class _ClosedDay:
+    """One retained closed day: its rows and, once encoded, their JSON."""
+
+    __slots__ = ("rows", "text")
+
+    def __init__(self, rows: dict[str, np.ndarray]) -> None:
+        self.rows = rows
+        self.text: str | None = None
+
+    def encoded(self) -> str:
+        """The rows as :meth:`OnlineHabitModel.state_dict` emits them,
+        in compact JSON (``","``/``":"``), encoded on the first call."""
+        if self.text is None:
+            self.text = json.dumps(_rows_out(self.rows), separators=_COMPACT)
+        return self.text
 
 
 class OnlineHabitModel:
@@ -115,13 +166,13 @@ class OnlineHabitModel:
         self._counts = {"weekday": 0, "weekend": 0}
         if decay is None:
             maxlen = window_days  # None → unbounded (bit-exact mode)
-            self._rows = {
+            self._days: dict[str, deque[_ClosedDay]] | None = {
                 "weekday": deque(maxlen=maxlen),
                 "weekend": deque(maxlen=maxlen),
             }
             self._sums = self._weights = None
         else:
-            self._rows = None
+            self._days = None
             self._sums = {"weekday": _zero_rows(), "weekend": _zero_rows()}
             self._weights = {"weekday": 0.0, "weekend": 0.0}
         # Special-app knowledge from closed days only.
@@ -227,7 +278,7 @@ class OnlineHabitModel:
             return drift
         self._counts[daytype] += 1
         if self.decay is None:
-            self._rows[daytype].append(rows)
+            self._days[daytype].append(_ClosedDay(rows))
         else:
             sums, g = self._sums[daytype], self.decay
             for kind in _KINDS:
@@ -260,13 +311,13 @@ class OnlineHabitModel:
             if weight == 0.0:
                 return np.zeros(HOURS_PER_DAY)
             return self._sums[daytype][kind] / weight
-        rows = self._rows[daytype]
-        if not rows:
+        days = self._days[daytype]
+        if not days:
             return np.zeros(HOURS_PER_DAY)
         # np.stack yields the same C-contiguous (k, 24) float64 block the
         # offline fit's boolean row-indexing does, so mean(axis=0) is the
         # identical reduction — this is the bit-exactness linchpin.
-        return np.stack([day_rows[kind] for day_rows in rows]).mean(axis=0)
+        return np.stack([day.rows[kind] for day in days]).mean(axis=0)
 
     @property
     def n_weekdays(self) -> int:
@@ -310,11 +361,61 @@ class OnlineHabitModel:
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """All mutable state as JSON-safe values (exact float round-trip)."""
+        state = self._state()
+        if self.decay is None:
+            state["rows"] = {
+                daytype: [_rows_out(day.rows) for day in days]
+                for daytype, days in self._days.items()
+            }
+        else:
+            state["sums"] = {d: _rows_out(s) for d, s in self._sums.items()}
+            state["weights"] = dict(self._weights)
+        return state
 
-        def rows_out(rows: dict[str, np.ndarray]) -> dict:
-            return {kind: rows[kind].tolist() for kind in _KINDS}
+    def state_json(self, separators: tuple[str, str] = (", ", ": ")) -> str:
+        """:meth:`state_dict` as JSON text, byte for byte
+        ``json.dumps(self.state_dict(), separators=separators)``.
 
-        state: dict = {
+        Each retained closed day's rows are encoded once, by the first
+        call that needs them, and their text is reused after.  Decayed
+        sums change with every closed day, so they are encoded afresh.
+        """
+        if self.decay is not None:
+            return json.dumps(self.state_dict(), separators=separators)
+        rows = dumps_spliced(
+            dict.fromkeys(self._days),
+            {
+                daytype: "[" + ",".join(day.encoded() for day in days) + "]"
+                for daytype, days in self._days.items()
+            },
+            _COMPACT,
+        )
+        # The rows hold numbers and the fixed kind keys only, so their
+        # separators are the only commas and colons in the text.
+        item_sep, key_sep = separators
+        rows = rows.replace(",", item_sep).replace(":", key_sep)
+        state = self._state()
+        state["rows"] = None  # spliced
+        return dumps_spliced(state, {"rows": rows}, separators)
+
+    def take_encoded(self, source: "OnlineHabitModel") -> None:
+        """Reuse ``source``'s closed-day text.
+
+        For a model just restored from a serialization of ``source``:
+        its retained days are ``source``'s, row for row, so their text
+        is too.  Days ``source`` never encoded stay to be encoded.
+        """
+        if self._days is None or source._days is None:
+            return
+        for daytype, days in self._days.items():
+            theirs = source._days[daytype]
+            if len(days) == len(theirs):
+                for day, their in zip(days, theirs):
+                    day.text = their.text
+
+    def _state(self) -> dict:
+        """:meth:`state_dict` without the closed-day rows or sums."""
+        return {
             "format": _STATE_FORMAT,
             "user_id": self.user_id,
             "start_weekday": self.start_weekday,
@@ -341,30 +442,26 @@ class OnlineHabitModel:
             "networked": sorted(self._networked),
             "usage_counts": dict(self._usage_counts),
         }
-        if self.decay is None:
-            state["rows"] = {
-                daytype: [rows_out(r) for r in rows] for daytype, rows in self._rows.items()
-            }
-        else:
-            state["sums"] = {d: rows_out(s) for d, s in self._sums.items()}
-            state["weights"] = dict(self._weights)
-        return state
 
     @classmethod
     def load_state(cls, state: dict) -> "OnlineHabitModel":
-        """Rebuild an accumulator from :meth:`state_dict` output."""
+        """Rebuild an accumulator from :meth:`state_dict` output.
+
+        Raises :class:`ValueError` on an unknown format, and
+        :class:`KeyError`, :class:`TypeError`, :class:`ValueError`,
+        :class:`AttributeError` or :class:`OverflowError` on a document
+        of the wrong shape.
+        """
+        if not isinstance(state, dict):
+            raise TypeError(
+                f"online-habit state is not a JSON object (got {type(state).__name__})"
+            )
         fmt = state.get("format")
         if fmt != _STATE_FORMAT:
             raise ValueError(
                 f"unsupported online-habit state format: {fmt!r} "
                 f"(this build reads format {_STATE_FORMAT})"
             )
-
-        def rows_in(data: dict) -> dict[str, np.ndarray]:
-            return {
-                kind: np.asarray(data[kind], dtype=np.float64) for kind in _KINDS
-            }
-
         model = cls(
             state["user_id"],
             start_weekday=int(state["start_weekday"]),
@@ -378,23 +475,24 @@ class OnlineHabitModel:
         model.drift_alerts = int(state["drift_alerts"])
         model._counts = {k: int(v) for k, v in state["counts"].items()}
         model._pending_rows.update({
-            int(d): {kind: [float(v) for v in r[kind]] for kind in _KINDS}
-            for d, r in state["pending_rows"].items()
+            int(d): _pending_in(r) for d, r in state["pending_rows"].items()
         })
         model._pending_apps.update({
             int(d): {
                 "usage_counts": {a: int(n) for a, n in v["usage_counts"].items()},
-                "networked": set(v["networked"]),
+                "networked": _names(v["networked"]),
             }
             for d, v in state["pending_apps"].items()
         })
-        model._used = set(state["used"])
-        model._networked = set(state["networked"])
+        model._used = _names(state["used"])
+        model._networked = _names(state["networked"])
         model._usage_counts = {a: int(n) for a, n in state["usage_counts"].items()}
         if model.decay is None:
             for daytype in ("weekday", "weekend"):
-                model._rows[daytype].extend(rows_in(r) for r in state["rows"][daytype])
+                model._days[daytype].extend(
+                    _ClosedDay(_rows_in(r)) for r in state["rows"][daytype]
+                )
         else:
-            model._sums = {d: rows_in(s) for d, s in state["sums"].items()}
+            model._sums = {d: _rows_in(s) for d, s in state["sums"].items()}
             model._weights = {d: float(w) for d, w in state["weights"].items()}
         return model

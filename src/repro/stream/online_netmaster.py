@@ -13,7 +13,9 @@ The engine's entire state — habit accumulators, breaker, partially
 buffered current day, counters — serializes to one JSON document
 (:meth:`state_dict`).  Floats survive JSON bit-exactly, so a stream can
 be killed anywhere (including mid-day) and resumed from the checkpoint
-with byte-identical subsequent decisions.
+with byte-identical subsequent decisions.  Its JSON text
+(:meth:`state_json`) reuses each closed habit day's encoding, so a
+checkpoint costs the state that changed, not the whole history.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from repro._util import DAY
+from repro._util import DAY, dumps_spliced
 from repro.baselines.policy import PolicyOutcome
 from repro.core.netmaster import DayExecution, NetMaster, NetMasterConfig
 from repro.habits.serialization import config_from_dict, config_to_dict
@@ -37,6 +39,10 @@ from repro.traces.io import TraceRecord
 _STATE_FORMAT = 1
 
 POLICY_NAME = "netmaster-online"
+
+#: What a damaged checkpoint document raises while it is read: a
+#: missing key, a value of the wrong JSON type or range.
+_DAMAGE = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
 class CheckpointError(ValueError):
@@ -364,6 +370,24 @@ class OnlineNetMaster:
         monitored-but-unalerted engine checkpoints to exactly the same
         bytes as an unmonitored one.
         """
+        state = self._state()
+        state["habits"] = self.habits.state_dict()
+        return state
+
+    def state_json(self, separators: tuple[str, str] = (", ", ": ")) -> str:
+        """:meth:`state_dict` as JSON text, byte for byte
+        ``json.dumps(self.state_dict(), separators=separators)``.
+
+        The habit accumulator's text
+        (:meth:`~repro.stream.online_habits.OnlineHabitModel.state_json`)
+        is spliced in, so each closed habit day is encoded once.
+        """
+        return dumps_spliced(
+            self._state(), {"habits": self.habits.state_json(separators)}, separators
+        )
+
+    def _state(self) -> dict:
+        """:meth:`state_dict` with ``"habits"`` left ``None``."""
         state = {
             "format": _STATE_FORMAT,
             "user_id": self.user_id,
@@ -377,7 +401,7 @@ class OnlineNetMaster:
             "days_executed": self.days_executed,
             "days_degraded": self.days_degraded,
             "interrupts": self.interrupts,
-            "habits": self.habits.state_dict(),
+            "habits": None,
             "breaker": self.netmaster.breaker.state_dict(),
             "buffers": {
                 str(day): {
@@ -460,9 +484,7 @@ class OnlineNetMaster:
                 update_model=bool(state["update_model"]),
             )
             engine.habits = OnlineHabitModel.load_state(state["habits"])
-        except CheckpointError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except _DAMAGE as exc:
             problem(
                 "checkpoint core state (identity/config/habits) is unusable "
                 f"({type(exc).__name__}: {exc}); nothing salvageable"
@@ -470,7 +492,7 @@ class OnlineNetMaster:
             return None
         try:
             engine.netmaster.breaker.load_state(state["breaker"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except _DAMAGE as exc:
             problem(
                 f"breaker state unreadable ({type(exc).__name__}: {exc}); "
                 "salvaged with a fresh (closed) breaker"
@@ -487,7 +509,7 @@ class OnlineNetMaster:
         ):
             try:
                 setattr(engine, attr, convert(state[key]))
-            except (KeyError, TypeError, ValueError) as exc:
+            except _DAMAGE as exc:
                 problem(
                     f"counter {key!r} unreadable ({type(exc).__name__}: {exc}); "
                     "salvaged as its reset value"
@@ -497,7 +519,7 @@ class OnlineNetMaster:
         for attr in ("quarantined_until", "adoption_frozen_until"):
             try:
                 setattr(engine, attr, int(state.get(attr, 0)))
-            except (TypeError, ValueError) as exc:
+            except _DAMAGE as exc:
                 problem(
                     f"counter {attr!r} unreadable ({type(exc).__name__}: {exc}); "
                     "salvaged as its reset value"
@@ -529,7 +551,7 @@ class OnlineNetMaster:
                     )
                     for t, app, down, up, dur, on in buf["activities"]
                 ]
-            except (KeyError, TypeError, ValueError) as exc:
+            except _DAMAGE as exc:
                 problem(
                     f"day buffer {day_key!r} corrupt ({type(exc).__name__}: {exc}); "
                     "salvaged by dropping that day's buffered events"
@@ -546,7 +568,7 @@ class OnlineNetMaster:
     def to_json(self) -> str:
         """:meth:`state_dict` as a JSON string (checkpoint payload)."""
         metrics().inc("stream.checkpoints")
-        return json.dumps(self.state_dict())
+        return self.state_json()
 
     @classmethod
     def from_json(cls, payload: str) -> "OnlineNetMaster":

@@ -86,13 +86,14 @@ class ShardConfig:
 
 
 class _RecordingSink(DayCloseLog):
-    """Collects day-close records instead of writing them (for workers)."""
+    """Collects framed day-close records instead of writing them (for
+    workers): ``(payload, line)`` pairs, appended as they are."""
 
     def __init__(self) -> None:
-        self.records: list[dict] = []
+        self.records: list[tuple[dict, str | None]] = []
 
-    def append(self, payload: dict) -> None:
-        self.records.append(payload)
+    def append(self, payload: dict, line: str | None = None) -> None:
+        self.records.append((payload, line))
 
 
 def stream_user_durable(
@@ -263,8 +264,8 @@ class ShardedFleetService(FleetService):
             for (i, _, store, _), (summary, alerts, records) in zip(
                 todo, _map_users(payloads, jobs)
             ):
-                for record in records:
-                    store.append(record)
+                for payload, line in records:
+                    store.append(payload, line)
                 slots[i] = (summary, alerts)
         return [slot for slot in slots if slot is not None]
 

@@ -34,10 +34,16 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro._util import write_json_atomic, write_text_atomic
-from repro.stream.shards.wal import append_record, read_wal, repair_wal
+# Called through the module, so a wrapper installed on ``wal`` (the
+# benchmark's byte counter on ``encode_record``) sees every call.
+from repro.stream.shards import wal
 from repro.telemetry import metrics
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.stream.fleet import UserDriver
 
 logger = logging.getLogger(__name__)
 
@@ -96,21 +102,36 @@ class RecoveryReport:
 
 
 class DayCloseLog:
-    """The WAL's day-close record format, written through ``append``."""
+    """The WAL's day-close record format, written through ``append``.
 
-    def append(self, payload: dict) -> None:
+    A record carries the driver's state (``{"engine": ..., "acc": ...}``,
+    :meth:`~repro.stream.fleet.UserDriver.state_dict`).  It is framed
+    here, once, with the engine's JSON text spliced in from
+    :meth:`~repro.stream.online_netmaster.OnlineNetMaster.state_json` —
+    which encodes each closed habit day once, not once per record — and
+    ``append`` gets the payload together with that line.
+    """
+
+    def append(self, payload: dict, line: str | None = None) -> None:
         raise NotImplementedError
 
-    def log_day(self, user_id: str, state: dict) -> None:
-        """Log one day close: the user's driver state after that day
-        (``{"engine": ..., "acc": ...}``)."""
-        self.append({"type": "day", "user_id": user_id, **state})
+    def log_day(self, driver: "UserDriver") -> None:
+        """Log one day close: the driver's state after that day."""
+        self._log("day", driver)
 
-    def log_done(self, user_id: str, state: dict, summary: dict) -> None:
+    def log_done(self, driver: "UserDriver", summary: dict) -> None:
         """Log a user's completion with their frozen summary."""
-        self.append(
-            {"type": "done", "user_id": user_id, **state, "summary": summary}
+        self._log("done", driver, summary)
+
+    def _log(self, kind: str, driver: "UserDriver", summary: dict | None = None) -> None:
+        engine = driver.engine
+        payload = {"type": kind, "user_id": engine.user_id, **driver.state_dict()}
+        if summary is not None:
+            payload["summary"] = summary
+        line = wal.encode_record(
+            payload, {"engine": engine.state_json(wal.SEPARATORS)}
         )
+        self.append(payload, line)
 
 
 @dataclass
@@ -211,14 +232,16 @@ class ShardStore(DayCloseLog):
             self._write_manifest(snapshot=None, snapshot_sha256=None)
         self._initialized = True
 
-    def append(self, payload: dict) -> None:
+    def append(self, payload: dict, line: str | None = None) -> None:
         """Durably log one record, fold it in, maybe compact.
 
-        The record is on disk (written + flushed) before the in-memory
-        state changes — the WAL is *ahead* of everything else.
+        ``line`` is the record's WAL line when the caller framed it
+        already (:class:`DayCloseLog`).  The record is on disk (written
+        + flushed) before the in-memory state changes — the WAL is
+        *ahead* of everything else.
         """
         self._ensure_initialized()
-        append_record(self.wal_path, payload, fsync=self.fsync)
+        wal.append_record(self.wal_path, payload, fsync=self.fsync, line=line)
         self.appends += 1
         self._wal_records += 1
         self._apply(payload, during_replay=False)
@@ -370,10 +393,10 @@ class ShardStore(DayCloseLog):
         if snapshot_name is not None:
             self._load_snapshot(snapshot_name, snapshot_sha, issues)
 
-        result = read_wal(self.wal_path)
+        result = wal.read_wal(self.wal_path)
         if result.damaged:
             issues.append(f"WAL {self.wal_path.name}: {result.issue}")
-            repair_wal(self.wal_path, result)
+            wal.repair_wal(self.wal_path, result)
         for payload in result.records:
             self._apply(payload, during_replay=True)
         self._wal_records = len(result.records)

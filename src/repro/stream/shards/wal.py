@@ -30,9 +30,11 @@ import logging
 import os
 import signal
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro._util import dumps_spliced
 from repro.telemetry import metrics
 
 logger = logging.getLogger(__name__)
@@ -45,10 +47,19 @@ KILL_AFTER_ENV = "REPRO_WAL_KILL_AFTER"
 
 _appends_this_process = 0
 
+#: Separators of a record's canonical (compact) JSON payload.
+SEPARATORS = (",", ":")
 
-def encode_record(payload: dict) -> str:
-    """One WAL line (no trailing newline) framing ``payload``."""
-    body = json.dumps(payload, separators=(",", ":"))
+
+def encode_record(payload: dict, spliced: Mapping[str, str] | None = None) -> str:
+    """One WAL line (no trailing newline) framing ``payload``.
+
+    The payload is ``json.dumps(payload, separators=SEPARATORS)``.  A
+    value whose compact JSON text the caller holds already can be given
+    in ``spliced`` (keyed like ``payload``) and is written as that text
+    (:func:`repro._util.dumps_spliced`); the line is the same.
+    """
+    body = dumps_spliced(payload, spliced or {}, SEPARATORS)
     crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
     return f"{crc:08x} {body}"
 
@@ -92,17 +103,23 @@ def _maybe_kill() -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def append_record(path: str | Path, payload: dict, *, fsync: bool = False) -> None:
+def append_record(
+    path: str | Path, payload: dict, *, fsync: bool = False, line: str | None = None
+) -> None:
     """Durably append one record to the WAL at ``path``.
 
-    The line is written and flushed in one call; with ``fsync`` the
-    kernel is also asked to reach the platter before returning (slower,
-    but survives power loss as well as process death).
+    ``line`` is the record's :func:`encode_record` line when the caller
+    has framed it already; otherwise ``payload`` is framed here.  The
+    line is written and flushed in one call; with ``fsync`` the kernel
+    is also asked to reach the platter before returning (slower, but
+    survives power loss as well as process death).
     """
+    if line is None:
+        line = encode_record(payload)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(encode_record(payload) + "\n")
+        fh.write(line + "\n")
         fh.flush()
         if fsync:
             os.fsync(fh.fileno())

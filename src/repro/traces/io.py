@@ -402,48 +402,75 @@ def trace_to_csv(trace: Trace, prefix: str | Path) -> list[Path]:
     return paths
 
 
-def trace_from_csv(prefix: str | Path) -> Trace:
-    """Load a trace previously written by :func:`trace_to_csv`."""
-    prefix = Path(prefix)
-
+def _csv_meta(prefix: Path) -> dict:
+    """The header fields of ``<prefix>_meta.csv`` (exactly one row)."""
     meta_path = prefix.with_name(prefix.name + "_meta.csv")
     with meta_path.open() as fh:
         rows = list(csv.DictReader(fh))
     if len(rows) != 1:
         raise ValueError(f"{meta_path} must contain exactly one metadata row")
     meta = rows[0]
+    return {
+        "user_id": meta["user_id"],
+        "n_days": int(meta["n_days"]),
+        "start_weekday": int(meta["start_weekday"]),
+    }
 
-    sessions_path = prefix.with_name(prefix.name + "_sessions.csv")
-    with sessions_path.open() as fh:
-        sessions = [
-            ScreenSession(float(r["start"]), float(r["end"])) for r in csv.DictReader(fh)
-        ]
 
-    usages_path = prefix.with_name(prefix.name + "_usages.csv")
-    with usages_path.open() as fh:
-        usages = [
-            AppUsage(float(r["time"]), r["app"], float(r["duration"]))
-            for r in csv.DictReader(fh)
-        ]
+def _csv_session(row: dict) -> ScreenSession:
+    return ScreenSession(_number(row, "start"), _number(row, "end"))
 
-    activities_path = prefix.with_name(prefix.name + "_activities.csv")
-    with activities_path.open() as fh:
-        activities = [
-            NetworkActivity(
-                time=float(r["time"]),
-                app=r["app"],
-                down_bytes=float(r["down_bytes"]),
-                up_bytes=float(r["up_bytes"]),
-                duration=float(r["duration"]),
-                screen_on=bool(int(r["screen_on"])),
-            )
-            for r in csv.DictReader(fh)
-        ]
 
+def _csv_usage(row: dict) -> AppUsage:
+    return AppUsage(_number(row, "time"), row["app"], _number(row, "duration"))
+
+
+def _csv_activity(row: dict) -> NetworkActivity:
+    return NetworkActivity(
+        time=_number(row, "time"),
+        app=row["app"],
+        down_bytes=_number(row, "down_bytes"),
+        up_bytes=_number(row, "up_bytes"),
+        duration=_number(row, "duration"),
+        screen_on=bool(int(row["screen_on"])),
+    )
+
+
+def _csv_records(prefix: Path, report: TraceLoadReport | None) -> tuple[list, list, list]:
+    """Sessions, usages and activities of a CSV trace.
+
+    Every number goes through :func:`_number`, so ``nan`` and ``inf``
+    are malformed like any other unparsable value.  A malformed row
+    raises, or — given a ``report`` — is skipped and reported.
+    """
+
+    def load_rows(suffix: str, build) -> list:
+        rows_path = prefix.with_name(prefix.name + suffix)
+        out = []
+        with rows_path.open() as fh:
+            for rowno, row in enumerate(csv.DictReader(fh), start=2):
+                try:
+                    out.append(build(row))
+                except (KeyError, TypeError, ValueError) as exc:
+                    if report is None:
+                        raise
+                    report.skipped.append((f"{rows_path.name}:{rowno}", str(exc)))
+        return out
+
+    return (
+        load_rows("_sessions.csv", _csv_session),
+        load_rows("_usages.csv", _csv_usage),
+        load_rows("_activities.csv", _csv_activity),
+    )
+
+
+def trace_from_csv(prefix: str | Path) -> Trace:
+    """Load a trace previously written by :func:`trace_to_csv`."""
+    prefix = Path(prefix)
+    header = _csv_meta(prefix)
+    sessions, usages, activities = _csv_records(prefix, None)
     return Trace(
-        user_id=meta["user_id"],
-        n_days=int(meta["n_days"]),
-        start_weekday=int(meta["start_weekday"]),
+        **header,
         screen_sessions=sessions,
         usages=usages,
         activities=activities,
@@ -454,55 +481,14 @@ def trace_from_csv_lenient(prefix: str | Path) -> tuple[Trace, TraceLoadReport]:
     """Load a CSV trace, skipping and reporting malformed rows.
 
     The metadata file must still parse (one valid row); malformed rows in
-    the sessions/usages/activities files are skipped and reported, and
-    contradictory ``screen_on`` flags repaired, as in
-    :func:`trace_from_jsonl_lenient`.
+    the sessions/usages/activities files — non-finite numbers included —
+    are skipped and reported, and contradictory ``screen_on`` flags
+    repaired, as in :func:`trace_from_jsonl_lenient`.
     """
     prefix = Path(prefix)
-
-    meta_path = prefix.with_name(prefix.name + "_meta.csv")
-    with meta_path.open() as fh:
-        rows = list(csv.DictReader(fh))
-    if len(rows) != 1:
-        raise ValueError(f"{meta_path} must contain exactly one metadata row")
-    meta = rows[0]
-    header = {
-        "user_id": meta["user_id"],
-        "n_days": int(meta["n_days"]),
-        "start_weekday": int(meta["start_weekday"]),
-    }
-
+    header = _csv_meta(prefix)
     report = TraceLoadReport()
-
-    def load_rows(suffix: str, build) -> list:
-        rows_path = prefix.with_name(prefix.name + suffix)
-        out = []
-        with rows_path.open() as fh:
-            for rowno, row in enumerate(csv.DictReader(fh), start=2):
-                try:
-                    out.append(build(row))
-                except (KeyError, TypeError, ValueError) as exc:
-                    report.skipped.append((f"{rows_path.name}:{rowno}", str(exc)))
-        return out
-
-    sessions = load_rows(
-        "_sessions.csv", lambda r: ScreenSession(float(r["start"]), float(r["end"]))
-    )
-    usages = load_rows(
-        "_usages.csv",
-        lambda r: AppUsage(float(r["time"]), r["app"], float(r["duration"])),
-    )
-    activities = load_rows(
-        "_activities.csv",
-        lambda r: NetworkActivity(
-            time=float(r["time"]),
-            app=r["app"],
-            down_bytes=float(r["down_bytes"]),
-            up_bytes=float(r["up_bytes"]),
-            duration=float(r["duration"]),
-            screen_on=bool(int(r["screen_on"])),
-        ),
-    )
+    sessions, usages, activities = _csv_records(prefix, report)
     return _build_trace_lenient(header, sessions, usages, activities, report), report
 
 

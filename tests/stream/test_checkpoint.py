@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.stream import CheckpointError, OnlineNetMaster, load_checkpoint, stream_trace
 
@@ -91,3 +93,123 @@ class TestLenient:
         completed = engine.finish(volunteer.n_days)
         assert engine.day == volunteer.n_days
         assert isinstance(completed, list)
+
+
+class TestWrongShapedCore:
+    """A core part of another JSON type is an unusable core, not a crash."""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda doc: doc.__setitem__("habits", []),
+            lambda doc: doc.__setitem__("config", []),
+            lambda doc: doc["habits"].__setitem__("pending_rows", 3),
+        ],
+        ids=["habits-list", "config-list", "pending-rows-number"],
+    )
+    def test_reported_lenient_and_typed_strict(self, damage):
+        doc = OnlineNetMaster("u").state_dict()
+        damage(doc)
+        payload = json.dumps(doc)
+        load = load_checkpoint(payload, strict=False)
+        assert load.engine is None
+        assert any("nothing salvageable" in issue for issue in load.issues)
+        with pytest.raises(CheckpointError, match="core state"):
+            load_checkpoint(payload)
+
+
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    return "array" if isinstance(value, list) else "object"
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)
+)
+#: A value of each JSON type (floats include NaN and the infinities,
+#: which ``json.loads`` accepts; integers include ones no float holds).
+JSON_VALUES = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "number": st.one_of(st.integers(), st.floats()),
+    "string": st.text(max_size=6),
+    "array": st.lists(_SCALARS, max_size=3),
+    "object": st.dictionaries(st.text(max_size=4), _SCALARS, max_size=3),
+}
+
+
+def _fields(doc, path=()):
+    """Every member path of ``doc``: each object key at any depth, and
+    the first element of each non-empty array."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list) and doc:
+        items = [(0, doc[0])]
+    else:
+        return
+    for key, value in items:
+        yield path + (key,), value
+        yield from _fields(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module", params=["unbounded", "window", "decay"])
+def mid_stream(request, volunteers):
+    """A real mid-stream checkpoint: closed and pending habit rows,
+    executed days, an open-day buffer and monitor feedback windows."""
+    volunteer = volunteers[0]
+    retention = {"unbounded": {}, "window": {"window_days": 3}, "decay": {"decay": 0.9}}
+    engine = OnlineNetMaster(volunteer.user_id, train_days=8, **retention[request.param])
+    records = list(stream_trace(volunteer))
+    engine.observe_many(records[: 3 * len(records) // 4])
+    engine.drain()
+    engine.quarantined_until = engine.day + 1
+    engine.adoption_frozen_until = engine.day + 2
+    doc = engine.state_dict()
+    assert doc["buffers"] and doc["habits"]["pending_rows"]
+    return doc
+
+
+class TestRetypedFields:
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_every_retyped_field_gives_a_typed_outcome(self, mid_stream, data):
+        """Each field of the checkpoint, in turn, becomes a value of
+        another JSON type: the lenient load never raises, the strict one
+        raises only :class:`CheckpointError` (exactly when the lenient
+        one reports an issue), and an engine either returns serializes
+        to the plain encoder's bytes."""
+        for path, value in _fields(mid_stream):
+            kind = _json_type(value)
+            other = data.draw(
+                st.sampled_from(sorted(set(JSON_VALUES) - {kind})).flatmap(
+                    JSON_VALUES.__getitem__
+                ),
+                label=".".join(map(str, path)),
+            )
+            payload = json.dumps(_replaced(mid_stream, path, other))
+            lenient = load_checkpoint(payload, strict=False)
+            try:
+                strict = load_checkpoint(payload)
+            except CheckpointError:
+                assert lenient.issues, path
+            else:
+                assert strict.ok and not lenient.issues, path
+            if lenient.engine is not None:
+                engine = lenient.engine
+                assert engine.to_json() == json.dumps(engine.state_dict()), path

@@ -228,6 +228,41 @@ class TestCsvLenient:
             trace_from_csv_lenient(prefix)
 
 
+#: One row with a non-finite number, per CSV file.
+NON_FINITE_ROWS = {
+    "usage time nan": ("_usages.csv", "nan,browser,1.0"),
+    "activity down_bytes inf": ("_activities.csv", "8000.0,browser,inf,1.0,1.0,0"),
+    "session end -inf": ("_sessions.csv", "9000.0,-inf"),
+    "usage duration infinity": ("_usages.csv", "8000.0,browser,Infinity"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_ROWS))
+class TestCsvNonFinite:
+    @staticmethod
+    def _write(tiny_trace, tmp_path, case):
+        prefix = tmp_path / "trace"
+        trace_to_csv(tiny_trace, prefix)
+        suffix, row = NON_FINITE_ROWS[case]
+        with prefix.with_name("trace" + suffix).open("a") as fh:
+            fh.write(row + "\n")
+        return prefix, suffix
+
+    def test_strict_refuses(self, tiny_trace, tmp_path, case):
+        prefix, _ = self._write(tiny_trace, tmp_path, case)
+        with pytest.raises(ValueError, match="finite"):
+            trace_from_csv(prefix)
+
+    def test_lenient_skips_and_reports(self, tiny_trace, tmp_path, case):
+        prefix, suffix = self._write(tiny_trace, tmp_path, case)
+        loaded, report = trace_from_csv_lenient(prefix)
+        assert report.n_skipped == 1
+        location, reason = report.skipped[0]
+        assert location.startswith("trace" + suffix + ":")
+        assert "finite" in reason
+        _assert_traces_equal(tiny_trace, loaded)
+
+
 class TestCohortDir:
     def test_round_trip(self, tmp_path):
         from repro.traces import generate_cohort

@@ -12,14 +12,14 @@ Run:  python examples/future_work.py
 
 from __future__ import annotations
 
-from repro import HabitModel, generate_volunteers
+from repro import generate_volunteers
 from repro.evaluation import (
     channel_extension,
     cohort_scale,
     hidden_impact,
     learning_curve,
-    split_history,
 )
+from repro.stream import OnlineHabitModel, stream_trace
 
 
 def main() -> None:
@@ -50,10 +50,11 @@ def main() -> None:
     for days, accuracy in zip(curve.history_days, curve.accuracy):
         print(f"  {days:2d} training days -> {accuracy:.3f} slot-prediction accuracy")
     trace = generate_volunteers(14, seed=43)[0]
-    history, days = split_history(trace, 10)
-    model = HabitModel.fit(history)
-    for day in days:
-        model = model.updated_with(day)  # O(24) nightly refresh
+    online = OnlineHabitModel(trace.user_id, start_weekday=trace.start_weekday)
+    online.observe_many(stream_trace(trace))  # the monitoring component's records
+    for day in range(trace.n_days):
+        online.close_day(day)  # nightly refresh: the fit of days 0..day, bit for bit
+    model = online.to_model()
     print(f"  online model now covers {model.n_weekdays} weekdays + "
           f"{model.n_weekends} weekend days without a batch refit")
 

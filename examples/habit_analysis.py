@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import SpecialAppRegistry, generate_cohort
+from repro import HabitModel, generate_cohort
 from repro.habits import cross_user_matrix, day_matrix, intra_user_average, mean_offdiagonal
 from repro.traces import (
     cohort_traffic_split,
@@ -59,7 +59,7 @@ def main() -> None:
           "   (paper: 0.54)")
 
     print("\n=== Fig 5: Special Apps (user 3) ===")
-    registry = SpecialAppRegistry.from_trace(cohort[2])
+    registry = HabitModel.fit(cohort[2]).special_apps
     print(f"  {len(registry.special)} of 23 installed apps are special")
     for app, share in sorted(registry.usage_share().items(), key=lambda kv: -kv[1]):
         print(f"  {app:35s} {share:6.1%}")

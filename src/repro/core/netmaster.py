@@ -3,10 +3,10 @@
 :class:`NetMaster` wires the three components together exactly as the
 architecture figure (Fig. 6) draws them:
 
-* **monitoring** — a :class:`~repro.traces.store.TraceStore` fed with the
-  history trace (on a phone this is the event/time-triggered recorder);
+* **monitoring** — the history trace handed to :meth:`NetMaster.train`
+  (on a phone this is the event/time-triggered recorder);
 * **mining** — :class:`~repro.habits.prediction.HabitModel` fitted from
-  the store's matrices, plus the Special-App registry;
+  that history, plus the Special-App registry;
 * **scheduling** — :class:`~repro.core.scheduler.NetMasterScheduler`
   (decision making) and :class:`~repro.core.adjustment.RealTimeAdjustment`
   (duty cycle + Special Apps).
@@ -35,7 +35,6 @@ from repro.radio.power import RadioPowerModel, wcdma_model
 from repro.radio.rrc import TruncatedTail
 from repro.telemetry import metrics, tracer
 from repro.traces.events import NetworkActivity, Trace
-from repro.traces.store import TraceStore
 
 logger = logging.getLogger(__name__)
 
@@ -131,7 +130,6 @@ class NetMaster:
 
     def __init__(self, config: NetMasterConfig | None = None) -> None:
         self.config = config or NetMasterConfig()
-        self.store = TraceStore()
         self.habit: HabitModel | None = None
         self.scheduler: NetMasterScheduler | None = None
         self.adjustment: RealTimeAdjustment | None = None
@@ -153,14 +151,13 @@ class NetMaster:
     # training (monitoring + mining)
     # ------------------------------------------------------------------
     def train(self, history: Trace) -> HabitModel:
-        """Ingest a history trace and fit the habit model.
+        """Fit the habit model on a history trace and adopt it.
 
         The fitted model is health-checked: too few observed days of a
         day type, or NaN/inf smuggled in by a corrupted monitoring store,
         flips the middleware into duty-cycle-only degradation (unless
         ``degrade_on_insufficient_history`` is off).
         """
-        self.store.ingest_trace(history)
         return self.adopt_model(HabitModel.fit(history))
 
     def adopt_model(self, habit: HabitModel) -> HabitModel:

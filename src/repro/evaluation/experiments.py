@@ -51,7 +51,7 @@ from repro.traces.analysis import (
     rate_percentile,
 )
 from repro.telemetry import tracer
-from repro.traces.events import Trace
+from repro.traces.events import ScreenSession, Trace
 from repro.traces.generator import generate_cohort, generate_volunteers
 
 #: History/test split used for the Section VI experiments: train on the
@@ -61,7 +61,12 @@ DEFAULT_TEST_DAYS = 4
 
 
 def split_history(trace: Trace, n_history_days: int) -> tuple[Trace, list[Trace]]:
-    """Split a trace into a training prefix and held-out single days."""
+    """Split a trace into a training prefix and held-out single days.
+
+    A screen session crossing the cut is clipped there, as
+    :meth:`Trace.day_view` clips one crossing midnight: the history
+    keeps its screen time, and the screen-on activities inside it.
+    """
     if not 0 < n_history_days < trace.n_days:
         raise ValueError(
             f"n_history_days must be in (0, {trace.n_days}), got {n_history_days}"
@@ -71,7 +76,11 @@ def split_history(trace: Trace, n_history_days: int) -> tuple[Trace, list[Trace]
         user_id=trace.user_id,
         n_days=n_history_days,
         start_weekday=trace.start_weekday,
-        screen_sessions=[s for s in trace.screen_sessions if s.end <= horizon],
+        screen_sessions=[
+            ScreenSession(s.start, min(s.end, horizon))
+            for s in trace.screen_sessions
+            if s.start < horizon
+        ],
         usages=[u for u in trace.usages if u.time < horizon],
         activities=[a for a in trace.activities if a.time < horizon],
     )

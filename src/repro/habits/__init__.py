@@ -1,13 +1,6 @@
 """Habit mining: intensity vectors, Pearson analysis, slot prediction."""
 
-from repro.habits.intensity import (
-    network_bytes_matrix,
-    network_intensity_matrix,
-    screen_use_matrix,
-    split_by_daytype,
-    usage_intensity_matrix,
-    usage_intensity_vector,
-)
+from repro.habits.intensity import usage_intensity_matrix, usage_intensity_vector
 from repro.habits.pearson import (
     cohort_cross_user_average,
     cross_user_matrix,
@@ -64,14 +57,10 @@ __all__ = [
     "intra_user_average",
     "load_habit_model",
     "mean_offdiagonal",
-    "network_bytes_matrix",
-    "network_intensity_matrix",
     "pairwise_matrix",
     "pearson",
     "prediction_accuracy",
     "save_habit_model",
-    "screen_use_matrix",
-    "split_by_daytype",
     "usage_intensity_matrix",
     "usage_intensity_vector",
 ]

@@ -1,16 +1,17 @@
-"""Hour-level intensity vectors — the raw material of habit mining.
+"""Hour-level usage intensity — the input of the Pearson analysis.
 
 The paper's mining component works entirely at the hour level ("usage
 intensity": total times of usage in an hour).  This module converts traces
-into ``(n_days, 24)`` matrices and 24-dimensional vectors for usage,
-screen-phone-use indicators, and (screen-off) network activity.
+into ``(n_days, 24)`` usage-count matrices and 24-dimensional vectors
+(Figs. 3-4).  The habit model's own hour statistics are folded by
+:class:`~repro.stream.online_habits.OnlineHabitModel`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro._util import HOURS_PER_DAY, day_of, hour_of
+from repro._util import HOURS_PER_DAY
 from repro.traces.events import Trace
 
 
@@ -27,69 +28,3 @@ def usage_intensity_matrix(trace: Trace) -> np.ndarray:
 def usage_intensity_vector(trace: Trace) -> np.ndarray:
     """24-dim total usage intensity over the whole trace (Fig. 3 input)."""
     return usage_intensity_matrix(trace).sum(axis=0)
-
-
-def screen_use_matrix(trace: Trace) -> np.ndarray:
-    """``(n_days, 24)`` binary phone-used-in-hour indicators ``u(t_i)_j``.
-
-    A slot counts as used when any screen session overlaps it, including
-    sessions that span hour or midnight boundaries.
-    """
-    matrix = np.zeros((trace.n_days, HOURS_PER_DAY), dtype=np.float64)
-    for session in trace.screen_sessions:
-        t = session.start
-        last = max(session.start, session.end - 1e-9)
-        while True:
-            day, hour = day_of(t), hour_of(t)
-            if day < trace.n_days:
-                matrix[day, hour] = 1.0
-            # Advance to the start of the next hour bin.
-            next_bin = (np.floor(t / 3600.0) + 1.0) * 3600.0
-            if next_bin > last:
-                break
-            t = next_bin
-    return matrix
-
-
-def network_intensity_matrix(trace: Trace, *, screen_off_only: bool = True) -> np.ndarray:
-    """``(n_days, 24)`` network-activity counts per day-hour.
-
-    With ``screen_off_only`` (the default) this is the per-hour evidence
-    behind screen-off network slot prediction, i.e. ``Σ_m n(p_m, t_i)_j``.
-    """
-    matrix = np.zeros((trace.n_days, HOURS_PER_DAY), dtype=np.float64)
-    for activity in trace.activities:
-        if screen_off_only and activity.screen_on:
-            continue
-        day = day_of(activity.time)
-        if day < trace.n_days:
-            matrix[day, hour_of(activity.time)] += 1.0
-    return matrix
-
-
-def network_bytes_matrix(trace: Trace, *, screen_off_only: bool = True) -> np.ndarray:
-    """``(n_days, 24)`` transferred bytes per day-hour (V(n) evidence)."""
-    matrix = np.zeros((trace.n_days, HOURS_PER_DAY), dtype=np.float64)
-    for activity in trace.activities:
-        if screen_off_only and activity.screen_on:
-            continue
-        day = day_of(activity.time)
-        if day < trace.n_days:
-            matrix[day, hour_of(activity.time)] += activity.total_bytes
-    return matrix
-
-
-def split_by_daytype(matrix: np.ndarray, trace: Trace) -> tuple[np.ndarray, np.ndarray]:
-    """Split a ``(n_days, 24)`` matrix into (weekday rows, weekend rows).
-
-    NetMaster applies different δ strategies to weekdays and weekends
-    (Section IV-C1), so all predictors fit the two day types separately.
-    """
-    if matrix.shape[0] != trace.n_days:
-        raise ValueError(
-            f"matrix has {matrix.shape[0]} rows but the trace spans {trace.n_days} days"
-        )
-    weekend_mask = np.array(
-        [trace.is_weekend_day(d) for d in range(trace.n_days)], dtype=bool
-    )
-    return matrix[~weekend_mask], matrix[weekend_mask]

@@ -21,12 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro._util import DAY, HOUR, HOURS_PER_DAY, check_fraction
-from repro.habits.intensity import (
-    network_bytes_matrix,
-    network_intensity_matrix,
-    screen_use_matrix,
-    split_by_daytype,
-)
 from repro.habits.special_apps import SpecialAppRegistry
 from repro.habits.threshold import DeltaStrategy, FixedDelta, ImpactBasedDelta
 from repro.traces.events import Trace
@@ -130,121 +124,26 @@ class HabitModel:
     # ------------------------------------------------------------------
     @classmethod
     def fit(cls, history: Trace) -> "HabitModel":
-        """Fit from ``k`` days of monitoring history (Eqs. (2)-(3))."""
+        """Fit from ``k`` days of monitoring history (Eqs. (2)-(3)): the
+        history folded through the online engine's accumulator
+        (:class:`~repro.stream.online_habits.OnlineHabitModel`), every day
+        closed."""
+        from repro.stream.online_habits import OnlineHabitModel
         from repro.telemetry import metrics, tracer
 
         metrics().inc("habits.fits")
         with tracer().span("habit-fit", "habits", days=history.n_days):
-            return cls._fit(history)
-
-    @classmethod
-    def _fit(cls, history: Trace) -> "HabitModel":
-        use = screen_use_matrix(history)
-        net = network_intensity_matrix(history, screen_off_only=True)
-        net_bytes = network_bytes_matrix(history, screen_off_only=True)
-        net_secs = _net_seconds_matrix(history)
-        screen_secs = _screen_seconds_matrix(history)
-
-        use_wd, use_we = split_by_daytype(use, history)
-        net_wd, net_we = split_by_daytype(net, history)
-        bytes_wd, bytes_we = split_by_daytype(net_bytes, history)
-        nsecs_wd, nsecs_we = split_by_daytype(net_secs, history)
-        secs_wd, secs_we = split_by_daytype(screen_secs, history)
-
-        def mean(rows: np.ndarray) -> np.ndarray:
-            return rows.mean(axis=0) if rows.shape[0] else np.zeros(HOURS_PER_DAY)
-
-        return cls(
-            user_id=history.user_id,
-            n_weekdays=use_wd.shape[0],
-            n_weekends=use_we.shape[0],
-            weekday_user_probs=mean(use_wd),
-            weekend_user_probs=mean(use_we),
-            weekday_net_counts=mean(net_wd),
-            weekend_net_counts=mean(net_we),
-            weekday_net_bytes=mean(bytes_wd),
-            weekend_net_bytes=mean(bytes_we),
-            weekday_net_seconds=mean(nsecs_wd),
-            weekend_net_seconds=mean(nsecs_we),
-            weekday_screen_seconds=mean(secs_wd),
-            weekend_screen_seconds=mean(secs_we),
-            special_apps=SpecialAppRegistry.from_trace(history),
-        )
-
-    # ------------------------------------------------------------------
-    # incremental updates (the phone keeps monitoring after training)
-    # ------------------------------------------------------------------
-    def updated_with(self, day: Trace) -> "HabitModel":
-        """A new model with one more observed day folded in.
-
-        On a handset the monitoring component never stops; rather than
-        refitting over the whole store every night, the hour-level
-        statistics are all per-day means and can be updated in O(24).
-        ``day`` must be a single-day trace.
-        """
-        if day.n_days != 1:
-            raise ValueError("updated_with expects a single-day trace")
-        fresh = HabitModel.fit(day)
-        weekend = day.is_weekend_day(0)
-
-        def merge(old: np.ndarray, new: np.ndarray, k: int) -> np.ndarray:
-            return (old * k + new) / (k + 1)
-
-        if weekend:
-            k = self.n_weekends
-            kwargs = dict(
-                n_weekdays=self.n_weekdays,
-                n_weekends=k + 1,
-                weekday_user_probs=self.weekday_user_probs,
-                weekend_user_probs=merge(self.weekend_user_probs, fresh.weekend_user_probs, k),
-                weekday_net_counts=self.weekday_net_counts,
-                weekend_net_counts=merge(self.weekend_net_counts, fresh.weekend_net_counts, k),
-                weekday_net_bytes=self.weekday_net_bytes,
-                weekend_net_bytes=merge(self.weekend_net_bytes, fresh.weekend_net_bytes, k),
-                weekday_net_seconds=self.weekday_net_seconds,
-                weekend_net_seconds=merge(
-                    self.weekend_net_seconds, fresh.weekend_net_seconds, k
-                ),
-                weekday_screen_seconds=self.weekday_screen_seconds,
-                weekend_screen_seconds=merge(
-                    self.weekend_screen_seconds, fresh.weekend_screen_seconds, k
-                ),
+            online = OnlineHabitModel(
+                history.user_id, start_weekday=history.start_weekday
             )
-        else:
-            k = self.n_weekdays
-            kwargs = dict(
-                n_weekdays=k + 1,
-                n_weekends=self.n_weekends,
-                weekday_user_probs=merge(self.weekday_user_probs, fresh.weekday_user_probs, k),
-                weekend_user_probs=self.weekend_user_probs,
-                weekday_net_counts=merge(self.weekday_net_counts, fresh.weekday_net_counts, k),
-                weekend_net_counts=self.weekend_net_counts,
-                weekday_net_bytes=merge(self.weekday_net_bytes, fresh.weekday_net_bytes, k),
-                weekend_net_bytes=self.weekend_net_bytes,
-                weekday_net_seconds=merge(
-                    self.weekday_net_seconds, fresh.weekday_net_seconds, k
-                ),
-                weekend_net_seconds=self.weekend_net_seconds,
-                weekday_screen_seconds=merge(
-                    self.weekday_screen_seconds, fresh.weekday_screen_seconds, k
-                ),
-                weekend_screen_seconds=self.weekend_screen_seconds,
-            )
-
-        special = SpecialAppRegistry(
-            special=set(self.special_apps.special),
-            seen=set(self.special_apps.seen),
-            usage_counts=dict(self.special_apps.usage_counts),
-        )
-        networked = {a.app for a in day.activities}
-        for usage in day.usages:
-            special.observe(
-                usage.app, used=True, networked=usage.app in networked
-            )
-        for app in networked:
-            special.observe(app, used=False, networked=True)
-
-        return HabitModel(user_id=self.user_id, special_apps=special, **kwargs)
+            for session in history.screen_sessions:
+                online.observe_session(session)
+            for usage in history.usages:
+                online.observe_usage(usage)
+            for activity in history.activities:
+                online.observe_activity(activity)
+            online.close_through(history.n_days)
+            return online.to_model()
 
     # ------------------------------------------------------------------
     # per-day-type accessors
@@ -364,38 +263,6 @@ class HabitModel:
             if overlap > 0:
                 total += probs[hour] * overlap
         return total
-
-
-def _net_seconds_matrix(trace: Trace) -> np.ndarray:
-    """``(n_days, 24)`` screen-off transfer seconds per day-hour cell.
-
-    Durations are binned at the activity's start hour — background syncs
-    are seconds long, so sub-hour spill-over is negligible for planning.
-    """
-    matrix = np.zeros((trace.n_days, HOURS_PER_DAY), dtype=np.float64)
-    for activity in trace.activities:
-        if activity.screen_on:
-            continue
-        day = int(activity.time // DAY)
-        if day < trace.n_days:
-            matrix[day, int((activity.time % DAY) // HOUR)] += activity.duration
-    return matrix
-
-
-def _screen_seconds_matrix(trace: Trace) -> np.ndarray:
-    """``(n_days, 24)`` screen-on seconds per day-hour cell."""
-    matrix = np.zeros((trace.n_days, HOURS_PER_DAY), dtype=np.float64)
-    for session in trace.screen_sessions:
-        t = session.start
-        while t < session.end:
-            day = int(t // DAY)
-            hour = int((t % DAY) // HOUR)
-            bin_end = (np.floor(t / HOUR) + 1.0) * HOUR
-            seg_end = min(session.end, bin_end)
-            if day < trace.n_days:
-                matrix[day, hour] += seg_end - t
-            t = seg_end
-    return matrix
 
 
 def prediction_accuracy(prediction: SlotPrediction, day: Trace) -> float:

@@ -8,13 +8,15 @@ meaningful user interactions cheaply: in the paper's traces just 8 of the
 Newly-installed (never-before-seen) apps are conservatively treated as
 special to avoid false radio denials — the registry therefore remembers
 which apps it has *seen* at all, not just which qualified.
+
+A fitted :class:`~repro.habits.prediction.HabitModel` carries the
+registry of its history (``HabitModel.fit(history).special_apps``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.traces.events import Trace
 from repro.traces.store import TraceStore
 
 
@@ -29,20 +31,6 @@ class SpecialAppRegistry:
     # ------------------------------------------------------------------
     # fitting
     # ------------------------------------------------------------------
-    @classmethod
-    def from_trace(cls, trace: Trace) -> "SpecialAppRegistry":
-        """Fit from a history trace."""
-        used = {u.app for u in trace.usages}
-        networked = {a.app for a in trace.activities}
-        counts: dict[str, int] = {}
-        for usage in trace.usages:
-            counts[usage.app] = counts.get(usage.app, 0) + 1
-        return cls(
-            special=used & networked,
-            seen=used | networked | set(),
-            usage_counts=counts,
-        )
-
     @classmethod
     def from_store(cls, store: TraceStore) -> "SpecialAppRegistry":
         """Fit from the monitoring component's database."""
@@ -67,23 +55,6 @@ class SpecialAppRegistry:
         if app not in self.seen:
             return True
         return app in self.special
-
-    def observe(self, app: str, *, used: bool, networked: bool) -> None:
-        """Online update when the monitoring component sees ``app``.
-
-        An app becomes special the first time it has shown both a
-        foreground use and a network activity (in any order, across calls).
-        """
-        first_sight = app not in self.seen
-        self.seen.add(app)
-        if used:
-            self.usage_counts[app] = self.usage_counts.get(app, 0) + 1
-        if used and networked:
-            self.special.add(app)
-        elif first_sight and networked:
-            # Network traffic from an app never used in the foreground does
-            # not qualify it; it stays merely "seen".
-            pass
 
     def usage_share(self) -> dict[str, float]:
         """Fraction of all foreground usage per special app (Fig. 5)."""

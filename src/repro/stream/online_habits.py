@@ -1,15 +1,14 @@
-"""Incremental habit mining: the offline fit, one event at a time.
+"""Incremental habit mining: the habit fit, one event at a time.
 
 :class:`OnlineHabitModel` consumes a chronological record stream and
-maintains exactly the per-day hour-level rows the offline fit
-(:meth:`repro.habits.prediction.HabitModel._fit`) derives from a full
-trace: screen-use indicators, screen-off network counts/bytes/seconds,
-and screen-on seconds.  The arithmetic below is a literal port of the
-matrix builders in :mod:`repro.habits.intensity` and
-:mod:`repro.habits.prediction` — same operations, same order, same
-scalars — so after streaming a complete history and closing every day,
-:meth:`OnlineHabitModel.to_model` reproduces ``HabitModel.fit`` on that
-history **bit-exactly** (``habit_models_equal`` exact-byte equality).
+maintains the per-day hour-level rows of the habit statistics:
+screen-use indicators, screen-off network counts/bytes/seconds, and
+screen-on seconds.  It is the one habit fitter: the offline
+:meth:`repro.habits.prediction.HabitModel.fit` folds a whole history
+through it and closes every day, so a stream that has closed the same
+days holds **bit-exactly** the offline model (``habit_models_equal``
+exact-byte equality).  Its tests compare it, bit for bit, with a
+whole-trace matrix walk of the same statistics.
 
 Causality: contributions land in *pending* per-day rows as events
 arrive; a day only influences :meth:`to_model` once it is *closed*
@@ -44,7 +43,6 @@ import numpy as np
 from repro._util import DAY, HOUR, HOURS_PER_DAY, dumps_spliced, is_weekend
 from repro.habits.prediction import HabitModel
 from repro.habits.special_apps import SpecialAppRegistry
-from repro.telemetry import metrics
 from repro.traces.events import AppUsage, NetworkActivity, ScreenSession
 from repro.traces.io import TraceRecord
 
@@ -118,7 +116,7 @@ class _ClosedDay:
 
 
 class OnlineHabitModel:
-    """Streaming accumulator equivalent to the offline habit fit.
+    """Streaming accumulator of the habit statistics.
 
     Feed records with :meth:`observe` (in chronological order), close
     days with :meth:`close_day` as stream time crosses midnights, and
@@ -200,12 +198,12 @@ class OnlineHabitModel:
             self.observe(record)
 
     def observe_session(self, session: ScreenSession) -> None:
-        """Port of the screen-use and screen-seconds matrix walks."""
+        """Mark the hours a session overlaps as used; add its seconds to each."""
         pending = self._pending_rows
         start, end = session.start, session.end
-        # screen_use_matrix: binary used-in-hour indicators.  The floor of
-        # a finite double is exact as an int, so ``math.floor`` plus 1.0
-        # is the offline ``np.floor`` plus 1.0, bit for bit.
+        # Binary used-in-hour indicators.  The floor of a finite double is
+        # exact as an int, so ``math.floor`` plus 1.0 is ``np.floor`` plus
+        # 1.0, bit for bit.
         t = start
         last = max(start, end - 1e-9)
         while True:
@@ -214,7 +212,7 @@ class OnlineHabitModel:
             if next_bin > last:
                 break
             t = next_bin
-        # _screen_seconds_matrix: seconds of screen-on per hour cell.
+        # Seconds of screen-on per hour cell.
         t = start
         while t < end:
             seg_end = min(end, (math.floor(t / HOUR) + 1.0) * HOUR)
@@ -229,7 +227,8 @@ class OnlineHabitModel:
         counts[usage.app] = counts.get(usage.app, 0) + 1
 
     def observe_activity(self, activity: NetworkActivity) -> None:
-        """Port of the network count/bytes/seconds matrix updates."""
+        """Screen-off count, bytes and seconds, binned at the start hour
+        (background syncs are seconds long, so spill-over is negligible)."""
         time = activity.time
         day = int(time // DAY)
         self._pending_apps[day]["networked"].add(activity.app)
@@ -271,8 +270,6 @@ class OnlineHabitModel:
         self.last_drift = drift
         if self._counts[daytype] > 0 and drift > self.drift_threshold:
             self.drift_alerts += 1
-            metrics().inc("stream.drift_alerts")
-        metrics().inc("stream.habit_days_closed")
 
         if self.frozen:
             return drift
@@ -314,9 +311,10 @@ class OnlineHabitModel:
         days = self._days[daytype]
         if not days:
             return np.zeros(HOURS_PER_DAY)
-        # np.stack yields the same C-contiguous (k, 24) float64 block the
-        # offline fit's boolean row-indexing does, so mean(axis=0) is the
-        # identical reduction — this is the bit-exactness linchpin.
+        # np.stack yields the same C-contiguous (k, 24) float64 block a
+        # boolean row-indexing of a (n_days, 24) matrix does, so
+        # mean(axis=0) is the identical reduction — the test oracle's
+        # bit-exactness linchpin.
         return np.stack([day.rows[kind] for day in days]).mean(axis=0)
 
     @property

@@ -342,7 +342,12 @@ class OnlineNetMaster:
             self._completed.append(
                 CompletedDay(day_index=day, trace=trace, execution=execution)
             )
+        alerts = self.habits.drift_alerts
         self.habits.close_day(day)
+        reg = metrics()
+        reg.inc("stream.habit_days_closed")
+        if self.habits.drift_alerts > alerts:
+            reg.inc("stream.drift_alerts")
 
     def finish(self, n_days: int) -> list[CompletedDay]:
         """Close all days through ``n_days`` and drain the results."""

@@ -138,6 +138,9 @@ class Trace:
     Invariants (enforced by :meth:`validate`, called on construction):
 
     * event lists are sorted by start time;
+    * every record lies in ``[0, horizon)`` — a session starts at or
+      after 0 and ends by the horizon; a usage or activity starts in
+      ``[0, horizon)``;
     * screen sessions are disjoint;
     * every screen-on activity's original time falls inside some session,
       and every screen-off activity's falls outside all sessions.
@@ -166,6 +169,16 @@ class Trace:
         if not 0 <= self.start_weekday < 7:
             raise ValueError(f"start_weekday must be in [0, 7), got {self.start_weekday}")
         horizon = self.n_days * DAY
+        # The lists are sorted, so their first and last records bound them.
+        if self.screen_sessions and self.screen_sessions[0].start < 0.0:
+            raise ValueError("screen session starts before the trace epoch")
+        for kind, records in (("usage", self.usages), ("activity", self.activities)):
+            if not records:
+                continue
+            first, last = records[0].time, records[-1].time
+            if first < 0.0 or last >= horizon:
+                bad = first if first < 0.0 else last
+                raise ValueError(f"{kind} at t={bad} lies outside [0, {horizon:g}) s")
         prev_end = -np.inf
         for session in self.screen_sessions:
             if session.start < prev_end:

@@ -82,8 +82,9 @@ def _build_trace_lenient(
 ) -> Trace:
     """Assemble a valid :class:`Trace` from possibly-inconsistent parts.
 
-    Sessions that overlap a kept neighbour or spill past the trace
-    horizon are dropped (reported); activity ``screen_on`` flags are then
+    Sessions that start before 0, overlap a kept neighbour or spill past
+    the trace horizon, and usages and activities outside ``[0, horizon)``,
+    are dropped (reported); activity ``screen_on`` flags are then
     recomputed against the surviving sessions so the Trace invariants
     hold by construction.
     """
@@ -92,6 +93,11 @@ def _build_trace_lenient(
     kept_sessions: list[ScreenSession] = []
     prev_end = float("-inf")
     for s in sorted(sessions, key=lambda s: s.start):
+        if s.start < 0.0:
+            report.skipped.append(
+                (f"session@{s.start:g}", "starts before the trace epoch")
+            )
+            continue
         if s.start < prev_end:
             report.skipped.append(
                 (f"session@{s.start:g}", "overlaps the previous screen session")
@@ -104,6 +110,20 @@ def _build_trace_lenient(
             continue
         kept_sessions.append(s)
         prev_end = s.end
+
+    def within_horizon(kind: str, records: list) -> list:
+        kept = []
+        for r in records:
+            if 0.0 <= r.time < horizon:
+                kept.append(r)
+            else:
+                report.skipped.append(
+                    (f"{kind}@{r.time:g}", "lies outside the trace horizon")
+                )
+        return kept
+
+    usages = within_horizon("usage", usages)
+    activities = within_horizon("activity", activities)
 
     skeleton = Trace(
         user_id=str(header["user_id"]),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import GapServicer, RealTimeAdjustment
-from repro.habits import SpecialAppRegistry
+from repro.habits import HabitModel
 from repro.traces import NetworkActivity
 
 
@@ -116,7 +116,7 @@ class TestGapServicer:
 class TestRealTimeAdjustment:
     def test_special_app_gating(self, tiny_trace):
         adjustment = RealTimeAdjustment(
-            special_apps=SpecialAppRegistry.from_trace(tiny_trace)
+            special_apps=HabitModel.fit(tiny_trace).special_apps
         )
         assert adjustment.allow_radio("com.tencent.mm")
         assert not adjustment.allow_radio("com.android.email")

@@ -30,7 +30,6 @@ class TestLifecycle:
         assert trained.habit is not None
         assert trained.scheduler is not None
         assert trained.adjustment is not None
-        assert trained.store.n_days() >= 10
 
     def test_plan_day_fresh_each_call(self, trained):
         a = trained.plan_day(weekend=False)

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro._util import DAY
 from repro.evaluation import (
     approximation_ratio,
     fig1a,
@@ -29,6 +32,9 @@ from repro.evaluation import (
     split_history,
     user_experience,
 )
+from repro.traces import generate_cohort, generate_volunteers
+
+from tests.traces.strategies import valid_traces
 
 
 class TestMotivationFigures:
@@ -242,3 +248,32 @@ class TestSplitHistory:
             split_history(volunteer, 0)
         with pytest.raises(ValueError):
             split_history(volunteer, volunteer.n_days)
+
+    @settings(max_examples=200, deadline=None)
+    @given(trace=valid_traces(), data=st.data())
+    def test_history_keeps_screen_time_before_the_cut(self, trace, data):
+        assume(trace.n_days > 1)
+        cut = data.draw(st.integers(min_value=1, max_value=trace.n_days - 1))
+        history, days = split_history(trace, cut)
+        assert history.total_screen_on_time() == _screen_time_before(trace, cut * DAY)
+        assert len(days) == trace.n_days - cut
+
+    @pytest.mark.parametrize(
+        "traces",
+        [
+            pytest.param(lambda: generate_volunteers(14, seed=0), id="volunteers-seed0"),
+            pytest.param(lambda: generate_cohort(21, seed=15), id="cohort-seed15"),
+        ],
+    )
+    def test_session_crossing_the_cut_is_clipped(self, traces):
+        crossed = 0
+        for trace in traces():
+            cut = 10 * DAY
+            crossed += any(s.start < cut < s.end for s in trace.screen_sessions)
+            history, _ = split_history(trace, 10)
+            assert history.total_screen_on_time() == _screen_time_before(trace, cut)
+        assert crossed  # the seed exercises the clip
+
+
+def _screen_time_before(trace, cut: float) -> float:
+    return sum(min(s.end, cut) - s.start for s in trace.screen_sessions if s.start < cut)

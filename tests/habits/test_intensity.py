@@ -1,4 +1,9 @@
-"""Tests for hour-level intensity matrices."""
+"""Tests for hour-level intensity matrices.
+
+The usage matrices are shipped (the Pearson analysis reads them).  The
+screen-use, network and day-type matrices live in the habit oracle; the
+cases below pin the hour-binning rules the fitted model must follow.
+"""
 
 from __future__ import annotations
 
@@ -6,15 +11,15 @@ import numpy as np
 import pytest
 
 from repro._util import DAY
-from repro.habits import (
+from repro.habits import usage_intensity_matrix, usage_intensity_vector
+from repro.traces import ScreenSession, Trace
+
+from tests.habits.habit_oracle import (
     network_bytes_matrix,
     network_intensity_matrix,
     screen_use_matrix,
     split_by_daytype,
-    usage_intensity_matrix,
-    usage_intensity_vector,
 )
-from repro.traces import NetworkActivity, ScreenSession, Trace
 
 
 class TestUsageMatrices:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from repro.habits import SpecialAppRegistry
-from repro.traces import TraceStore
+from repro._util import DAY
+from repro.habits import HabitModel, SpecialAppRegistry
+from repro.stream import OnlineHabitModel
+from repro.traces import AppUsage, NetworkActivity, TraceStore
 
 
 class TestFitting:
     def test_from_trace(self, tiny_trace):
-        registry = SpecialAppRegistry.from_trace(tiny_trace)
+        registry = HabitModel.fit(tiny_trace).special_apps
         # Used AND networked.
         assert registry.is_special("com.tencent.mm")
         assert registry.is_special("browser")
@@ -20,41 +22,48 @@ class TestFitting:
         store = TraceStore()
         store.ingest_trace(tiny_trace)
         registry = SpecialAppRegistry.from_store(store)
-        assert registry.special == SpecialAppRegistry.from_trace(tiny_trace).special
+        assert registry.special == HabitModel.fit(tiny_trace).special_apps.special
 
     def test_unknown_app_is_special(self, tiny_trace):
-        registry = SpecialAppRegistry.from_trace(tiny_trace)
+        registry = HabitModel.fit(tiny_trace).special_apps
         assert registry.is_special("brand.new.app")
 
 
 class TestOnlineUpdates:
+    """The registry as the online model refreshes it, one closed day at a time."""
+
     def test_observe_promotes(self):
-        registry = SpecialAppRegistry()
-        registry.observe("app", used=True, networked=False)
-        assert not registry.is_special("app")  # seen but not qualified
-        registry.observe("app", used=True, networked=True)
-        assert registry.is_special("app")
+        online = OnlineHabitModel("u")
+        online.observe(AppUsage(100.0, "app", 5.0))
+        online.close_day(0)
+        assert not online.registry().is_special("app")  # seen but not qualified
+        online.observe(NetworkActivity(DAY + 100.0, "app", 10.0, 0.0, 1.0, False))
+        online.close_day(1)
+        assert online.registry().is_special("app")
 
     def test_network_only_never_qualifies(self):
-        registry = SpecialAppRegistry()
-        registry.observe("pusher", used=False, networked=True)
-        assert not registry.is_special("pusher")
+        online = OnlineHabitModel("u")
+        online.observe(NetworkActivity(100.0, "pusher", 10.0, 0.0, 1.0, False))
+        online.close_day(0)
+        assert "pusher" in online.registry().seen
+        assert not online.registry().is_special("pusher")
 
     def test_usage_counts_accumulate(self):
-        registry = SpecialAppRegistry()
-        for _ in range(3):
-            registry.observe("app", used=True, networked=True)
-        assert registry.usage_counts["app"] == 3
+        online = OnlineHabitModel("u")
+        for day in range(3):
+            online.observe(AppUsage(day * DAY + 100.0, "app", 5.0))
+            online.close_day(day)
+        assert online.registry().usage_counts["app"] == 3
 
 
 class TestShares:
     def test_usage_share_sums_to_one(self, tiny_trace):
-        registry = SpecialAppRegistry.from_trace(tiny_trace)
+        registry = HabitModel.fit(tiny_trace).special_apps
         share = registry.usage_share()
         assert sum(share.values()) == 1.0
 
     def test_dominant_app(self, cohort):
-        registry = SpecialAppRegistry.from_trace(cohort[2])
+        registry = HabitModel.fit(cohort[2]).special_apps
         dominant = registry.dominant_app()
         assert dominant is not None
         app, share = dominant

@@ -1,4 +1,4 @@
-"""OnlineHabitModel: bit-exact parity with the offline fit."""
+"""OnlineHabitModel: bit-exact parity with the matrix oracle."""
 
 from __future__ import annotations
 
@@ -7,9 +7,12 @@ import json
 import pytest
 
 from repro._util import DAY, HOUR
-from repro.habits import HabitModel, habit_models_equal
+from repro.evaluation import split_history
+from repro.habits import habit_models_equal
 from repro.stream import OnlineHabitModel, event_time, stream_trace
 from repro.traces import NetworkActivity, ScreenSession
+
+from tests.habits.habit_oracle import oracle_fit, oracle_registry
 
 
 def _streamed(trace, **kwargs) -> OnlineHabitModel:
@@ -25,11 +28,11 @@ class TestBitExactParity:
     def test_matches_offline_fit(self, volunteers):
         for trace in volunteers:
             online = _streamed(trace)
-            assert habit_models_equal(online.to_model(), HabitModel.fit(trace))
+            assert habit_models_equal(online.to_model(), oracle_fit(trace))
 
     def test_registry_matches(self, volunteer):
         online = _streamed(volunteer)
-        assert online.registry() == HabitModel.fit(volunteer).special_apps
+        assert online.registry() == oracle_registry(volunteer)
 
     def test_parity_survives_state_round_trip(self, volunteer):
         online = OnlineHabitModel(
@@ -44,7 +47,7 @@ class TestBitExactParity:
         )
         restored.observe_many(records[cut:])
         restored.close_through(volunteer.n_days)
-        assert habit_models_equal(restored.to_model(), HabitModel.fit(volunteer))
+        assert habit_models_equal(restored.to_model(), oracle_fit(volunteer))
 
     def test_state_round_trip_is_byte_identical(self, volunteer):
         online = _streamed(volunteer)
@@ -60,25 +63,8 @@ class TestBitExactParity:
         online.observe_many(stream_trace(volunteer))
         online.close_through(10)  # days 10.. remain pending
         assert online.n_weekdays + online.n_weekends == 10
-        clipped = HabitModel.fit(_prefix(volunteer, 10))
+        clipped = oracle_fit(split_history(volunteer, 10)[0])
         assert habit_models_equal(online.to_model(), clipped)
-
-
-def _prefix(trace, n_days):
-    """The first ``n_days`` of a trace, sessions clipped at the horizon."""
-    horizon = n_days * DAY
-    return type(trace)(
-        user_id=trace.user_id,
-        n_days=n_days,
-        start_weekday=trace.start_weekday,
-        screen_sessions=[
-            ScreenSession(s.start, min(s.end, horizon))
-            for s in trace.screen_sessions
-            if s.start < horizon
-        ],
-        usages=[u for u in trace.usages if u.time < horizon],
-        activities=[a for a in trace.activities if a.time < horizon],
-    )
 
 
 class TestRetentionModes:

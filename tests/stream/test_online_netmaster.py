@@ -7,34 +7,18 @@ import math
 
 import pytest
 
-from repro._util import DAY
+from repro import telemetry
+from repro._util import DAY, HOUR
 from repro.core.netmaster import NetMaster, NetMasterConfig
+from repro.evaluation import split_history
 from repro.stream import OnlineNetMaster, event_time, stream_trace
-from repro.traces import AppUsage, NetworkActivity, ScreenSession, Trace
+from repro.traces import AppUsage, NetworkActivity, ScreenSession
 
 TRAIN_DAYS = 10
 
 #: Breaker disabled so the offline reference (fresh middleware per day,
 #: breaker state reset) matches the long-lived online engine exactly.
 CONFIG = NetMasterConfig(enable_circuit_breaker=False)
-
-
-def _clipped_prefix(trace: Trace, n_days: int) -> Trace:
-    """The first ``n_days`` as the online engine saw them: sessions that
-    cross the horizon are clipped, not dropped (unlike ``split_history``)."""
-    horizon = n_days * DAY
-    return Trace(
-        user_id=trace.user_id,
-        n_days=n_days,
-        start_weekday=trace.start_weekday,
-        screen_sessions=[
-            ScreenSession(s.start, min(s.end, horizon))
-            for s in trace.screen_sessions
-            if s.start < horizon
-        ],
-        usages=[u for u in trace.usages if u.time < horizon],
-        activities=[a for a in trace.activities if a.time < horizon],
-    )
 
 
 def _signature(execution):
@@ -78,7 +62,7 @@ class TestDecisionParity:
         )
         for c in completed:
             reference = NetMaster(CONFIG)
-            reference.train(_clipped_prefix(volunteer, c.day_index))
+            reference.train(split_history(volunteer, c.day_index)[0])
             offline = reference.execute_day(volunteer.day_view(c.day_index))
             assert _signature(c.execution) == _signature(offline)
 
@@ -231,3 +215,19 @@ class TestStreamContract:
         engine.finish(volunteer.n_days)
         assert engine.habits.frozen
         assert engine.habits.n_weekdays + engine.habits.n_weekends == TRAIN_DAYS
+
+
+class TestHabitCounters:
+    def test_engine_counts_closed_days_and_drift_alerts(self):
+        engine = OnlineNetMaster("drift", config=CONFIG, train_days=TRAIN_DAYS)
+        engine.habits.drift_threshold = 0.3
+        with telemetry.isolated(with_tracing=False) as (reg, _):
+            # Four habitual weekdays (hours 8-9), then one far off profile.
+            for day in range(4):
+                engine.observe(ScreenSession(day * DAY + 8 * HOUR, day * DAY + 10 * HOUR))
+            engine.observe(ScreenSession(4 * DAY + 10 * HOUR, 5 * DAY - 1.0))
+            engine.finish(6)
+            counters = reg.snapshot()["counters"]
+        assert engine.habits.drift_alerts == 1
+        assert counters["stream.habit_days_closed"] == 6
+        assert counters["stream.drift_alerts"] == 1

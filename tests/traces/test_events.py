@@ -184,6 +184,35 @@ class TestTraceInvariants:
                 ],
             )
 
+    @pytest.mark.parametrize(
+        "records",
+        [
+            {"activities": [NetworkActivity(-1800.0, "a", 5000.0, 0.0, 5.0, False)]},
+            {"usages": [AppUsage(-1.0, "a", 1.0)]},
+            {"screen_sessions": [ScreenSession(-10.0, 10.0)]},
+            {"activities": [NetworkActivity(90000.0, "b", 10.0, 0.0, 1.0, False)]},
+            {"usages": [AppUsage(90000.0, "b", 1.0)]},
+            {"usages": [AppUsage(DAY, "b", 1.0)]},
+        ],
+        ids=[
+            "activity-negative", "usage-negative", "session-negative",
+            "activity-past-horizon", "usage-past-horizon", "usage-at-horizon",
+        ],
+    )
+    def test_rejects_record_outside_the_horizon(self, records):
+        with pytest.raises(ValueError, match="outside|before"):
+            Trace(user_id="u", n_days=1, start_weekday=0, **records)
+
+    def test_accepts_records_at_the_horizon_edges(self):
+        trace = Trace(
+            user_id="u",
+            n_days=1,
+            start_weekday=0,
+            screen_sessions=[ScreenSession(0.0, 10.0), ScreenSession(DAY - 10.0, DAY)],
+            usages=[AppUsage(0.0, "a", 1.0), AppUsage(DAY - 1e-6, "a", 1.0)],
+        )
+        assert len(trace.usages) == 2
+
     def test_rejects_bad_n_days(self):
         with pytest.raises(ValueError, match="n_days"):
             Trace(user_id="u", n_days=0, start_weekday=0)

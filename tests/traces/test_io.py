@@ -263,6 +263,72 @@ class TestCsvNonFinite:
         _assert_traces_equal(tiny_trace, loaded)
 
 
+#: One record outside the 1-day tiny trace's [0, 86400) s, per kind:
+#: its CSV file and row, and its JSONL record.
+OUT_OF_RANGE = {
+    "activity at -1800 s": (
+        "_activities.csv",
+        "-1800.0,a,5000.0,0.0,5.0,0",
+        {"kind": "network", "time": -1800.0, "app": "a", "down_bytes": 5000.0,
+         "up_bytes": 0.0, "duration": 5.0, "screen_on": False},
+    ),
+    "activity at 90000 s": (
+        "_activities.csv",
+        "90000.0,b,10.0,0.0,1.0,0",
+        {"kind": "network", "time": 90000.0, "app": "b", "down_bytes": 10.0,
+         "up_bytes": 0.0, "duration": 1.0, "screen_on": False},
+    ),
+    "usage at 90000 s": (
+        "_usages.csv",
+        "90000.0,b,1.0",
+        {"kind": "usage", "time": 90000.0, "app": "b", "duration": 1.0},
+    ),
+    "session from -10 s": (
+        "_sessions.csv",
+        "-10.0,10.0",
+        {"kind": "screen", "start": -10.0, "end": 10.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+class TestOutOfRangeRecords:
+    @staticmethod
+    def _jsonl(tiny_trace, tmp_path, case):
+        path = tmp_path / "trace.jsonl"
+        trace_to_jsonl(tiny_trace, path)
+        with path.open("a") as fh:
+            fh.write(json.dumps(OUT_OF_RANGE[case][2]) + "\n")
+        return path
+
+    @staticmethod
+    def _csv(tiny_trace, tmp_path, case):
+        prefix = tmp_path / "trace"
+        trace_to_csv(tiny_trace, prefix)
+        suffix, row, _ = OUT_OF_RANGE[case]
+        with prefix.with_name("trace" + suffix).open("a") as fh:
+            fh.write(row + "\n")
+        return prefix
+
+    def test_jsonl_strict_refuses(self, tiny_trace, tmp_path, case):
+        with pytest.raises(ValueError, match="outside|before"):
+            trace_from_jsonl(self._jsonl(tiny_trace, tmp_path, case))
+
+    def test_csv_strict_refuses(self, tiny_trace, tmp_path, case):
+        with pytest.raises(ValueError, match="outside|before"):
+            trace_from_csv(self._csv(tiny_trace, tmp_path, case))
+
+    def test_jsonl_lenient_skips_and_reports(self, tiny_trace, tmp_path, case):
+        loaded, report = trace_from_jsonl_lenient(self._jsonl(tiny_trace, tmp_path, case))
+        assert report.n_skipped == 1
+        _assert_traces_equal(tiny_trace, loaded)
+
+    def test_csv_lenient_skips_and_reports(self, tiny_trace, tmp_path, case):
+        loaded, report = trace_from_csv_lenient(self._csv(tiny_trace, tmp_path, case))
+        assert report.n_skipped == 1
+        _assert_traces_equal(tiny_trace, loaded)
+
+
 class TestCohortDir:
     def test_round_trip(self, tmp_path):
         from repro.traces import generate_cohort

@@ -1,7 +1,7 @@
 """Perf pipeline benchmark: caching, parallel fan-out, solver + replay kernels.
 
 Unlike the figure benchmarks this one times the *infrastructure* — the
-content-addressed trace cache (memory and disk tiers), the chunked
+content-addressed trace cache (in-process LRU), the chunked
 process-parallel policy sweep, the numpy FPTAS kernels and the
 vectorized RRC replay engine — and writes ``BENCH_perf.json`` at the
 repo root so successive PRs can track the perf trajectory.
@@ -17,8 +17,6 @@ import json
 import os
 from pathlib import Path
 
-import pytest
-
 from repro.runtime.bench import (
     bench_cohort,
     bench_fptas_batch,
@@ -26,34 +24,20 @@ from repro.runtime.bench import (
     bench_replay_kernel,
     run_bench,
 )
-from repro.runtime.cache import configure_cache, default_cache
 
 #: Worker count for the sweep benchmarks (never more than the machine has).
 JOBS = max(2, min(4, os.cpu_count() or 2))
 
 
-@pytest.fixture()
-def tmp_cache_dir(tmp_path):
-    """Point the default cache at a throwaway on-disk store."""
-    prev = default_cache().cache_dir
-    configure_cache(cache_dir=tmp_path / "trace-cache")
-    yield tmp_path / "trace-cache"
-    configure_cache(cache_dir=prev)
-
-
-def test_cohort_cache_cold_vs_warm(report, tmp_cache_dir):
-    """A warm in-process cache hit beats regeneration by >= 10x, and the
-    on-disk store sees real traffic (stores on cold, hits on disk-warm)."""
+def test_cohort_cache_cold_vs_warm(report):
+    """A warm in-process cache hit beats regeneration by >= 10x."""
     result = bench_cohort(n_days=21, seed=2014)
     report(
         f"cohort generation: cold {result['cold_s']:.3f}s, "
-        f"warm {result['warm_s']:.5f}s ({result['warm_speedup']:.0f}x), "
-        f"disk-warm {result['disk_warm_s']:.4f}s"
+        f"warm {result['warm_s']:.5f}s ({result['warm_speedup']:.0f}x)"
     )
     assert result["cache"]["hits"] >= 1
     assert result["warm_speedup"] >= 10.0
-    assert result["disk_stores"] > 0
-    assert result["disk_hits"] >= 1
 
 
 def test_policy_sweep_parallel_matches_serial(report):
@@ -120,7 +104,6 @@ def test_write_bench_report(report, tmp_path_factory):
     ):
         assert section in on_disk
     assert on_disk["cohort_generation"]["warm_speedup"] >= 10.0
-    assert on_disk["cohort_generation"]["disk_stores"] > 0
     assert on_disk["policy_sweep"]["identical_results"]
     report(
         "BENCH_perf.json: cohort warm speedup "

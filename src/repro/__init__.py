@@ -83,7 +83,6 @@ from repro.runtime import (
     cache_stats,
     clear_cache,
     configure_cache,
-    parallel_map,
     run_policy_tasks,
 )
 from repro.telemetry import (
@@ -181,7 +180,6 @@ __all__ = [
     "knapsack_greedy",
     "lte_model",
     "metrics",
-    "parallel_map",
     "pearson",
     "prediction_accuracy",
     "run_policy_tasks",

@@ -193,13 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stdlib logging threshold (default: warning)",
     )
     parser.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        default=None,
-        help="persist generated cohorts on disk under PATH "
-        "(content-addressed; survives process restarts)",
-    )
-    parser.add_argument(
         "--no-trace-cache",
         action="store_true",
         help="disable the in-process trace cache (always regenerate)",
@@ -336,13 +329,10 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     # basicConfig is a no-op once handlers exist, so set the level directly.
     logging.getLogger().setLevel(level)
-    if args.no_trace_cache or args.cache_dir is not None:
+    if args.no_trace_cache:
         from repro.runtime.cache import configure_cache
 
-        if args.no_trace_cache:
-            configure_cache(enabled=False)
-        if args.cache_dir is not None:
-            configure_cache(cache_dir=args.cache_dir)
+        configure_cache(enabled=False)
     run_kwargs = dict(
         jobs=args.jobs,
         quick=args.quick,

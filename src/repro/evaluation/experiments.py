@@ -11,6 +11,7 @@ crossovers sit).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from repro.baselines import (
     NaivePolicy,
     NetMasterPolicy,
     OraclePolicy,
+    SchedulingPolicy,
 )
 from repro.core.duty_cycle import (
     ExponentialSleep,
@@ -397,6 +399,50 @@ def fig7(
 DELAY_SWEEP_S = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 10.0, 20.0, 30.0, 60.0, 120.0, 300.0, 600.0)
 
 
+def _sweep_vs_naive(
+    fig: str,
+    days: list[Trace],
+    points: Sequence[tuple[str, SchedulingPolicy]],
+    model: RadioPowerModel,
+    jobs: int,
+) -> tuple[list[float], list[float], list[float], list[float]]:
+    """One sweep curve set: each named policy over every held-out day.
+
+    Returns, per point, the energy saving, radio-time saving, downlink
+    bandwidth increase and affected-interaction ratio against the naive
+    baseline over the same days.  The baseline runs under the
+    ``<fig>-baseline`` span, the sweep under ``<fig>-sweep``.
+    """
+    with tracer().span(f"{fig}-baseline", "experiment", days=len(days)):
+        base_metrics = run_policy_over_days(NaivePolicy(), days, model)
+    base_energy = sum(m.energy_j for m in base_metrics)
+    base_radio = sum(m.radio_on_s for m in base_metrics)
+    base_rate = (
+        sum(m.bandwidth.avg_down_bps * m.radio_on_s for m in base_metrics) / base_radio
+    )
+
+    held_out = tuple(days)
+    tasks = [
+        PolicyTask(name=name, policy=policy, days=held_out, model=model)
+        for name, policy in points
+    ]
+    with tracer().span(f"{fig}-sweep", "experiment", tasks=len(tasks), jobs=jobs):
+        sweep = run_policy_tasks(tasks, jobs=jobs)
+
+    energy_saving, radio_saving, bw_increase, affected = [], [], [], []
+    for metrics in sweep:
+        total_e = sum(m.energy_j for m in metrics)
+        total_r = sum(m.radio_on_s for m in metrics)
+        rate = sum(m.bandwidth.avg_down_bps * m.radio_on_s for m in metrics) / total_r
+        energy_saving.append(1.0 - total_e / base_energy)
+        radio_saving.append(1.0 - total_r / base_radio)
+        bw_increase.append(rate / base_rate - 1.0)
+        total_aff = sum(m.affected_user_activities for m in metrics)
+        total_int = sum(m.user_interactions for m in metrics)
+        affected.append(total_aff / total_int if total_int else 0.0)
+    return energy_saving, radio_saving, bw_increase, affected
+
+
 @dataclass
 class Fig8Result:
     """Delay-method sweep (Figs. 8(a)-(c))."""
@@ -423,33 +469,13 @@ def fig8(
     split = [split_history(t, n_history_days) for t in volunteers]
     all_days = [day for _, days in split for day in days]
 
-    with tracer().span("fig8-baseline", "experiment", days=len(all_days)):
-        base_metrics = run_policy_over_days(NaivePolicy(), all_days, model)
-    base_energy = sum(m.energy_j for m in base_metrics)
-    base_radio = sum(m.radio_on_s for m in base_metrics)
-    base_rate = (
-        sum(m.bandwidth.avg_down_bps * m.radio_on_s for m in base_metrics) / base_radio
+    energy_saving, radio_saving, bw_increase, affected = _sweep_vs_naive(
+        "fig8",
+        all_days,
+        [(f"delay-{d:g}", DelayPolicy(d)) for d in delays_s],
+        model,
+        jobs,
     )
-
-    tasks = [
-        PolicyTask(name=f"delay-{d:g}", policy=DelayPolicy(d), days=tuple(all_days), model=model)
-        for d in delays_s
-    ]
-    with tracer().span("fig8-sweep", "experiment", tasks=len(tasks), jobs=jobs):
-        sweep = run_policy_tasks(tasks, jobs=jobs)
-
-    energy_saving, radio_saving, bw_increase, affected = [], [], [], []
-    for metrics in sweep:
-        total_e = sum(m.energy_j for m in metrics)
-        total_r = sum(m.radio_on_s for m in metrics)
-        rate = sum(m.bandwidth.avg_down_bps * m.radio_on_s for m in metrics) / total_r
-        energy_saving.append(1.0 - total_e / base_energy)
-        radio_saving.append(1.0 - total_r / base_radio)
-        bw_increase.append(rate / base_rate - 1.0)
-        total_aff = sum(m.affected_user_activities for m in metrics)
-        total_int = sum(m.user_interactions for m in metrics)
-        affected.append(total_aff / total_int if total_int else 0.0)
-
     return Fig8Result(
         delays_s=list(delays_s),
         energy_saving=energy_saving,
@@ -500,33 +526,13 @@ def fig9(
     split = [split_history(t, n_history_days) for t in volunteers]
     all_days = [day for _, days in split for day in days]
 
-    with tracer().span("fig9-baseline", "experiment", days=len(all_days)):
-        base_metrics = run_policy_over_days(NaivePolicy(), all_days, model)
-    base_energy = sum(m.energy_j for m in base_metrics)
-    base_radio = sum(m.radio_on_s for m in base_metrics)
-    base_rate = (
-        sum(m.bandwidth.avg_down_bps * m.radio_on_s for m in base_metrics) / base_radio
+    energy_saving, radio_saving, bw_increase, affected = _sweep_vs_naive(
+        "fig9",
+        all_days,
+        [(f"batch-{s}", BatchPolicy(s)) for s in batch_sizes],
+        model,
+        jobs,
     )
-
-    tasks = [
-        PolicyTask(name=f"batch-{s}", policy=BatchPolicy(s), days=tuple(all_days), model=model)
-        for s in batch_sizes
-    ]
-    with tracer().span("fig9-sweep", "experiment", tasks=len(tasks), jobs=jobs):
-        sweep = run_policy_tasks(tasks, jobs=jobs)
-
-    energy_saving, radio_saving, bw_increase, affected = [], [], [], []
-    for metrics in sweep:
-        total_e = sum(m.energy_j for m in metrics)
-        total_r = sum(m.radio_on_s for m in metrics)
-        rate = sum(m.bandwidth.avg_down_bps * m.radio_on_s for m in metrics) / total_r
-        energy_saving.append(1.0 - total_e / base_energy)
-        radio_saving.append(1.0 - total_r / base_radio)
-        bw_increase.append(rate / base_rate - 1.0)
-        total_aff = sum(m.affected_user_activities for m in metrics)
-        total_int = sum(m.user_interactions for m in metrics)
-        affected.append(total_aff / total_int if total_int else 0.0)
-
     return Fig9Result(
         batch_sizes=list(batch_sizes),
         energy_saving=energy_saving,

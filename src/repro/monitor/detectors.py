@@ -11,7 +11,7 @@ future verdicts (the same guarantee
 
 Detectors that learn a per-user baseline (runaway energy, savings
 collapse, model residual) are *self-excluding*: an alerted day is
-scored against the history but never folded into it, so a persistent
+scored against the history but never folded into it, so a sustained
 anomaly keeps firing instead of teaching the baseline to accept it.
 """
 

@@ -4,8 +4,8 @@
 end to end:
 
 * :mod:`repro.runtime.cache` — a content-addressed cohort cache keyed by
-  a SHA-256 digest of (profiles, seed, n_days, start_weekday), with an
-  in-process LRU plus an optional on-disk JSONL store;
+  a SHA-256 digest of (profiles, seed, n_days, start_weekday), held in
+  an in-process LRU;
 * :mod:`repro.runtime.parallel` — :class:`ParallelRunner` and picklable
   :class:`PolicyTask` descriptors fanning the (user × day × policy)
   evaluation grid over a process pool with deterministic ordering;
@@ -28,7 +28,6 @@ from repro.runtime.parallel import (
     PolicyTask,
     PolicyTaskError,
     execute_policy_tasks,
-    parallel_map,
     run_policy_tasks,
 )
 
@@ -44,6 +43,5 @@ __all__ = [
     "configure_cache",
     "default_cache",
     "execute_policy_tasks",
-    "parallel_map",
     "run_policy_tasks",
 ]

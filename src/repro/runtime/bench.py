@@ -5,15 +5,13 @@ optimization tier — and writes a JSON report so subsequent PRs can track
 the perf trajectory:
 
 * **cohort generation** — cold (cache cleared) vs warm (in-process LRU
-  hit) vs disk-warm (LRU dropped, rehydrated from the on-disk store)
-  for the paper's 8-user cohort;
+  hit) for the paper's 8-user cohort;
 * **policy sweep** — a Fig. 7-style (user × policy) grid at 1 and N
-  workers with chunked dispatch and content-addressed trace shipping,
-  plus a cross-check that every worker count produces identical energy
-  totals.  ``parallel_regression`` flags runs where the workers lost to
-  the serial loop on a multi-core host; with ``cpu_count == 1`` the
-  pool cannot win, so losing there is recorded (with ``cpu_count``) but
-  never flagged;
+  workers with chunked dispatch, plus a cross-check that every worker
+  count produces identical energy totals.  ``parallel_regression``
+  flags runs where the workers lost to the serial loop on a multi-core
+  host; with ``cpu_count == 1`` the pool cannot win, so losing there is
+  recorded (with ``cpu_count``) but never flagged;
 * **grid throughput** — the headline: the whole sweep grid priced in
   one lane-engine batch
   (:func:`repro.core.batch.measure_outcomes_columnar`) vs one cell per
@@ -73,7 +71,7 @@ from repro.core.netmaster import NetMasterConfig
 from repro.evaluation.experiments import split_history
 from repro.radio import simulate
 from repro.radio.power import wcdma_model
-from repro.runtime.cache import cache_stats, clear_cache, configure_cache, default_cache
+from repro.runtime.cache import cache_stats, clear_cache, default_cache
 from repro.runtime.parallel import PolicyTask, run_policy_tasks
 from repro.traces.generator import generate_cohort
 
@@ -90,18 +88,11 @@ def _timed(fn) -> tuple[float, object]:
 
 
 def bench_cohort(n_days: int = 21, seed: int = 2014, warm_repeats: int = 3) -> dict:
-    """Cold vs warm vs disk-warm cohort generation through the cache.
-
-    The disk-warm phase drops the in-process LRU and regenerates, so the
-    cohort must come back from the on-disk JSONL store — the same path
-    pool workers use to rehydrate shipped traces.  Requires the caller
-    to have configured a cache dir (``--cache-dir`` / ``run_bench``);
-    without one the disk fields are ``None``.
-    """
+    """Cold vs warm cohort generation through the in-process cache."""
     cache = default_cache()
     was_enabled = cache.enabled
     cache.enabled = True
-    clear_cache(disk=cache.cache_dir is not None)
+    clear_cache()
     try:
         cold_s, cohort = _timed(lambda: generate_cohort(n_days, seed=seed))
         warm_times = []
@@ -110,22 +101,13 @@ def bench_cohort(n_days: int = 21, seed: int = 2014, warm_repeats: int = 3) -> d
             warm_times.append(warm_s)
         warm_s = min(warm_times)
         assert [t.user_id for t in again] == [t.user_id for t in cohort]
-        disk_warm_s = None
-        if cache.cache_dir is not None:
-            cache.clear()  # drop the LRU only; the JSONL store survives
-            disk_warm_s, from_disk = _timed(lambda: generate_cohort(n_days, seed=seed))
-            assert [t.user_id for t in from_disk] == [t.user_id for t in cohort]
-        stats = cache_stats()
         return {
             "n_days": n_days,
             "n_users": len(cohort),
             "cold_s": cold_s,
             "warm_s": warm_s,
             "warm_speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
-            "disk_warm_s": disk_warm_s,
-            "disk_stores": stats["disk_stores"],
-            "disk_hits": stats["disk_hits"],
-            "cache": stats,
+            "cache": cache_stats(),
         }
     finally:
         cache.enabled = was_enabled
@@ -772,54 +754,38 @@ def run_bench(
     *,
     jobs: int = 2,
     quick: bool = False,
-    cache_dir: str | Path | None = None,
 ) -> dict:
     """Run every perf benchmark and (optionally) merge it into ``BENCH_perf.json``.
 
     ``quick`` shrinks the workloads for CI smoke runs; the structure of
-    the report is identical so trend tooling can read both.  The run
-    uses ``cache_dir`` as the on-disk trace store (a throwaway temp dir
-    when ``None``) so the disk-store and trace-shipping paths are always
-    exercised; the previous cache configuration is restored afterwards.
+    the report is identical so trend tooling can read both.
     """
-    cache = default_cache()
-    prev_dir = cache.cache_dir
-    tmp = None
-    if cache_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-bench-cache-")
-        cache_dir = tmp.name
-    configure_cache(cache_dir=cache_dir)
-    try:
-        if quick:
-            cohort = bench_cohort(n_days=7, warm_repeats=2)
-            sweep = bench_policy_sweep(jobs=jobs, n_days=14, n_history_days=10)
-            grid = bench_grid_throughput(n_days=14, n_history_days=10)
-            fptas = bench_fptas_batch(n_solves=10, n_items=60)
-            replay = bench_replay_kernel(n_sims=50, n_windows=200)
-            stream = bench_stream(
-                n_users=4, n_days=9, train_days=7, checkpoint_every_days=1
-            )
-            monitor = bench_monitor(n_users=4, n_days=9, train_days=7, repeats=2)
-            shard_recovery = bench_shard_recovery(
-                n_users=4, n_days=9, train_days=7, checkpoint_every_days=1
-            )
-            service_load = bench_service_load(
-                n_users=4, n_days=9, train_days=7, concurrency=3
-            )
-        else:
-            cohort = bench_cohort()
-            sweep = bench_policy_sweep(jobs=jobs)
-            grid = bench_grid_throughput()
-            fptas = bench_fptas_batch()
-            replay = bench_replay_kernel()
-            stream = bench_stream()
-            monitor = bench_monitor()
-            shard_recovery = bench_shard_recovery()
-            service_load = bench_service_load()
-    finally:
-        configure_cache(cache_dir=prev_dir)
-        if tmp is not None:
-            tmp.cleanup()
+    if quick:
+        cohort = bench_cohort(n_days=7, warm_repeats=2)
+        sweep = bench_policy_sweep(jobs=jobs, n_days=14, n_history_days=10)
+        grid = bench_grid_throughput(n_days=14, n_history_days=10)
+        fptas = bench_fptas_batch(n_solves=10, n_items=60)
+        replay = bench_replay_kernel(n_sims=50, n_windows=200)
+        stream = bench_stream(
+            n_users=4, n_days=9, train_days=7, checkpoint_every_days=1
+        )
+        monitor = bench_monitor(n_users=4, n_days=9, train_days=7, repeats=2)
+        shard_recovery = bench_shard_recovery(
+            n_users=4, n_days=9, train_days=7, checkpoint_every_days=1
+        )
+        service_load = bench_service_load(
+            n_users=4, n_days=9, train_days=7, concurrency=3
+        )
+    else:
+        cohort = bench_cohort()
+        sweep = bench_policy_sweep(jobs=jobs)
+        grid = bench_grid_throughput()
+        fptas = bench_fptas_batch()
+        replay = bench_replay_kernel()
+        stream = bench_stream()
+        monitor = bench_monitor()
+        shard_recovery = bench_shard_recovery()
+        service_load = bench_service_load()
     report = {
         "schema": 1,
         "quick": quick,
@@ -1051,11 +1017,6 @@ def main(argv: list[str] | None = None) -> int:
         help="exit non-zero unless warm-cache cohort generation beat cold",
     )
     parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="on-disk trace store for the run (default: throwaway temp dir)",
-    )
-    parser.add_argument(
         "--compare",
         default=None,
         metavar="PATH",
@@ -1064,23 +1025,14 @@ def main(argv: list[str] | None = None) -> int:
         "or warm-cohort time",
     )
     args = parser.parse_args(argv)
-    report = run_bench(
-        args.out, jobs=args.jobs, quick=args.quick, cache_dir=args.cache_dir
-    )
+    report = run_bench(args.out, jobs=args.jobs, quick=args.quick)
     cohort = report["cohort_generation"]
     sweep = report["policy_sweep"]
     fptas = report["fptas_batch"]
     replay = report["replay_kernel"]
-    disk_warm = (
-        f", disk-warm {cohort['disk_warm_s']:.4f}s"
-        if cohort["disk_warm_s"] is not None
-        else ""
-    )
     print(
         f"cohort generation: cold {cohort['cold_s']:.3f}s, "
         f"warm {cohort['warm_s']:.4f}s ({cohort['warm_speedup']:.1f}x)"
-        f"{disk_warm} [disk stores {cohort['disk_stores']}, "
-        f"hits {cohort['disk_hits']}]"
     )
     print(
         f"policy sweep ({sweep['n_tasks']} tasks): serial {sweep['serial_s']:.3f}s, "

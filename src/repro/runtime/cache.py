@@ -6,13 +6,8 @@ byte-identical synthetic traces from the same ``(profiles, seed, n_days,
 start_weekday)`` tuple.  This module keys each generated cohort by a
 stable SHA-256 digest of that tuple's full content (including every
 persona parameter and app-model field, so custom profiles are cached
-correctly and config changes can never alias) and serves repeats from:
-
-* an in-process LRU of recently generated cohorts, and
-* an optional on-disk store (one JSONL file per trace under a digest
-  directory), which survives process restarts and is safe to share
-  between concurrent runs — writes go to a temp directory that is
-  atomically renamed into place.
+correctly and config changes can never alias) and serves repeats from
+an in-process LRU of recently generated cohorts.
 
 Cache hits return *independent* :class:`~repro.traces.events.Trace`
 objects: event lists are fresh, so a caller mutating its cohort cannot
@@ -22,10 +17,8 @@ bit-identical to a regeneration; the cache is therefore enabled by
 default and :func:`cache_stats` exposes hit/miss counters for
 observability.
 
-Environment knobs (read when the default cache is first created):
-
-* ``REPRO_TRACE_CACHE=0`` — disable caching entirely;
-* ``REPRO_TRACE_CACHE_DIR=<path>`` — enable the on-disk store there.
+``REPRO_TRACE_CACHE=0`` (read when the default cache is first created)
+disables caching entirely.
 """
 
 from __future__ import annotations
@@ -33,45 +26,19 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import logging
 import os
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from repro.telemetry import metrics
 from repro.traces.events import Trace
-from repro.traces.io import trace_from_jsonl, trace_to_jsonl
 from repro.traces.users import UserProfile
-
-logger = logging.getLogger(__name__)
 
 #: Default size of the in-process LRU (whole cohorts, not traces).
 DEFAULT_MAX_ENTRIES = 32
-
-#: Manifest schema version for the on-disk store.
-_DISK_FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class TraceRef:
-    """Content-addressed provenance of a trace served by the cache.
-
-    ``generate_cohort`` tags every trace it returns with one of these
-    (``trace.cache_ref``); ``Trace.day_view`` propagates the tag with the
-    day index filled in.  The parallel runner ships refs instead of
-    pickled traces whenever the on-disk store holds the cohort — workers
-    then rehydrate from disk once per process instead of receiving the
-    same trace bytes in every task.
-    """
-
-    key: str
-    user_index: int
-    day_index: int | None = None
 
 
 # ----------------------------------------------------------------------
@@ -175,40 +142,29 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    disk_hits: int = 0
-    disk_stores: int = 0
     evictions: int = 0
 
     def as_dict(self) -> dict[str, int]:
         """Plain-dict view (JSON-friendly)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "disk_stores": self.disk_stores,
-            "evictions": self.evictions,
-        }
+        return {"hits": self.hits, "misses": self.misses, "evictions": self.evictions}
 
 
 @dataclass
 class TraceCache:
-    """In-process LRU + optional on-disk store for generated cohorts."""
+    """In-process LRU of generated cohorts."""
 
     max_entries: int = DEFAULT_MAX_ENTRIES
-    cache_dir: Path | None = None
     enabled: bool = True
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
         if self.max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {self.max_entries}")
-        if self.cache_dir is not None:
-            self.cache_dir = Path(self.cache_dir)
         self._memory: OrderedDict[str, list[Trace]] = OrderedDict()
 
     # -- lookup/store --------------------------------------------------
     def lookup(self, key: str) -> list[Trace] | None:
-        """Fetch a cohort by digest, memory first, then disk."""
+        """Fetch a cohort by digest."""
         if not self.enabled:
             return None
         cached = self._memory.get(key)
@@ -217,22 +173,13 @@ class TraceCache:
             self.stats.hits += 1
             metrics().inc("runtime.cache.hits")
             return _copy_cohort(cached)
-        traces = self._disk_load(key)
-        if traces is not None:
-            self.stats.hits += 1
-            self.stats.disk_hits += 1
-            metrics().inc("runtime.cache.hits")
-            metrics().inc("runtime.cache.disk_hits")
-            self._memory_put(key, traces)
-            return _copy_cohort(traces)
         return None
 
     def put(self, key: str, traces: list[Trace]) -> None:
-        """Store a cohort under its digest (memory and, if set, disk)."""
+        """Store a cohort under its digest."""
         if not self.enabled:
             return
         self._memory_put(key, _copy_cohort(traces))
-        self._disk_store(key, traces)
 
     def get_or_generate(
         self, key: str, factory: Callable[[], list[Trace]]
@@ -247,24 +194,9 @@ class TraceCache:
         self.put(key, traces)
         return traces
 
-    def has_disk_entry(self, key: str) -> bool:
-        """Whether the on-disk store holds a (complete) entry for ``key``.
-
-        Only the manifest's presence is checked — a stored entry is
-        written atomically, so a manifest implies complete trace files.
-        """
-        entry = self._entry_dir(key)
-        return entry is not None and (entry / "manifest.json").exists()
-
-    def clear(self, *, disk: bool = False) -> None:
-        """Drop the in-memory LRU (and optionally the on-disk store)."""
+    def clear(self) -> None:
+        """Drop every cached cohort."""
         self._memory.clear()
-        if disk and self.cache_dir is not None and self.cache_dir.exists():
-            for entry in self.cache_dir.iterdir():
-                if entry.is_dir() and (entry / "manifest.json").exists():
-                    for child in entry.iterdir():
-                        child.unlink()
-                    entry.rmdir()
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -277,84 +209,6 @@ class TraceCache:
             self._memory.popitem(last=False)
             self.stats.evictions += 1
 
-    # -- disk store ----------------------------------------------------
-    def _entry_dir(self, key: str) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / key
-
-    def _disk_load(self, key: str) -> list[Trace] | None:
-        entry = self._entry_dir(key)
-        if entry is None:
-            return None
-        manifest_path = entry / "manifest.json"
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except FileNotFoundError:
-            return None  # plain miss: the entry has never been stored
-        except (OSError, json.JSONDecodeError) as exc:
-            logger.warning(
-                "trace cache: unreadable manifest %s (%s); treating as a miss",
-                manifest_path,
-                exc,
-            )
-            return None
-        if manifest.get("version") != _DISK_FORMAT_VERSION:
-            logger.warning(
-                "trace cache: entry %s has format version %r (expected %d); "
-                "treating as a miss",
-                entry,
-                manifest.get("version"),
-                _DISK_FORMAT_VERSION,
-            )
-            return None
-        try:
-            return [trace_from_jsonl(entry / name) for name in manifest["files"]]
-        except (OSError, KeyError, ValueError) as exc:
-            # A torn or foreign entry: treat as a miss, regeneration wins.
-            logger.warning(
-                "trace cache: corrupt entry %s (%s: %s); regenerating",
-                entry,
-                type(exc).__name__,
-                exc,
-            )
-            return None
-
-    def _disk_store(self, key: str, traces: list[Trace]) -> None:
-        entry = self._entry_dir(key)
-        if entry is None or entry.exists():
-            return
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        tmp = Path(
-            tempfile.mkdtemp(prefix=f".tmp-{key[:12]}-", dir=self.cache_dir)
-        )
-        try:
-            files = []
-            for index, trace in enumerate(traces):
-                name = f"{index:03d}_{trace.user_id}.jsonl"
-                trace_to_jsonl(trace, tmp / name)
-                files.append(name)
-            manifest = {
-                "version": _DISK_FORMAT_VERSION,
-                "key": key,
-                "n_traces": len(traces),
-                "files": files,
-            }
-            (tmp / "manifest.json").write_text(json.dumps(manifest, indent=1))
-            os.replace(tmp, entry)
-            self.stats.disk_stores += 1
-        except OSError as exc:
-            # Lost a store race (or a full disk): the cache is best-effort.
-            logger.warning(
-                "trace cache: could not store entry %s (%s); continuing uncached",
-                entry,
-                exc,
-            )
-            for child in tmp.glob("*"):
-                child.unlink(missing_ok=True)
-            if tmp.exists():
-                tmp.rmdir()
-
 
 # ----------------------------------------------------------------------
 # module-level default cache
@@ -366,31 +220,20 @@ _default_cache: TraceCache | None = None
 def default_cache() -> TraceCache:
     """The process-wide cache used by ``generate_cohort``.
 
-    Created lazily; honours ``REPRO_TRACE_CACHE`` (``"0"`` disables) and
-    ``REPRO_TRACE_CACHE_DIR`` (enables the on-disk store).
+    Created lazily; honours ``REPRO_TRACE_CACHE`` (``"0"`` disables).
     """
     global _default_cache
     if _default_cache is None:
-        enabled = os.environ.get("REPRO_TRACE_CACHE", "1") != "0"
-        cache_dir = os.environ.get("REPRO_TRACE_CACHE_DIR")
         _default_cache = TraceCache(
-            enabled=enabled,
-            cache_dir=Path(cache_dir) if cache_dir else None,
+            enabled=os.environ.get("REPRO_TRACE_CACHE", "1") != "0"
         )
     return _default_cache
 
 
 def configure_cache(
-    *,
-    enabled: bool | None = None,
-    max_entries: int | None = None,
-    cache_dir: str | Path | None | type[...] = ...,
+    *, enabled: bool | None = None, max_entries: int | None = None
 ) -> TraceCache:
-    """Adjust the default cache in place; returns it.
-
-    ``cache_dir`` accepts a path, ``None`` (disable the disk store), or
-    is left untouched when omitted.
-    """
+    """Adjust the default cache in place; returns it."""
     cache = default_cache()
     if enabled is not None:
         cache.enabled = enabled
@@ -401,22 +244,7 @@ def configure_cache(
         while len(cache._memory) > cache.max_entries:
             cache._memory.popitem(last=False)
             cache.stats.evictions += 1
-    if cache_dir is not ...:
-        cache.cache_dir = Path(cache_dir) if cache_dir is not None else None
     return cache
-
-
-def read_disk_cohort(cache_dir: str | Path, key: str) -> list[Trace] | None:
-    """Load a cohort straight from an on-disk store directory.
-
-    The worker-side rehydration entry point for shipped
-    :class:`TraceRef` handles: reads the JSONL entry without touching
-    the process-default cache or any telemetry counters, so rehydrating
-    in a pool worker cannot perturb the merged-registry determinism
-    contract.  Returns ``None`` when the entry is missing or corrupt.
-    """
-    reader = TraceCache(cache_dir=Path(cache_dir))
-    return reader._disk_load(key)
 
 
 def cache_stats() -> dict[str, int]:
@@ -427,6 +255,6 @@ def cache_stats() -> dict[str, int]:
     return out
 
 
-def clear_cache(*, disk: bool = False) -> None:
-    """Empty the default cache's LRU (and optionally its disk store)."""
-    default_cache().clear(disk=disk)
+def clear_cache() -> None:
+    """Empty the default cache."""
+    default_cache().clear()

@@ -18,15 +18,15 @@ three guarantees the figure reproductions rely on:
   under every start method, not just ``fork``.
 
 Worker processes inherit nothing mutable from the parent: each task
-carries its full inputs, which is what makes the fan-out safe to use
-from tests, benchmarks and the CLI alike.
+carries its full inputs, traces included, pickled by value.  That is
+what makes the fan-out safe to use from tests, benchmarks and the CLI
+alike.
 """
 
 from __future__ import annotations
 
 import atexit
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 from repro.baselines.policy import PolicyOutcome, SchedulingPolicy
 from repro.core import batch
 from repro.radio.power import RadioPowerModel
-from repro.runtime.cache import TraceRef, default_cache, read_disk_cohort
 from repro.traces.events import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, hints only
@@ -46,10 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, hints only
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Environment knob: fixed number of tasks per worker submission.  Unset
-#: (the default) splits the grid into one chunk per worker.
-CHUNK_ENV = "REPRO_PARALLEL_CHUNK"
 
 _POOL_ERRORS = (
     OSError,
@@ -70,23 +65,18 @@ class ParallelRunner:
     retry is safe and the results identical.  ``fallbacks`` counts how
     often that happened (observability for constrained environments).
 
-    ``persistent=True`` keeps the pool (and its initialized workers —
-    imported modules, forked caches) alive across :meth:`map` calls, so
-    multi-phase sweeps pay process start-up once; call :meth:`close` (or
-    let interpreter exit do it) to release the workers.
+    The pool (and its initialized workers — imported modules, forked
+    caches) is created by the first parallel :meth:`map` and kept alive
+    across later calls, so multi-phase sweeps pay process start-up once;
+    call :meth:`close` (or let interpreter exit do it) to release the
+    workers.
     """
 
-    def __init__(
-        self, jobs: int = 1, *, chunksize: int = 1, persistent: bool = False
-    ) -> None:
+    def __init__(self, jobs: int = 1) -> None:
         jobs = int(jobs)
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         self.jobs = jobs
-        self.chunksize = int(chunksize)
-        self.persistent = bool(persistent)
         self.fallbacks = 0
         self._pool: ProcessPoolExecutor | None = None
 
@@ -96,13 +86,9 @@ class ParallelRunner:
         if self.jobs == 1 or len(tasks) <= 1:
             return [fn(task) for task in tasks]
         try:
-            if self.persistent:
-                pool = self._ensure_pool()
-                return list(pool.map(fn, tasks, chunksize=self.chunksize))
-            with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(tasks))
-            ) as pool:
-                return list(pool.map(fn, tasks, chunksize=self.chunksize))
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            return list(self._pool.map(fn, tasks))
         except _POOL_ERRORS:
             # Pool unavailable (sandbox, fork limit, no /dev/shm), the
             # callable not picklable, or a worker died: fall back to the
@@ -112,15 +98,11 @@ class ParallelRunner:
             self.close()
             return [fn(task) for task in tasks]
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._pool
-
     def close(self) -> None:
-        """Shut down the persistent pool (a later map recreates it)."""
+        """Shut down the pool and wait for its workers to exit (a later
+        map recreates it)."""
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
 
 
@@ -128,7 +110,7 @@ _shared_runners: dict[int, ParallelRunner] = {}
 
 
 def shared_runner(jobs: int) -> ParallelRunner:
-    """The process-wide persistent runner for ``jobs`` workers.
+    """The process-wide runner for ``jobs`` workers.
 
     Grid fan-outs share these pools across sweep phases (fig7 → fig8 →
     …), so worker start-up and module import costs are paid once per
@@ -136,26 +118,19 @@ def shared_runner(jobs: int) -> ParallelRunner:
     """
     runner = _shared_runners.get(jobs)
     if runner is None:
-        runner = ParallelRunner(jobs, persistent=True)
+        runner = ParallelRunner(jobs)
         _shared_runners[jobs] = runner
     return runner
 
 
 def shutdown_shared_runners() -> None:
-    """Release every shared persistent pool (idempotent)."""
+    """Release every shared pool (idempotent)."""
     for runner in _shared_runners.values():
         runner.close()
     _shared_runners.clear()
 
 
 atexit.register(shutdown_shared_runners)
-
-
-def parallel_map(
-    fn: Callable[[T], R], items: Iterable[T], *, jobs: int = 1
-) -> list[R]:
-    """One-shot :meth:`ParallelRunner.map` convenience wrapper."""
-    return ParallelRunner(jobs).map(fn, items)
 
 
 # ----------------------------------------------------------------------
@@ -215,116 +190,12 @@ def _execute_task(task: PolicyTask) -> list[PolicyOutcome]:
 
 
 # ----------------------------------------------------------------------
-# content-addressed trace shipping + chunked dispatch
+# chunked dispatch
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _DayHandle:
-    """Content-addressed stand-in for one day trace in a shipped task.
-
-    Workers resolve the handle against the on-disk trace store: the
-    cohort JSONL is read once per worker process (see ``_WORKER_COHORTS``)
-    instead of pickling the same trace into every grid cell.
-    """
-
-    cache_dir: str
-    key: str
-    user_index: int
-    day_index: int | None
-
-
-@dataclass(frozen=True)
-class _WireTask:
-    """A :class:`PolicyTask` with day traces replaced by handles where
-    the on-disk store can serve them."""
-
-    name: str
-    policy: SchedulingPolicy
-    days: tuple  # of Trace | _DayHandle
-    model: RadioPowerModel
-
-
-#: Per-worker-process cohort memo: (cache_dir, key) → loaded traces.
-_WORKER_COHORTS: dict[tuple[str, str], list[Trace]] = {}
-
-
-def _to_wire(tasks: Sequence[PolicyTask]) -> list[_WireTask]:
-    """Swap shippable day traces for content-addressed handles.
-
-    A day is shipped by reference only when it carries provenance (a
-    ``cache_ref`` tag from ``generate_cohort``/``day_view``) *and* the
-    default cache's on-disk store is confirmed to hold the cohort —
-    otherwise the trace travels inline, exactly as before.
-    """
-    cache = default_cache()
-    cache_dir = cache.cache_dir
-    on_disk: dict[str, bool] = {}
-
-    def handle_for(day: Trace) -> _DayHandle | None:
-        if cache_dir is None or not cache.enabled:
-            return None
-        ref = getattr(day, "cache_ref", None)
-        if not isinstance(ref, TraceRef):
-            return None
-        if ref.key not in on_disk:
-            on_disk[ref.key] = cache.has_disk_entry(ref.key)
-        if not on_disk[ref.key]:
-            return None
-        return _DayHandle(
-            cache_dir=str(cache_dir),
-            key=ref.key,
-            user_index=ref.user_index,
-            day_index=ref.day_index,
-        )
-
-    return [
-        _WireTask(
-            name=task.name,
-            policy=task.policy,
-            days=tuple(handle_for(day) or day for day in task.days),
-            model=task.model,
-        )
-        for task in tasks
-    ]
-
-
-def _rehydrate_day(handle: _DayHandle) -> Trace:
-    """Worker side: resolve a handle against the on-disk trace store.
-
-    Keeps telemetry untouched (no cache counters, no spans) so shipped
-    and inline runs merge to identical registries.
-    """
-    memo_key = (handle.cache_dir, handle.key)
-    cohort = _WORKER_COHORTS.get(memo_key)
-    if cohort is None:
-        cohort = read_disk_cohort(handle.cache_dir, handle.key)
-        if cohort is None:
-            raise PolicyTaskError(
-                f"trace cache entry {handle.key[:12]}… disappeared from "
-                f"{handle.cache_dir}; cannot rehydrate shipped policy task"
-            )
-        _WORKER_COHORTS[memo_key] = cohort
-    trace = cohort[handle.user_index]
-    if handle.day_index is None:
-        return trace
-    return trace.day_view(handle.day_index)
-
-
-def _rebuild_task(wire: _WireTask) -> PolicyTask:
-    return PolicyTask(
-        name=wire.name,
-        policy=wire.policy,
-        days=tuple(
-            _rehydrate_day(day) if isinstance(day, _DayHandle) else day
-            for day in wire.days
-        ),
-        model=wire.model,
-    )
-
-
-def _execute_chunk(chunk: Sequence[_WireTask]) -> list[list[PolicyOutcome]]:
-    return [_execute_task(_rebuild_task(wire)) for wire in chunk]
+def _execute_chunk(chunk: Sequence[PolicyTask]) -> list[list[PolicyOutcome]]:
+    return [_execute_task(task) for task in chunk]
 
 
 def _shipped(fn: Callable[[T], R], payload: T, *, with_tracing: bool):
@@ -365,34 +236,17 @@ def map_shipped(fn: Callable[[T], R], payloads: Sequence[T], jobs: int) -> list[
     return results
 
 
-def _chunk_size(n_tasks: int, jobs: int) -> int:
-    """Tasks per submission: one chunk per worker unless overridden."""
-    env = os.environ.get(CHUNK_ENV, "").strip()
-    if env:
-        try:
-            size = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{CHUNK_ENV} must be a positive integer, got {env!r}"
-            ) from None
-        if size < 1:
-            raise ValueError(f"{CHUNK_ENV} must be >= 1, got {size}")
-        return size
-    return math.ceil(n_tasks / jobs)
-
-
 def execute_policy_tasks(
     tasks: Sequence[PolicyTask], *, jobs: int = 1
 ) -> list[list[PolicyOutcome]]:
     """Execute every task's days, returning raw day outcomes in task order.
 
     Serial runs use the process-global registry and tracer.  Parallel
-    runs split the grid into worker-chunks (one pool submission per
-    chunk, not per cell), swap day traces for content-addressed handles
-    where the on-disk store can serve them, and dispatch over the shared
-    persistent pool through :func:`map_shipped`, shipping worker
-    telemetry back when it is enabled.  A failing cell raises
-    :class:`PolicyTaskError` naming the task, day and policy.
+    runs split the grid into one chunk per worker (one pool submission
+    per chunk, not per cell) and dispatch over the shared pool through
+    :func:`map_shipped`, shipping worker telemetry back when it is
+    enabled.  A failing cell raises :class:`PolicyTaskError` naming the
+    task, day and policy.
     """
     from repro import telemetry
 
@@ -403,9 +257,8 @@ def execute_policy_tasks(
     if jobs == 1 or len(tasks) <= 1:
         return [_execute_task(task) for task in tasks]
 
-    wire = _to_wire(tasks)
-    size = _chunk_size(len(wire), jobs)
-    chunks = [wire[i : i + size] for i in range(0, len(wire), size)]
+    size = math.ceil(len(tasks) / jobs)
+    chunks = [tasks[i : i + size] for i in range(0, len(tasks), size)]
     registry.inc("runner.chunk_count", len(chunks))
     return [r for chunk in map_shipped(_execute_chunk, chunks, jobs) for r in chunk]
 

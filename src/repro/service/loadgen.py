@@ -83,7 +83,7 @@ class _Client:
     async def request(
         self, method: str, path: str, doc: object | None = None
     ) -> tuple[int, dict]:
-        """One request/response round trip on the persistent connection."""
+        """One request/response round trip on the keep-alive connection."""
         if self._writer is None:
             await self.connect()
         assert self._reader is not None and self._writer is not None

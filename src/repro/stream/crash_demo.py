@@ -1,9 +1,9 @@
 """A real kill-mid-run crash drill for the sharded fleet.
 
 ``python -m repro.stream.crash_demo`` spawns a child interpreter that
-streams a small fleet durably with ``REPRO_WAL_KILL_AFTER=N`` set, so
-the child SIGKILLs *itself* after its N-th WAL append — no cooperation,
-no atexit handlers, no flushes beyond what every append already did.
+streams a small fleet durably and SIGKILLs *itself* right after its
+N-th WAL append (``--kill-after N``) — no cooperation, no atexit
+handlers, no flushes beyond what every append already did.
 The parent then recovers the shards in-process, finishes the fleet, and
 asserts the summaries equal an uninterrupted run.
 
@@ -24,15 +24,14 @@ from pathlib import Path
 
 from repro.stream.experiment import fleet_specs
 from repro.stream.fleet import FleetConfig, FleetService
-from repro.stream.shards import ShardConfig, ShardedFleetService
-from repro.stream.shards.wal import KILL_AFTER_ENV
+from repro.stream.shards import ShardConfig, ShardedFleetService, wal
 
 DEFAULT_SEED = 617
 DEFAULT_USERS = 6
 DEFAULT_DAYS = 9
 DEFAULT_TRAIN_DAYS = 7
 DEFAULT_SHARDS = 2
-DEFAULT_KILL_AFTER = 5
+DEFAULT_KILL_AT_APPEND = 5
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,25 @@ def _shards(root: Path, n_shards: int) -> ShardConfig:
     return ShardConfig(root=root, n_shards=n_shards, compact_every_records=16)
 
 
+def _sigkill_after_appends(n: int) -> None:
+    """Make this process SIGKILL itself right after its ``n``-th WAL append.
+
+    ``ShardStore`` appends through the ``wal`` module attribute, so
+    wrapping ``wal.append_record`` sees every append.
+    """
+    append = wal.append_record
+    appends = 0
+
+    def append_then_count(*args, **kwargs) -> None:
+        nonlocal appends
+        append(*args, **kwargs)
+        appends += 1
+        if appends >= n:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    wal.append_record = append_then_count
+
+
 def run_child(
     root: Path,
     *,
@@ -70,8 +88,11 @@ def run_child(
     n_days: int,
     train_days: int,
     n_shards: int,
+    kill_after: int,
 ) -> None:
-    """The victim: stream the fleet durably until the kill switch fires."""
+    """The victim: stream the fleet durably until its ``kill_after``-th
+    WAL append kills it."""
+    _sigkill_after_appends(kill_after)
     specs = fleet_specs(seed=seed, n_users=n_users, n_days=n_days)
     service = ShardedFleetService(_config(train_days), shards=_shards(root, n_shards))
     service.recover()
@@ -86,7 +107,7 @@ def run_crash_drill(
     n_days: int = DEFAULT_DAYS,
     train_days: int = DEFAULT_TRAIN_DAYS,
     n_shards: int = DEFAULT_SHARDS,
-    kill_after: int = DEFAULT_KILL_AFTER,
+    kill_after: int = DEFAULT_KILL_AT_APPEND,
 ) -> CrashDrillReport:
     """Kill a child fleet mid-run, recover its shards, prove equality."""
     root = Path(root)
@@ -107,9 +128,10 @@ def run_crash_drill(
         str(train_days),
         "--shards",
         str(n_shards),
+        "--kill-after",
+        str(kill_after),
     ]
-    env = dict(os.environ, **{KILL_AFTER_ENV: str(kill_after)})
-    proc = subprocess.run(child_args, env=env, capture_output=True, text=True)
+    proc = subprocess.run(child_args, capture_output=True, text=True)
     killed = proc.returncode == -signal.SIGKILL
 
     service = ShardedFleetService(
@@ -145,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--kill-after",
         type=int,
-        default=DEFAULT_KILL_AFTER,
+        default=DEFAULT_KILL_AT_APPEND,
         metavar="N",
         help="child SIGKILLs itself after its N-th WAL append",
     )
@@ -162,6 +184,7 @@ def main(argv: list[str] | None = None) -> int:
             n_days=args.days,
             train_days=args.train_days,
             n_shards=args.shards,
+            kill_after=args.kill_after,
         )
         # Reaching here means the kill threshold was never hit.
         print("child finished without being killed", file=sys.stderr)

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import signal
 import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -38,14 +37,6 @@ from repro._util import dumps_spliced
 from repro.telemetry import metrics
 
 logger = logging.getLogger(__name__)
-
-#: Test/CI hook: when set to an integer N, the process SIGKILLs itself
-#: after the N-th WAL append — a real mid-run crash for recovery drills
-#: (see ``repro.stream.crash_demo``).  Unset (the default) costs one
-#: environment lookup per append and changes nothing.
-KILL_AFTER_ENV = "REPRO_WAL_KILL_AFTER"
-
-_appends_this_process = 0
 
 #: Separators of a record's canonical (compact) JSON payload.
 SEPARATORS = (",", ":")
@@ -81,28 +72,6 @@ def decode_record(line: bytes) -> dict:
     return payload
 
 
-def _maybe_kill() -> None:
-    """SIGKILL this process when the crash-drill env threshold is hit."""
-    global _appends_this_process
-    raw = os.environ.get(KILL_AFTER_ENV)
-    if not raw:
-        return
-    try:
-        limit = int(raw)
-    except ValueError:
-        logger.warning("%s=%r is not an integer; ignoring", KILL_AFTER_ENV, raw)
-        return
-    _appends_this_process += 1
-    if _appends_this_process >= limit:
-        logger.warning(
-            "%s=%d reached after %d appends; SIGKILLing self (crash drill)",
-            KILL_AFTER_ENV,
-            limit,
-            _appends_this_process,
-        )
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
 def append_record(
     path: str | Path, payload: dict, *, fsync: bool = False, line: str | None = None
 ) -> None:
@@ -124,7 +93,6 @@ def append_record(
         if fsync:
             os.fsync(fh.fileno())
     metrics().inc("wal.appends")
-    _maybe_kill()
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ Times are absolute seconds from the trace epoch (midnight of day 0).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from dataclasses import dataclass, field
+from math import isfinite
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -131,12 +132,21 @@ class NetworkActivity:
         )
 
 
+def _require_finite(kind: str, times: Iterable[float]) -> None:
+    """Raise :class:`ValueError` naming ``kind`` and the first non-finite time."""
+    for t in times:
+        if not isfinite(t):
+            raise ValueError(f"{kind} at t={t} is not finite")
+
+
 @dataclass
 class Trace:
     """A full multi-day usage trace for one user.
 
     Invariants (enforced by :meth:`validate`, called on construction):
 
+    * every record time (session start and end, usage and activity
+      start) is finite;
     * event lists are sorted by start time;
     * every record lies in ``[0, horizon)`` — a session starts at or
       after 0 and ends by the horizon; a usage or activity starts in
@@ -168,6 +178,13 @@ class Trace:
             raise ValueError(f"n_days must be > 0, got {self.n_days}")
         if not 0 <= self.start_weekday < 7:
             raise ValueError(f"start_weekday must be in [0, 7), got {self.start_weekday}")
+        # NaN fails every comparison below (and leaves the lists
+        # unsorted), so finiteness is checked record by record first.
+        _require_finite(
+            "screen session", (t for s in self.screen_sessions for t in (s.start, s.end))
+        )
+        _require_finite("usage", (u.time for u in self.usages))
+        _require_finite("activity", (a.time for a in self.activities))
         horizon = self.n_days * DAY
         # The lists are sorted, so their first and last records bound them.
         if self.screen_sessions and self.screen_sessions[0].start < 0.0:
@@ -263,7 +280,7 @@ class Trace:
             AppUsage(u.time + shift, u.app, u.duration) for u in self.usages if lo <= u.time < hi
         ]
         activities = [a.moved_to(a.time + shift) for a in self.activities if lo <= a.time < hi]
-        view = Trace(
+        return Trace(
             user_id=self.user_id,
             n_days=1,
             start_weekday=(self.start_weekday + day_index) % 7,
@@ -271,12 +288,6 @@ class Trace:
             usages=usages,
             activities=activities,
         )
-        # Propagate content-addressed provenance (set by generate_cohort)
-        # so a day view can be shipped as a (cohort key, user, day) ref.
-        ref = getattr(self, "cache_ref", None)
-        if ref is not None and ref.day_index is None:
-            view.cache_ref = replace(ref, day_index=day_index)
-        return view
 
     def days(self) -> Iterator["Trace"]:
         """Iterate single-day sub-traces, in order."""

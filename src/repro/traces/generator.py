@@ -280,9 +280,8 @@ def generate_cohort(
     Generation is fully deterministic, so results are served from the
     content-addressed :mod:`repro.runtime.cache` when the same
     ``(profiles, seed, n_days, start_weekday)`` tuple was built before
-    in this process (or, with a cache dir configured, by any process).
-    Cache hits are bit-identical to a fresh generation and return
-    independent ``Trace`` objects.
+    in this process.  Cache hits are bit-identical to a fresh generation
+    and return independent ``Trace`` objects.
     """
     if profiles is None:
         profiles = default_profiles()
@@ -309,19 +308,13 @@ def generate_cohort(
 
     # Imported lazily so the trace substrate has no hard runtime-package
     # dependency at import time.
-    from repro.runtime.cache import TraceRef, cohort_cache_key, default_cache
+    from repro.runtime.cache import cohort_cache_key, default_cache
 
     cache = default_cache()
     key = cohort_cache_key(profiles, seed, n_days, start_weekday)
     if key is None or not cache.enabled:
         return build()
-    cohort = cache.get_or_generate(key, build)
-    # Tag each trace with its content-addressed provenance so downstream
-    # fan-outs can ship a reference instead of the trace itself (workers
-    # rehydrate from the on-disk store; see runtime.parallel).
-    for user_index, trace in enumerate(cohort):
-        trace.cache_ref = TraceRef(key=key, user_index=user_index)
-    return cohort
+    return cache.get_or_generate(key, build)
 
 
 def generate_volunteers(

@@ -11,6 +11,7 @@ import pytest
 
 from repro._util import DAY
 from repro.radio import lte_model, wcdma_model
+from repro.runtime.parallel import shutdown_shared_runners
 from repro.traces import (
     AppUsage,
     NetworkActivity,
@@ -20,6 +21,14 @@ from repro.traces import (
     generate_volunteers,
 )
 from repro.evaluation import split_history
+
+
+@pytest.fixture(autouse=True)
+def _close_shared_pools():
+    """Shared worker pools outlive the run that opened them; release
+    them (and wait for their workers) after every test."""
+    yield
+    shutdown_shared_runners()
 
 
 @pytest.fixture(scope="session")

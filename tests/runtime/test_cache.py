@@ -1,12 +1,6 @@
-"""Content-addressed trace cache: digests, hits, LRU, disk store."""
+"""Content-addressed trace cache: digests, hits, LRU."""
 
 from __future__ import annotations
-
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,103 +149,17 @@ def test_max_entries_validated():
 
 
 # ----------------------------------------------------------------------
-# disk store
-# ----------------------------------------------------------------------
-
-
-def test_disk_store_roundtrip(isolated_cache, tmp_path):
-    isolated_cache.cache_dir = tmp_path / "traces"
-    original = generate_cohort(2, seed=5)
-    assert isolated_cache.stats.disk_stores == 1
-    # Drop memory: the next lookup must come from disk, bit-identical.
-    isolated_cache.clear()
-    again = generate_cohort(2, seed=5)
-    assert isolated_cache.stats.disk_hits == 1
-    for a, b in zip(original, again):
-        assert a.user_id == b.user_id
-        assert a.screen_sessions == b.screen_sessions
-        assert a.activities == b.activities
-    manifests = list((tmp_path / "traces").glob("*/manifest.json"))
-    assert len(manifests) == 1
-    manifest = json.loads(manifests[0].read_text())
-    assert manifest["version"] == 1
-    assert manifest["n_traces"] == len(original)
-
-
-def test_disk_store_survives_fresh_process(tmp_path):
-    """A second interpreter serves the cohort from disk, bit-identical."""
-    script = """
-import json, sys
-from repro.runtime.cache import cache_stats, configure_cache
-from repro.traces.generator import generate_cohort
-
-configure_cache(enabled=True, cache_dir=sys.argv[1])
-cohort = generate_cohort(2, seed=5)
-stats = cache_stats()
-print(json.dumps({
-    "disk_hits": stats["disk_hits"],
-    "disk_stores": stats["disk_stores"],
-    "checksum": sum(len(t.activities) for t in cohort),
-    "first_start": cohort[0].activities[0].time,
-}))
-"""
-    runs = [
-        json.loads(
-            subprocess.run(
-                [sys.executable, "-c", script, str(tmp_path / "store")],
-                capture_output=True,
-                text=True,
-                check=True,
-                cwd=Path(__file__).resolve().parents[2],
-                env={
-                    **os.environ,
-                    "PYTHONPATH": str(
-                        Path(__file__).resolve().parents[2] / "src"
-                    ),
-                    "REPRO_TRACE_CACHE": "1",
-                },
-            ).stdout
-        )
-        for _ in range(2)
-    ]
-    assert runs[0]["disk_stores"] == 1 and runs[0]["disk_hits"] == 0
-    assert runs[1]["disk_stores"] == 0 and runs[1]["disk_hits"] == 1
-    assert runs[0]["checksum"] == runs[1]["checksum"]
-    assert runs[0]["first_start"] == runs[1]["first_start"]
-
-
-def test_torn_disk_entry_is_a_miss(isolated_cache, tmp_path):
-    isolated_cache.cache_dir = tmp_path
-    generate_cohort(2, seed=5)
-    entry = next(p for p in tmp_path.iterdir() if p.is_dir())
-    (entry / "manifest.json").write_text("{not json")
-    isolated_cache.clear()
-    generate_cohort(2, seed=5)  # must regenerate, not crash
-    assert isolated_cache.stats.misses == 2
-
-
-def test_clear_disk_removes_entries(isolated_cache, tmp_path):
-    isolated_cache.cache_dir = tmp_path
-    generate_cohort(2, seed=5)
-    assert any(p.is_dir() for p in tmp_path.iterdir())
-    isolated_cache.clear(disk=True)
-    assert not any(p.is_dir() for p in tmp_path.iterdir())
-
-
-# ----------------------------------------------------------------------
 # module-level configuration
 # ----------------------------------------------------------------------
 
 
-def test_configure_cache_roundtrip(isolated_cache, tmp_path):
-    cache = configure_cache(enabled=False, max_entries=4, cache_dir=tmp_path)
+def test_configure_cache_roundtrip(isolated_cache):
+    cache = configure_cache(enabled=False, max_entries=4)
     assert cache is default_cache()
     assert cache.enabled is False
     assert cache.max_entries == 4
-    assert cache.cache_dir == tmp_path
-    configure_cache(enabled=True, cache_dir=None)
+    configure_cache(enabled=True)
     assert cache.enabled is True
-    assert cache.cache_dir is None
 
 
 def test_configure_cache_shrink_evicts(isolated_cache):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.baselines import (
@@ -17,8 +19,8 @@ from repro.runtime.parallel import (
     ParallelRunner,
     PolicyTask,
     execute_policy_tasks,
-    parallel_map,
     run_policy_tasks,
+    shutdown_shared_runners,
 )
 
 # Module-level so it pickles into worker processes.
@@ -39,14 +41,21 @@ def _fail_on_three(x: int) -> int:
 # ----------------------------------------------------------------------
 
 
+@pytest.fixture
+def runner2():
+    """A two-worker runner whose pool is released after the test."""
+    runner = ParallelRunner(2)
+    yield runner
+    runner.close()
+
+
 def test_serial_map_preserves_order():
     assert ParallelRunner(1).map(_square, range(5)) == [0, 1, 4, 9, 16]
 
 
-def test_parallel_map_preserves_order():
-    runner = ParallelRunner(2)
-    assert runner.map(_square, range(8)) == [x * x for x in range(8)]
-    assert runner.fallbacks == 0
+def test_parallel_map_preserves_order(runner2):
+    assert runner2.map(_square, range(8)) == [x * x for x in range(8)]
+    assert runner2.fallbacks == 0
 
 
 def test_single_task_stays_serial():
@@ -57,24 +66,21 @@ def test_single_task_stays_serial():
 def test_jobs_validated():
     with pytest.raises(ValueError, match="jobs"):
         ParallelRunner(0)
-    with pytest.raises(ValueError, match="chunksize"):
-        ParallelRunner(2, chunksize=0)
 
 
-def test_task_exception_propagates_like_serial():
+def test_task_exception_propagates_like_serial(runner2):
     with pytest.raises(ValueError, match="three"):
         ParallelRunner(1).map(_fail_on_three, range(5))
     with pytest.raises(ValueError, match="three"):
-        ParallelRunner(2).map(_fail_on_three, range(5))
+        runner2.map(_fail_on_three, range(5))
 
 
-def test_unpicklable_fn_falls_back_to_serial():
-    runner = ParallelRunner(2)
-    assert runner.map(lambda x: x * 10, [1, 2, 3]) == [10, 20, 30]
-    assert runner.fallbacks == 1
+def test_unpicklable_fn_falls_back_to_serial(runner2):
+    assert runner2.map(lambda x: x * 10, [1, 2, 3]) == [10, 20, 30]
+    assert runner2.fallbacks == 1
 
 
-def test_broken_pool_falls_back(monkeypatch):
+def test_broken_pool_falls_back(monkeypatch, runner2):
     import repro.runtime.parallel as par
 
     class ExplodingPool:
@@ -82,13 +88,8 @@ def test_broken_pool_falls_back(monkeypatch):
             raise OSError("no processes in this sandbox")
 
     monkeypatch.setattr(par, "ProcessPoolExecutor", ExplodingPool)
-    runner = ParallelRunner(2)
-    assert runner.map(_square, [1, 2, 3]) == [1, 4, 9]
-    assert runner.fallbacks == 1
-
-
-def test_parallel_map_wrapper():
-    assert parallel_map(_square, range(4), jobs=2) == [0, 1, 4, 9]
+    assert runner2.map(_square, [1, 2, 3]) == [1, 4, 9]
+    assert runner2.fallbacks == 1
 
 
 # ----------------------------------------------------------------------
@@ -130,6 +131,30 @@ def test_execute_grid_parallel_equals_serial(grid, wcdma):
         for s, p in zip(s_days, p_days):
             assert s.policy == p.policy
             assert s.energy(wcdma).energy_j == p.energy(wcdma).energy_j
+
+
+def test_shared_pool_is_reused_then_released(grid, monkeypatch):
+    """Grid runs at one worker count share one executor until
+    ``shutdown_shared_runners`` releases it and its workers."""
+    import repro.runtime.parallel as par
+
+    pools = []
+
+    class CountingPool(par.ProcessPoolExecutor):
+        def __init__(self, *a, **kw):
+            super().__init__(*a, **kw)
+            pools.append(self)
+
+    monkeypatch.setattr(par, "ProcessPoolExecutor", CountingPool)
+    serial = execute_policy_tasks(grid[:4], jobs=1)
+    first = execute_policy_tasks(grid[:4], jobs=2)
+    second = execute_policy_tasks(grid[:4], jobs=2)
+    assert len(pools) == 1
+    assert par.shared_runner(2).fallbacks == 0
+    assert first == serial
+    assert second == serial
+    shutdown_shared_runners()
+    assert multiprocessing.active_children() == []
 
 
 def test_day_fanout_for_stateless_policy(volunteers, wcdma):

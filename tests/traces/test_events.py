@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -201,6 +202,33 @@ class TestTraceInvariants:
     )
     def test_rejects_record_outside_the_horizon(self, records):
         with pytest.raises(ValueError, match="outside|before"):
+            Trace(user_id="u", n_days=1, start_weekday=0, **records)
+
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind", ["session-start", "session-end", "usage", "activity"])
+    def test_rejects_non_finite_record_time(self, kind, bad, position):
+        times = [100.0, 300.0, 500.0]
+        if kind == "usage":
+            times[position] = bad
+            records = {"usages": [AppUsage(t, "a", 1.0) for t in times]}
+        elif kind == "activity":
+            times[position] = bad
+            records = {
+                "activities": [NetworkActivity(t, "a", 10.0, 0.0, 1.0, False) for t in times]
+            }
+        else:
+            sessions = [ScreenSession(t, t + 50.0) for t in times]
+            start, end = times[position], times[position] + 50.0
+            try:
+                sessions[position] = (
+                    ScreenSession(bad, end) if kind == "session-start" else ScreenSession(start, bad)
+                )
+            except ValueError:  # start <= end is checked on construction
+                sessions[position] = ScreenSession(bad, bad)
+            records = {"screen_sessions": sessions}
+        label = "screen session" if kind.startswith("session") else kind
+        with pytest.raises(ValueError, match=re.escape(f"{label} at t={bad} is not finite")):
             Trace(user_id="u", n_days=1, start_weekday=0, **records)
 
     def test_accepts_records_at_the_horizon_edges(self):

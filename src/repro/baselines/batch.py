@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from repro._util import DAY
+from repro._util import DAY, count_in_windows
 from repro.baselines.policy import PolicyOutcome
 from repro.radio.rrc import FullTail
 from repro.traces.events import NetworkActivity, Trace
@@ -83,11 +83,7 @@ class BatchPolicy:
             flush(next_on if next_on is not None else DAY - 1.0)
 
         executed.sort(key=lambda a: a.time)
-        affected = sum(
-            1
-            for usage in day.usages
-            if any(lo <= usage.time < hi for lo, hi in hold_windows)
-        )
+        affected = count_in_windows((u.time for u in day.usages), hold_windows)
         return PolicyOutcome(
             policy=self.name,
             activities=executed,

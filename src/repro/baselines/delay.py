@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro._util import DAY, check_positive
+from repro._util import DAY, check_positive, count_in_windows
 from repro.baselines.policy import PolicyOutcome
 from repro.radio.rrc import FullTail
 from repro.traces.events import NetworkActivity, Trace
@@ -78,11 +78,7 @@ class DelayPolicy:
             deferred += 1
         executed.sort(key=lambda a: a.time)
 
-        affected = sum(
-            1
-            for usage in day.usages
-            if any(lo <= usage.time < hi for lo, hi in hold_windows)
-        )
+        affected = count_in_windows((u.time for u in day.usages), hold_windows)
         return PolicyOutcome(
             policy=self.name,
             activities=executed,

@@ -18,7 +18,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 
-from repro._util import DAY, check_positive
+from repro._util import DAY, check_positive, count_in_windows
 from repro.baselines.policy import PolicyOutcome
 from repro.radio.bandwidth import LinkModel
 from repro.radio.rrc import FullTail
@@ -89,11 +89,7 @@ class DelayBatchPolicy:
                 self.fast_dormancy_s if was_deferred else math.inf
                 for _, was_deferred in executed
             ]
-        affected = sum(
-            1
-            for usage in day.usages
-            if any(lo <= usage.time < hi for lo, hi in hold_windows)
-        )
+        affected = count_in_windows((u.time for u in day.usages), hold_windows)
         return PolicyOutcome(
             policy=self.name,
             activities=activities,

@@ -300,37 +300,10 @@ class NetMaster:
         # Duty-cycle the idle gaps (screen off AND outside predicted slots).
         busy = [(s.start, s.end) for s in day.screen_sessions]
         busy.extend((slot.start, slot.end) for slot in prediction.slots)
-        busy = merge_intervals(busy)
-        gaps = _complement(busy, 0.0, DAY)
-
-        wake_windows: list[tuple[float, float]] = []
-        duty_serviced = carried = 0
-        gap_handled: set[int] = set()
-        for gap_start, gap_end in gaps:
-            in_gap = []
-            for i, a in enumerate(pending):
-                if gap_start <= a.time < gap_end:
-                    in_gap.append(a)
-                    gap_handled.add(i)
-            if not in_gap and gap_end - gap_start < self.config.duty_initial_s:
-                continue
-            result = self.adjustment.servicer.service(gap_start, gap_end, in_gap)
-            executed.extend(
-                (a.moved_to(min(a.time, DAY - a.duration)), guard)
-                for a in result.executed
-            )
-            wake_windows.extend(result.wake_windows)
-            duty_serviced += result.serviced
-            carried += result.carried_to_end
-        # Anything still pending sits inside a busy period (e.g. a slot
-        # whose plan capacity ran out): the radio is reachable there, so
-        # it simply executes in place.
-        for i, activity in enumerate(pending):
-            if i not in gap_handled:
-                executed.append(
-                    (activity.moved_to(min(activity.time, DAY - activity.duration)), guard)
-                )
-                immediate += 1
+        wake_windows, duty_serviced, carried, in_place = self._service_gaps(
+            busy, pending, executed
+        )
+        immediate += in_place
 
         executed.sort(key=lambda pair: pair[0].time)
         if self.config.enable_circuit_breaker:
@@ -351,6 +324,50 @@ class NetMaster:
         _record_day(execution, day)
         return execution
 
+    def _service_gaps(
+        self,
+        busy: list[tuple[float, float]],
+        pending: list[NetworkActivity],
+        executed: list[tuple[NetworkActivity, float]],
+    ) -> tuple[list[tuple[float, float]], int, int, int]:
+        """Duty-cycle ``pending`` over the gaps of ``[0, DAY)`` outside ``busy``.
+
+        Transfers land in ``executed`` with the guard tail.  Anything
+        left pending sits inside a busy period (e.g. a slot whose plan
+        capacity ran out): the radio is reachable there, so it simply
+        executes in place.  Returns the wake windows and the serviced,
+        carried-to-gap-end and in-place counts.
+        """
+        assert self.adjustment is not None
+        guard = self.config.guard_s
+        gaps = _complement(merge_intervals(busy), 0.0, DAY)
+        wake_windows: list[tuple[float, float]] = []
+        serviced = carried = in_place = 0
+        gap_handled: set[int] = set()
+        for gap_start, gap_end in gaps:
+            in_gap = []
+            for i, a in enumerate(pending):
+                if gap_start <= a.time < gap_end:
+                    in_gap.append(a)
+                    gap_handled.add(i)
+            if not in_gap and gap_end - gap_start < self.config.duty_initial_s:
+                continue
+            result = self.adjustment.servicer.service(gap_start, gap_end, in_gap)
+            executed.extend(
+                (a.moved_to(min(a.time, DAY - a.duration)), guard)
+                for a in result.executed
+            )
+            wake_windows.extend(result.wake_windows)
+            serviced += result.serviced
+            carried += result.carried_to_end
+        for i, activity in enumerate(pending):
+            if i not in gap_handled:
+                executed.append(
+                    (activity.moved_to(min(activity.time, DAY - activity.duration)), guard)
+                )
+                in_place += 1
+        return wake_windows, serviced, carried, in_place
+
     # ------------------------------------------------------------------
     # degraded execution (duty-cycle-only fallback)
     # ------------------------------------------------------------------
@@ -370,40 +387,15 @@ class NetMaster:
 
         executed: list[tuple[NetworkActivity, float]] = []
         pending: list[NetworkActivity] = []
-        immediate = 0
         for activity in day.activities:
             if activity.screen_on:
                 executed.append((activity, guard))
             else:
                 pending.append(activity.compressed(bandwidth))
 
-        busy = merge_intervals([(s.start, s.end) for s in day.screen_sessions])
-        gaps = _complement(busy, 0.0, DAY)
-        wake_windows: list[tuple[float, float]] = []
-        duty_serviced = carried = 0
-        gap_handled: set[int] = set()
-        for gap_start, gap_end in gaps:
-            in_gap = []
-            for i, a in enumerate(pending):
-                if gap_start <= a.time < gap_end:
-                    in_gap.append(a)
-                    gap_handled.add(i)
-            if not in_gap and gap_end - gap_start < self.config.duty_initial_s:
-                continue
-            result = self.adjustment.servicer.service(gap_start, gap_end, in_gap)
-            executed.extend(
-                (a.moved_to(min(a.time, DAY - a.duration)), guard)
-                for a in result.executed
-            )
-            wake_windows.extend(result.wake_windows)
-            duty_serviced += result.serviced
-            carried += result.carried_to_end
-        for i, activity in enumerate(pending):
-            if i not in gap_handled:
-                executed.append(
-                    (activity.moved_to(min(activity.time, DAY - activity.duration)), guard)
-                )
-                immediate += 1
+        wake_windows, duty_serviced, carried, immediate = self._service_gaps(
+            [(s.start, s.end) for s in day.screen_sessions], pending, executed
+        )
 
         executed.sort(key=lambda pair: pair[0].time)
         execution = DayExecution(

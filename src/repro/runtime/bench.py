@@ -11,7 +11,10 @@ the perf trajectory:
   count produces identical energy totals.  ``parallel_regression``
   flags runs where the workers lost to the serial loop on a multi-core
   host; with ``cpu_count == 1`` the pool cannot win, so losing there is
-  recorded (with ``cpu_count``) but never flagged;
+  recorded (with ``cpu_count``) but never flagged.  ``task_mib`` and
+  ``result_mib`` are the pickled sizes of the tasks a pool run ships
+  out and of the day outcomes it ships back (pricing stays in the
+  parent), measured outside the timed runs;
 * **grid throughput** — the headline: the whole sweep grid priced in
   one lane-engine batch
   (:func:`repro.core.batch.measure_outcomes_columnar`) vs one cell per
@@ -52,6 +55,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import platform
 import sys
 import tempfile
@@ -72,7 +76,7 @@ from repro.evaluation.experiments import split_history
 from repro.radio import simulate
 from repro.radio.power import wcdma_model
 from repro.runtime.cache import cache_stats, clear_cache, default_cache
-from repro.runtime.parallel import PolicyTask, run_policy_tasks
+from repro.runtime.parallel import PolicyTask, execute_policy_tasks, run_policy_tasks
 from repro.traces.generator import generate_cohort
 
 
@@ -80,6 +84,10 @@ def _timed(fn) -> tuple[float, object]:
     start = time.perf_counter()
     result = fn()
     return time.perf_counter() - start, result
+
+
+def _pickled_mib(obj: object) -> float:
+    return len(pickle.dumps(obj)) / 2**20
 
 
 # ----------------------------------------------------------------------
@@ -163,6 +171,11 @@ def bench_policy_sweep(
             "parallel policy sweep diverged from the serial sweep "
             f"(jobs={jobs}); determinism contract broken"
         )
+    # What a pool run pickles, measured outside the timed runs: the
+    # tasks go out, their raw day outcomes come back, and all pricing
+    # stays in the parent.
+    task_mib = _pickled_mib(tasks)
+    result_mib = _pickled_mib(execute_policy_tasks(tasks, jobs=1))
     cpu_count = os.cpu_count() or 1
     # On a single-core host the pool cannot win; losing there is the
     # expected outcome, not a regression.
@@ -171,7 +184,9 @@ def bench_policy_sweep(
         print(
             f"WARNING: parallel sweep regression — jobs={jobs} took "
             f"{parallel_s:.3f}s vs {serial_s:.3f}s serial "
-            f"(cpu_count={cpu_count})",
+            f"(cpu_count={cpu_count}); the pool pickles {task_mib:.2f} MiB "
+            f"of tasks out and {result_mib:.2f} MiB of outcomes back, "
+            "and pricing runs in the parent",
             file=sys.stderr,
         )
     return {
@@ -186,6 +201,8 @@ def bench_policy_sweep(
         "speedup": serial_s / parallel_s if parallel_s > 0 else float("inf"),
         "parallel_regression": regression,
         "identical_results": True,
+        "task_mib": task_mib,
+        "result_mib": result_mib,
     }
 
 
@@ -211,7 +228,6 @@ def bench_grid_throughput(
     """
     from repro.core.batch import measure_outcomes_columnar
     from repro.evaluation.metrics import measure_outcome
-    from repro.runtime.parallel import execute_policy_tasks
 
     tasks = _sweep_tasks(n_days, n_history_days, seed)
     outcomes = execute_policy_tasks(tasks, jobs=1)

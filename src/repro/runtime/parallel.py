@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import atexit
 import math
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -86,6 +87,12 @@ class ParallelRunner:
         if self.jobs == 1 or len(tasks) <= 1:
             return [fn(task) for task in tasks]
         try:
+            # An unpicklable callable fails here, before any work is
+            # queued: a pickling failure in the pool's feeder thread can
+            # deadlock the shutdown in close() (CPython's manager thread
+            # swaps its pending-work table while the feeder still pops
+            # failed items from the old one).
+            pickle.dumps(fn)
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(max_workers=self.jobs)
             return list(self._pool.map(fn, tasks))

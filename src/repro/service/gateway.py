@@ -21,7 +21,9 @@ library directly.  Per user it keeps:
 
 The ingest path validates a batch's causal order *before* touching the
 engine, so a rejected out-of-order batch leaves no partial state behind
-(:class:`CausalityError`, HTTP 409; a non-finite event time is a
+(:class:`CausalityError`, HTTP 409; a non-finite event time, or one
+request moving a user's stream more than
+:data:`~repro.service.schemas.MAX_DAYS_AHEAD` days ahead, is a
 :class:`~repro.service.schemas.SchemaError`, HTTP 400).  Checkpoints
 serialize the whole gateway — engines, aggregates, retained decisions —
 to one JSON document written through
@@ -36,14 +38,15 @@ import math
 from functools import partial
 from pathlib import Path
 
-from repro._util import peak_rss_bytes, write_json_atomic
+from repro._util import DAY, peak_rss_bytes, write_json_atomic
 from repro.baselines.naive import NaivePolicy
 from repro.evaluation.metrics import measure_outcome
 from repro.monitor import MonitorHub, RingAlertSink, UserMonitor, signal_of
-from repro.service.schemas import SchemaError, decision_doc, saving_of
+from repro.service.schemas import MAX_DAYS_AHEAD, SchemaError, decision_doc, saving_of
 from repro.stream.fleet import FleetConfig, UserDriver
 from repro.stream.ingest import event_time, stream_trace
 from repro.stream.online_netmaster import (
+    _DAMAGE,
     CheckpointError,
     CompletedDay,
     OnlineNetMaster,
@@ -173,9 +176,11 @@ class FleetGateway:
 
         The batch is validated against the causal order *before* any
         record reaches the engine: an out-of-order batch raises
-        :class:`CausalityError`, and a record at a non-finite time
-        :class:`~repro.service.schemas.SchemaError`, leaving the session
-        untouched.
+        :class:`CausalityError`, and a record at a non-finite time, or
+        a last record more than
+        :data:`~repro.service.schemas.MAX_DAYS_AHEAD` days past the open
+        day, :class:`~repro.service.schemas.SchemaError`, leaving the
+        session untouched.
         Records then go through the session's
         :class:`~repro.stream.fleet.UserDriver` — days close exactly as
         in :func:`repro.stream.fleet.stream_one_user`, including the
@@ -203,6 +208,12 @@ class FleetGateway:
                     f"t={prev}; batch rejected whole"
                 )
             prev = t
+        if records and prev // DAY - session.engine.day > MAX_DAYS_AHEAD:
+            raise SchemaError(
+                f"events[{len(records) - 1}] at t={prev} lies more than "
+                f"{MAX_DAYS_AHEAD} days past the open day {session.engine.day}; "
+                "batch rejected whole"
+            )
         days_closed = session.driver.feed(records)
         self.events_total += len(records)
         metrics().inc("service.events_ingested", len(records))
@@ -220,9 +231,17 @@ class FleetGateway:
 
         Mirrors the finish tail of
         :func:`~repro.stream.fleet.stream_one_user`: remaining days are
-        closed and priced with no checkpoint cadence applied.
+        closed and priced with no checkpoint cadence applied.  An
+        ``n_days`` more than :data:`~repro.service.schemas.MAX_DAYS_AHEAD`
+        days past the open day raises
+        :class:`~repro.service.schemas.SchemaError` before any day closes.
         """
         session = self.session(user_id)
+        if n_days - session.engine.day > MAX_DAYS_AHEAD:
+            raise SchemaError(
+                f"n_days={n_days} lies more than {MAX_DAYS_AHEAD} days past "
+                f"the open day {session.engine.day}; finish rejected"
+            )
         days_closed = session.driver.finish(n_days)
         return {
             "user_id": user_id,
@@ -409,7 +428,7 @@ class FleetGateway:
             events_total = int(state["events_total"])
         except CheckpointError:
             raise
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except _DAMAGE as exc:
             raise CheckpointError(
                 f"corrupt service checkpoint: {type(exc).__name__}: {exc}"
             ) from exc

@@ -25,6 +25,12 @@ from repro.traces.io import TraceRecord, _parse_record
 #: batch would let one client monopolize the worker).
 MAX_BATCH_EVENTS = 50_000
 
+#: How many days past a user's open day one request may move the stream
+#: (an ingest batch's last record, or ``finish``'s ``n_days``).  The
+#: single writer closes every day it skips, so an unbounded jump would
+#: stall every other tenant; a month covers any real upload gap.
+MAX_DAYS_AHEAD = 31
+
 
 class SchemaError(ValueError):
     """A request document failed validation (HTTP 400)."""

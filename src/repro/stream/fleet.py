@@ -41,7 +41,7 @@ from repro.core.netmaster import NetMasterConfig
 from repro.evaluation.metrics import measure_outcome
 from repro.runtime.parallel import map_shipped
 from repro.stream.ingest import stream_trace
-from repro.stream.online_netmaster import CheckpointError, OnlineNetMaster
+from repro.stream.online_netmaster import _DAMAGE, CheckpointError, OnlineNetMaster
 from repro.stream.rollup import FleetRollup, SummarySpill, read_spilled
 from repro.telemetry import metrics
 from repro.traces.events import Trace
@@ -661,7 +661,7 @@ class FleetService:
                     else None
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except _DAMAGE as exc:
             msg = f"corrupt fleet checkpoint {path}: {type(exc).__name__}: {exc}"
             if strict:
                 raise CheckpointError(msg) from exc
@@ -689,31 +689,26 @@ class FleetService:
         for idx, entry in enumerate(raw):
             try:
                 summary = UserStreamSummary.from_dict(entry)
-            except (KeyError, TypeError, ValueError) as exc:
+                rollup.fold(summary)
+            except _DAMAGE as exc:
                 issues.append(
                     f"summary #{idx} corrupt ({type(exc).__name__}: {exc}); dropped"
                 )
                 continue
-            rollup.fold(summary)
             retained.append(summary)
+        values = {}
         for key, convert in (("shed_users", int), ("elapsed_s", float)):
             try:
-                convert(doc[key])
-            except (KeyError, TypeError, ValueError) as exc:
+                values[key] = convert(doc[key])
+            except _DAMAGE as exc:
                 issues.append(
                     f"field {key!r} unreadable ({type(exc).__name__}: {exc}); "
                     "salvaged as its reset value"
                 )
-        try:
-            rollup.shed_users = int(doc["shed_users"])
-        except (KeyError, TypeError, ValueError):
-            rollup.shed_users = 0
-        try:
-            elapsed = float(doc["elapsed_s"])
-        except (KeyError, TypeError, ValueError):
-            elapsed = 0.0
+                values[key] = convert(0)
+        rollup.shed_users = values["shed_users"]
         result = FleetResult(
-            rollup=rollup, elapsed_s=elapsed, retained=tuple(retained)
+            rollup=rollup, elapsed_s=values["elapsed_s"], retained=tuple(retained)
         )
         return FleetCheckpointLoad(result=result, issues=tuple(issues))
 

@@ -91,7 +91,13 @@ class FleetRollup:
     # folding
     # ------------------------------------------------------------------
     def fold(self, summary: "UserStreamSummary") -> None:
-        """Fold one fully streamed user in; the summary is then garbage."""
+        """Fold one fully streamed user in; the summary is then garbage.
+
+        The per-day energy is computed first, so a summary that cannot
+        form it (an executed-day count no float holds) raises before any
+        total changes.
+        """
+        per_day = summary.energy_j / max(1, summary.days_executed)
         self.users += 1
         self.events += summary.events
         self.user_days += summary.n_days
@@ -104,7 +110,6 @@ class FleetRollup:
         self.deferred += summary.deferred
         self.energy_j += summary.energy_j
         self.radio_on_s += summary.radio_on_s
-        per_day = summary.energy_j / max(1, summary.days_executed)
         if self.energy_day_min is None or per_day < self.energy_day_min:
             self.energy_day_min = per_day
         if self.energy_day_max is None or per_day > self.energy_day_max:

@@ -29,6 +29,15 @@ PER_LANE_DIGESTS = {
     "fig10c": "80aba27aba268b5466a71f2ca7be05fe36178a7c7645ffe0d62d006e78239aec",
 }
 
+#: sha256 of ``repr(result)`` of the default-size ``fig8()`` and
+#: ``fig9()`` as the pairwise hold-window scan produced them: the full
+#: delay sweep (13 points) and batch sweep count affected interactions
+#: on many more windows than the quick cases.
+DEFAULT_SWEEP_DIGESTS = {
+    "fig8": "2e99e8b4bcc9989225b9252218d46e2bbd856ae4c2638949d84d9bb8041a53c1",
+    "fig9": "ba9d3f2cb1bffa6a2eec07ec9210ebdecdc4c52441fb99c5531df49ce976cbc7",
+}
+
 
 def _digest(result) -> str:
     return hashlib.sha256(repr(result).encode()).hexdigest()
@@ -58,3 +67,11 @@ class TestColumnarFigureEquality:
         # jobs>1 only re-orders task submission, never results; pricing
         # happens after the pool joins, so both runs agree bit-for-bit.
         assert fig7(**QUICK, jobs=2) == fig7(**QUICK)
+
+
+class TestDefaultSizeSweeps:
+    def test_fig8_default_size(self):
+        assert _digest(fig8()) == DEFAULT_SWEEP_DIGESTS["fig8"]
+
+    def test_fig9_default_size(self):
+        assert _digest(fig9()) == DEFAULT_SWEEP_DIGESTS["fig9"]

@@ -37,6 +37,8 @@ def test_report_schema(quick_report):
             "speedup",
             "parallel_regression",
             "identical_results",
+            "task_mib",
+            "result_mib",
         ),
         "fptas_batch": (
             "batch_s",
@@ -92,6 +94,7 @@ def test_slower_pool_is_a_regression_only_with_cores(monkeypatch, cpu_count, fla
     monkeypatch.setattr(
         bench, "run_policy_tasks", lambda tasks, jobs: [[SimpleNamespace(energy_j=1.0)]]
     )
+    monkeypatch.setattr(bench, "execute_policy_tasks", lambda tasks, jobs: [[None]])
     monkeypatch.setattr(bench, "_timed", lambda fn: (next(timings), fn()))
     monkeypatch.setattr(bench.os, "cpu_count", lambda: cpu_count)
     sweep = bench.bench_policy_sweep(jobs=2)

@@ -133,6 +133,16 @@ def test_restore_missing_file_is_400_and_corrupt_is_409(make_server,
     status, doc = server.request("POST", "/v1/restore", {"path": str(bad)})
     assert status == 409
     assert doc["error"]["code"] == "bad-checkpoint"
+    # An integer field holding 1e400 (infinity once parsed) is corrupt too.
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(
+        '{"format": 1, "events_total": 1e400, "users": {}}', encoding="utf-8"
+    )
+    status, doc = server.request("POST", "/v1/restore", {"path": str(overflow)})
+    assert status == 409
+    assert doc["error"]["code"] == "bad-checkpoint"
+    status, health = server.request("GET", "/health")
+    assert status == 200 and health["status"] == "ok"
 
 
 def test_client_paths_forbidden_without_checkpoint_dir(make_server, tmp_path):

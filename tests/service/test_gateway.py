@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._util import DAY
 from repro.baselines.naive import NaivePolicy
 from repro.evaluation.metrics import measure_outcome
+from repro.monitor import MonitorConfig
 from repro.service.gateway import (
     CausalityError,
     FleetGateway,
@@ -18,12 +20,13 @@ from repro.service.gateway import (
     UnknownUserError,
     reference_decisions,
 )
-from repro.service.schemas import SchemaError
+from repro.service.schemas import MAX_DAYS_AHEAD, SchemaError
 from repro.stream.fleet import stream_one_user
-from repro.stream.ingest import stream_trace
+from repro.stream.ingest import event_time, stream_trace
 from repro.stream.online_netmaster import CheckpointError, OnlineNetMaster
 from repro.traces.events import AppUsage
 
+from tests.retyped_fields import retyped
 from tests.service.conftest import service_config
 
 
@@ -253,3 +256,118 @@ def test_restore_rejects_garbage(tmp_path):
     wrong.write_text(json.dumps({"format": 99, "users": {}}), encoding="utf-8")
     with pytest.raises(CheckpointError, match="format"):
         gateway.restore(wrong)
+
+
+def test_restore_rejects_overflowing_integer(service_trace, tmp_path):
+    """``1e400`` parses as infinity, which no integer field takes."""
+    gateway = FleetGateway(service_config())
+    gateway.ingest(
+        service_trace.user_id, list(stream_trace(service_trace))[:500],
+        start_weekday=service_trace.start_weekday,
+    )
+    path = gateway.checkpoint(tmp_path / "service.json")
+    text = path.read_text(encoding="utf-8")
+    assert text.count('"evicted_days": 0') == 1
+    path.write_text(text.replace('"evicted_days": 0', '"evicted_days": 1e400'))
+    fresh = FleetGateway(service_config())
+    with pytest.raises(CheckpointError, match="OverflowError"):
+        fresh.restore(path)
+    assert fresh.user_ids() == []
+
+
+class TestIngestHorizon:
+    """One request moves a user's open day at most MAX_DAYS_AHEAD days."""
+
+    @pytest.fixture
+    def gateway(self, service_trace):
+        gateway = FleetGateway(service_config())
+        gateway.ingest(
+            service_trace.user_id, list(stream_trace(service_trace))[:500],
+            start_weekday=service_trace.start_weekday,
+        )
+        return gateway
+
+    @pytest.fixture
+    def closed(self, gateway, monkeypatch):
+        """The days any engine closes after ``gateway`` was set up."""
+        days = []
+        close = OnlineNetMaster._close_day
+        monkeypatch.setattr(
+            OnlineNetMaster, "_close_day",
+            lambda engine: (days.append(engine.day), close(engine)),
+        )
+        return days
+
+    @staticmethod
+    def _position(gateway, user_id):
+        engine = gateway.session(user_id).engine
+        return engine.day, engine.events, engine.last_time
+
+    def test_far_future_record_rejected_whole(self, gateway, closed, service_trace):
+        uid = service_trace.user_id
+        before, state = self._position(gateway, uid), json.dumps(gateway.state_dict())
+        records = list(stream_trace(service_trace))[500:510]
+        far = AppUsage((before[0] + 2000) * DAY, "mail", 1.0)
+        with pytest.raises(SchemaError, match="days past the open day"):
+            gateway.ingest(uid, records + [far])
+        assert self._position(gateway, uid) == before
+        assert json.dumps(gateway.state_dict()) == state
+        assert not closed
+        gateway.ingest(uid, records)  # the stream continues where it stood
+        assert self._position(gateway, uid)[1] == before[1] + len(records)
+
+    def test_far_finish_rejected(self, gateway, closed, service_trace):
+        uid = service_trace.user_id
+        before, state = self._position(gateway, uid), json.dumps(gateway.state_dict())
+        with pytest.raises(SchemaError, match="days past the open day"):
+            gateway.finish(uid, 10**6)
+        assert self._position(gateway, uid) == before
+        assert json.dumps(gateway.state_dict()) == state
+        assert not closed
+
+    def test_requests_at_the_limit_are_accepted(self, gateway, service_trace):
+        uid = service_trace.user_id
+        open_day = self._position(gateway, uid)[0]
+        limit = open_day + MAX_DAYS_AHEAD
+        with pytest.raises(SchemaError):
+            gateway.ingest(uid, [AppUsage((limit + 1) * DAY, "mail", 1.0)])
+        last_second = AppUsage((limit + 1) * DAY - 1.0, "mail", 1.0)
+        reply = gateway.ingest(uid, [last_second])
+        assert reply["day"] == limit
+        with pytest.raises(SchemaError):
+            gateway.finish(uid, limit + MAX_DAYS_AHEAD + 1)
+        reply = gateway.finish(uid, limit + MAX_DAYS_AHEAD)
+        assert reply["days_closed"] == MAX_DAYS_AHEAD
+        assert gateway.session(uid).engine.day == limit + MAX_DAYS_AHEAD
+
+
+@pytest.fixture(scope="module")
+def monitored_state(service_traces):
+    """A monitored gateway mid-stream: engines with open-day buffers,
+    monitor state, retained and evicted decisions."""
+    gateway = FleetGateway(service_config(monitor=MonitorConfig(), retention_days=1))
+    trace = service_traces[0]
+    cut = (trace.n_days - 0.5) * DAY
+    gateway.ingest(
+        trace.user_id, [r for r in stream_trace(trace) if event_time(r) < cut],
+        start_weekday=trace.start_weekday,
+    )
+    state = json.loads(json.dumps(gateway.state_dict()))
+    doc = state["users"][trace.user_id]
+    assert doc["decisions"] and doc["evicted_days"] and doc["monitor"]
+    return state
+
+
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_retyped_state_fields_raise_only_checkpoint_error(monitored_state, data):
+    """Each field of the gateway document, in turn, becomes a value of
+    another JSON type or an out-of-range number: loading it either
+    succeeds or raises
+    :class:`CheckpointError` (which ``POST /v1/restore`` maps to 409)."""
+    for path, doc in retyped(monitored_state, data):
+        gateway = FleetGateway(service_config(monitor=MonitorConfig()))
+        try:
+            gateway.load_state(doc)
+        except CheckpointError:
+            pass

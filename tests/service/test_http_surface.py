@@ -7,8 +7,9 @@ import json
 import socket
 import threading
 
+from repro._util import DAY
 from repro.service.gateway import reference_decisions
-from repro.service.schemas import record_to_doc
+from repro.service.schemas import MAX_DAYS_AHEAD, record_to_doc
 from repro.stream.ingest import stream_trace
 
 from tests.service.conftest import service_config
@@ -85,6 +86,34 @@ def test_non_finite_event_time_is_400_and_service_stays_up(server):
     status, doc = server.request(
         "POST", "/v1/users/u1/events",
         {"events": [{"kind": "usage", "time": 5.0, "app": "a", "duration": 1.0}]},
+    )
+    assert status == 200, doc
+
+
+def test_far_future_requests_are_400_and_service_stays_up(server):
+    """One request may move a user's stream at most MAX_DAYS_AHEAD days."""
+    usage = {"kind": "usage", "time": 10.0, "app": "a", "duration": 1.0}
+    status, doc = server.request("POST", "/v1/users/u1/events", {"events": [usage]})
+    assert status == 200, doc
+    far = {**usage, "time": 2000 * DAY}
+    status, doc = server.request("POST", "/v1/users/u1/events", {"events": [far]})
+    assert status == 400
+    assert doc["error"]["code"] == "bad-request"
+    assert "days past the open day" in doc["error"]["message"]
+    status, doc = server.request("POST", "/v1/users/u1/finish", {"n_days": 10**6})
+    assert status == 400
+    assert "days past the open day" in doc["error"]["message"]
+    status, savings = server.request("GET", "/v1/users/u1/savings")
+    assert status == 200
+    assert (savings["day"], savings["events"], savings["days_executed"]) == (0, 1, 0)
+    status, health = server.request("GET", "/health")
+    assert status == 200 and health["status"] == "ok"
+    # At the limit both are accepted.
+    last = {**usage, "time": (MAX_DAYS_AHEAD + 1) * DAY - 1.0}
+    status, doc = server.request("POST", "/v1/users/u1/events", {"events": [last]})
+    assert status == 200 and doc["day"] == MAX_DAYS_AHEAD
+    status, doc = server.request(
+        "POST", "/v1/users/u1/finish", {"n_days": 2 * MAX_DAYS_AHEAD}
     )
     assert status == 200, doc
 

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from repro.stream import CheckpointError, OnlineNetMaster, load_checkpoint, stream_trace
 
+from tests.retyped_fields import retyped
+
 
 @pytest.fixture()
 def payload(volunteer):
@@ -118,56 +120,6 @@ class TestWrongShapedCore:
             load_checkpoint(payload)
 
 
-def _json_type(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, (int, float)):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    return "array" if isinstance(value, list) else "object"
-
-
-_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)
-)
-#: A value of each JSON type (floats include NaN and the infinities,
-#: which ``json.loads`` accepts; integers include ones no float holds).
-JSON_VALUES = {
-    "null": st.none(),
-    "boolean": st.booleans(),
-    "number": st.one_of(st.integers(), st.floats()),
-    "string": st.text(max_size=6),
-    "array": st.lists(_SCALARS, max_size=3),
-    "object": st.dictionaries(st.text(max_size=4), _SCALARS, max_size=3),
-}
-
-
-def _fields(doc, path=()):
-    """Every member path of ``doc``: each object key at any depth, and
-    the first element of each non-empty array."""
-    if isinstance(doc, dict):
-        items = doc.items()
-    elif isinstance(doc, list) and doc:
-        items = [(0, doc[0])]
-    else:
-        return
-    for key, value in items:
-        yield path + (key,), value
-        yield from _fields(value, path + (key,))
-
-
-def _replaced(doc, path, value):
-    doc = json.loads(json.dumps(doc))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    return doc
-
-
 @pytest.fixture(scope="module", params=["unbounded", "window", "decay"])
 def mid_stream(request, volunteers):
     """A real mid-stream checkpoint: closed and pending habit rows,
@@ -190,19 +142,12 @@ class TestRetypedFields:
     @given(data=st.data())
     def test_every_retyped_field_gives_a_typed_outcome(self, mid_stream, data):
         """Each field of the checkpoint, in turn, becomes a value of
-        another JSON type: the lenient load never raises, the strict one
-        raises only :class:`CheckpointError` (exactly when the lenient
-        one reports an issue), and an engine either returns serializes
-        to the plain encoder's bytes."""
-        for path, value in _fields(mid_stream):
-            kind = _json_type(value)
-            other = data.draw(
-                st.sampled_from(sorted(set(JSON_VALUES) - {kind})).flatmap(
-                    JSON_VALUES.__getitem__
-                ),
-                label=".".join(map(str, path)),
-            )
-            payload = json.dumps(_replaced(mid_stream, path, other))
+        another JSON type or an out-of-range number: the lenient load
+        never raises, the strict one raises only :class:`CheckpointError`
+        (exactly when the lenient one reports an issue), and an engine
+        either returns serializes to the plain encoder's bytes."""
+        for path, doc in retyped(mid_stream, data):
+            payload = json.dumps(doc)
             lenient = load_checkpoint(payload, strict=False)
             try:
                 strict = load_checkpoint(payload)

@@ -5,9 +5,13 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.netmaster import NetMasterConfig
 from repro.stream import CheckpointError, FleetConfig, FleetService, FleetUserSpec
+
+from tests.retyped_fields import retyped
 
 CONFIG = FleetConfig(
     train_days=10, netmaster=NetMasterConfig(enable_circuit_breaker=False)
@@ -139,3 +143,54 @@ class TestLenientLoad:
         load = FleetService.load_checkpoint(path, strict=False)
         assert load.result is None
         assert any("format" in issue for issue in load.issues)
+
+
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_every_retyped_field_gives_a_typed_outcome(result, tmp_path_factory, data):
+    """Each field of the fleet document, in turn, becomes a value of
+    another JSON type or an out-of-range number: the lenient load never
+    raises, and the strict one raises only :class:`CheckpointError`,
+    exactly when the lenient one reports an issue."""
+    root = tmp_path_factory.mktemp("retyped")
+    FleetService.checkpoint(root / "fleet.json", result)
+    fleet_doc = json.loads((root / "fleet.json").read_text())
+    path = root / "retyped.json"
+    for field, doc in retyped(fleet_doc, data):
+        path.write_text(json.dumps(doc))
+        lenient = FleetService.load_checkpoint(path, strict=False)
+        try:
+            FleetService.load_checkpoint(path)
+        except CheckpointError:
+            assert lenient.issues, field
+        else:
+            assert not lenient.issues, field
+
+
+def test_format_1_summary_that_cannot_fold_is_dropped(result, tmp_path):
+    """A pre-rollup summary whose per-day energy overflows (an executed-day
+    count no float holds) is dropped with an issue, not raised."""
+    docs = [s.as_dict() for s in result.summaries]
+    docs[0]["days_executed"] = 2**1100
+    path = tmp_path / "fleet.json"
+    path.write_text(
+        json.dumps({"format": 1, "summaries": docs, "shed_users": 0, "elapsed_s": 0.5})
+    )
+    load = FleetService.load_checkpoint(path, strict=False)
+    assert any("summary #0 corrupt (OverflowError" in issue for issue in load.issues)
+    assert load.result.summaries == result.summaries[1:]
+    assert load.result.rollup.users == len(result.summaries) - 1
+
+
+def test_overflowing_integer_is_a_typed_error(result, tmp_path):
+    """``1e400`` parses as infinity: an integer field holding it is a
+    :class:`CheckpointError` strictly and an issue leniently."""
+    path = tmp_path / "fleet.json"
+    FleetService.checkpoint(path, result)
+    doc = json.loads(path.read_text())
+    doc["summaries"][0]["events"] = "1e400"
+    path.write_text(json.dumps(doc).replace('"1e400"', "1e400"))
+    load = FleetService.load_checkpoint(path, strict=False)
+    assert load.result is None and "OverflowError" in load.issues[0]
+    with pytest.raises(CheckpointError, match="OverflowError"):
+        FleetService.load_checkpoint(path)

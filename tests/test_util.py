@@ -14,6 +14,7 @@ from repro._util import (
     check_fraction,
     check_interval,
     check_positive,
+    count_in_windows,
     day_of,
     hour_of,
     intersect_length,
@@ -22,6 +23,8 @@ from repro._util import (
     total_length,
     weekday_of,
 )
+
+from tests.baselines.affected_oracle import scan_count
 
 
 class TestValidators:
@@ -143,3 +146,39 @@ class TestIntervals:
         ba = intersect_length(b, a)
         assert ab == pytest.approx(ba)
         assert ab <= min(total_length(a), total_length(b)) + 1e-9
+
+
+class TestCountInWindows:
+    """``count_in_windows`` against the pairwise scan it replaced."""
+
+    @pytest.mark.parametrize(
+        "times, windows, expected",
+        [
+            ([1.0, 2.0], [], 0),
+            ([], [(0.0, 5.0)], 0),
+            ([1.0, 2.0, 3.0], [(3.0, 1.0)], 0),  # inverted: holds nothing
+            ([2.0], [(2.0, 2.0)], 0),  # empty
+            ([1.0, 2.0], [(1.0, 2.0)], 1),  # on lo counts, on hi does not
+            ([2.0], [(1.0, 2.0), (2.0, 3.0)], 1),  # touching windows
+            ([1.5, 1.5], [(1.0, 2.0), (1.0, 2.0)], 2),  # duplicates, repeated time
+            ([4.0, 0.5, 2.5], [(2.0, 3.0), (0.0, 1.0)], 2),  # unsorted
+        ],
+    )
+    def test_cases(self, times, windows, expected):
+        assert count_in_windows(times, windows) == expected
+        assert scan_count(times, windows) == expected
+
+    # A small grid makes duplicate, touching and on-edge values common;
+    # arbitrary finite floats cover the rest.
+    values = st.one_of(
+        st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+
+    @given(st.lists(values, max_size=12), st.lists(st.tuples(values, values), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_scan(self, times, windows):
+        # Window edges are the interesting times: add them too.
+        times = times + [v for w in windows for v in w]
+        assert count_in_windows(times, windows) == scan_count(times, windows)
+        assert count_in_windows(iter(times), windows) == scan_count(times, windows)

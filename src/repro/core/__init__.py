@@ -34,7 +34,6 @@ from repro.core.overlapped import (
     clear_slot_memo,
     solve_exact_bruteforce,
     solve_overlapped,
-    solve_overlapped_batch,
 )
 from repro.core.profit import (
     DEFAULT_ET,
@@ -90,7 +89,6 @@ __all__ = [
     "slot_capacity_bytes",
     "solve_exact_bruteforce",
     "solve_overlapped",
-    "solve_overlapped_batch",
     "wakeup_count",
     "wakeup_times",
 ]

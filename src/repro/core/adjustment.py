@@ -14,23 +14,20 @@ a runtime layer that handles the two special cases the paper lists:
 
 :class:`GapServicer` implements the wake-up/service event loop over one
 idle gap; :class:`RealTimeAdjustment` bundles it with the Special-App
-check.
+check.  Both plan for a radio that never fails: failures, retries and
+the max-delay bound they must keep are applied to the finished day's
+schedule by :func:`repro.faults.apply_faults`, and nowhere else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro._util import check_positive
-from repro.core.duty_cycle import ExponentialSleep, SleepScheme
+from repro.core.duty_cycle import ExponentialSleep
 from repro.habits.special_apps import SpecialAppRegistry
 from repro.telemetry import metrics
 from repro.traces.events import NetworkActivity
-
-if TYPE_CHECKING:  # imported lazily at runtime to keep core free of faults
-    from repro.faults.injector import FaultInjector
-    from repro.faults.retry import RetryPolicy
 
 #: Gap between transfers packed at one wake-up (keeps the radio in DCH).
 SERVICE_PACK_GAP_S = 0.2
@@ -44,10 +41,6 @@ class GapServiceResult:
     wake_windows: list[tuple[float, float]] = field(default_factory=list)
     serviced: int = 0
     carried_to_end: int = 0
-    #: Fault accounting (populated only when an injector is passed).
-    failed_windows: list[tuple[float, float]] = field(default_factory=list)
-    retries: int = 0
-    failed_promotions: int = 0
 
 
 @dataclass
@@ -62,7 +55,6 @@ class GapServicer:
     comes up anyway (next session or active slot).
     """
 
-    scheme_factory: type[SleepScheme] | None = None
     initial_s: float = 30.0
     factor: float = 2.0
     max_s: float = 3600.0
@@ -72,35 +64,13 @@ class GapServicer:
         check_positive("initial_s", self.initial_s)
         check_positive("wake_window_s", self.wake_window_s)
 
-    def _make_scheme(self) -> SleepScheme:
-        if self.scheme_factory is not None:
-            return self.scheme_factory()  # type: ignore[call-arg]
-        return ExponentialSleep(
-            initial_s=self.initial_s, factor=self.factor, max_s=self.max_s
-        )
-
     def service(
-        self,
-        gap_start: float,
-        gap_end: float,
-        pending: list[NetworkActivity],
-        *,
-        injector: "FaultInjector | None" = None,
-        retry: "RetryPolicy | None" = None,
-        day_key: int = 0,
-        index_base: int = 0,
+        self, gap_start: float, gap_end: float, pending: list[NetworkActivity]
     ) -> GapServiceResult:
         """Run the duty cycle over ``[gap_start, gap_end)``.
 
         ``pending`` must contain only activities whose original times fall
         inside the gap; they are serviced in arrival order.
-
-        When an ``injector`` is given, every serviced transfer is pushed
-        through the retry loop (deadline-aware, see
-        :mod:`repro.faults.retry`): failed attempts land in
-        ``failed_windows`` and retried transfers execute at their (later)
-        success time.  ``index_base`` offsets the per-day transfer index
-        so several gaps of the same day draw independent fault decisions.
         """
         if gap_end < gap_start:
             raise ValueError(f"need gap_start <= gap_end, got [{gap_start}, {gap_end}]")
@@ -112,7 +82,9 @@ class GapServicer:
                     f"[{gap_start}, {gap_end})"
                 )
         result = GapServiceResult()
-        scheme = self._make_scheme()
+        scheme = ExponentialSleep(
+            initial_s=self.initial_s, factor=self.factor, max_s=self.max_s
+        )
         t = gap_start
         i = 0
         while True:
@@ -142,49 +114,14 @@ class GapServicer:
             result.executed.append(activity.moved_to(cursor))
             cursor += activity.duration + SERVICE_PACK_GAP_S
             result.carried_to_end += 1
-        if injector is not None and not injector.plan.inert:
-            self._inject_faults(result, injector, retry, day_key, index_base)
         reg = metrics()
         if reg.enabled:
             reg.inc("core.adjustment.gaps")
             reg.inc("core.adjustment.idle_wakeups", len(result.wake_windows))
             reg.inc("core.adjustment.serviced", result.serviced)
             reg.inc("core.adjustment.carried_to_end", result.carried_to_end)
-            if result.retries:
-                reg.inc("core.adjustment.retries", result.retries)
             reg.observe("core.adjustment.gap_s", gap_end - gap_start)
         return result
-
-    @staticmethod
-    def _inject_faults(
-        result: GapServiceResult,
-        injector: "FaultInjector",
-        retry: "RetryPolicy | None",
-        day_key: int,
-        index_base: int,
-    ) -> None:
-        """Replay the serviced transfers through the fault model in place."""
-        from repro.faults.retry import RetryPolicy, run_with_retries
-
-        if retry is None:
-            retry = RetryPolicy()
-        executed: list[NetworkActivity] = []
-        for j, activity in enumerate(result.executed):
-            attempt = run_with_retries(
-                activity,
-                activity.time,
-                injector,
-                retry,
-                day_key=day_key,
-                index=index_base + j,
-            )
-            result.failed_windows.extend(attempt.failed_windows)
-            result.retries += attempt.retries
-            result.failed_promotions += attempt.failed_promotions
-            executed.append(
-                activity if attempt.time == activity.time else activity.moved_to(attempt.time)
-            )
-        result.executed = executed
 
 
 @dataclass

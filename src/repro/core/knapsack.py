@@ -19,7 +19,6 @@ All solvers return a :class:`KnapsackSolution`.
 from __future__ import annotations
 
 import math
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
@@ -260,18 +259,16 @@ class SolutionMemo:
     :func:`repro.core.overlapped.solve_overlapped` across solves (the
     per-slot sub-problems of an evaluation sweep repeat heavily).
 
-    ``maxsize`` defaults to the ``REPRO_SOLVER_MEMO_MAX`` environment
-    variable (else 512), so long-lived fleet processes can cap the
-    module-global slot memo without code changes.  Evictions are counted
-    on the instance (``evictions``) and on the ``solver.memo_evictions``
-    telemetry counter.
+    ``maxsize`` (default :attr:`DEFAULT_MAXSIZE`) caps the entries, so
+    a long-lived fleet process cannot grow the module-global slot memo
+    without bound.  Evictions are counted on the instance
+    (``evictions``) and on the ``solver.memo_evictions`` telemetry
+    counter.
     """
 
     DEFAULT_MAXSIZE = 512
 
-    def __init__(self, maxsize: int | None = None) -> None:
-        if maxsize is None:
-            maxsize = self._default_maxsize()
+    def __init__(self, maxsize: int = DEFAULT_MAXSIZE) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
@@ -279,23 +276,6 @@ class SolutionMemo:
         self.misses = 0
         self.evictions = 0
         self._data: OrderedDict[tuple, KnapsackSolution] = OrderedDict()
-
-    @classmethod
-    def _default_maxsize(cls) -> int:
-        raw = os.environ.get("REPRO_SOLVER_MEMO_MAX")
-        if raw is None:
-            return cls.DEFAULT_MAXSIZE
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_SOLVER_MEMO_MAX must be a positive integer, got {raw!r}"
-            ) from None
-        if value < 1:
-            raise ValueError(
-                f"REPRO_SOLVER_MEMO_MAX must be a positive integer, got {raw!r}"
-            )
-        return value
 
     @staticmethod
     def key(

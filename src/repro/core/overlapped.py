@@ -132,38 +132,14 @@ class MKPSolution:
 FILTER_RULES = ("best", "residual", "first")
 
 
-@dataclass
-class _PreparedInstance:
-    """Steps 1+2 of Algorithm 1, awaiting its SinKnap solutions.
-
-    ``chosen_in`` is pre-seeded with the trivial slots (empty or
-    everything-fits); ``batch_slots``/``batch_problems`` hold the
-    non-trivial per-slot FPTAS sub-instances in slot order.
-    """
-
-    slots: list[MKPSlot]
-    items: list[MKPItem]
-    slot_by_id: dict[int, MKPSlot]
-    filter_rule: str
-    chosen_in: dict[int, set[int]]
-    batch_slots: list[tuple[int, list[MKPItem]]]
-    batch_problems: list[tuple[np.ndarray, np.ndarray, float]]
-
-    def absorb(self, solutions: list) -> None:
-        """Record this instance's slice of batched SinKnap solutions."""
-        for (slot_id, candidates), solution in zip(self.batch_slots, solutions):
-            self.chosen_in[slot_id] = {
-                candidates[i].item_id for i in solution.indices
-            }
-
-
-def _prepare_instance(
+def solve_overlapped(
     slots: list[MKPSlot],
     items: list[MKPItem],
-    eps: float,
-    filter_rule: str,
-) -> _PreparedInstance:
-    """Validate one instance and run duplication + density sorting."""
+    *,
+    eps: float = 0.1,
+    filter_rule: str = "best",
+) -> MKPSolution:
+    """Run Algorithm 1 and return a validated ``(1-ε)/2`` solution."""
     check_fraction("eps", eps)
     if filter_rule not in FILTER_RULES:
         raise ValueError(f"filter_rule must be one of {FILTER_RULES}, got {filter_rule!r}")
@@ -217,74 +193,15 @@ def _prepare_instance(
         weights = np.array([it.weight for it in candidates])
         batch_slots.append((slot.slot_id, candidates))
         batch_problems.append((profits, weights, slot.capacity))
-    return _PreparedInstance(
-        slots=slots,
-        items=items,
-        slot_by_id=slot_by_id,
-        filter_rule=filter_rule,
-        chosen_in=chosen_in,
-        batch_slots=batch_slots,
-        batch_problems=batch_problems,
-    )
 
-
-def solve_overlapped(
-    slots: list[MKPSlot],
-    items: list[MKPItem],
-    *,
-    eps: float = 0.1,
-    filter_rule: str = "best",
-) -> MKPSolution:
-    """Run Algorithm 1 and return a validated ``(1-ε)/2`` solution."""
-    prep = _prepare_instance(slots, items, eps, filter_rule)
     # Step 3 — one batched SinKnap call over every non-trivial slot.  The
     # batch shares the process-global slot memo, so identical (itemset,
     # capacity, ε) sub-instances — common when a sweep replays the same
     # day under many policies — are solved once.
-    if prep.batch_problems:
-        prep.absorb(
-            knapsack_fptas_batch(prep.batch_problems, eps=eps, memo=_SLOT_MEMO)
-        )
-    return _finish_instance(prep)
-
-
-def solve_overlapped_batch(
-    instances: list[tuple[list[MKPSlot], list[MKPItem]]],
-    *,
-    eps: float = 0.1,
-    filter_rule: str = "best",
-) -> list[MKPSolution]:
-    """Run Algorithm 1 over many instances with one SinKnap batch.
-
-    ``results[i]`` equals ``solve_overlapped(*instances[i], ...)`` —
-    each instance's filtering and greedy top-up are unchanged — but all
-    per-slot FPTAS sub-problems across all instances dispatch through a
-    single :func:`knapsack_fptas_batch` call sharing the process-global
-    slot memo, so cross-instance duplicates (the same slot knapsack
-    recurring across days or policies) are solved exactly once.
-    """
-    preps = [
-        _prepare_instance(slots, items, eps, filter_rule)
-        for slots, items in instances
-    ]
-    all_problems = [p for prep in preps for p in prep.batch_problems]
-    if all_problems:
-        solutions = knapsack_fptas_batch(all_problems, eps=eps, memo=_SLOT_MEMO)
-        pos = 0
-        for prep in preps:
-            take = len(prep.batch_problems)
-            prep.absorb(solutions[pos : pos + take])
-            pos += take
-    return [_finish_instance(prep) for prep in preps]
-
-
-def _finish_instance(prep: _PreparedInstance) -> MKPSolution:
-    """Steps 4a+4b: filtering, greedy top-up, totals, validation."""
-    slots = prep.slots
-    items = prep.items
-    slot_by_id = prep.slot_by_id
-    filter_rule = prep.filter_rule
-    chosen_in = prep.chosen_in
+    if batch_problems:
+        solutions = knapsack_fptas_batch(batch_problems, eps=eps, memo=_SLOT_MEMO)
+        for (slot_id, candidates), solution in zip(batch_slots, solutions):
+            chosen_in[slot_id] = {candidates[i].item_id for i in solution.indices}
 
     # Step 4a — Filtering: items chosen in both candidate slots keep the
     # tighter placement (smaller C(t_i) − V(n_j)).

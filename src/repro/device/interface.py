@@ -44,10 +44,6 @@ class NetworkInterface:
     transfers: list[TransferRecord] = field(default_factory=list)
     refused: list[tuple[float, str]] = field(default_factory=list)
     switch_events: list[tuple[float, bool]] = field(default_factory=list)
-    #: Partial radio windows burned by failed transfer attempts.
-    failed_windows: list[tuple[float, float]] = field(default_factory=list)
-    #: RRC promotions that failed before any data moved.
-    failed_promotions: int = 0
 
     # ------------------------------------------------------------------
     # the data switch
@@ -89,22 +85,6 @@ class NetworkInterface:
         metrics().inc("device.interface.transfers")
         return True
 
-    def record_failed_attempt(self, start: float, end: float) -> None:
-        """Account a transfer attempt that aborted mid-flight.
-
-        The radio burned DCH power over ``[start, end)`` but no payload
-        completed; the window is priced alongside the real transfers.
-        """
-        if end < start:
-            raise ValueError(f"invalid failed-attempt window [{start}, {end}]")
-        self.failed_windows.append((float(start), float(end)))
-        metrics().inc("device.interface.failed_attempts")
-
-    def record_failed_promotion(self) -> None:
-        """Account an RRC promotion that failed before any data moved."""
-        self.failed_promotions += 1
-        metrics().inc("device.interface.failed_promotions")
-
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
@@ -113,30 +93,8 @@ class NetworkInterface:
         return [t.interval for t in self.transfers]
 
     def energy(self, tail_policy: TailPolicy | None = None) -> EnergyReport:
-        """RRC energy of everything transferred so far.
-
-        Failed attempts are priced as extra DCH windows; each failed
-        promotion is charged one IDLE→DCH promotion on top.
-        """
-        base = simulate(
-            self.windows() + self.failed_windows, self.model, tail_policy
-        )
-        if self.failed_promotions == 0:
-            return base
-        promo_e = self.failed_promotions * self.model.promo_idle_energy_j
-        state = dict(base.state_energy_j)
-        state["promo"] = state.get("promo", 0.0) + promo_e
-        return EnergyReport(
-            energy_j=base.energy_j + promo_e,
-            radio_on_s=base.radio_on_s
-            + self.failed_promotions * self.model.promo_idle_dch_s,
-            transfer_s=base.transfer_s,
-            tail_s=base.tail_s,
-            promo_idle_count=base.promo_idle_count + self.failed_promotions,
-            promo_fach_count=base.promo_fach_count,
-            window_count=base.window_count,
-            state_energy_j=state,
-        )
+        """RRC energy of everything transferred so far."""
+        return simulate(self.windows(), self.model, tail_policy)
 
     @property
     def total_payload_bytes(self) -> float:

@@ -11,12 +11,17 @@ a (possibly rescheduled) day through it.  It serves two purposes:
   fed straight back into :class:`~repro.habits.prediction.HabitModel`,
   demonstrating the full monitor → mine → schedule cycle of Fig. 6 on
   simulated hardware.
+
+The handset's radio never fails.  To replay a day under faults, push its
+schedule through :func:`repro.faults.apply_faults` first and replay the
+result; the failed attempts and promotions it records are priced by
+:meth:`~repro.baselines.policy.PolicyOutcome.finalize_energy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro._util import DAY
 from repro.device.interface import NetworkInterface
@@ -28,10 +33,6 @@ from repro.radio.rrc import EnergyReport, TailPolicy
 from repro.telemetry import metrics, tracer
 from repro.traces.events import NetworkActivity, Trace
 from repro.traces.store import TraceStore
-
-if TYPE_CHECKING:  # imported lazily at runtime to keep device free of faults
-    from repro.faults.injector import FaultInjector
-    from repro.faults.retry import RetryPolicy
 
 
 @dataclass
@@ -46,11 +47,6 @@ class DeviceRunReport:
     monitor_samples: int
     screen_transitions: int
     events_run: int
-    #: Fault accounting (non-zero only when replaying with an injector).
-    retries: int = 0
-    failed_attempts: int = 0
-    failed_promotions: int = 0
-    forced_deliveries: int = 0
 
 
 @dataclass
@@ -66,22 +62,12 @@ class DeviceSimulator:
         schedule: Sequence[NetworkActivity] | None = None,
         tail_policy: TailPolicy | None = None,
         data_off_windows: Sequence[tuple[float, float]] | None = None,
-        injector: "FaultInjector | None" = None,
-        retry: "RetryPolicy | None" = None,
-        day_key: int = 0,
     ) -> DeviceRunReport:
         """Replay one day; optionally with a rescheduled activity list.
 
         ``schedule`` defaults to the day's own activities (stock replay).
         ``data_off_windows`` force the data switch off during the given
         intervals — transfers requested there are refused and reported.
-
-        When an ``injector`` is given, every transfer runs through the
-        deadline-aware retry loop before being scheduled: failed attempts
-        are charged on the interface as partial radio windows, failed
-        promotions as promotion energy, and the transfer itself executes
-        at its (possibly later) success time — never more than the retry
-        policy's ``max_delay_s`` past its scheduled time.
         """
         if day.n_days != 1:
             raise ValueError("replay expects a single-day trace")
@@ -94,37 +80,6 @@ class DeviceSimulator:
             sim.schedule_at(usage.time, _make_launch(monitor, usage))
 
         activities = list(day.activities) if schedule is None else list(schedule)
-        retries = failed_attempts = forced = 0
-        if injector is not None and not injector.plan.inert:
-            from repro.faults.retry import RetryPolicy, run_with_retries
-
-            if retry is None:
-                retry = RetryPolicy()
-            faulted: list[NetworkActivity] = []
-            for index, activity in enumerate(activities):
-                deadline = max(DAY - activity.duration, activity.time)
-                attempt = run_with_retries(
-                    activity,
-                    activity.time,
-                    injector,
-                    retry,
-                    day_key=day_key,
-                    index=index,
-                    deadline=deadline,
-                )
-                retries += attempt.retries
-                failed_attempts += len(attempt.failed_windows)
-                forced += int(attempt.forced)
-                for lo, hi in attempt.failed_windows:
-                    interface.record_failed_attempt(lo, hi)
-                for _ in range(attempt.failed_promotions):
-                    interface.record_failed_promotion()
-                faulted.append(
-                    activity
-                    if attempt.time == activity.time
-                    else activity.moved_to(attempt.time)
-                )
-            activities = faulted
         for activity in activities:
             sim.schedule_at(activity.time, _make_transfer(monitor, interface, activity))
 
@@ -142,10 +97,6 @@ class DeviceSimulator:
         if reg.enabled:
             reg.inc("device.simulator.replays")
             reg.inc("device.simulator.events_run", sim.events_run)
-            if retries:
-                reg.inc("device.simulator.retries", retries)
-            if forced:
-                reg.inc("device.simulator.forced_deliveries", forced)
         return DeviceRunReport(
             energy=interface.energy(tail_policy),
             store=store,
@@ -155,10 +106,6 @@ class DeviceSimulator:
             monitor_samples=monitor.samples_taken,
             screen_transitions=screen.transitions,
             events_run=sim.events_run,
-            retries=retries,
-            failed_attempts=failed_attempts,
-            failed_promotions=interface.failed_promotions,
-            forced_deliveries=forced,
         )
 
 

@@ -1,12 +1,16 @@
 """Fault injection, retry, and graceful degradation.
 
-Everything a real fleet throws at the middleware that the paper's
-offline evaluation does not: failing transfers, radio outages, RRC
-promotion failures, corrupted monitoring traces — plus the retry and
-degradation machinery that keeps the energy savings (and the max-delay
-guarantee) intact under them.  :mod:`repro.faults.storage` extends the
-same discipline to the durability layer: seeded torn writes, truncated
-WALs, and lost or bit-flipped snapshots against a shard directory.
+Everything a real fleet's radio throws at the middleware that the
+paper's offline evaluation does not: failing transfers, radio outages
+and RRC promotion failures — plus the retry and degradation machinery
+that keeps the energy savings (and the max-delay guarantee) intact under
+them.  :func:`apply_faults` is the only place a finished schedule meets
+the fault model.  Corrupt monitoring traces are the lenient loaders'
+business (:func:`repro.traces.trace_from_jsonl_lenient`,
+:func:`repro.traces.trace_from_csv_lenient`).
+:mod:`repro.faults.storage` extends the same discipline to the
+durability layer: seeded torn writes, truncated WALs, and lost or
+bit-flipped snapshots against a shard directory.
 :mod:`repro.faults.anomalies` supplies the labelled misbehaviour
 scenarios (runaway app, radio stuck in DCH) the monitor subsystem is
 graded against.
@@ -14,7 +18,7 @@ graded against.
 
 from repro.faults.anomalies import AnomalyInjector
 from repro.faults.degradation import CircuitBreaker
-from repro.faults.injector import FaultInjector, FaultPlan, TraceDegradation
+from repro.faults.injector import FaultInjector, FaultPlan
 from repro.faults.resilience import FaultStats, apply_faults
 from repro.faults.retry import RetryOutcome, RetryPolicy, run_with_retries
 from repro.faults.storage import (
@@ -32,7 +36,6 @@ __all__ = [
     "RetryOutcome",
     "RetryPolicy",
     "StorageFaultInjector",
-    "TraceDegradation",
     "apply_faults",
     "current_snapshot_path",
     "current_wal_path",

@@ -2,10 +2,11 @@
 
 A real deployment does not live in the perfect world of the paper's
 offline analysis: transfers fail on lossy cellular links, radios lose
-coverage in bursts, RRC promotions time out, and the monitoring logger
-drops or mangles records.  :class:`FaultPlan` describes *how much* of
-each failure mode to inject; :class:`FaultInjector` answers, fully
-deterministically, *which* individual attempts fail.
+coverage in bursts, and RRC promotions time out.  :class:`FaultPlan`
+describes *how much* of each failure mode to inject;
+:class:`FaultInjector` answers, fully deterministically, *which*
+individual attempts fail.  :func:`repro.faults.apply_faults` is the one
+place a schedule meets these answers.
 
 Determinism is counter-based: every random decision is keyed by
 ``(day_key, index, attempt, channel)`` through a Philox generator, so
@@ -26,16 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro._util import DAY, check_fraction, check_positive
-from repro.traces.events import NetworkActivity, Trace
 
 #: Philox channel assignments — one per independent decision family.
 _CH_TRANSFER = 0
 _CH_PROMOTION = 1
 _CH_OUTAGE_POS = 2
 _CH_OUTAGE_KEEP = 3
-_CH_TRACE_GAP_POS = 4
-_CH_TRACE_GAP_KEEP = 5
-_CH_RECORD_DROP = 6
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,8 +46,6 @@ class FaultPlan:
     promotion, no transfer time).  Outages are burst windows during
     which *every* attempt fails: ``outage_candidates_per_day`` windows
     are drawn per day and each fires with ``outage_keep_prob``.
-    ``trace_gap_*`` and ``record_drop_rate`` degrade monitoring traces
-    (see :meth:`FaultInjector.degrade_trace`).
     """
 
     seed: int = 0
@@ -59,29 +54,17 @@ class FaultPlan:
     outage_keep_prob: float = 0.0
     outage_candidates_per_day: int = 2
     outage_duration_s: float = 900.0
-    trace_gap_keep_prob: float = 0.0
-    trace_gap_candidates_per_day: int = 1
-    trace_gap_duration_s: float = 1800.0
-    record_drop_rate: float = 0.0
     failed_attempt_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         check_fraction("transfer_failure_rate", self.transfer_failure_rate)
         check_fraction("promotion_failure_rate", self.promotion_failure_rate)
         check_fraction("outage_keep_prob", self.outage_keep_prob)
-        check_fraction("trace_gap_keep_prob", self.trace_gap_keep_prob)
-        check_fraction("record_drop_rate", self.record_drop_rate)
         check_fraction("failed_attempt_fraction", self.failed_attempt_fraction)
         check_positive("outage_duration_s", self.outage_duration_s)
-        check_positive("trace_gap_duration_s", self.trace_gap_duration_s)
         if self.outage_candidates_per_day < 0:
             raise ValueError(
                 f"outage_candidates_per_day must be >= 0, got {self.outage_candidates_per_day}"
-            )
-        if self.trace_gap_candidates_per_day < 0:
-            raise ValueError(
-                "trace_gap_candidates_per_day must be >= 0, "
-                f"got {self.trace_gap_candidates_per_day}"
             )
 
     @property
@@ -91,8 +74,6 @@ class FaultPlan:
             self.transfer_failure_rate == 0.0
             and self.promotion_failure_rate == 0.0
             and (self.outage_keep_prob == 0.0 or self.outage_candidates_per_day == 0)
-            and (self.trace_gap_keep_prob == 0.0 or self.trace_gap_candidates_per_day == 0)
-            and self.record_drop_rate == 0.0
         )
 
     @classmethod
@@ -101,8 +82,7 @@ class FaultPlan:
 
         Transfers fail at ``rate``, promotions at ``rate / 2``, and each
         of the two daily outage candidates fires with probability
-        ``rate``.  Trace corruption stays off — the robustness sweep
-        degrades the *network*, not the history.
+        ``rate``.
         """
         check_fraction("rate", rate)
         return cls(
@@ -111,22 +91,6 @@ class FaultPlan:
             promotion_failure_rate=rate / 2.0,
             outage_keep_prob=rate,
         )
-
-
-@dataclass(frozen=True, slots=True)
-class TraceDegradation:
-    """What :meth:`FaultInjector.degrade_trace` removed or repaired."""
-
-    gap_windows: tuple[tuple[float, float], ...]
-    dropped_sessions: int
-    dropped_usages: int
-    dropped_activities: int
-    retagged_activities: int
-
-    @property
-    def dropped_records(self) -> int:
-        """Total monitoring records lost to gaps and corruption."""
-        return self.dropped_sessions + self.dropped_usages + self.dropped_activities
 
 
 @dataclass
@@ -214,92 +178,3 @@ class FaultInjector:
         ):
             return "transfer"
         return None
-
-    # ------------------------------------------------------------------
-    # monitoring-trace faults
-    # ------------------------------------------------------------------
-    def trace_gap_windows(self, day_key: int) -> list[tuple[float, float]]:
-        """Monitoring-logger blackout windows for one trace day."""
-        windows: list[tuple[float, float]] = []
-        if self.plan.trace_gap_keep_prob > 0.0:
-            span = max(0.0, DAY - self.plan.trace_gap_duration_s)
-            for k in range(self.plan.trace_gap_candidates_per_day):
-                keep = self._uniform(day_key, k, 0, _CH_TRACE_GAP_KEEP)
-                if keep >= self.plan.trace_gap_keep_prob:
-                    continue
-                start = self._uniform(day_key, k, 0, _CH_TRACE_GAP_POS) * span
-                windows.append((day_key * DAY + start, day_key * DAY + start + self.plan.trace_gap_duration_s))
-        windows.sort()
-        return windows
-
-    def degrade_trace(self, trace: Trace) -> tuple[Trace, TraceDegradation]:
-        """A copy of ``trace`` as a faulty monitoring logger would record it.
-
-        Records starting inside a blackout window are lost; additionally
-        every record is dropped independently with ``record_drop_rate``
-        (storage corruption).  Activities whose screen session vanished
-        are re-tagged ``screen_on=False`` so the degraded trace is still
-        structurally valid — exactly the repair a lenient loader applies.
-        """
-        gaps: list[tuple[float, float]] = []
-        for day in range(trace.n_days):
-            gaps.extend(self.trace_gap_windows(day))
-
-        def in_gap(t: float) -> bool:
-            return any(lo <= t < hi for lo, hi in gaps)
-
-        def dropped(kind_offset: int, i: int, t: float) -> bool:
-            if in_gap(t):
-                return True
-            return (
-                self.plan.record_drop_rate > 0.0
-                and self._uniform(kind_offset, i, 0, _CH_RECORD_DROP)
-                < self.plan.record_drop_rate
-            )
-
-        sessions = [
-            s for i, s in enumerate(trace.screen_sessions) if not dropped(0, i, s.start)
-        ]
-        usages = [u for i, u in enumerate(trace.usages) if not dropped(1, i, u.time)]
-        kept = [a for i, a in enumerate(trace.activities) if not dropped(2, i, a.time)]
-
-        surviving = Trace(
-            user_id=trace.user_id,
-            n_days=trace.n_days,
-            start_weekday=trace.start_weekday,
-            screen_sessions=sessions,
-            usages=usages,
-            activities=[],
-        )
-        retagged = 0
-        activities: list[NetworkActivity] = []
-        for a in kept:
-            on = surviving.screen_on_at(a.time)
-            if on != a.screen_on:
-                retagged += 1
-                a = NetworkActivity(
-                    time=a.time,
-                    app=a.app,
-                    down_bytes=a.down_bytes,
-                    up_bytes=a.up_bytes,
-                    duration=a.duration,
-                    screen_on=on,
-                )
-            activities.append(a)
-
-        degraded = Trace(
-            user_id=trace.user_id,
-            n_days=trace.n_days,
-            start_weekday=trace.start_weekday,
-            screen_sessions=sessions,
-            usages=usages,
-            activities=activities,
-        )
-        report = TraceDegradation(
-            gap_windows=tuple(gaps),
-            dropped_sessions=len(trace.screen_sessions) - len(sessions),
-            dropped_usages=len(trace.usages) - len(usages),
-            dropped_activities=len(trace.activities) - len(kept),
-            retagged_activities=retagged,
-        )
-        return degraded, report

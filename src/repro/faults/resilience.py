@@ -1,12 +1,13 @@
 """Pushing a finished schedule through the fault model.
 
-:func:`apply_faults` is the composition point between the evaluation
-pipeline and the fault layer: it takes a :class:`PolicyOutcome` (the
-schedule a policy *wanted* to execute), replays every transfer through
-the retry loop, and returns the outcome that would actually have
-happened on a faulty radio — transfers pushed later by retries and
-outages, failed attempts recorded as extra partial radio windows, and
-failed promotions counted for the RRC accounting.
+:func:`apply_faults` is the only composition point between a schedule
+and the fault layer; the planner's duty-cycle servicer and the device
+simulator both assume a radio that never fails.  It takes a
+:class:`PolicyOutcome` (the schedule a policy *wanted* to execute),
+replays every transfer through the retry loop, and returns the outcome
+that would actually have happened on a faulty radio — transfers pushed
+later by retries and outages, failed attempts recorded as extra partial
+radio windows, and failed promotions counted for the RRC accounting.
 
 With an inert :class:`FaultPlan` the outcome is returned unchanged (the
 same object), which is what makes the rate-0 sweep point bit-for-bit

@@ -95,7 +95,18 @@ def _pickled_mib(obj: object) -> float:
 # ----------------------------------------------------------------------
 
 
-def bench_cohort(n_days: int = 21, seed: int = 2014, warm_repeats: int = 3) -> dict:
+#: LRU hits :func:`bench_cohort` takes ``warm_s`` as the fastest of.  One
+#: hit takes a few milliseconds and single hits spread by about 2× on a
+#: loaded host, so the fastest of only a handful flakes against the
+#: ``--compare`` gate.  A contention burst that outlasts every hit still
+#: slows the fastest one.
+WARM_HITS = 20
+
+#: Plain/monitored run pairs :func:`bench_monitor` takes the median of.
+MONITOR_PAIRS = 5
+
+
+def bench_cohort(n_days: int = 21, seed: int = 2014) -> dict:
     """Cold vs warm cohort generation through the in-process cache."""
     cache = default_cache()
     was_enabled = cache.enabled
@@ -104,7 +115,7 @@ def bench_cohort(n_days: int = 21, seed: int = 2014, warm_repeats: int = 3) -> d
     try:
         cold_s, cohort = _timed(lambda: generate_cohort(n_days, seed=seed))
         warm_times = []
-        for _ in range(warm_repeats):
+        for _ in range(WARM_HITS):
             warm_s, again = _timed(lambda: generate_cohort(n_days, seed=seed))
             warm_times.append(warm_s)
         warm_s = min(warm_times)
@@ -405,17 +416,20 @@ def bench_monitor(
     n_days: int = 14,
     train_days: int = 10,
     seed: int = 2014,
-    repeats: int = 3,
 ) -> dict:
     """Monitoring overhead on the stream path, and alert throughput.
 
-    Runs the same clean fleet as :func:`bench_stream` twice — plain and
-    with the anomaly monitor attached (zero alerts fire, so this prices
-    the detector/signal machinery itself) — taking the best of
-    ``repeats`` for each mode after a shared warm-up, since the
+    Runs the same clean fleet as :func:`bench_stream` in
+    :data:`MONITOR_PAIRS` pairs of runs after a shared warm-up — one
+    plain, one with the anomaly monitor attached (zero alerts fire, so
+    this prices the detector/signal machinery itself), the order
+    alternating from pair to pair.  ``overhead_frac`` is the median
+    over pairs of one pair's ``1 − monitored/plain`` events/s: the
     difference under test is well inside scheduler noise for single
-    runs.  ``overhead_frac`` is the gated headline: the monitored
-    events/s may not trail the plain path by more than 10% (full runs).
+    runs, and comparing the two runs of one pair cancels drift between
+    pairs.  It is the gated headline: the monitored path may not trail
+    the plain one by more than 10% (full runs).  The two
+    ``*_events_per_s`` are each mode's best run.
     An anomalous cohort (stuck-DCH injection on every 4th user) then
     measures the detect→publish cost when alerts actually flow
     (``alerts_per_s``).
@@ -435,19 +449,22 @@ def bench_monitor(
     plain_config = FleetConfig(train_days=train_days)
     monitored_config = FleetConfig(train_days=train_days, monitor=MonitorConfig())
 
-    FleetService(plain_config).run(specs, jobs=1)  # warm caches once
-    plain_eps = 0.0
-    monitored_eps = 0.0
-    alerts_clean = 0
-    events = 0
-    for _ in range(max(1, repeats)):
-        result = FleetService(plain_config).run(specs, jobs=1)
-        plain_eps = max(plain_eps, result.events_per_s)
-        events = result.events
+    def events_per_s(config, hub=None) -> float:
+        return FleetService(config).run(specs, jobs=1, monitor=hub).events_per_s
+
+    events = FleetService(plain_config).run(specs, jobs=1).events  # warm caches once
+    pairs = []
+    for i in range(MONITOR_PAIRS):
         hub = MonitorHub([RingAlertSink()])
-        result = FleetService(monitored_config).run(specs, jobs=1, monitor=hub)
-        monitored_eps = max(monitored_eps, result.events_per_s)
-        alerts_clean = hub.published
+        # Alternate which mode runs first, so run order favours neither.
+        if i % 2:
+            monitored_eps = events_per_s(monitored_config, hub)
+            plain_eps = events_per_s(plain_config)
+        else:
+            plain_eps = events_per_s(plain_config)
+            monitored_eps = events_per_s(monitored_config, hub)
+        pairs.append((plain_eps, monitored_eps))
+    alerts_clean = hub.published
 
     injector = AnomalyInjector(seed=seed)
     onset = train_days + 1
@@ -470,9 +487,9 @@ def bench_monitor(
         "n_days": n_days,
         "train_days": train_days,
         "events": events,
-        "plain_events_per_s": plain_eps,
-        "monitored_events_per_s": monitored_eps,
-        "overhead_frac": 1.0 - monitored_eps / plain_eps if plain_eps else 0.0,
+        "plain_events_per_s": max(p for p, _ in pairs),
+        "monitored_events_per_s": max(m for _, m in pairs),
+        "overhead_frac": float(np.median([1.0 - m / p if p else 0.0 for p, m in pairs])),
         "clean_alerts": alerts_clean,
         "anomalous_users": (n_users + 3) // 4,
         "anomalous_events": anomalous_events,
@@ -777,7 +794,7 @@ def run_bench(
     the report is identical so trend tooling can read both.
     """
     if quick:
-        cohort = bench_cohort(n_days=7, warm_repeats=2)
+        cohort = bench_cohort(n_days=7)
         sweep = bench_policy_sweep(jobs=jobs, n_days=14, n_history_days=10)
         grid = bench_grid_throughput(n_days=14, n_history_days=10)
         fptas = bench_fptas_batch(n_solves=10, n_items=60)
@@ -785,7 +802,7 @@ def run_bench(
         stream = bench_stream(
             n_users=4, n_days=9, train_days=7, checkpoint_every_days=1
         )
-        monitor = bench_monitor(n_users=4, n_days=9, train_days=7, repeats=2)
+        monitor = bench_monitor(n_users=4, n_days=9, train_days=7)
         shard_recovery = bench_shard_recovery(
             n_users=4, n_days=9, train_days=7, checkpoint_every_days=1
         )

@@ -217,7 +217,7 @@ class ShardStore(DayCloseLog):
         if isinstance(summary, dict):
             try:
                 return int(summary.get("events", 0))
-            except (TypeError, ValueError):
+            except (OverflowError, TypeError, ValueError):
                 return 0
         return 0
 
@@ -381,13 +381,9 @@ class ShardStore(DayCloseLog):
             self._initialized = False
             return RecoveryReport(existed=False)
 
-        manifest = self._read_manifest(issues)
-        if manifest is None:
-            generation, snapshot_name, snapshot_sha = self._scan_fallback(issues)
-        else:
-            generation = int(manifest.get("generation", 0))
-            snapshot_name = manifest.get("snapshot")
-            snapshot_sha = manifest.get("snapshot_sha256")
+        generation, snapshot_name, snapshot_sha = (
+            self._read_manifest(issues) or self._scan_fallback(issues)
+        )
         self._generation = generation
 
         if snapshot_name is not None:
@@ -422,13 +418,17 @@ class ShardStore(DayCloseLog):
             )
         return report
 
-    def _read_manifest(self, issues: list[str]) -> dict | None:
+    def _read_manifest(
+        self, issues: list[str]
+    ) -> tuple[int, str | None, str | None] | None:
+        """The manifest's generation, snapshot name and digest (``None``
+        when it is missing or damaged)."""
         try:
             manifest = json.loads(self.manifest_path.read_text())
         except FileNotFoundError:
             issues.append("manifest missing; scanning for the newest generation")
             return None
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # incl. JSON and UTF-8 decode errors
             issues.append(
                 f"manifest unreadable ({type(exc).__name__}: {exc}); "
                 "scanning for the newest generation"
@@ -443,7 +443,21 @@ class ShardStore(DayCloseLog):
                 f"unsupported (expected {_MANIFEST_FORMAT}); scanning for the newest generation"
             )
             return None
-        return manifest
+        generation = manifest.get("generation", 0)
+        snapshot = manifest.get("snapshot")
+        snapshot_sha = manifest.get("snapshot_sha256")
+        if (
+            type(generation) is not int
+            or generation < 0
+            or not isinstance(snapshot, (str, type(None)))
+            or not isinstance(snapshot_sha, (str, type(None)))
+        ):
+            issues.append(
+                f"manifest fields damaged (generation {generation!r}, snapshot "
+                f"{snapshot!r}); scanning for the newest generation"
+            )
+            return None
+        return generation, snapshot, snapshot_sha
 
     def _scan_fallback(
         self, issues: list[str]
@@ -487,11 +501,15 @@ class ShardStore(DayCloseLog):
             return
         try:
             doc = json.loads(body.decode("utf-8"))
+            if not isinstance(doc, dict):
+                raise ValueError("snapshot is not an object")
             if doc.get("format") != _SNAPSHOT_FORMAT:
                 raise ValueError(f"unsupported snapshot format {doc.get('format')!r}")
             users = doc["users"]
-            if not isinstance(users, dict):
-                raise ValueError("snapshot users is not an object")
+            if not isinstance(users, dict) or not all(
+                isinstance(state, dict) for state in users.values()
+            ):
+                raise ValueError("snapshot users is not an object of objects")
         except (ValueError, KeyError, UnicodeDecodeError) as exc:
             issues.append(
                 f"snapshot {name} corrupt ({type(exc).__name__}: {exc}); "

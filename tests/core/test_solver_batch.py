@@ -1,18 +1,12 @@
-"""Cross-instance solver batching and SolutionMemo hygiene."""
+"""Algorithm 1's solve accounting and SolutionMemo hygiene."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
+from repro.core import knapsack
 from repro.core.knapsack import SolutionMemo
-from repro.core.overlapped import (
-    MKPItem,
-    MKPSlot,
-    clear_slot_memo,
-    solve_overlapped,
-    solve_overlapped_batch,
-)
+from repro.core.overlapped import MKPItem, MKPSlot, solve_overlapped
 from repro.telemetry import isolated
 
 
@@ -34,62 +28,30 @@ def _random_instance(seed: int) -> tuple[list[MKPSlot], list[MKPItem]]:
     return slots, items
 
 
-class TestSolveOverlappedBatch:
-    def test_matches_sequential_solves(self):
-        instances = [_random_instance(s) for s in range(12)]
-        clear_slot_memo()
-        sequential = [solve_overlapped(s, i, eps=0.1) for s, i in instances]
-        clear_slot_memo()
-        batched = solve_overlapped_batch(instances, eps=0.1)
-        assert len(batched) == len(sequential)
-        for a, b in zip(sequential, batched):
-            assert a.assignment == b.assignment
-            assert a.total_profit == b.total_profit
-            assert a.slot_loads == b.slot_loads
-
-    def test_empty_batch(self):
-        assert solve_overlapped_batch([]) == []
-
-    def test_trivial_instances_skip_fptas(self):
+class TestSolveOverlapped:
+    def test_trivial_instances_skip_fptas(self, monkeypatch):
         # All-fit slots and empty itemsets never reach the DP.
-        slots = [MKPSlot(0, 100.0)]
-        items = [MKPItem(0, 1.0, {0: 2.0})]
-        (solution,) = solve_overlapped_batch([(slots, items)])
-        assert solution.assignment == {0: 0}
-        (empty,) = solve_overlapped_batch([(slots, [])])
-        assert empty.assignment == {}
+        def no_fptas(*args, **kwargs):
+            raise AssertionError("trivial slots reached the FPTAS")
 
-    def test_validation_matches_solve_overlapped(self):
-        slots = [MKPSlot(0, 5.0), MKPSlot(0, 6.0)]
-        with pytest.raises(ValueError, match="duplicate slot ids"):
-            solve_overlapped_batch([(slots, [])])
+        monkeypatch.setattr(knapsack, "_profit_dp", no_fptas)
+        slots = [MKPSlot(0, 100.0)]
+        solution = solve_overlapped(slots, [MKPItem(0, 1.0, {0: 2.0})])
+        assert solution.assignment == {0: 0}
+        assert solve_overlapped(slots, []).assignment == {}
 
     def test_counts_solves_per_instance(self):
         instances = [_random_instance(s) for s in range(3)]
         with isolated(with_tracing=False) as (reg, _):
-            solve_overlapped_batch(instances)
+            for slots, items in instances:
+                solve_overlapped(slots, items)
             counters = reg.snapshot()["counters"]
         assert counters["core.overlapped.solves"] == 3
 
 
 class TestSolutionMemoKnob:
-    def test_default_maxsize(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER_MEMO_MAX", raising=False)
+    def test_default_maxsize(self):
         assert SolutionMemo().maxsize == SolutionMemo.DEFAULT_MAXSIZE
-
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_MEMO_MAX", "7")
-        assert SolutionMemo().maxsize == 7
-
-    def test_explicit_maxsize_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_MEMO_MAX", "7")
-        assert SolutionMemo(maxsize=3).maxsize == 3
-
-    @pytest.mark.parametrize("raw", ["0", "-5", "big", "1.5"])
-    def test_invalid_env_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_SOLVER_MEMO_MAX", raw)
-        with pytest.raises(ValueError, match="REPRO_SOLVER_MEMO_MAX"):
-            SolutionMemo()
 
     def test_evictions_counted(self):
         memo = SolutionMemo(maxsize=2)

@@ -21,7 +21,6 @@ class TestFaultPlan:
         assert plan.transfer_failure_rate == pytest.approx(0.2)
         assert plan.promotion_failure_rate == pytest.approx(0.1)
         assert plan.outage_keep_prob == pytest.approx(0.2)
-        assert plan.record_drop_rate == 0.0
         assert not plan.inert
 
     def test_outage_without_candidates_is_inert(self):
@@ -114,48 +113,3 @@ class TestOutages:
             FaultPlan(outage_keep_prob=1.0, outage_candidates_per_day=2, seed=11)
         )
         assert injector.outage_windows(0) != injector.outage_windows(1)
-
-
-class TestDegradeTrace:
-    def test_inert_plan_keeps_everything(self, tiny_trace):
-        degraded, report = FaultInjector(FaultPlan()).degrade_trace(tiny_trace)
-        assert report.dropped_records == 0
-        assert report.retagged_activities == 0
-        assert degraded.activities == tiny_trace.activities
-        assert degraded.screen_sessions == tiny_trace.screen_sessions
-
-    def test_full_drop_rate_loses_everything(self, tiny_trace):
-        injector = FaultInjector(FaultPlan(record_drop_rate=1.0, seed=1))
-        degraded, report = injector.degrade_trace(tiny_trace)
-        assert degraded.activities == []
-        assert degraded.screen_sessions == []
-        assert report.dropped_records == (
-            len(tiny_trace.screen_sessions)
-            + len(tiny_trace.usages)
-            + len(tiny_trace.activities)
-        )
-
-    def test_lost_session_retags_foreground_activity(self, tiny_trace):
-        # Drop enough records that some foreground transfer loses its
-        # session; the degraded trace must still validate (re-tagged).
-        injector = FaultInjector(FaultPlan(record_drop_rate=0.6, seed=4))
-        degraded, report = injector.degrade_trace(tiny_trace)
-        # Construction already ran Trace.validate; spot-check the flags.
-        for a in degraded.activities:
-            assert a.screen_on == degraded.screen_on_at(a.time)
-
-    def test_gap_drops_covered_records(self, tiny_trace):
-        injector = FaultInjector(
-            FaultPlan(
-                trace_gap_keep_prob=1.0,
-                trace_gap_candidates_per_day=1,
-                trace_gap_duration_s=DAY - 1.0,
-                seed=2,
-            )
-        )
-        degraded, report = injector.degrade_trace(tiny_trace)
-        assert len(report.gap_windows) == 1
-        (lo, hi), = report.gap_windows
-        for a in degraded.activities:
-            assert not lo <= a.time < hi
-        assert report.dropped_records > 0

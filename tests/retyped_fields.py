@@ -5,14 +5,25 @@ type — floats include NaN and the infinities, which ``json.loads``
 accepts, and integers include ones no float holds — and a number
 becomes one of those out-of-range numbers too.  A loader facing such a
 document may refuse it only with its typed error.
+
+The properties run without Hypothesis's shrink phase (``NO_SHRINK``): an
+example draws one value per field, a couple of hundred for a gateway
+document, and shrinking such a failure takes minutes.  Each case instead
+names its field path and drawn value in any failure raised inside it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import reprlib
+from contextlib import contextmanager
 
+from hypothesis import Phase
 from hypothesis import strategies as st
+
+#: The Hypothesis phases of a retyped-field property: all but shrinking.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 def _json_type(value) -> str:
@@ -71,16 +82,30 @@ def _replaced(doc, path, value):
     return doc
 
 
+@contextmanager
+def _case(field, value):
+    """Re-raise any failure inside the block as one naming the field."""
+    try:
+        yield
+    except Exception as exc:
+        raise AssertionError(
+            f"field {field} retyped to {reprlib.repr(value)}: {exc!r}"
+        ) from exc
+
+
 def retyped(doc, data):
-    """Yield ``(path, copy)`` for every member path of ``doc``, where
+    """Yield ``(case, copy)`` for every member path of ``doc``, where
     ``copy`` is ``doc`` with that member replaced by a value of another
     JSON type, or an out-of-range number, drawn from ``data`` (a
-    Hypothesis ``st.data()``)."""
+    Hypothesis ``st.data()``).  ``case`` is a context manager: any
+    exception raised inside ``with case:`` fails the test with the field
+    path and the drawn value."""
     for path, value in _fields(doc):
+        field = ".".join(map(str, path))
         other = data.draw(
             st.sampled_from(sorted(set(_REPLACEMENTS) - {_json_type(value)})).flatmap(
                 _REPLACEMENTS.__getitem__
             ),
-            label=".".join(map(str, path)),
+            label=field,
         )
-        yield path, _replaced(doc, path, other)
+        yield _case(field, other), _replaced(doc, path, other)

@@ -26,7 +26,7 @@ from repro.stream.ingest import event_time, stream_trace
 from repro.stream.online_netmaster import CheckpointError, OnlineNetMaster
 from repro.traces.events import AppUsage
 
-from tests.retyped_fields import retyped
+from tests.retyped_fields import NO_SHRINK, retyped
 from tests.service.conftest import service_config
 
 
@@ -358,16 +358,17 @@ def monitored_state(service_traces):
     return state
 
 
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=6, deadline=None, phases=NO_SHRINK)
 @given(data=st.data())
 def test_retyped_state_fields_raise_only_checkpoint_error(monitored_state, data):
     """Each field of the gateway document, in turn, becomes a value of
     another JSON type or an out-of-range number: loading it either
     succeeds or raises
     :class:`CheckpointError` (which ``POST /v1/restore`` maps to 409)."""
-    for path, doc in retyped(monitored_state, data):
+    for case, doc in retyped(monitored_state, data):
         gateway = FleetGateway(service_config(monitor=MonitorConfig()))
-        try:
-            gateway.load_state(doc)
-        except CheckpointError:
-            pass
+        with case:
+            try:
+                gateway.load_state(doc)
+            except CheckpointError:
+                pass

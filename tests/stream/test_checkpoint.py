@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.stream import CheckpointError, OnlineNetMaster, load_checkpoint, stream_trace
 
-from tests.retyped_fields import retyped
+from tests.retyped_fields import NO_SHRINK, retyped
 
 
 @pytest.fixture()
@@ -138,7 +138,7 @@ def mid_stream(request, volunteers):
 
 
 class TestRetypedFields:
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=6, deadline=None, phases=NO_SHRINK)
     @given(data=st.data())
     def test_every_retyped_field_gives_a_typed_outcome(self, mid_stream, data):
         """Each field of the checkpoint, in turn, becomes a value of
@@ -146,15 +146,16 @@ class TestRetypedFields:
         never raises, the strict one raises only :class:`CheckpointError`
         (exactly when the lenient one reports an issue), and an engine
         either returns serializes to the plain encoder's bytes."""
-        for path, doc in retyped(mid_stream, data):
-            payload = json.dumps(doc)
-            lenient = load_checkpoint(payload, strict=False)
-            try:
-                strict = load_checkpoint(payload)
-            except CheckpointError:
-                assert lenient.issues, path
-            else:
-                assert strict.ok and not lenient.issues, path
-            if lenient.engine is not None:
-                engine = lenient.engine
-                assert engine.to_json() == json.dumps(engine.state_dict()), path
+        for case, doc in retyped(mid_stream, data):
+            with case:
+                payload = json.dumps(doc)
+                lenient = load_checkpoint(payload, strict=False)
+                try:
+                    strict = load_checkpoint(payload)
+                except CheckpointError:
+                    assert lenient.issues
+                else:
+                    assert strict.ok and not lenient.issues
+                if lenient.engine is not None:
+                    engine = lenient.engine
+                    assert engine.to_json() == json.dumps(engine.state_dict())

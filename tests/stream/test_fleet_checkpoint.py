@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.core.netmaster import NetMasterConfig
 from repro.stream import CheckpointError, FleetConfig, FleetService, FleetUserSpec
 
-from tests.retyped_fields import retyped
+from tests.retyped_fields import NO_SHRINK, retyped
 
 CONFIG = FleetConfig(
     train_days=10, netmaster=NetMasterConfig(enable_circuit_breaker=False)
@@ -145,7 +145,7 @@ class TestLenientLoad:
         assert any("format" in issue for issue in load.issues)
 
 
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=6, deadline=None, phases=NO_SHRINK)
 @given(data=st.data())
 def test_every_retyped_field_gives_a_typed_outcome(result, tmp_path_factory, data):
     """Each field of the fleet document, in turn, becomes a value of
@@ -156,15 +156,16 @@ def test_every_retyped_field_gives_a_typed_outcome(result, tmp_path_factory, dat
     FleetService.checkpoint(root / "fleet.json", result)
     fleet_doc = json.loads((root / "fleet.json").read_text())
     path = root / "retyped.json"
-    for field, doc in retyped(fleet_doc, data):
-        path.write_text(json.dumps(doc))
-        lenient = FleetService.load_checkpoint(path, strict=False)
-        try:
-            FleetService.load_checkpoint(path)
-        except CheckpointError:
-            assert lenient.issues, field
-        else:
-            assert not lenient.issues, field
+    for case, doc in retyped(fleet_doc, data):
+        with case:
+            path.write_text(json.dumps(doc))
+            lenient = FleetService.load_checkpoint(path, strict=False)
+            try:
+                FleetService.load_checkpoint(path)
+            except CheckpointError:
+                assert lenient.issues
+            else:
+                assert not lenient.issues
 
 
 def test_format_1_summary_that_cannot_fold_is_dropped(result, tmp_path):

@@ -5,9 +5,14 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.stream.shards import ShardStore, shard_of
 from repro.stream.shards.store import MANIFEST_NAME
+from repro.stream.shards.wal import read_wal
+
+from tests.retyped_fields import NO_SHRINK, retyped
 
 
 def _day(user, i=0):
@@ -172,3 +177,119 @@ class TestRecovery:
         assert {u: s.engine_state for u, s in a.users.items()} == {
             u: s.engine_state for u, s in b.users.items()
         }
+
+
+class TestDamageAtEveryOffset:
+    """One damage at a time, at every byte of the live WAL, the manifest
+    or the snapshot: recovery never raises, keeps a prefix of the
+    appended records, and appends resume right after that prefix."""
+
+    NEW = _day("u3", 9)
+
+    @pytest.fixture()
+    def shard(self, tmp_path):
+        store = ShardStore(tmp_path / "s0", compact_every_records=4)
+        payloads = [
+            _day("u1", 1), _day("u2", 1), _done("u1", 4), _day("u2", 2),
+            _day("u2", 3), _done("u2", 7),
+        ]
+        for payload in payloads:
+            store.append(payload)
+        assert store.compactions == 1
+        snapshot = store.path / f"snapshot-{store.generation:08d}.json"
+        return store.path, store.wal_path, snapshot, payloads[4:]
+
+    def _recover_and_append(self, root, wal_path, live, where):
+        """Recover, check the WAL holds a prefix of ``live``, append one
+        record and recover again.  Returns the first recovery's report,
+        the users it recovered and the number of records it kept."""
+        store = ShardStore(root)
+        report = store.recover()
+        users = set(store.users)
+        read = read_wal(wal_path)
+        kept = list(read.records)
+        assert not read.damaged, where
+        assert kept == live[: len(kept)], where
+        store.append(self.NEW)
+        again = ShardStore(root)
+        again.recover()
+        assert list(read_wal(wal_path).records) == kept + [self.NEW], where
+        return report, users, len(kept)
+
+    def test_truncated_wal(self, shard):
+        root, wal_path, _, live = shard
+        original = wal_path.read_bytes()
+        for offset in range(len(original)):
+            wal_path.write_bytes(original[:offset])
+            *_, kept = self._recover_and_append(root, wal_path, live, offset)
+            assert kept == original[:offset].count(b"\n"), offset
+
+    def test_flipped_wal_byte(self, shard):
+        root, wal_path, _, live = shard
+        original = wal_path.read_bytes()
+        for offset in range(len(original)):
+            damaged = bytearray(original)
+            damaged[offset] ^= 1 << (offset % 8)
+            wal_path.write_bytes(bytes(damaged))
+            self._recover_and_append(root, wal_path, live, offset)
+
+    def test_flipped_manifest_byte(self, shard):
+        root, wal_path, snapshot, _ = shard
+        files = {p: p.read_bytes() for p in (root / MANIFEST_NAME, wal_path, snapshot)}
+        original = files[root / MANIFEST_NAME]
+        for offset in range(len(original)):
+            for path in set(root.iterdir()) - set(files):
+                path.unlink()  # a WAL generation the last damaged manifest named
+            for path, body in files.items():
+                path.write_bytes(body)
+            damaged = bytearray(original)
+            damaged[offset] ^= 1 << (offset % 8)
+            (root / MANIFEST_NAME).write_bytes(bytes(damaged))
+            store = ShardStore(root)
+            store.recover()
+            store.append(self.NEW)
+            again = ShardStore(root)
+            again.recover()
+            assert again.get("u3").engine_state == self.NEW["engine"], offset
+
+    def test_flipped_snapshot_byte(self, shard):
+        root, wal_path, snapshot, live = shard
+        wal_bytes = wal_path.read_bytes()
+        original = snapshot.read_bytes()
+        for offset in range(len(original)):
+            damaged = bytearray(original)
+            damaged[offset] ^= 1 << (offset % 8)
+            snapshot.write_bytes(bytes(damaged))
+            wal_path.write_bytes(wal_bytes)
+            report, users, kept = self._recover_and_append(root, wal_path, live, offset)
+            assert kept == len(live), offset
+            assert any("snapshot" in issue for issue in report.issues), offset
+            assert users == {p["user_id"] for p in live}, offset
+
+
+@pytest.fixture(scope="module")
+def compacted(tmp_path_factory):
+    """A shard after one compaction, with the bytes of each of its files."""
+    store = ShardStore(tmp_path_factory.mktemp("retyped") / "s0", compact_every_records=2)
+    for payload in (_done("u1"), _day("u2", 0), _day("u2", 1)):
+        store.append(payload)
+    return store.path, {p.name: p.read_bytes() for p in store.path.iterdir()}
+
+
+@settings(max_examples=6, deadline=None, phases=NO_SHRINK)
+@given(data=st.data())
+def test_retyped_manifest_and_snapshot_fields_never_raise(compacted, data):
+    """Each field of the manifest, and of a snapshot read without one, in
+    turn becomes a value of another JSON type or an out-of-range number:
+    recovery salvages what it can and never raises."""
+    root, files = compacted
+    snapshot = "snapshot-00000001.json"
+    for name in (MANIFEST_NAME, snapshot):
+        for case, doc in retyped(json.loads(files[name]), data):
+            with case:
+                for file, body in files.items():
+                    (root / file).write_bytes(body)
+                if name == snapshot:
+                    (root / MANIFEST_NAME).unlink()  # no digest: loaded unverified
+                (root / name).write_text(json.dumps(doc))
+                ShardStore(root).recover()

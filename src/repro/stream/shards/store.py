@@ -32,6 +32,7 @@ import hashlib
 import json
 import logging
 import re
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -52,6 +53,8 @@ _MANIFEST_FORMAT = 1
 _SNAPSHOT_FORMAT = 1
 
 _GENERATION_RE = re.compile(r"^(?:wal|snapshot)-(\d{8})\.(?:jsonl|json)$")
+#: Generations fit the eight digits their file names carry.
+_GENERATION_LIMIT = 10**8
 
 
 def shard_of(user_id: str, n_shards: int) -> int:
@@ -422,7 +425,13 @@ class ShardStore(DayCloseLog):
         self, issues: list[str]
     ) -> tuple[int, str | None, str | None] | None:
         """The manifest's generation, snapshot name and digest (``None``
-        when it is missing or damaged)."""
+        when it is missing or damaged).
+
+        A sound manifest names a generation its files can carry and that
+        generation's own snapshot (none at generation 0): a flipped digit
+        in either would otherwise load one generation's snapshot over
+        another's WAL, or none of the WAL at all.
+        """
         try:
             manifest = json.loads(self.manifest_path.read_text())
         except FileNotFoundError:
@@ -448,13 +457,13 @@ class ShardStore(DayCloseLog):
         snapshot_sha = manifest.get("snapshot_sha256")
         if (
             type(generation) is not int
-            or generation < 0
-            or not isinstance(snapshot, (str, type(None)))
+            or not 0 <= generation < _GENERATION_LIMIT
+            or snapshot != (self._snapshot_path(generation).name if generation else None)
             or not isinstance(snapshot_sha, (str, type(None)))
         ):
             issues.append(
-                f"manifest fields damaged (generation {generation!r}, snapshot "
-                f"{snapshot!r}); scanning for the newest generation"
+                f"manifest fields damaged (generation {reprlib.repr(generation)}, "
+                f"snapshot {reprlib.repr(snapshot)}); scanning for the newest generation"
             )
             return None
         return generation, snapshot, snapshot_sha

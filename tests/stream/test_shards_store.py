@@ -152,6 +152,32 @@ class TestRecovery:
         assert fresh.get("u1").engine_state == {"events": 2}
         assert any("manifest missing" in issue for issue in report.issues)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("generation", 2**1024),  # no file name holds it
+            ("generation", 10**8),  # nine digits: the scan cannot parse it
+            ("generation", 0),  # another generation than its snapshot's
+            ("generation", 2),
+            ("snapshot", "snapshot-00000002.json"),
+            ("snapshot", None),
+        ],
+        ids=["2**1024", "10**8", "0", "2", "other-snapshot", "no-snapshot"],
+    )
+    def test_damaged_manifest_fields_fall_back_to_scan(self, tmp_path, field, value):
+        store = ShardStore(tmp_path / "s0", compact_every_records=2)
+        for i in range(3):
+            store.append(_day("u1", i))
+        manifest_path = tmp_path / "s0" / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest[field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        fresh = ShardStore(tmp_path / "s0")
+        report = fresh.recover()
+        assert fresh.generation == 1
+        assert fresh.get("u1").engine_state == {"events": 2}
+        assert any("manifest fields damaged" in issue for issue in report.issues)
+
     def test_corrupt_snapshot_salvages_wal_tail(self, tmp_path):
         store = ShardStore(tmp_path / "s0", compact_every_records=2)
         store.append(_done("u1"))
@@ -234,7 +260,9 @@ class TestDamageAtEveryOffset:
             self._recover_and_append(root, wal_path, live, offset)
 
     def test_flipped_manifest_byte(self, shard):
-        root, wal_path, snapshot, _ = shard
+        """Whatever the flip, recovery replays the live WAL in full and
+        appends to it."""
+        root, wal_path, snapshot, live = shard
         files = {p: p.read_bytes() for p in (root / MANIFEST_NAME, wal_path, snapshot)}
         original = files[root / MANIFEST_NAME]
         for offset in range(len(original)):
@@ -245,12 +273,8 @@ class TestDamageAtEveryOffset:
             damaged = bytearray(original)
             damaged[offset] ^= 1 << (offset % 8)
             (root / MANIFEST_NAME).write_bytes(bytes(damaged))
-            store = ShardStore(root)
-            store.recover()
-            store.append(self.NEW)
-            again = ShardStore(root)
-            again.recover()
-            assert again.get("u3").engine_state == self.NEW["engine"], offset
+            *_, kept = self._recover_and_append(root, wal_path, live, offset)
+            assert kept == len(live), offset
 
     def test_flipped_snapshot_byte(self, shard):
         root, wal_path, snapshot, live = shard

@@ -27,7 +27,6 @@ package is that online engine, in four layers:
 
 from repro.stream.experiment import StreamResult, fleet_specs, stream_experiment
 from repro.stream.fleet import (
-    FleetCheckpointLoad,
     FleetConfig,
     FleetResult,
     FleetService,
@@ -45,10 +44,8 @@ from repro.stream.ingest import (
 from repro.stream.online_habits import OnlineHabitModel
 from repro.stream.online_netmaster import (
     CheckpointError,
-    CheckpointLoad,
     CompletedDay,
     OnlineNetMaster,
-    load_checkpoint,
 )
 from repro.stream.rollup import FleetRollup, SummarySpill, iter_spilled, read_spilled
 from repro.stream.shards import (
@@ -64,9 +61,7 @@ from repro.stream.specgen import iter_fleet_specs
 
 __all__ = [
     "CheckpointError",
-    "CheckpointLoad",
     "CompletedDay",
-    "FleetCheckpointLoad",
     "FleetConfig",
     "FleetResult",
     "FleetRollup",
@@ -87,7 +82,6 @@ __all__ = [
     "fleet_specs",
     "iter_fleet_specs",
     "iter_spilled",
-    "load_checkpoint",
     "merge_user_streams",
     "read_spilled",
     "shard_of",

@@ -20,6 +20,8 @@ properties the offline harness never needed:
 Checkpointing is exercised in-line: with ``checkpoint_every_days`` set,
 the engine is serialized to JSON and restored every N executed days, so
 a fleet run continuously proves the kill/resume path on live state.
+A run's :class:`FleetResult` is not a document: the durable fleet
+(:mod:`repro.stream.shards`) is what survives a restart.
 
 Every per-user drive in the repo — the fleet worker, the monitored and
 durable streamers, the HTTP gateway and the monitoring experiment — is
@@ -28,20 +30,19 @@ one :class:`UserDriver`; see its docstring for the day-close order.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro._util import peak_rss_bytes, write_json_atomic
+from repro._util import peak_rss_bytes
 from repro.core.batch import measure_outcomes_columnar
 from repro.core.netmaster import NetMasterConfig
 from repro.evaluation.metrics import measure_outcome
 from repro.runtime.parallel import map_shipped
 from repro.stream.ingest import stream_trace
-from repro.stream.online_netmaster import _DAMAGE, CheckpointError, OnlineNetMaster
+from repro.stream.online_netmaster import OnlineNetMaster
 from repro.stream.rollup import FleetRollup, SummarySpill, read_spilled
 from repro.telemetry import metrics
 from repro.traces.events import Trace
@@ -52,20 +53,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.sinks import MonitorHub
     from repro.stream.shards.store import UserShardState
 
-#: Schema version of the fleet checkpoint document.  Format 2 carries
-#: the rollup aggregates (format 1 stored only the raw summary list);
-#: old documents still load through ``load_checkpoint(strict=False)``.
-_FLEET_CHECKPOINT_FORMAT = 2
-
 
 @dataclass(frozen=True)
 class FleetConfig:
     """Tunables of the fleet service."""
 
     train_days: int = 10
-    update_model: bool = True
-    window_days: int | None = None
-    decay: float | None = None
     #: Users admitted per runner submission round.
     batch_size: int = 16
     #: Total streamed-event budget; ``None`` admits everyone.
@@ -379,9 +372,6 @@ class UserDriver:
                 config=config.netmaster,
                 start_weekday=start_weekday,
                 train_days=config.train_days,
-                update_model=config.update_model,
-                window_days=config.window_days,
-                decay=config.decay,
             )
             self.acc = SummaryAccumulator()
         else:
@@ -553,164 +543,11 @@ def _map_users(payloads: list, jobs: int) -> list:
     return map_shipped(_stream_spec, payloads, jobs)
 
 
-@dataclass(frozen=True)
-class FleetCheckpointLoad:
-    """Outcome of a lenient fleet checkpoint load (``strict=False``).
-
-    Mirrors :class:`repro.stream.online_netmaster.CheckpointLoad`:
-    ``result`` is ``None`` when nothing was recoverable, otherwise a
-    usable :class:`FleetResult` — possibly upgraded from a pre-rollup
-    (format-1) document — and ``issues`` lists every repair made.
-    """
-
-    result: FleetResult | None
-    issues: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        """Whether the checkpoint loaded completely, with no repairs."""
-        return self.result is not None and not self.issues
-
-    @property
-    def salvaged(self) -> bool:
-        """Whether a damaged/old checkpoint still yielded a result."""
-        return self.result is not None and bool(self.issues)
-
-
 class FleetService:
     """Admission-batched multi-tenant driver over the parallel runner."""
 
     def __init__(self, config: FleetConfig | None = None) -> None:
         self.config = config or FleetConfig()
-
-    @staticmethod
-    def checkpoint(path: str | Path, result: FleetResult) -> Path:
-        """Persist a fleet document atomically (temp file + ``os.replace``).
-
-        The whole document reaches the filesystem through
-        :func:`repro._util.write_json_atomic` — the content-addressed
-        trace store's discipline — so a crash mid-checkpoint leaves
-        either the previous complete document or the new complete one,
-        never a half-written fleet.  The document carries the rollup
-        state (bit-exact through JSON) plus, when the run retained
-        them, the per-user summaries; scale runs checkpoint just the
-        rollup, so the document stays O(1) no matter the cohort.
-        """
-        doc = {
-            "format": _FLEET_CHECKPOINT_FORMAT,
-            "rollup": result.rollup.state_dict(),
-            "elapsed_s": result.elapsed_s,
-            "spill_path": (
-                str(result.spill_path) if result.spill_path is not None else None
-            ),
-            "summaries": (
-                [s.as_dict() for s in result.retained]
-                if result.retained is not None
-                else None
-            ),
-        }
-        metrics().inc("stream.fleet_checkpoints")
-        return write_json_atomic(path, doc, indent=1)
-
-    @staticmethod
-    def load_checkpoint(
-        path: str | Path, *, strict: bool = True
-    ) -> FleetResult | FleetCheckpointLoad:
-        """Read a fleet document back.
-
-        ``strict=True`` (the default, and the historical signature)
-        returns a :class:`FleetResult` and raises
-        :class:`CheckpointError` on truncated/corrupt JSON or any
-        schema version other than the current one.
-
-        ``strict=False`` never raises: it returns a
-        :class:`FleetCheckpointLoad` whose ``result`` is the loaded
-        fleet when possible.  Pre-rollup format-1 documents are
-        *upgraded* — their summary list is folded into a fresh
-        :class:`FleetRollup` — with the upgrade reported in ``issues``;
-        corrupt summary entries are dropped, one issue each.
-        """
-        try:
-            doc = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            msg = f"unreadable fleet checkpoint {path}: {type(exc).__name__}: {exc}"
-            if strict:
-                raise CheckpointError(msg) from exc
-            return FleetCheckpointLoad(result=None, issues=(msg,))
-        fmt = doc.get("format") if isinstance(doc, dict) else None
-        if fmt != _FLEET_CHECKPOINT_FORMAT:
-            msg = (
-                f"unsupported fleet checkpoint format: {fmt!r} "
-                f"(this build reads format {_FLEET_CHECKPOINT_FORMAT})"
-            )
-            if strict:
-                raise CheckpointError(msg)
-            if fmt == 1:
-                return FleetService._upgrade_format_1(doc)
-            return FleetCheckpointLoad(result=None, issues=(msg,))
-        try:
-            retained_docs = doc.get("summaries")
-            spill = doc.get("spill_path")
-            result = FleetResult(
-                rollup=FleetRollup.from_state(doc["rollup"]),
-                elapsed_s=float(doc["elapsed_s"]),
-                spill_path=Path(spill) if spill is not None else None,
-                retained=(
-                    tuple(UserStreamSummary.from_dict(s) for s in retained_docs)
-                    if retained_docs is not None
-                    else None
-                ),
-            )
-        except _DAMAGE as exc:
-            msg = f"corrupt fleet checkpoint {path}: {type(exc).__name__}: {exc}"
-            if strict:
-                raise CheckpointError(msg) from exc
-            return FleetCheckpointLoad(result=None, issues=(msg,))
-        if strict:
-            return result
-        return FleetCheckpointLoad(result=result)
-
-    @staticmethod
-    def _upgrade_format_1(doc: dict) -> FleetCheckpointLoad:
-        """Salvage a pre-rollup document by refolding its summaries."""
-        issues = [
-            "fleet checkpoint format 1 is pre-rollup; "
-            "salvaged by folding its summaries into a fresh rollup"
-        ]
-        rollup = FleetRollup()
-        retained: list[UserStreamSummary] = []
-        raw = doc.get("summaries")
-        if not isinstance(raw, list):
-            issues.append(
-                f"summary list missing or malformed (got {type(raw).__name__}); "
-                "salvaged as an empty fleet"
-            )
-            raw = []
-        for idx, entry in enumerate(raw):
-            try:
-                summary = UserStreamSummary.from_dict(entry)
-                rollup.fold(summary)
-            except _DAMAGE as exc:
-                issues.append(
-                    f"summary #{idx} corrupt ({type(exc).__name__}: {exc}); dropped"
-                )
-                continue
-            retained.append(summary)
-        values = {}
-        for key, convert in (("shed_users", int), ("elapsed_s", float)):
-            try:
-                values[key] = convert(doc[key])
-            except _DAMAGE as exc:
-                issues.append(
-                    f"field {key!r} unreadable ({type(exc).__name__}: {exc}); "
-                    "salvaged as its reset value"
-                )
-                values[key] = convert(0)
-        rollup.shed_users = values["shed_users"]
-        result = FleetResult(
-            rollup=rollup, elapsed_s=values["elapsed_s"], retained=tuple(retained)
-        )
-        return FleetCheckpointLoad(result=result, issues=tuple(issues))
 
     def run(
         self,

@@ -20,22 +20,17 @@ Closing also emits a drift score — how far the finished day's screen-use
 row sits from the learned profile — so a fleet can flag users whose
 habits are moving away from their model.
 
-Retention is configurable: the default keeps every closed day (the
-bit-exact mode); ``window_days`` keeps a sliding window per day type;
-``decay`` replaces storage entirely with exponentially-weighted sums.
-Both alternatives trade exact offline parity for adaptivity.
-
-A retained closed day never changes, so its rows are JSON-encoded once:
+Every closed day is kept, as the offline fit keeps the whole history.
+A closed day never changes, so its rows are JSON-encoded once:
 :meth:`OnlineHabitModel.state_json` fills each day's text on the first
-serialization that needs it and reuses it after, and the text leaves
-with its rows when ``window_days`` evicts them.
+serialization that needs it and reuses it after.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict, deque
+from collections import defaultdict
 from typing import Iterable
 
 import numpy as np
@@ -50,6 +45,9 @@ _STATE_FORMAT = 1
 
 #: The five per-day row kinds feeding the fitted model's statistics.
 _KINDS = ("use", "net_counts", "net_bytes", "net_seconds", "screen_seconds")
+
+#: The two day types, in the order the state document keys them.
+_DAYTYPES = ("weekday", "weekend")
 
 #: Separators of the cached closed-day text (compact JSON).
 _COMPACT = (",", ":")
@@ -99,7 +97,7 @@ def _pending_in(data: dict) -> dict[str, list[float]]:
 
 
 class _ClosedDay:
-    """One retained closed day: its rows and, once encoded, their JSON."""
+    """One closed day: its rows and, once encoded, their JSON."""
 
     __slots__ = ("rows", "text")
 
@@ -130,28 +128,15 @@ class OnlineHabitModel:
         user_id: str,
         *,
         start_weekday: int = 0,
-        window_days: int | None = None,
-        decay: float | None = None,
         drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
     ) -> None:
         if not 0 <= start_weekday < 7:
             raise ValueError(f"start_weekday must be in [0, 7), got {start_weekday}")
-        if window_days is not None and window_days < 1:
-            raise ValueError(f"window_days must be >= 1, got {window_days}")
-        if decay is not None and not 0.0 < decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
-        if window_days is not None and decay is not None:
-            raise ValueError("window_days and decay are mutually exclusive")
         self.user_id = user_id
         self.start_weekday = int(start_weekday)
-        self.window_days = window_days
-        self.decay = decay
         self.drift_threshold = float(drift_threshold)
         #: Next day index to close; days close strictly in order.
         self.next_day = 0
-        #: When frozen, :meth:`close_day` still scores drift but folds
-        #: nothing — the model stops learning (fixed-model deployments).
-        self.frozen = False
         self.last_drift = 0.0
         self.drift_alerts = 0
         # Open (pending) per-day state: rows + special-app observations,
@@ -160,19 +145,8 @@ class OnlineHabitModel:
             defaultdict(_open_rows)
         )
         self._pending_apps: defaultdict[int, dict] = defaultdict(_open_apps)
-        # Closed-day state per day type.
-        self._counts = {"weekday": 0, "weekend": 0}
-        if decay is None:
-            maxlen = window_days  # None → unbounded (bit-exact mode)
-            self._days: dict[str, deque[_ClosedDay]] | None = {
-                "weekday": deque(maxlen=maxlen),
-                "weekend": deque(maxlen=maxlen),
-            }
-            self._sums = self._weights = None
-        else:
-            self._days = None
-            self._sums = {"weekday": _zero_rows(), "weekend": _zero_rows()}
-            self._weights = {"weekday": 0.0, "weekend": 0.0}
+        # Every closed day, per day type.
+        self._days: dict[str, list[_ClosedDay]] = {t: [] for t in _DAYTYPES}
         # Special-app knowledge from closed days only.
         self._used: set[str] = set()
         self._networked: set[str] = set()
@@ -268,19 +242,10 @@ class OnlineHabitModel:
 
         drift = self._score_drift(rows["use"], daytype)
         self.last_drift = drift
-        if self._counts[daytype] > 0 and drift > self.drift_threshold:
+        if self._days[daytype] and drift > self.drift_threshold:
             self.drift_alerts += 1
 
-        if self.frozen:
-            return drift
-        self._counts[daytype] += 1
-        if self.decay is None:
-            self._days[daytype].append(_ClosedDay(rows))
-        else:
-            sums, g = self._sums[daytype], self.decay
-            for kind in _KINDS:
-                sums[kind] = sums[kind] * g + rows[kind]
-            self._weights[daytype] = self._weights[daytype] * g + 1.0
+        self._days[daytype].append(_ClosedDay(rows))
         if apps is not None:
             for app, n in apps["usage_counts"].items():
                 self._used.add(app)
@@ -295,7 +260,7 @@ class OnlineHabitModel:
 
     def _score_drift(self, use_row: np.ndarray, daytype: str) -> float:
         """Mean absolute deviation of a day's use row from the profile."""
-        if self._counts[daytype] == 0:
+        if not self._days[daytype]:
             return 0.0
         return float(np.abs(use_row - self._mean(daytype, "use")).mean())
 
@@ -303,11 +268,6 @@ class OnlineHabitModel:
     # materialization
     # ------------------------------------------------------------------
     def _mean(self, daytype: str, kind: str) -> np.ndarray:
-        if self.decay is not None:
-            weight = self._weights[daytype]
-            if weight == 0.0:
-                return np.zeros(HOURS_PER_DAY)
-            return self._sums[daytype][kind] / weight
         days = self._days[daytype]
         if not days:
             return np.zeros(HOURS_PER_DAY)
@@ -320,12 +280,12 @@ class OnlineHabitModel:
     @property
     def n_weekdays(self) -> int:
         """Closed weekdays folded into the model."""
-        return self._counts["weekday"]
+        return len(self._days["weekday"])
 
     @property
     def n_weekends(self) -> int:
         """Closed weekend days folded into the model."""
-        return self._counts["weekend"]
+        return len(self._days["weekend"])
 
     def registry(self) -> SpecialAppRegistry:
         """Special-app registry from the closed days."""
@@ -360,26 +320,19 @@ class OnlineHabitModel:
     def state_dict(self) -> dict:
         """All mutable state as JSON-safe values (exact float round-trip)."""
         state = self._state()
-        if self.decay is None:
-            state["rows"] = {
-                daytype: [_rows_out(day.rows) for day in days]
-                for daytype, days in self._days.items()
-            }
-        else:
-            state["sums"] = {d: _rows_out(s) for d, s in self._sums.items()}
-            state["weights"] = dict(self._weights)
+        state["rows"] = {
+            daytype: [_rows_out(day.rows) for day in days]
+            for daytype, days in self._days.items()
+        }
         return state
 
     def state_json(self, separators: tuple[str, str] = (", ", ": ")) -> str:
         """:meth:`state_dict` as JSON text, byte for byte
         ``json.dumps(self.state_dict(), separators=separators)``.
 
-        Each retained closed day's rows are encoded once, by the first
-        call that needs them, and their text is reused after.  Decayed
-        sums change with every closed day, so they are encoded afresh.
+        Each closed day's rows are encoded once, by the first call that
+        needs them, and their text is reused after.
         """
-        if self.decay is not None:
-            return json.dumps(self.state_dict(), separators=separators)
         rows = dumps_spliced(
             dict.fromkeys(self._days),
             {
@@ -400,11 +353,9 @@ class OnlineHabitModel:
         """Reuse ``source``'s closed-day text.
 
         For a model just restored from a serialization of ``source``:
-        its retained days are ``source``'s, row for row, so their text
+        its closed days are ``source``'s, row for row, so their text
         is too.  Days ``source`` never encoded stay to be encoded.
         """
-        if self._days is None or source._days is None:
-            return
         for daytype, days in self._days.items():
             theirs = source._days[daytype]
             if len(days) == len(theirs):
@@ -412,19 +363,25 @@ class OnlineHabitModel:
                     day.text = their.text
 
     def _state(self) -> dict:
-        """:meth:`state_dict` without the closed-day rows or sums."""
+        """:meth:`state_dict` without the closed-day rows.
+
+        ``window_days``, ``decay`` and ``frozen`` keep their place in
+        format 1 with the one value this build writes and reads: every
+        closed day is kept and folded.  ``counts`` is the number of
+        closed days of each type.
+        """
         return {
             "format": _STATE_FORMAT,
             "user_id": self.user_id,
             "start_weekday": self.start_weekday,
-            "window_days": self.window_days,
-            "decay": self.decay,
+            "window_days": None,
+            "decay": None,
             "drift_threshold": self.drift_threshold,
             "next_day": self.next_day,
-            "frozen": self.frozen,
+            "frozen": False,
             "last_drift": self.last_drift,
             "drift_alerts": self.drift_alerts,
-            "counts": dict(self._counts),
+            "counts": {daytype: len(days) for daytype, days in self._days.items()},
             "pending_rows": {
                 str(d): {kind: list(r[kind]) for kind in _KINDS}
                 for d, r in self._pending_rows.items()
@@ -445,8 +402,10 @@ class OnlineHabitModel:
     def load_state(cls, state: dict) -> "OnlineHabitModel":
         """Rebuild an accumulator from :meth:`state_dict` output.
 
-        Raises :class:`ValueError` on an unknown format, and
-        :class:`KeyError`, :class:`TypeError`, :class:`ValueError`,
+        Raises :class:`ValueError` on an unknown format, a retention
+        field other than the fixed one, closed-day rows not keyed by
+        exactly the two day types, or counts that disagree with them,
+        and :class:`KeyError`, :class:`TypeError`, :class:`ValueError`,
         :class:`AttributeError` or :class:`OverflowError` on a document
         of the wrong shape.
         """
@@ -460,18 +419,29 @@ class OnlineHabitModel:
                 f"unsupported online-habit state format: {fmt!r} "
                 f"(this build reads format {_STATE_FORMAT})"
             )
+        for key, fixed in (("window_days", None), ("decay", None), ("frozen", False)):
+            if state[key] is not fixed:
+                raise ValueError(
+                    f"online-habit {key!r} must be {json.dumps(fixed)} "
+                    f"(every closed day is kept), got {state[key]!r}"
+                )
+        rows = state["rows"]
+        if rows.keys() != set(_DAYTYPES):
+            raise ValueError(f"closed-day rows must be keyed by {_DAYTYPES}")
+        days = {t: [_ClosedDay(_rows_in(r)) for r in rows[t]] for t in _DAYTYPES}
+        if state["counts"] != {t: len(d) for t, d in days.items()}:
+            raise ValueError(
+                f"closed-day counts {state['counts']!r} disagree with the rows"
+            )
         model = cls(
             state["user_id"],
             start_weekday=int(state["start_weekday"]),
-            window_days=state["window_days"],
-            decay=state["decay"],
             drift_threshold=float(state["drift_threshold"]),
         )
+        model._days = days
         model.next_day = int(state["next_day"])
-        model.frozen = bool(state["frozen"])
         model.last_drift = float(state["last_drift"])
         model.drift_alerts = int(state["drift_alerts"])
-        model._counts = {k: int(v) for k, v in state["counts"].items()}
         model._pending_rows.update({
             int(d): _pending_in(r) for d, r in state["pending_rows"].items()
         })
@@ -485,12 +455,4 @@ class OnlineHabitModel:
         model._used = _names(state["used"])
         model._networked = _names(state["networked"])
         model._usage_counts = {a: int(n) for a, n in state["usage_counts"].items()}
-        if model.decay is None:
-            for daytype in ("weekday", "weekend"):
-                model._days[daytype].extend(
-                    _ClosedDay(_rows_in(r)) for r in state["rows"][daytype]
-                )
-        else:
-            model._sums = {d: _rows_in(s) for d, s in state["sums"].items()}
-            model._weights = {d: float(w) for d, w in state["weights"].items()}
         return model

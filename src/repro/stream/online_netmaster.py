@@ -16,6 +16,8 @@ be killed anywhere (including mid-day) and resumed from the checkpoint
 with byte-identical subsequent decisions.  Its JSON text
 (:meth:`state_json`) reuses each closed habit day's encoding, so a
 checkpoint costs the state that changed, not the whole history.
+:meth:`OnlineNetMaster.from_state` is the one loader: a document it
+cannot restore exactly raises :class:`CheckpointError`.
 """
 
 from __future__ import annotations
@@ -54,30 +56,6 @@ class CheckpointError(ValueError):
     Subclasses :class:`ValueError` so pre-existing callers that caught
     the old format-mismatch error keep working.
     """
-
-
-@dataclass(frozen=True)
-class CheckpointLoad:
-    """Outcome of a lenient checkpoint load (``strict=False``).
-
-    ``engine`` is ``None`` when nothing was recoverable; otherwise it is
-    a usable engine, possibly rebuilt around salvaged parts.  ``issues``
-    lists, in human-readable form, everything that was wrong with the
-    document and what the loader did about it.
-    """
-
-    engine: "OnlineNetMaster | None"
-    issues: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        """Whether the checkpoint loaded completely, with no repairs."""
-        return self.engine is not None and not self.issues
-
-    @property
-    def salvaged(self) -> bool:
-        """Whether a damaged checkpoint still yielded a usable engine."""
-        return self.engine is not None and bool(self.issues)
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,9 +98,6 @@ class OnlineNetMaster:
         config: NetMasterConfig | None = None,
         start_weekday: int = 0,
         train_days: int = 10,
-        update_model: bool = True,
-        window_days: int | None = None,
-        decay: float | None = None,
     ) -> None:
         if train_days < 1:
             raise ValueError(f"train_days must be >= 1, got {train_days}")
@@ -130,13 +105,7 @@ class OnlineNetMaster:
         self.config = config or NetMasterConfig()
         self.start_weekday = int(start_weekday)
         self.train_days = int(train_days)
-        self.update_model = bool(update_model)
-        self.habits = OnlineHabitModel(
-            user_id,
-            start_weekday=start_weekday,
-            window_days=window_days,
-            decay=decay,
-        )
+        self.habits = OnlineHabitModel(user_id, start_weekday=start_weekday)
         self.netmaster = NetMaster(self.config)
         #: Index of the day currently buffering (monotonic).
         self.day = 0
@@ -324,8 +293,6 @@ class OnlineNetMaster:
             # accumulator folds `day` in *after* the decisions are made.
             if not (day < self.adoption_frozen_until and self.netmaster.habit):
                 self.netmaster.adopt_model(self.habits.to_model())
-            if not self.update_model:
-                self.habits.frozen = True
             trace = self._day_trace(day)
             if day < self.quarantined_until:
                 self.netmaster.force_degraded = True
@@ -373,7 +340,8 @@ class OnlineNetMaster:
         Monitor feedback windows (``quarantined_until``,
         ``adoption_frozen_until``) are emitted only when nonzero, so a
         monitored-but-unalerted engine checkpoints to exactly the same
-        bytes as an unmonitored one.
+        bytes as an unmonitored one.  ``update_model`` is always
+        ``true``: every executed day folds into the habit model.
         """
         state = self._state()
         state["habits"] = self.habits.state_dict()
@@ -398,7 +366,7 @@ class OnlineNetMaster:
             "user_id": self.user_id,
             "start_weekday": self.start_weekday,
             "train_days": self.train_days,
-            "update_model": self.update_model,
+            "update_model": True,
             "config": config_to_dict(self.config),
             "day": self.day,
             "last_time": self._last_time,
@@ -435,109 +403,54 @@ class OnlineNetMaster:
         return state
 
     @classmethod
-    def from_state(cls, state: dict) -> "OnlineNetMaster":
+    def from_state(cls, state: object) -> "OnlineNetMaster":
         """Rebuild an engine from :meth:`state_dict` output.
 
         The restored engine makes byte-identical decisions on the
         remaining stream: habit rows, breaker state and day buffers all
         round-trip through JSON exactly.  Raises
-        :class:`CheckpointError` on an unknown schema version or a
-        structurally broken document.
+        :class:`CheckpointError` on an unknown schema version, a
+        structurally broken document, a fixed field holding another
+        value, or habit state that disagrees with the engine's day.
         """
-        engine = cls._restore(state, issues=None)
-        assert engine is not None  # strict mode raises instead
-        return engine
-
-    @classmethod
-    def _restore(
-        cls, state: object, issues: list[str] | None
-    ) -> "OnlineNetMaster | None":
-        """Shared strict/lenient restore.
-
-        ``issues=None`` is strict: any problem raises
-        :class:`CheckpointError`.  With a list, problems are recorded
-        there and as much of the engine as possible is salvaged —
-        damaged day buffers are dropped, a damaged breaker resets to
-        closed, missing counters default to zero.  Only an unusable core
-        (identity, config, or habit accumulators) returns ``None``.
-        """
-        lenient = issues is not None
-
-        def problem(msg: str) -> None:
-            if lenient:
-                issues.append(msg)
-            else:
-                raise CheckpointError(msg)
-
         if not isinstance(state, dict):
-            problem(f"checkpoint is not a JSON object (got {type(state).__name__})")
-            return None
+            raise CheckpointError(
+                f"checkpoint is not a JSON object (got {type(state).__name__})"
+            )
         fmt = state.get("format")
         if fmt != _STATE_FORMAT:
-            problem(
+            raise CheckpointError(
                 f"unsupported stream checkpoint format: {fmt!r} "
                 f"(this build reads format {_STATE_FORMAT})"
             )
-            if lenient:
-                issues[-1] += "; attempting to read it as the current format"
         try:
+            if state["update_model"] is not True:
+                raise ValueError(
+                    f"'update_model' must be true, got {state['update_model']!r}"
+                )
             engine = cls(
                 str(state["user_id"]),
                 config=config_from_dict(state["config"]),
                 start_weekday=int(state["start_weekday"]),
                 train_days=int(state["train_days"]),
-                update_model=bool(state["update_model"]),
             )
             engine.habits = OnlineHabitModel.load_state(state["habits"])
-        except _DAMAGE as exc:
-            problem(
-                "checkpoint core state (identity/config/habits) is unusable "
-                f"({type(exc).__name__}: {exc}); nothing salvageable"
-            )
-            return None
-        try:
             engine.netmaster.breaker.load_state(state["breaker"])
-        except _DAMAGE as exc:
-            problem(
-                f"breaker state unreadable ({type(exc).__name__}: {exc}); "
-                "salvaged with a fresh (closed) breaker"
-            )
-            if not lenient:
-                return None  # pragma: no cover - problem() raised already
-        for attr, key, convert in (
-            ("day", "day", int),
-            ("_last_time", "last_time", float),
-            ("events", "events", int),
-            ("days_executed", "days_executed", int),
-            ("days_degraded", "days_degraded", int),
-            ("interrupts", "interrupts", int),
-        ):
-            try:
-                setattr(engine, attr, convert(state[key]))
-            except _DAMAGE as exc:
-                problem(
-                    f"counter {key!r} unreadable ({type(exc).__name__}: {exc}); "
-                    "salvaged as its reset value"
+            engine.day = int(state["day"])
+            engine._last_time = float(state["last_time"])
+            engine.events = int(state["events"])
+            engine.days_executed = int(state["days_executed"])
+            engine.days_degraded = int(state["days_degraded"])
+            engine.interrupts = int(state["interrupts"])
+            # Absent in unalerted checkpoints (emitted only when nonzero).
+            engine.quarantined_until = int(state.get("quarantined_until", 0))
+            engine.adoption_frozen_until = int(state.get("adoption_frozen_until", 0))
+            if engine.habits.next_day != engine.day:
+                raise ValueError(
+                    f"habit state closes day {engine.habits.next_day} next, "
+                    f"but the engine is on day {engine.day}"
                 )
-        # Monitor feedback windows are absent in unalerted checkpoints
-        # (emitted only when nonzero), so missing means zero, not damage.
-        for attr in ("quarantined_until", "adoption_frozen_until"):
-            try:
-                setattr(engine, attr, int(state.get(attr, 0)))
-            except _DAMAGE as exc:
-                problem(
-                    f"counter {attr!r} unreadable ({type(exc).__name__}: {exc}); "
-                    "salvaged as its reset value"
-                )
-        buffers = state.get("buffers")
-        if not isinstance(buffers, dict):
-            problem(
-                f"day buffers missing or malformed (got {type(buffers).__name__}); "
-                "salvaged with empty buffers"
-            )
-            buffers = {}
-        for day_key, buf in buffers.items():
-            try:
+            for day_key, buf in state["buffers"].items():
                 day = int(day_key)
                 sessions = [
                     ScreenSession(float(s), float(e)) for s, e in buf["sessions"]
@@ -556,18 +469,16 @@ class OnlineNetMaster:
                     )
                     for t, app, down, up, dur, on in buf["activities"]
                 ]
-            except _DAMAGE as exc:
-                problem(
-                    f"day buffer {day_key!r} corrupt ({type(exc).__name__}: {exc}); "
-                    "salvaged by dropping that day's buffered events"
-                )
-                continue
-            if sessions:
-                engine._sessions[day] = sessions
-            if usages:
-                engine._usages[day] = usages
-            if activities:
-                engine._activities[day] = activities
+                if sessions:
+                    engine._sessions[day] = sessions
+                if usages:
+                    engine._usages[day] = usages
+                if activities:
+                    engine._activities[day] = activities
+        except _DAMAGE as exc:
+            raise CheckpointError(
+                f"corrupt stream checkpoint ({type(exc).__name__}: {exc})"
+            ) from exc
         return engine
 
     def to_json(self) -> str:
@@ -591,29 +502,3 @@ class OnlineNetMaster:
             ) from exc
         return cls.from_state(state)
 
-
-def load_checkpoint(payload: str, *, strict: bool = True) -> CheckpointLoad:
-    """Load an :class:`OnlineNetMaster` checkpoint with explicit errors.
-
-    ``strict=True`` behaves like :meth:`OnlineNetMaster.from_json` —
-    any damage raises :class:`CheckpointError` — but returns the result
-    wrapped in a :class:`CheckpointLoad` (``issues`` empty).
-
-    ``strict=False`` never raises: the loader salvages what it can
-    (dropping corrupt day buffers, resetting an unreadable breaker,
-    defaulting broken counters) and reports every repair in
-    ``issues``.  A document damaged beyond use yields
-    ``CheckpointLoad(engine=None, issues=(...,))``.
-    """
-    if strict:
-        return CheckpointLoad(engine=OnlineNetMaster.from_json(payload))
-    issues: list[str] = []
-    try:
-        state = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        return CheckpointLoad(
-            engine=None,
-            issues=(f"checkpoint JSON is truncated or corrupt: {exc}",),
-        )
-    engine = OnlineNetMaster._restore(state, issues=issues)
-    return CheckpointLoad(engine=engine, issues=tuple(issues))

@@ -19,10 +19,9 @@ What survives per fleet (not per user!) is a fixed set of scalars:
 
 Folding happens in admission order, which both the list- and the
 iterator-sourced admission loops share, so rollups are byte-identical
-across spec sources, batch sizes and ``jobs=N`` — and
-:meth:`FleetRollup.state_dict` round-trips through JSON bit-exactly,
-which is what lets a fleet checkpoint carry the rollup instead of the
-summary tuple.
+across spec sources, batch sizes and ``jobs=N``.
+:meth:`FleetRollup.state_dict` dumps those aggregates as JSON-safe
+values for reports.
 
 :class:`SummarySpill` is the optional escape hatch for consumers that
 do need the full per-user documents: an append-only JSONL sink
@@ -133,7 +132,7 @@ class FleetRollup:
         return 1.0 - self.energy_j / naive_energy_j
 
     # ------------------------------------------------------------------
-    # checkpoint round-trip
+    # report
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """JSON-safe state; floats survive serialization bit-exactly."""
@@ -161,56 +160,6 @@ class FleetRollup:
             "savings_buckets_j": list(SAVINGS_BUCKETS_J),
             "savings_hist": list(self.savings_hist),
         }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "FleetRollup":
-        """Rebuild from :meth:`state_dict` output, bit-identical.
-
-        Raises :class:`ValueError` on an unknown format or a histogram
-        whose bucket layout this build does not use (aggregates across
-        different bucketings cannot be merged meaningfully).
-        """
-        fmt = state.get("format")
-        if fmt != _ROLLUP_FORMAT:
-            raise ValueError(
-                f"unsupported rollup format {fmt!r} "
-                f"(this build reads format {_ROLLUP_FORMAT})"
-            )
-        buckets = tuple(state.get("savings_buckets_j", SAVINGS_BUCKETS_J))
-        if buckets != SAVINGS_BUCKETS_J:
-            raise ValueError(
-                "rollup savings histogram buckets differ from this build's"
-            )
-        hist = [int(c) for c in state["savings_hist"]]
-        if len(hist) != len(SAVINGS_BUCKETS_J) + 1:
-            raise ValueError(
-                f"rollup savings histogram has {len(hist)} buckets, "
-                f"expected {len(SAVINGS_BUCKETS_J) + 1}"
-            )
-        min_ = state["energy_day_min"]
-        max_ = state["energy_day_max"]
-        return cls(
-            users=int(state["users"]),
-            events=int(state["events"]),
-            user_days=int(state["user_days"]),
-            days_executed=int(state["days_executed"]),
-            checkpoints=int(state["checkpoints"]),
-            drift_alerts=int(state["drift_alerts"]),
-            degraded_days=int(state["degraded_days"]),
-            interrupts=int(state["interrupts"]),
-            user_interactions=int(state["user_interactions"]),
-            deferred=int(state["deferred"]),
-            shed_users=int(state["shed_users"]),
-            shard_shed_users=int(state["shard_shed_users"]),
-            spilled=int(state["spilled"]),
-            energy_j=float(state["energy_j"]),
-            radio_on_s=float(state["radio_on_s"]),
-            energy_day_min=None if min_ is None else float(min_),
-            energy_day_max=None if max_ is None else float(max_),
-            energy_day_sum=float(state["energy_day_sum"]),
-            energy_day_sumsq=float(state["energy_day_sumsq"]),
-            savings_hist=hist,
-        )
 
 
 class SummarySpill:

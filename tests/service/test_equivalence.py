@@ -145,6 +145,56 @@ def test_restore_missing_file_is_400_and_corrupt_is_409(make_server,
     assert status == 200 and health["status"] == "ok"
 
 
+def test_restore_refuses_inconsistent_habit_state(make_server, service_trace,
+                                                  tmp_path):
+    """Habit state no engine writes — counts without a day type, counts
+    off the row lists, a next day off the engine's day — is a 409, and
+    the gateway keeps serving the state it had."""
+    uid = service_trace.user_id
+    records = list(stream_trace(service_trace))
+    cut = len(records) // 2
+    server = make_server(checkpoint_dir=tmp_path)
+    status, _ = server.request(
+        "POST", f"/v1/users/{uid}/events", batch_doc(service_trace, records[:cut])
+    )
+    assert status == 200
+    path = tmp_path / "state.json"
+    status, _ = server.request("POST", "/v1/checkpoint", {"path": str(path)})
+    assert status == 200
+    state = json.loads(path.read_text(encoding="utf-8"))
+    _, before = server.request("GET", f"/v1/users/{uid}/savings")
+
+    def bump(habits, key, field):
+        habits[key][field] = habits[key][field] + 1
+
+    damages = {
+        "counts-without-weekend": lambda habits: habits["counts"].pop("weekend"),
+        "counts-off-rows": lambda habits: bump(habits, "counts", "weekday"),
+        "next-day-off-day": lambda habits: habits.__setitem__(
+            "next_day", habits["next_day"] + 1
+        ),
+    }
+    for name, damage in damages.items():
+        doc = json.loads(json.dumps(state))
+        damage(doc["users"][uid]["engine"]["habits"])
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        status, reply = server.request("POST", "/v1/restore", {"path": str(bad)})
+        assert status == 409, (name, reply)
+        assert reply["error"]["code"] == "bad-checkpoint"
+
+    _, after = server.request("GET", f"/v1/users/{uid}/savings")
+    assert after == before
+    status, _ = server.request(
+        "POST", f"/v1/users/{uid}/events", batch_doc(service_trace, records[cut:])
+    )
+    assert status == 200
+    status, _ = server.request(
+        "POST", f"/v1/users/{uid}/finish", {"n_days": service_trace.n_days}
+    )
+    assert status == 200
+
+
 def test_client_paths_forbidden_without_checkpoint_dir(make_server, tmp_path):
     """No --checkpoint-dir: a client-supplied path is a 403, both ways."""
     server = make_server()

@@ -1,4 +1,4 @@
-"""OnlineNetMaster checkpoint hardening: strict errors, lenient salvage."""
+"""OnlineNetMaster checkpoint hardening: one strict loader, typed errors."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stream import CheckpointError, OnlineNetMaster, load_checkpoint, stream_trace
+from repro.stream import CheckpointError, OnlineNetMaster, stream_trace
 
 from tests.retyped_fields import NO_SHRINK, retyped
 
@@ -24,19 +24,19 @@ def payload(volunteer):
 
 class TestStrict:
     def test_clean_checkpoint_loads_ok(self, payload):
-        load = load_checkpoint(payload)
-        assert load.ok and not load.salvaged
-        assert load.engine.events > 0
+        engine = OnlineNetMaster.from_json(payload)
+        assert engine.events > 0
+        assert engine.to_json() == payload
 
     def test_truncated_json_raises_checkpoint_error(self, payload):
         with pytest.raises(CheckpointError, match="truncated or corrupt"):
-            load_checkpoint(payload[: len(payload) // 2])
+            OnlineNetMaster.from_json(payload[: len(payload) // 2])
 
     def test_unknown_format_raises_checkpoint_error(self, payload):
         doc = json.loads(payload)
         doc["format"] = 999
         with pytest.raises(CheckpointError, match="format"):
-            load_checkpoint(json.dumps(doc))
+            OnlineNetMaster.from_json(json.dumps(doc))
 
     def test_checkpoint_error_is_a_value_error(self):
         # Pre-hardening callers caught ValueError; they must keep working.
@@ -47,58 +47,8 @@ class TestStrict:
             OnlineNetMaster.from_json("{not json")
 
 
-class TestLenient:
-    def test_truncated_json_reports_instead_of_raising(self, payload):
-        load = load_checkpoint(payload[: len(payload) // 2], strict=False)
-        assert load.engine is None
-        assert not load.ok
-        assert any("truncated or corrupt" in issue for issue in load.issues)
-
-    def test_corrupt_day_buffer_is_dropped_and_reported(self, payload):
-        doc = json.loads(payload)
-        day_key = next(iter(doc["buffers"]), None)
-        if day_key is None:
-            doc["buffers"]["0"] = {}
-            day_key = "0"
-        doc["buffers"][day_key] = {"sessions": "not-a-list"}
-        load = load_checkpoint(json.dumps(doc), strict=False)
-        assert load.salvaged
-        assert any(f"day buffer '{day_key}'" in issue for issue in load.issues)
-
-    def test_broken_breaker_salvages_fresh_breaker(self, payload):
-        doc = json.loads(payload)
-        doc["breaker"] = {"bogus": True}
-        load = load_checkpoint(json.dumps(doc), strict=False)
-        assert load.salvaged
-        assert any("breaker" in issue for issue in load.issues)
-
-    def test_broken_counter_defaults_and_reports(self, payload):
-        doc = json.loads(payload)
-        doc["events"] = "many"
-        load = load_checkpoint(json.dumps(doc), strict=False)
-        assert load.salvaged
-        assert load.engine.events == 0
-        assert any("'events'" in issue for issue in load.issues)
-
-    def test_unusable_core_reports_nothing_salvageable(self, payload):
-        doc = json.loads(payload)
-        del doc["habits"]
-        load = load_checkpoint(json.dumps(doc), strict=False)
-        assert load.engine is None
-        assert any("nothing salvageable" in issue for issue in load.issues)
-
-    def test_salvaged_engine_keeps_streaming(self, volunteer, payload):
-        doc = json.loads(payload)
-        doc["breaker"] = {"bogus": True}
-        load = load_checkpoint(json.dumps(doc), strict=False)
-        engine = load.engine
-        completed = engine.finish(volunteer.n_days)
-        assert engine.day == volunteer.n_days
-        assert isinstance(completed, list)
-
-
 class TestWrongShapedCore:
-    """A core part of another JSON type is an unusable core, not a crash."""
+    """A core part of another JSON type is a typed error, not a crash."""
 
     @pytest.mark.parametrize(
         "damage",
@@ -109,24 +59,19 @@ class TestWrongShapedCore:
         ],
         ids=["habits-list", "config-list", "pending-rows-number"],
     )
-    def test_reported_lenient_and_typed_strict(self, damage):
+    def test_typed_strict(self, damage):
         doc = OnlineNetMaster("u").state_dict()
         damage(doc)
-        payload = json.dumps(doc)
-        load = load_checkpoint(payload, strict=False)
-        assert load.engine is None
-        assert any("nothing salvageable" in issue for issue in load.issues)
-        with pytest.raises(CheckpointError, match="core state"):
-            load_checkpoint(payload)
+        with pytest.raises(CheckpointError, match="corrupt stream checkpoint"):
+            OnlineNetMaster.from_json(json.dumps(doc))
 
 
-@pytest.fixture(scope="module", params=["unbounded", "window", "decay"])
-def mid_stream(request, volunteers):
+@pytest.fixture(scope="module")
+def mid_stream(volunteers):
     """A real mid-stream checkpoint: closed and pending habit rows,
     executed days, an open-day buffer and monitor feedback windows."""
     volunteer = volunteers[0]
-    retention = {"unbounded": {}, "window": {"window_days": 3}, "decay": {"decay": 0.9}}
-    engine = OnlineNetMaster(volunteer.user_id, train_days=8, **retention[request.param])
+    engine = OnlineNetMaster(volunteer.user_id, train_days=8)
     records = list(stream_trace(volunteer))
     engine.observe_many(records[: 3 * len(records) // 4])
     engine.drain()
@@ -134,7 +79,68 @@ def mid_stream(request, volunteers):
     engine.adoption_frozen_until = engine.day + 2
     doc = engine.state_dict()
     assert doc["buffers"] and doc["habits"]["pending_rows"]
+    assert all(doc["habits"]["rows"].values())
     return doc
+
+
+class TestInconsistentHabitState:
+    """Documents whose fields all have their JSON types but whose habit
+    state no engine writes.  Loaded, they would raise a bare error at a
+    later day close or count closed days wrongly, so they are refused."""
+
+    def test_counts_missing_a_day_type_are_refused(self, mid_stream):
+        doc = json.loads(json.dumps(mid_stream))
+        del doc["habits"]["counts"]["weekend"]
+        with pytest.raises(CheckpointError, match="disagree"):
+            OnlineNetMaster.from_state(doc)
+
+    @pytest.mark.parametrize("field", ["counts", "rows"])
+    def test_an_extra_day_type_is_refused(self, mid_stream, field):
+        doc = json.loads(json.dumps(mid_stream))
+        doc["habits"][field]["holiday"] = 0 if field == "counts" else []
+        with pytest.raises(CheckpointError):
+            OnlineNetMaster.from_state(doc)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_counts_that_disagree_with_the_rows_are_refused(self, mid_stream, delta):
+        doc = json.loads(json.dumps(mid_stream))
+        doc["habits"]["counts"]["weekday"] += delta
+        with pytest.raises(CheckpointError, match="disagree"):
+            OnlineNetMaster.from_state(doc)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_a_next_day_off_the_engine_day_is_refused(self, mid_stream, delta):
+        doc = json.loads(json.dumps(mid_stream))
+        doc["habits"]["next_day"] += delta
+        with pytest.raises(CheckpointError, match="engine is on day"):
+            OnlineNetMaster.from_state(doc)
+
+
+class TestFixedFields:
+    """Format 1 keeps ``update_model``, ``window_days``, ``decay`` and
+    ``frozen`` with one value each: every closed day is kept and folded.
+    Any other value is refused, even one of the same JSON type."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("update_model",), False),
+            (("update_model",), 1),
+            (("habits", "window_days"), 3),
+            (("habits", "decay"), 0.9),
+            (("habits", "frozen"), True),
+            (("habits", "frozen"), 0),
+        ],
+        ids=lambda v: repr(v),
+    )
+    def test_any_other_value_is_refused(self, mid_stream, path, value):
+        doc = json.loads(json.dumps(mid_stream))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(CheckpointError, match=path[-1]):
+            OnlineNetMaster.from_state(doc)
 
 
 class TestRetypedFields:
@@ -142,20 +148,13 @@ class TestRetypedFields:
     @given(data=st.data())
     def test_every_retyped_field_gives_a_typed_outcome(self, mid_stream, data):
         """Each field of the checkpoint, in turn, becomes a value of
-        another JSON type or an out-of-range number: the lenient load
-        never raises, the strict one raises only :class:`CheckpointError`
-        (exactly when the lenient one reports an issue), and an engine
-        either returns serializes to the plain encoder's bytes."""
+        another JSON type or an out-of-range number: the load raises
+        only :class:`CheckpointError`, and an engine it returns
+        serializes to the plain encoder's bytes."""
         for case, doc in retyped(mid_stream, data):
             with case:
-                payload = json.dumps(doc)
-                lenient = load_checkpoint(payload, strict=False)
                 try:
-                    strict = load_checkpoint(payload)
+                    engine = OnlineNetMaster.from_json(json.dumps(doc))
                 except CheckpointError:
-                    assert lenient.issues
-                else:
-                    assert strict.ok and not lenient.issues
-                if lenient.engine is not None:
-                    engine = lenient.engine
-                    assert engine.to_json() == json.dumps(engine.state_dict())
+                    continue
+                assert engine.to_json() == json.dumps(engine.state_dict())

@@ -7,8 +7,10 @@ import pytest
 from repro.core.netmaster import NetMasterConfig
 from repro.stream import (
     FleetConfig,
+    FleetRollup,
     FleetService,
     FleetUserSpec,
+    read_spilled,
     stream_one_user,
     stream_trace,
 )
@@ -170,7 +172,11 @@ class TestSummaryRetention:
         assert spilled.summaries == base.summaries
         assert spilled.rollup.spilled == len(volunteers)
 
-    def test_checkpoint_round_trips_an_unretained_run(self, volunteers, tmp_path):
+    def test_spill_of_an_unretained_run_refolds_to_its_rollup(
+        self, volunteers, tmp_path
+    ):
+        """The spill file is what an unretained run leaves on disk: read
+        back, it is the run's summaries and folds to the run's rollup."""
         spill_path = tmp_path / "summaries.jsonl"
         config = FleetConfig(
             train_days=10,
@@ -179,11 +185,12 @@ class TestSummaryRetention:
             netmaster=CONFIG.netmaster,
         )
         result = FleetService(config).run(_specs(volunteers))
-        path = tmp_path / "fleet.json"
-        FleetService.checkpoint(path, result)
-        loaded = FleetService.load_checkpoint(path)
-        assert loaded.rollup == result.rollup
-        assert loaded.summaries == result.summaries
+        spilled = read_spilled(spill_path)
+        assert result.summaries == spilled
+        rollup = FleetRollup(spilled=len(spilled))
+        for summary in spilled:
+            rollup.fold(summary)
+        assert rollup == result.rollup
 
 
 class TestSpecs:

@@ -67,37 +67,6 @@ class TestBitExactParity:
         assert habit_models_equal(online.to_model(), clipped)
 
 
-class TestRetentionModes:
-    def test_window_keeps_only_recent_days(self):
-        online = OnlineHabitModel("w", window_days=2)
-        # Day 0: screen use in hour 1; days 1-2: hour 5.  All weekdays.
-        for day, hour in ((0, 1), (1, 5), (2, 5)):
-            online.observe(
-                ScreenSession(day * DAY + hour * HOUR, day * DAY + hour * HOUR + 60.0)
-            )
-            online.close_day(day)
-        probs = online.to_model().weekday_user_probs
-        assert probs[1] == 0.0  # day 0 fell out of the window
-        assert probs[5] == 1.0
-
-    def test_decay_weights_recent_days_higher(self):
-        online = OnlineHabitModel("d", decay=0.5)
-        online.observe(ScreenSession(HOUR, HOUR + 60.0))  # day 0, hour 1
-        online.close_day(0)
-        online.observe(ScreenSession(DAY + 5 * HOUR, DAY + 5 * HOUR + 60.0))
-        online.close_day(1)
-        probs = online.to_model().weekday_user_probs
-        assert probs[5] > probs[1] > 0.0
-
-    def test_window_and_decay_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            OnlineHabitModel("x", window_days=3, decay=0.9)
-
-    def test_invalid_decay_rejected(self):
-        with pytest.raises(ValueError, match="decay"):
-            OnlineHabitModel("x", decay=1.5)
-
-
 class TestDrift:
     def test_out_of_profile_day_alerts(self):
         online = OnlineHabitModel("drift", drift_threshold=0.3)
@@ -124,17 +93,6 @@ class TestLifecycle:
         online.close_day(0)
         with pytest.raises(ValueError, match="in order"):
             online.close_day(2)
-
-    def test_frozen_scores_but_does_not_learn(self):
-        online = OnlineHabitModel("f")
-        online.observe(ScreenSession(8 * HOUR, 9 * HOUR))
-        online.close_day(0)
-        before = online.to_model()
-        online.frozen = True
-        online.observe(ScreenSession(DAY + 20 * HOUR, DAY + 21 * HOUR))
-        online.close_day(1)
-        assert habit_models_equal(online.to_model(), before)
-        assert online.n_weekdays == 1
 
     def test_midnight_crossing_session_splits_across_days(self):
         online = OnlineHabitModel("m")

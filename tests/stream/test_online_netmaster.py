@@ -203,19 +203,6 @@ class TestStreamContract:
         engine, _ = _run_stream(volunteer)
         assert engine.drain() == []  # ...and were all drained
 
-    def test_frozen_model_when_updates_disabled(self, volunteer):
-        engine = OnlineNetMaster(
-            volunteer.user_id,
-            config=CONFIG,
-            start_weekday=volunteer.start_weekday,
-            train_days=TRAIN_DAYS,
-            update_model=False,
-        )
-        engine.observe_many(stream_trace(volunteer))
-        engine.finish(volunteer.n_days)
-        assert engine.habits.frozen
-        assert engine.habits.n_weekdays + engine.habits.n_weekends == TRAIN_DAYS
-
 
 class TestHabitCounters:
     def test_engine_counts_closed_days_and_drift_alerts(self):

@@ -156,9 +156,15 @@ class NetMaster:
         The fitted model is health-checked: too few observed days of a
         day type, or NaN/inf smuggled in by a corrupted monitoring store,
         flips the middleware into duty-cycle-only degradation (unless
-        ``degrade_on_insufficient_history`` is off).
+        ``degrade_on_insufficient_history`` is off).  A model that will
+        plan gets its weekday and weekend plan parts built here, once:
+        every day :meth:`execute_day` replays then reuses them.
         """
-        return self.adopt_model(HabitModel.fit(history))
+        habit = self.adopt_model(HabitModel.fit(history))
+        if not self.insufficient_history:
+            assert self.scheduler is not None
+            self.scheduler.prepare()
+        return habit
 
     def adopt_model(self, habit: HabitModel) -> HabitModel:
         """Install an already-fitted habit model (mining done elsewhere).
@@ -166,7 +172,9 @@ class NetMaster:
         Runs the same health check and builds the same scheduler and
         real-time-adjustment components :meth:`train` would; the online
         engine (:mod:`repro.stream`) calls this with incrementally mined
-        models instead of refitting from a full history trace.
+        models instead of refitting from a full history trace.  It
+        adopts a new model at every day close, so nothing is prepared
+        here: the scheduler builds each day's plan when asked.
         """
         self.habit = habit
         self.sufficiency = self.habit.data_sufficiency(
@@ -214,7 +222,7 @@ class NetMaster:
     # planning (scheduling component: decision making)
     # ------------------------------------------------------------------
     def plan_day(self, *, weekend: bool) -> DayPlan:
-        """Build a fresh day plan for the given day type."""
+        """A fresh day plan for the given day type."""
         self._require_trained()
         assert self.scheduler is not None
         return self.scheduler.plan(weekend=weekend)
@@ -332,24 +340,28 @@ class NetMaster:
     ) -> tuple[list[tuple[float, float]], int, int, int]:
         """Duty-cycle ``pending`` over the gaps of ``[0, DAY)`` outside ``busy``.
 
-        Transfers land in ``executed`` with the guard tail.  Anything
-        left pending sits inside a busy period (e.g. a slot whose plan
-        capacity ran out): the radio is reachable there, so it simply
-        executes in place.  Returns the wake windows and the serviced,
-        carried-to-gap-end and in-place counts.
+        ``pending`` is in time order (both callers fill it in
+        ``day.activities`` order), so each gap's transfers are one slice
+        found by bisection.  Transfers land in ``executed`` with the
+        guard tail.  Anything left pending sits inside a busy period
+        (e.g. a slot whose plan capacity ran out): the radio is reachable
+        there, so it simply executes in place.  Returns the wake windows
+        and the serviced, carried-to-gap-end and in-place counts.
         """
         assert self.adjustment is not None
         guard = self.config.guard_s
         gaps = _complement(merge_intervals(busy), 0.0, DAY)
+        times = [a.time for a in pending]
         wake_windows: list[tuple[float, float]] = []
-        serviced = carried = in_place = 0
-        gap_handled: set[int] = set()
+        serviced = carried = 0
+        outside: list[NetworkActivity] = []
+        cursor = 0
         for gap_start, gap_end in gaps:
-            in_gap = []
-            for i, a in enumerate(pending):
-                if gap_start <= a.time < gap_end:
-                    in_gap.append(a)
-                    gap_handled.add(i)
+            lo = bisect.bisect_left(times, gap_start, cursor)
+            hi = bisect.bisect_left(times, gap_end, lo)
+            outside.extend(pending[cursor:lo])
+            cursor = hi
+            in_gap = pending[lo:hi]
             if not in_gap and gap_end - gap_start < self.config.duty_initial_s:
                 continue
             result = self.adjustment.servicer.service(gap_start, gap_end, in_gap)
@@ -360,13 +372,11 @@ class NetMaster:
             wake_windows.extend(result.wake_windows)
             serviced += result.serviced
             carried += result.carried_to_end
-        for i, activity in enumerate(pending):
-            if i not in gap_handled:
-                executed.append(
-                    (activity.moved_to(min(activity.time, DAY - activity.duration)), guard)
-                )
-                in_place += 1
-        return wake_windows, serviced, carried, in_place
+        outside.extend(pending[cursor:])
+        executed.extend(
+            (a.moved_to(min(a.time, DAY - a.duration)), guard) for a in outside
+        )
+        return wake_windows, serviced, carried, len(outside)
 
     # ------------------------------------------------------------------
     # degraded execution (duty-cycle-only fallback)

@@ -12,6 +12,11 @@ Glues the mining outputs to Algorithm 1 (Section V-C "decision making"):
 
 Scheduled transfers are packed back-to-back from the start of their slot
 so they coalesce into a single radio-on window.
+
+Steps 1-3 depend only on the model and the day type, so a model that
+will plan many days builds them once per day type
+(:meth:`NetMasterScheduler.prepare`); each :class:`DayPlan` then shares
+those :class:`PlanParts` and owns only its runtime admission state.
 """
 
 from __future__ import annotations
@@ -109,6 +114,23 @@ class DayPlan:
         return t
 
 
+@dataclass(frozen=True)
+class PlanParts:
+    """The half of a :class:`DayPlan` that the habit model alone decides.
+
+    A plan is a pure function of (habit model, day type, profit
+    parameters, ε, δ), so every plan of one day type can share these
+    parts.  No :class:`DayPlan` method writes to them: :meth:`DayPlan.admit`
+    and :meth:`DayPlan.execution_time` touch only the plan's own
+    capacities, cursors and rotation.
+    """
+
+    prediction: SlotPrediction
+    instance: ScheduleInstance
+    solution: MKPSolution
+    hour_slots: dict[int, list[int]]
+
+
 @dataclass
 class NetMasterScheduler:
     """Builds :class:`DayPlan` objects from a fitted habit model."""
@@ -117,14 +139,36 @@ class NetMasterScheduler:
     params: ProfitParams
     eps: float = 0.1
     delta: DeltaStrategy | None = None
+    #: Weekday (``False``) and weekend (``True``) parts built by
+    #: :meth:`prepare`; empty until then, and :meth:`plan` builds anew.
+    prepared: dict[bool, PlanParts] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         check_fraction("eps", self.eps)
         if self.eps == 0.0:
             raise ValueError("eps must be > 0 (the FPTAS needs a positive ε)")
 
+    def prepare(self) -> None:
+        """Build the weekday and weekend plan parts once, for every later plan."""
+        self.prepared = {weekend: self._build(weekend=weekend) for weekend in (False, True)}
+
     def plan(self, *, weekend: bool) -> DayPlan:
-        """Produce the day's scheduling scheme ``S`` (Eq. (6))."""
+        """Produce the day's scheduling scheme ``S`` (Eq. (6)) as a fresh plan."""
+        parts = self.prepared.get(weekend)
+        if parts is None:
+            parts = self._build(weekend=weekend)
+        return DayPlan(
+            weekend=weekend,
+            prediction=parts.prediction,
+            instance=parts.instance,
+            solution=parts.solution,
+            hour_slots=parts.hour_slots,
+        )
+
+    def _build(self, *, weekend: bool) -> PlanParts:
+        """Predict ``U``, build the overlapped-MKP instance and solve it."""
         prediction = self.habit.user_slots(weekend=weekend, strategy=self.delta)
         instance = build_instance(self.habit, prediction, self.params, weekend=weekend)
         with tracer().span(
@@ -145,8 +189,7 @@ class NetMasterScheduler:
             hour_slots.setdefault(activity.hour, []).append(
                 solution.assignment[item_id]
             )
-        return DayPlan(
-            weekend=weekend,
+        return PlanParts(
             prediction=prediction,
             instance=instance,
             solution=solution,

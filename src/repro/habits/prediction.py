@@ -251,13 +251,14 @@ class HabitModel:
         """``∫_{t0}^{t1} Pr[u(t)] dt`` over seconds-of-day (Eq. (4)).
 
         The probability is the hour-level step function; ``t0 <= t1`` must
-        lie within one day.
+        lie within one day.  Only the hours ``[t0, t1]`` overlaps are
+        visited: every other hour has no positive overlap.
         """
         if not 0.0 <= t0 <= t1 <= DAY:
             raise ValueError(f"need 0 <= t0 <= t1 <= {DAY}, got [{t0}, {t1}]")
         probs = self.user_probs(weekend=weekend)
         total = 0.0
-        for hour in range(HOURS_PER_DAY):
+        for hour in range(int(t0 // HOUR), min(HOURS_PER_DAY - 1, int(t1 // HOUR)) + 1):
             lo, hi = hour * HOUR, (hour + 1) * HOUR
             overlap = min(t1, hi) - max(t0, lo)
             if overlap > 0:

@@ -21,6 +21,7 @@ so traces are bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,24 +282,62 @@ def generate_cohort(
     content-addressed :mod:`repro.runtime.cache` when the same
     ``(profiles, seed, n_days, start_weekday)`` tuple was built before
     in this process.  Cache hits are bit-identical to a fresh generation
-    and return independent ``Trace`` objects.
+    and return independent ``Trace`` objects.  For the built-in persona
+    sets the cache key is remembered per integer ``(seed, n_days,
+    start_weekday)``, so a hit neither builds nor hashes the personas.
     """
     if profiles is None:
-        profiles = default_profiles()
+        return _generate(n_days, seed, start_weekday, persona_set="default")
+    return _generate(n_days, seed, start_weekday, profiles=profiles)
+
+
+def generate_volunteers(
+    n_days: int = 14,
+    *,
+    seed: int = 43,
+    start_weekday: int = 0,
+) -> list[Trace]:
+    """Generate traces for the 3 evaluation volunteers of Section VI."""
+    return _generate(n_days, seed, start_weekday, persona_set="volunteers")
+
+
+def _builtin_profiles(persona_set: str) -> list[UserProfile]:
+    """The personas of a built-in set: ``"default"`` or ``"volunteers"``."""
+    return default_profiles() if persona_set == "default" else volunteer_profiles()
+
+
+@functools.lru_cache(maxsize=256)
+def _builtin_key(persona_set: str, seed: int, n_days: int, start_weekday: int) -> str:
+    """The cache key of a built-in set's cohort: a pure function of its inputs."""
+    from repro.runtime.cache import cohort_cache_key
+
+    return cohort_cache_key(_builtin_profiles(persona_set), seed, n_days, start_weekday)
+
+
+def _generate(
+    n_days: int,
+    seed: int,
+    start_weekday: int,
+    *,
+    profiles: list[UserProfile] | None = None,
+    persona_set: str | None = None,
+) -> list[Trace]:
+    """Generate (or serve from the cache) ``profiles`` or a built-in set."""
 
     def build() -> list[Trace]:
         from repro.telemetry import metrics, tracer
 
+        personas = profiles if profiles is not None else _builtin_profiles(persona_set)
         with tracer().span(
-            "generate-cohort", "traces", users=len(profiles), days=n_days
+            "generate-cohort", "traces", users=len(personas), days=n_days
         ):
             root = np.random.SeedSequence(seed)
-            children = root.spawn(len(profiles))
+            children = root.spawn(len(personas))
             cohort = [
                 TraceGenerator(profile, np.random.default_rng(child)).generate(
                     n_days, start_weekday=start_weekday
                 )
-                for profile, child in zip(profiles, children)
+                for profile, child in zip(personas, children)
             ]
         reg = metrics()
         if reg.enabled:
@@ -311,19 +350,16 @@ def generate_cohort(
     from repro.runtime.cache import cohort_cache_key, default_cache
 
     cache = default_cache()
-    key = cohort_cache_key(profiles, seed, n_days, start_weekday)
-    if key is None or not cache.enabled:
+    if not cache.enabled:
+        return build()
+    if persona_set is not None and all(
+        isinstance(v, (int, np.integer)) for v in (seed, n_days, start_weekday)
+    ):
+        key = _builtin_key(persona_set, int(seed), int(n_days), int(start_weekday))
+    else:
+        if profiles is None:
+            profiles = _builtin_profiles(persona_set)
+        key = cohort_cache_key(profiles, seed, n_days, start_weekday)
+    if key is None:
         return build()
     return cache.get_or_generate(key, build)
-
-
-def generate_volunteers(
-    n_days: int = 14,
-    *,
-    seed: int = 43,
-    start_weekday: int = 0,
-) -> list[Trace]:
-    """Generate traces for the 3 evaluation volunteers of Section VI."""
-    return generate_cohort(
-        n_days, seed=seed, start_weekday=start_weekday, profiles=volunteer_profiles()
-    )

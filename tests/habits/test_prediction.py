@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro._util import DAY, HOUR
+from repro._util import DAY, HOUR, HOURS_PER_DAY
 from repro.habits import FixedDelta, HabitModel, ImpactBasedDelta, prediction_accuracy
 from repro.habits.prediction import Slot, SlotPrediction, _merge_hours
 from repro.traces import AppUsage, NetworkActivity, ScreenSession, Trace
@@ -147,6 +152,31 @@ class TestNetworkHours:
         assert hours == [3]
 
 
+_FITTED = HabitModel.fit(_repeating_trace())
+
+#: Seconds of the day, hour boundaries and their float neighbours included.
+_SECOND_OF_DAY = st.one_of(
+    st.floats(0.0, DAY),
+    st.integers(0, HOURS_PER_DAY).map(lambda h: h * HOUR),
+    st.integers(0, HOURS_PER_DAY).map(
+        lambda h: min(DAY, max(0.0, math.nextafter(h * HOUR, 0.0)))
+    ),
+    st.integers(0, HOURS_PER_DAY).map(lambda h: min(DAY, math.nextafter(h * HOUR, DAY))),
+)
+
+
+def _every_hour_integral(model, t0, t1, *, weekend):
+    """The oracle: visit all 24 hours, skipping those without overlap."""
+    probs = model.user_probs(weekend=weekend)
+    total = 0.0
+    for hour in range(HOURS_PER_DAY):
+        lo, hi = hour * HOUR, (hour + 1) * HOUR
+        overlap = min(t1, hi) - max(t0, lo)
+        if overlap > 0:
+            total += probs[hour] * overlap
+    return total
+
+
 class TestUsageProbIntegral:
     def test_whole_day(self):
         model = HabitModel.fit(_repeating_trace())
@@ -166,6 +196,26 @@ class TestUsageProbIntegral:
         model = HabitModel.fit(_repeating_trace())
         with pytest.raises(ValueError):
             model.usage_prob_integral(200.0, 100.0, weekend=False)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        probs=st.lists(st.floats(0.0, 1.0), min_size=HOURS_PER_DAY, max_size=HOURS_PER_DAY),
+        ends=st.tuples(_SECOND_OF_DAY, _SECOND_OF_DAY),
+        empty=st.booleans(),
+        weekend=st.booleans(),
+    )
+    @example(probs=[0.5] * HOURS_PER_DAY, ends=(0.0, DAY), empty=False, weekend=False)
+    @example(probs=[0.5] * HOURS_PER_DAY, ends=(DAY, DAY), empty=False, weekend=True)
+    @example(probs=[0.5] * HOURS_PER_DAY, ends=(9 * HOUR, 10 * HOUR), empty=False, weekend=False)
+    def test_equals_the_every_hour_loop(self, probs, ends, empty, weekend):
+        t0, t1 = sorted(ends)
+        if empty:
+            t1 = t0
+        model = dataclasses.replace(
+            _FITTED, weekday_user_probs=np.array(probs), weekend_user_probs=np.array(probs[::-1])
+        )
+        integral = model.usage_prob_integral(t0, t1, weekend=weekend)
+        assert integral == _every_hour_integral(model, t0, t1, weekend=weekend)
 
 
 class TestPredictionAccuracy:

@@ -12,7 +12,7 @@ from repro.runtime.cache import (
     default_cache,
 )
 from repro.traces import default_profiles, volunteer_profiles
-from repro.traces.generator import generate_cohort
+from repro.traces.generator import generate_cohort, generate_volunteers
 
 
 @pytest.fixture
@@ -124,6 +124,40 @@ def test_entropy_seed_bypasses_cache(isolated_cache):
     generate_cohort(2, seed=None)
     assert isolated_cache.stats.misses == 0
     assert len(isolated_cache) == 0
+
+
+def test_builtin_persona_sets_keep_their_content_keys(isolated_cache):
+    cohort = generate_cohort(2, seed=5)
+    volunteers = generate_volunteers(2, seed=np.int64(5))
+    assert isolated_cache.lookup(cohort_cache_key(default_profiles(), 5, 2, 0)) is not None
+    assert isolated_cache.lookup(cohort_cache_key(volunteer_profiles(), 5, 2, 0)) is not None
+    assert len(isolated_cache) == 2
+    # The same personas passed in as custom profiles hit the same entry.
+    custom = generate_cohort(2, seed=5, profiles=volunteer_profiles())
+    assert isolated_cache.stats.misses == 2
+    assert [t.activities for t in custom] == [t.activities for t in volunteers]
+    assert [t.user_id for t in cohort] == [p.user_id for p in default_profiles()]
+
+
+def test_warm_hit_builds_no_personas(isolated_cache, monkeypatch):
+    """A hit of a built-in persona set neither builds nor hashes personas."""
+    import repro.traces.generator as generator
+
+    cohort = generate_cohort(2, seed=5)
+    volunteers = generate_volunteers(2, seed=5)
+
+    def refuse():
+        raise AssertionError("a warm hit built the personas")
+
+    monkeypatch.setattr(generator, "default_profiles", refuse)
+    monkeypatch.setattr(generator, "volunteer_profiles", refuse)
+    assert [t.activities for t in generate_cohort(2, seed=5)] == [
+        t.activities for t in cohort
+    ]
+    assert [t.activities for t in generate_volunteers(2, seed=5)] == [
+        t.activities for t in volunteers
+    ]
+    assert isolated_cache.stats.hits == 2
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ def warm_trace_cache():
 
     Every figure benchmark starts by regenerating the same profiling
     cohort (21 days, seed 2014) or volunteer cohort (14 days, seed 43).
-    Generating them once here primes the content-addressed trace cache,
+    Generating them once here primes the in-process trace cache,
     so the per-benchmark cost collapses to a cache hit and the timings
     measure the experiment drivers, not cohort synthesis.
     """

@@ -102,9 +102,8 @@ def write_text_atomic(path: str | Path, text: str) -> Path:
 
     The payload goes to a temporary file in the destination directory,
     is flushed and fsynced, and is then renamed over ``path`` with
-    :func:`os.replace` — the same discipline the content-addressed trace
-    store uses.  Readers therefore only ever see the old document or the
-    complete new one, never a half-written hybrid.
+    :func:`os.replace`.  Readers therefore only ever see the old document
+    or the complete new one, never a half-written hybrid.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -127,6 +126,48 @@ def write_text_atomic(path: str | Path, text: str) -> Path:
 def write_json_atomic(path: str | Path, doc: object, *, indent: int | None = None) -> Path:
     """Atomically write ``doc`` as JSON (see :func:`write_text_atomic`)."""
     return write_text_atomic(path, json.dumps(doc, indent=indent) + "\n")
+
+
+class AtomicJsonLines:
+    """A JSON-lines file appended to for a whole run, published atomically.
+
+    Each :meth:`write` appends ``json.dumps(doc) + "\\n"`` to a hidden
+    sibling temp file; :meth:`close` flushes, fsyncs and renames it over
+    ``path`` (the :func:`write_text_atomic` discipline), so readers only
+    ever see a complete file.  :meth:`abort` discards the temp file
+    instead.  Both are idempotent, and neither undoes the other.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        #: Lines written so far.
+        self.count = 0
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(
+            prefix=f".{self.path.name}.", suffix=".partial", dir=self.path.parent
+        )
+        self._tmp = Path(tmp_name)
+        self._fh = os.fdopen(fd, "w", encoding="utf-8", newline="")
+
+    def write(self, doc: object) -> None:
+        """Append ``doc`` as one JSON line."""
+        self._fh.write(json.dumps(doc) + "\n")
+        self.count += 1
+
+    def close(self) -> Path:
+        """Flush, fsync and atomically publish the file; returns its path."""
+        if not self._fh.closed:
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+            self._fh.close()
+            os.replace(self._tmp, self.path)
+        return self.path
+
+    def abort(self) -> None:
+        """Discard the partial file (the run failed before completing)."""
+        if not self._fh.closed:
+            self._fh.close()
+        self._tmp.unlink(missing_ok=True)
 
 
 def dumps_spliced(

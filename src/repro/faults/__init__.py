@@ -8,9 +8,6 @@ them.  :func:`apply_faults` is the only place a finished schedule meets
 the fault model.  Corrupt monitoring traces are the lenient loaders'
 business (:func:`repro.traces.trace_from_jsonl_lenient`,
 :func:`repro.traces.trace_from_csv_lenient`).
-:mod:`repro.faults.storage` extends the same discipline to the
-durability layer: seeded torn writes, truncated WALs, and lost or
-bit-flipped snapshots against a shard directory.
 :mod:`repro.faults.anomalies` supplies the labelled misbehaviour
 scenarios (runaway app, radio stuck in DCH) the monitor subsystem is
 graded against.
@@ -21,11 +18,6 @@ from repro.faults.degradation import CircuitBreaker
 from repro.faults.injector import FaultInjector, FaultPlan
 from repro.faults.resilience import FaultStats, apply_faults
 from repro.faults.retry import RetryOutcome, RetryPolicy, run_with_retries
-from repro.faults.storage import (
-    StorageFaultInjector,
-    current_snapshot_path,
-    current_wal_path,
-)
 
 __all__ = [
     "AnomalyInjector",
@@ -35,9 +27,6 @@ __all__ = [
     "FaultStats",
     "RetryOutcome",
     "RetryPolicy",
-    "StorageFaultInjector",
     "apply_faults",
-    "current_snapshot_path",
-    "current_wal_path",
     "run_with_retries",
 ]

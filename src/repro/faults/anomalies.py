@@ -1,8 +1,7 @@
 """Seeded anomaly scenarios: the energy devourers the monitor must catch.
 
-Where :class:`~repro.faults.injector.FaultInjector` breaks the radio
-and :class:`~repro.faults.storage.StorageFaultInjector` breaks the
-disk, :class:`AnomalyInjector` breaks the *user*: it rewrites a clean
+Where :class:`~repro.faults.injector.FaultInjector` breaks the radio,
+:class:`AnomalyInjector` breaks the *user*: it rewrites a clean
 :class:`~repro.traces.events.Trace` into one carrying a known
 misbehaviour — a runaway app bursting background transfers all day, or
 a transfer pattern that pins the radio in DCH — so detector

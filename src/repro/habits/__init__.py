@@ -20,12 +20,7 @@ from repro.habits.prediction import (
 from repro.habits.serialization import (
     config_from_dict,
     config_to_dict,
-    configs_equal,
-    habit_model_from_dict,
-    habit_model_to_dict,
     habit_models_equal,
-    load_habit_model,
-    save_habit_model,
 )
 from repro.habits.special_apps import SpecialAppRegistry
 from repro.habits.threshold import (
@@ -48,19 +43,14 @@ __all__ = [
     "cohort_cross_user_average",
     "config_from_dict",
     "config_to_dict",
-    "configs_equal",
     "cross_user_matrix",
     "day_matrix",
-    "habit_model_from_dict",
-    "habit_model_to_dict",
     "habit_models_equal",
     "intra_user_average",
-    "load_habit_model",
     "mean_offdiagonal",
     "pairwise_matrix",
     "pearson",
     "prediction_accuracy",
-    "save_habit_model",
     "usage_intensity_matrix",
     "usage_intensity_vector",
 ]

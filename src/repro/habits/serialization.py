@@ -1,27 +1,24 @@
-"""JSON serialization for fitted habit models and middleware configs.
+"""JSON serialization for middleware configs, and habit-model equality.
 
-Stream checkpoints (:mod:`repro.stream`) must persist every per-user
-decision input — the fitted :class:`~repro.habits.prediction.HabitModel`
-and the :class:`~repro.core.netmaster.NetMasterConfig` driving the
-scheduler — and restore them **exactly**: the resumed stream has to make
+Stream checkpoints (:mod:`repro.stream`) persist the
+:class:`~repro.core.netmaster.NetMasterConfig` driving the scheduler
+(:func:`config_to_dict` / :func:`config_from_dict`, δ strategy
+included) and restore it **exactly**: the resumed stream has to make
 byte-identical decisions.  Python's ``json`` emits floats with
 shortest-round-trip ``repr``, so every finite float64 survives a
 dump/load cycle bit-exactly; the helpers here only have to map the
 dataclasses onto plain JSON types and back.
 
-The same round-trip is useful offline: a fitted model can be cached on
-disk next to a cohort and reloaded across runs instead of refitting.
+:func:`habit_models_equal` is the bit-exact equality of two fitted
+:class:`~repro.habits.prediction.HabitModel` objects that the
+online/offline parity tests assert.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from repro.habits.prediction import HabitModel
-from repro.habits.special_apps import SpecialAppRegistry
 from repro.habits.threshold import (
     DeltaStrategy,
     FixedDelta,
@@ -29,7 +26,6 @@ from repro.habits.threshold import (
     WeekdayWeekendDelta,
 )
 
-_MODEL_FORMAT = 1
 _CONFIG_FORMAT = 1
 
 #: The ten hour-level statistic vectors a HabitModel carries.
@@ -50,73 +46,6 @@ _ARRAY_FIELDS = (
 # ----------------------------------------------------------------------
 # habit models
 # ----------------------------------------------------------------------
-
-
-def registry_to_dict(registry: SpecialAppRegistry) -> dict:
-    """JSON-safe dump of a Special-App registry (sets become sorted lists)."""
-    return {
-        "special": sorted(registry.special),
-        "seen": sorted(registry.seen),
-        "usage_counts": {app: registry.usage_counts[app] for app in sorted(registry.usage_counts)},
-    }
-
-
-def registry_from_dict(data: dict) -> SpecialAppRegistry:
-    """Inverse of :func:`registry_to_dict`."""
-    return SpecialAppRegistry(
-        special=set(data["special"]),
-        seen=set(data["seen"]),
-        usage_counts={str(app): int(n) for app, n in data["usage_counts"].items()},
-    )
-
-
-def habit_model_to_dict(model: HabitModel) -> dict:
-    """JSON-safe dump of a fitted habit model (exact float round-trip)."""
-    out: dict = {
-        "format": _MODEL_FORMAT,
-        "user_id": model.user_id,
-        "n_weekdays": model.n_weekdays,
-        "n_weekends": model.n_weekends,
-        "special_apps": registry_to_dict(model.special_apps),
-    }
-    for name in _ARRAY_FIELDS:
-        out[name] = [float(v) for v in getattr(model, name)]
-    return out
-
-
-def habit_model_from_dict(data: dict) -> HabitModel:
-    """Inverse of :func:`habit_model_to_dict`."""
-    fmt = data.get("format")
-    if fmt != _MODEL_FORMAT:
-        raise ValueError(
-            f"unsupported habit-model format: {fmt!r} "
-            f"(this build reads format {_MODEL_FORMAT})"
-        )
-    arrays = {
-        name: np.asarray(data[name], dtype=np.float64) for name in _ARRAY_FIELDS
-    }
-    for name, arr in arrays.items():
-        if arr.shape != (24,):
-            raise ValueError(f"{name} must have 24 entries, got shape {arr.shape}")
-    return HabitModel(
-        user_id=str(data["user_id"]),
-        n_weekdays=int(data["n_weekdays"]),
-        n_weekends=int(data["n_weekends"]),
-        special_apps=registry_from_dict(data["special_apps"]),
-        **arrays,
-    )
-
-
-def save_habit_model(model: HabitModel, path: str | Path) -> Path:
-    """Write a fitted model as JSON; returns the path written."""
-    path = Path(path)
-    path.write_text(json.dumps(habit_model_to_dict(model), indent=2) + "\n")
-    return path
-
-
-def load_habit_model(path: str | Path) -> HabitModel:
-    """Load a model previously written by :func:`save_habit_model`."""
-    return habit_model_from_dict(json.loads(Path(path).read_text()))
 
 
 def habit_models_equal(a: HabitModel, b: HabitModel) -> bool:
@@ -257,8 +186,3 @@ def config_from_dict(data: dict):
         breaker_min_interactions=int(data["breaker_min_interactions"]),
         breaker_cooldown_days=int(data["breaker_cooldown_days"]),
     )
-
-
-def configs_equal(a, b) -> bool:
-    """Whether two configs are interchangeable (frozen-dataclass equality)."""
-    return a == b

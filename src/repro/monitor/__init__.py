@@ -7,11 +7,11 @@ streaming fleet (ROADMAP item 4):
   :class:`~repro.monitor.detectors.DaySignal` per closed day, emitting
   typed :class:`~repro.monitor.detectors.Alert` records;
 * :mod:`repro.monitor.sinks` — :class:`~repro.monitor.sinks.MonitorHub`
-  fan-out to pluggable sinks (JSONL, CSV, ring buffer, callback) with
-  per-sink failure isolation;
+  fan-out to sinks (an atomically published JSONL log, a ring buffer)
+  with per-sink failure isolation;
 * :mod:`repro.monitor.feedback` — alerts become scheduler hints: a
   quarantine policy flips an alerted user's engine to duty-cycle-only
-  degradation (or freezes model adoption), with hysteresis for release;
+  degradation, with hysteresis for release;
 * :mod:`repro.monitor.energy_model` — a least-squares per-user
   daily-energy predictor used as a detector input and as a prediction
   baseline next to the paper's habit model.
@@ -39,18 +39,10 @@ from repro.monitor.detectors import (
 )
 from repro.monitor.energy_model import OnlineEnergyModel
 from repro.monitor.feedback import UserMonitor, day_signals, signal_of
-from repro.monitor.sinks import (
-    CallbackSink,
-    CsvAlertSink,
-    JsonlAlertSink,
-    MonitorHub,
-    RingAlertSink,
-)
+from repro.monitor.sinks import JsonlAlertSink, MonitorHub, RingAlertSink
 
 __all__ = [
     "Alert",
-    "CallbackSink",
-    "CsvAlertSink",
     "DaySignal",
     "DchStuckDetector",
     "DetectorBank",

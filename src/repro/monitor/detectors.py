@@ -13,6 +13,9 @@ Detectors that learn a per-user baseline (runaway energy, savings
 collapse, model residual) are *self-excluding*: an alerted day is
 scored against the history but never folded into it, so a sustained
 anomaly keeps firing instead of teaching the baseline to accept it.
+
+Detector thresholds are required keywords: :class:`MonitorConfig` holds
+the one set of defaults, and :class:`DetectorBank` passes them in.
 """
 
 from __future__ import annotations
@@ -152,8 +155,8 @@ class MonitorConfig:
     residual_z: float = 8.0
     residual_min_days: int = 6
     residual_min_std_j: float = 25.0
-    #: Feedback action: ``"quarantine"`` (duty-cycle-only degradation),
-    #: ``"freeze"`` (keep the last adopted habit model), or ``"none"``.
+    #: Feedback action: ``"quarantine"`` (duty-cycle-only degradation)
+    #: or ``"none"`` (detect and publish only).
     action: str = "quarantine"
     #: Minimum days a triggered user serves before release is possible.
     quarantine_days: int = 3
@@ -161,10 +164,9 @@ class MonitorConfig:
     release_clean_days: int = 2
 
     def __post_init__(self) -> None:
-        if self.action not in ("quarantine", "freeze", "none"):
+        if self.action not in ("quarantine", "none"):
             raise ValueError(
-                f"action must be 'quarantine', 'freeze' or 'none', "
-                f"got {self.action!r}"
+                f"action must be 'quarantine' or 'none', got {self.action!r}"
             )
         for name in ("runaway_z", "residual_z"):
             if getattr(self, name) <= 0:
@@ -234,9 +236,7 @@ class RunawayEnergyDetector:
 
     kind = "runaway_energy"
 
-    def __init__(
-        self, *, z_threshold: float = 6.0, min_days: int = 4, min_std_j: float = 25.0
-    ) -> None:
+    def __init__(self, *, z_threshold: float, min_days: int, min_std_j: float) -> None:
         self.z_threshold = float(z_threshold)
         self.min_days = int(min_days)
         self.min_std_j = float(min_std_j)
@@ -284,7 +284,7 @@ class DchStuckDetector:
 
     kind = "dch_stuck"
 
-    def __init__(self, *, share_bound: float = 0.9, min_radio_s: float = 900.0) -> None:
+    def __init__(self, *, share_bound: float, min_radio_s: float) -> None:
         self.share_bound = float(share_bound)
         self.min_radio_s = float(min_radio_s)
         self.fired = 0
@@ -322,9 +322,7 @@ class SavingsCollapseDetector:
 
     kind = "savings_collapse"
 
-    def __init__(
-        self, *, window_days: int = 5, drop: float = 0.35, min_naive_j: float = 50.0
-    ) -> None:
+    def __init__(self, *, window_days: int, drop: float, min_naive_j: float) -> None:
         self.window_days = int(window_days)
         self.drop = float(drop)
         self.min_naive_j = float(min_naive_j)
@@ -382,7 +380,7 @@ class DriftEscalationDetector:
 
     kind = "drift_escalation"
 
-    def __init__(self, *, run_days: int = 4) -> None:
+    def __init__(self, *, run_days: int) -> None:
         self.run_days = int(run_days)
         self._last_total = 0
         self._streak = 0
@@ -436,9 +434,7 @@ class ResidualEnergyDetector:
 
     kind = "energy_residual"
 
-    def __init__(
-        self, *, z_threshold: float = 8.0, min_days: int = 6, min_std_j: float = 25.0
-    ) -> None:
+    def __init__(self, *, z_threshold: float, min_days: int, min_std_j: float) -> None:
         self.z_threshold = float(z_threshold)
         self.min_days = int(min_days)
         self.min_std_j = float(min_std_j)

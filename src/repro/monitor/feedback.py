@@ -8,8 +8,7 @@ quarantine state machine with hysteresis —
 * **trigger**: any alert activates the quarantine immediately;
 * **hold**: while active, the engine's next days are forced to
   duty-cycle-only degradation (the PR 1 fallback, via
-  ``NetMaster.force_degraded``) or, with ``action="freeze"``, keep the
-  last adopted habit model instead of re-adopting freshly mined ones;
+  ``NetMaster.force_degraded``);
 * **release**: only after the user served ``quarantine_days`` *and*
   produced ``release_clean_days`` consecutive alert-free days — an
   alert during probation re-arms the hold (the
@@ -17,8 +16,8 @@ quarantine state machine with hysteresis —
 
 The invariant the whole subsystem hangs on: a monitor that never fires
 is a pure observer.  ``apply`` writes ``0`` into the engine's feedback
-windows while inactive — the value they already hold — and the engine
-serializes those windows only when nonzero, so decisions, checkpoints
+window while inactive — the value it already holds — and the engine
+serializes that window only when nonzero, so decisions, checkpoints
 and WAL bytes stay byte-identical to an unmonitored run.
 """
 
@@ -89,7 +88,7 @@ class UserMonitor:
         self.user_id = user_id
         self.config = config or MonitorConfig()
         self.bank = DetectorBank(user_id, self.config)
-        #: Whether the quarantine/freeze hold is currently engaged.
+        #: Whether the quarantine hold is currently engaged.
         self.active = False
         #: Alert-free days is not enough — the hold also has a minimum
         #: sentence (``served``) before ``clean`` hysteresis can release.
@@ -153,24 +152,19 @@ class UserMonitor:
                 self.active = False
 
     def apply(self, engine: OnlineNetMaster) -> None:
-        """Project the hold onto the engine's feedback windows.
+        """Project the hold onto the engine's quarantine window.
 
         While active the window covers the next ``quarantine_days``
         closes (it is re-extended every fed day, so the effective hold
-        lasts until hysteresis releases it); while inactive both
-        windows are zero — which is what they already were, keeping the
-        unalerted engine byte-identical to an unmonitored one.
+        lasts until hysteresis releases it); while inactive the window
+        is zero — which is what it already was, keeping the unalerted
+        engine byte-identical to an unmonitored one.
         """
-        action = self.config.action
-        if action == "none":
+        if self.config.action == "none":
             return
-        horizon = (
+        engine.quarantined_until = (
             engine.day + 1 + self.config.quarantine_days if self.active else 0
         )
-        if action == "quarantine":
-            engine.quarantined_until = horizon
-        else:
-            engine.adoption_frozen_until = horizon
 
     # ------------------------------------------------------------------
     # checkpoint / restore

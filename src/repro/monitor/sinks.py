@@ -1,36 +1,29 @@
-"""Alert publishing: a fan-out hub over pluggable, isolated sinks.
+"""Alert publishing: a fan-out hub over isolated sinks.
 
 :class:`MonitorHub` is the single publishing seam — the fleet, the
 sharded service and the HTTP gateway all hand their alerts to one hub,
 which fans each alert out to every attached sink.  Sinks are fully
 isolated: a raising sink is logged and counted
 (``monitor.sink_errors``) and the remaining sinks still receive the
-alert — a broken webhook can never break ingest.
+alert — a broken sink can never break ingest.
 
-The file sinks follow the :class:`~repro.stream.rollup.SummarySpill`
-atomic-publish discipline (the :func:`repro._util.write_json_atomic`
-idiom adapted to append-only files): lines accumulate in a hidden
-sibling temp file and :meth:`close` flushes, fsyncs and renames it over
-the target path, so readers only ever observe a complete alert log.
+Two sinks ship: :class:`RingAlertSink`, the bounded buffer behind
+``GET /v1/alerts``, and :class:`JsonlAlertSink`, an alert log that
+readers only ever observe complete
+(:class:`repro._util.AtomicJsonLines`).
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
-import os
-import tempfile
 from collections import deque
-from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
+from repro._util import AtomicJsonLines
 from repro.monitor.detectors import Alert
 from repro.telemetry import metrics
 
 __all__ = [
-    "CallbackSink",
-    "CsvAlertSink",
     "JsonlAlertSink",
     "MonitorHub",
     "RingAlertSink",
@@ -38,59 +31,12 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Column order of the CSV sink (the Alert fields).
-_CSV_FIELDS = ("user_id", "day", "kind", "severity", "value", "threshold", "message")
 
-
-class _AtomicLineSink:
-    """Shared append-to-temp / publish-on-close machinery."""
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self.count = 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{self.path.name}.", suffix=".partial", dir=self.path.parent
-        )
-        self._tmp = Path(tmp_name)
-        self._fh = os.fdopen(fd, "w", encoding="utf-8", newline="")
-
-    def close(self) -> Path:
-        """Flush, fsync and atomically publish the alert log."""
-        if not self._fh.closed:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self._fh.close()
-            os.replace(self._tmp, self.path)
-        return self.path
-
-    def abort(self) -> None:
-        """Discard the partial log (run failed before completing)."""
-        if not self._fh.closed:
-            self._fh.close()
-        self._tmp.unlink(missing_ok=True)
-
-
-class JsonlAlertSink(_AtomicLineSink):
+class JsonlAlertSink(AtomicJsonLines):
     """Append-only JSONL alert log, atomically published on close."""
 
     def emit(self, alert: Alert) -> None:
-        self._fh.write(json.dumps(alert.as_dict()) + "\n")
-        self.count += 1
-
-
-class CsvAlertSink(_AtomicLineSink):
-    """CSV alert log (header + one row per alert), atomic on close."""
-
-    def __init__(self, path: str | Path) -> None:
-        super().__init__(path)
-        self._writer = csv.writer(self._fh)
-        self._writer.writerow(_CSV_FIELDS)
-
-    def emit(self, alert: Alert) -> None:
-        doc = alert.as_dict()
-        self._writer.writerow([doc[field] for field in _CSV_FIELDS])
-        self.count += 1
+        self.write(alert.as_dict())
 
 
 class RingAlertSink:
@@ -113,18 +59,6 @@ class RingAlertSink:
         return list(self._ring)
 
 
-class CallbackSink:
-    """Webhook-style sink: every alert invokes the callable."""
-
-    def __init__(self, fn: Callable[[Alert], None]) -> None:
-        self.fn = fn
-        self.count = 0
-
-    def emit(self, alert: Alert) -> None:
-        self.fn(alert)
-        self.count += 1
-
-
 class MonitorHub:
     """Fan-out publisher with per-sink failure isolation.
 
@@ -142,10 +76,6 @@ class MonitorHub:
         self.published = 0
         self.by_kind: dict[str, int] = {}
         self.sink_errors = 0
-
-    def add_sink(self, sink: object) -> None:
-        """Attach one more sink (takes effect for future alerts)."""
-        self.sinks.append(sink)
 
     def publish(self, alert: Alert) -> None:
         """Fan one alert out to every sink; a raising sink is isolated."""

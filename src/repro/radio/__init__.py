@@ -12,13 +12,9 @@ from repro.radio.channel import (
     transfer_energy_multiplier,
 )
 from repro.radio.energy import (
-    EnergyComparison,
     activities_energy,
-    activities_radio_intervals,
     activity_windows,
-    compare_schedules,
     delta_e,
-    isolated_activity_energy,
     trace_energy,
 )
 from repro.radio.lanes import (
@@ -46,7 +42,6 @@ from repro.radio.rrc import radio_on_intervals, simulate
 __all__ = [
     "DEFAULT_BANDWIDTH_BPS",
     "ChannelModel",
-    "EnergyComparison",
     "EnergyReport",
     "FullTail",
     "LaneDecomposition",
@@ -59,13 +54,10 @@ __all__ = [
     "UtilizationStats",
     "activities_energy",
     "best_window",
-    "activities_radio_intervals",
     "activity_windows",
-    "compare_schedules",
     "decompose_lanes",
     "delta_e",
     "extend_lanes_by_tails",
-    "isolated_activity_energy",
     "lane_radio_on_lengths",
     "lane_serial_sums",
     "lte_model",

@@ -2,17 +2,16 @@
 
 Bridges the event world (:class:`~repro.traces.events.NetworkActivity`)
 and the RRC world (transfer windows): compute the network energy of an
-entire trace, of an arbitrary re-scheduled activity list, and the per-
-activity ΔE quantities the scheduler's profit model needs.
+entire trace or of an arbitrary re-scheduled activity list, and the
+per-activity ΔE the scheduler's profit model needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.radio.power import RadioPowerModel
-from repro.radio.rrc import EnergyReport, TailPolicy, radio_on_intervals, simulate
+from repro.radio.rrc import EnergyReport, TailPolicy, simulate
 from repro.traces.events import NetworkActivity, Trace
 
 
@@ -39,20 +38,6 @@ def trace_energy(
     return activities_energy(trace.activities, model, tail_policy)
 
 
-def activities_radio_intervals(
-    activities: Sequence[NetworkActivity],
-    model: RadioPowerModel,
-    tail_policy: TailPolicy | None = None,
-) -> list[tuple[float, float]]:
-    """Radio-on intervals induced by an activity schedule."""
-    return radio_on_intervals(activity_windows(activities), model, tail_policy)
-
-
-def isolated_activity_energy(activity: NetworkActivity, model: RadioPowerModel) -> float:
-    """``g(t_j)``: energy of this activity run alone on an idle radio."""
-    return model.isolated_transfer_energy_j(activity.duration)
-
-
 def delta_e(activity: NetworkActivity, model: RadioPowerModel) -> float:
     """ΔE_j: energy saved by merging this activity into an active slot.
 
@@ -60,50 +45,3 @@ def delta_e(activity: NetworkActivity, model: RadioPowerModel) -> float:
     and the inactivity tail are eliminated.
     """
     return model.saved_energy_j(activity.duration)
-
-
-@dataclass(frozen=True, slots=True)
-class EnergyComparison:
-    """Side-by-side energy accounting of two schedules of the same work."""
-
-    before: EnergyReport
-    after: EnergyReport
-
-    @property
-    def saving_fraction(self) -> float:
-        """Relative energy saving of ``after`` vs ``before``."""
-        if self.before.energy_j == 0:
-            return 0.0
-        return 1.0 - self.after.energy_j / self.before.energy_j
-
-    @property
-    def radio_time_saving_fraction(self) -> float:
-        """Relative radio-on-time saving of ``after`` vs ``before``."""
-        if self.before.radio_on_s == 0:
-            return 0.0
-        return 1.0 - self.after.radio_on_s / self.before.radio_on_s
-
-
-def compare_schedules(
-    before: Sequence[NetworkActivity],
-    after: Sequence[NetworkActivity],
-    model: RadioPowerModel,
-    *,
-    before_policy: TailPolicy | None = None,
-    after_policy: TailPolicy | None = None,
-) -> EnergyComparison:
-    """Energy comparison of two schedules (e.g. stock vs NetMaster).
-
-    Raises :class:`ValueError` if the two schedules do not carry the same
-    total payload — a rescheduler must conserve the work it moves.
-    """
-    payload_before = sum(a.total_bytes for a in before)
-    payload_after = sum(a.total_bytes for a in after)
-    if abs(payload_before - payload_after) > 1e-6 * max(payload_before, 1.0):
-        raise ValueError(
-            f"schedules move different payloads: {payload_before} vs {payload_after} bytes"
-        )
-    return EnergyComparison(
-        before=activities_energy(before, model, before_policy),
-        after=activities_energy(after, model, after_policy),
-    )

@@ -3,9 +3,8 @@
 ``repro.runtime`` makes the evaluation pipeline cache-aware and parallel
 end to end:
 
-* :mod:`repro.runtime.cache` — a content-addressed cohort cache keyed by
-  a SHA-256 digest of (profiles, seed, n_days, start_weekday), held in
-  an in-process LRU;
+* :mod:`repro.runtime.cache` — an in-process LRU of generated cohorts
+  keyed by (persona_set, seed, n_days, start_weekday);
 * :mod:`repro.runtime.parallel` — :class:`ParallelRunner` and picklable
   :class:`PolicyTask` descriptors fanning the (user × day × policy)
   evaluation grid over a process pool with deterministic ordering;
@@ -19,7 +18,6 @@ from repro.runtime.cache import (
     TraceCache,
     cache_stats,
     clear_cache,
-    cohort_cache_key,
     configure_cache,
     default_cache,
 )
@@ -39,7 +37,6 @@ __all__ = [
     "TraceCache",
     "cache_stats",
     "clear_cache",
-    "cohort_cache_key",
     "configure_cache",
     "default_cache",
     "execute_policy_tasks",

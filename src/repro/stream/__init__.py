@@ -6,8 +6,8 @@ hand.  On a phone — and in the serving workload the ROADMAP aims at —
 events arrive one at a time and every decision must be causal.  This
 package is that online engine, in four layers:
 
-* :mod:`repro.stream.ingest` — bounded-memory, iterator-based event
-  streams and a multi-user chronological merge;
+* :mod:`repro.stream.ingest` — a trace's records as one lazy,
+  chronological stream;
 * :mod:`repro.stream.online_habits` — :class:`OnlineHabitModel`,
   incremental hour-level accumulators that reproduce the offline fit
   bit-exactly after a full pass, plus a drift signal;
@@ -34,13 +34,7 @@ from repro.stream.fleet import (
     UserStreamSummary,
     stream_one_user,
 )
-from repro.stream.ingest import (
-    StreamEvent,
-    event_time,
-    merge_user_streams,
-    stream_trace,
-    stream_trace_jsonl,
-)
+from repro.stream.ingest import event_time, stream_trace
 from repro.stream.online_habits import OnlineHabitModel
 from repro.stream.online_netmaster import (
     CheckpointError,
@@ -75,19 +69,16 @@ __all__ = [
     "ShardedFleetResult",
     "ShardedFleetService",
     "ShardsResult",
-    "StreamEvent",
     "StreamResult",
     "UserStreamSummary",
     "event_time",
     "fleet_specs",
     "iter_fleet_specs",
     "iter_spilled",
-    "merge_user_streams",
     "read_spilled",
     "shard_of",
     "shards_experiment",
     "stream_experiment",
     "stream_one_user",
     "stream_trace",
-    "stream_trace_jsonl",
 ]

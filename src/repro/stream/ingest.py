@@ -1,30 +1,24 @@
-"""Bounded-memory event-stream ingestion (the online engine's front door).
+"""Event-stream ingestion (the online engine's front door).
 
 A *stream* here is an iterator of trace records — screen sessions, app
-usages, network activities — ordered by start time.  Everything in this
-module is lazy: streams come from in-memory traces, from JSONL files via
-the record reader in :mod:`repro.traces.io`, or from several users at
-once through a `heapq.merge`-based chronological interleave that holds
-one pending record per source, never a materialized
-:class:`~repro.traces.events.Trace`.
+usages, network activities — ordered by start time.
+:func:`stream_trace` yields an in-memory trace's records lazily through
+a ``heapq.merge`` of its three time-ordered event lists.
 
-Ordering contract: sources must already be time-ordered (trace event
-lists are sorted on construction; the JSONL reader is merged per record
-kind below).  ``heapq.merge`` is stable for equal keys — records from an
-earlier source win ties, and records within one source never reorder —
-so downstream accumulation (:mod:`repro.stream.online_habits`) sees the
-exact per-kind, per-user event order the offline fit iterates in, which
-is what makes bit-exact parity possible.
+``heapq.merge`` is stable for equal keys — records from an earlier
+source win ties, and records within one source never reorder — so
+downstream accumulation (:mod:`repro.stream.online_habits`) sees the
+exact per-kind event order the offline fit iterates in, which is what
+makes bit-exact parity possible.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator
 
-from repro.traces.events import AppUsage, NetworkActivity, ScreenSession, Trace
-from repro.traces.io import TraceHeader, TraceRecord, iter_trace_records
+from repro.traces.events import ScreenSession, Trace
+from repro.traces.io import TraceRecord
 
 
 def event_time(record: TraceRecord) -> float:
@@ -32,15 +26,6 @@ def event_time(record: TraceRecord) -> float:
     if isinstance(record, ScreenSession):
         return record.start
     return record.time
-
-
-@dataclass(frozen=True, slots=True)
-class StreamEvent:
-    """One record of a multi-user stream, tagged with its owner."""
-
-    user_id: str
-    time: float
-    record: TraceRecord
 
 
 def stream_trace(trace: Trace) -> Iterator[TraceRecord]:
@@ -52,56 +37,4 @@ def stream_trace(trace: Trace) -> Iterator[TraceRecord]:
     """
     return heapq.merge(
         trace.screen_sessions, trace.usages, trace.activities, key=event_time
-    )
-
-
-def stream_trace_jsonl(
-    path, *, lenient: bool = False
-) -> tuple[TraceHeader, Iterator[TraceRecord]]:
-    """Chronological record stream from a trace JSONL file.
-
-    Returns the validated header plus a lazy record iterator.  The file
-    groups records by kind (sessions, then usages, then activities), so
-    a chronological stream needs a three-way merge; each arm re-reads
-    the file lazily, keeping memory at one record per kind instead of
-    the whole trace.  With ``lenient`` malformed data lines are skipped,
-    matching :func:`~repro.traces.io.trace_from_jsonl_lenient`.
-    """
-
-    def records_of(kind: type) -> Iterator[TraceRecord]:
-        for record in iter_trace_records(path, lenient=lenient):
-            if isinstance(record, kind):
-                yield record
-
-    probe = iter_trace_records(path, lenient=lenient)
-    header = next(probe)
-    assert isinstance(header, TraceHeader)
-    probe.close()
-    merged = heapq.merge(
-        records_of(ScreenSession),
-        records_of(AppUsage),
-        records_of(NetworkActivity),
-        key=event_time,
-    )
-    return header, merged
-
-
-def merge_user_streams(
-    streams: Mapping[str, Iterable[TraceRecord]],
-) -> Iterator[StreamEvent]:
-    """Interleave per-user record streams into one chronological stream.
-
-    Holds one pending record per user — bounded memory no matter how
-    many users or how long their histories.  Ties resolve by the
-    mapping's iteration order (stable), so a fleet replay is fully
-    deterministic.
-    """
-
-    def tagged(user_id: str, records: Iterable[TraceRecord]) -> Iterator[StreamEvent]:
-        for record in records:
-            yield StreamEvent(user_id=user_id, time=event_time(record), record=record)
-
-    return heapq.merge(
-        *(tagged(user_id, records) for user_id, records in streams.items()),
-        key=lambda event: event.time,
     )

@@ -115,14 +115,11 @@ class OnlineNetMaster:
         self.days_degraded = 0
         self.interrupts = 0
         #: Monitor feedback (:mod:`repro.monitor.feedback`): days with
-        #: index < ``quarantined_until`` execute duty-cycle-only; days
-        #: with index < ``adoption_frozen_until`` keep the last adopted
-        #: habit model instead of re-adopting the freshly mined one.
-        #: Both stay 0 unless an alert fired, and are only serialized
-        #: when nonzero so unalerted checkpoints are byte-identical to
+        #: index < ``quarantined_until`` execute duty-cycle-only.  It
+        #: stays 0 unless an alert fired, and is only serialized when
+        #: nonzero so unalerted checkpoints are byte-identical to
         #: unmonitored ones.
         self.quarantined_until = 0
-        self.adoption_frozen_until = 0
         # Per-day event buffers (rebased to the day's midnight), only
         # kept for days that will actually execute (>= train_days).
         self._sessions: dict[int, list[ScreenSession]] = {}
@@ -291,8 +288,7 @@ class OnlineNetMaster:
         if day >= self.train_days:
             # The model is mined from days 0..day-1 only — the habit
             # accumulator folds `day` in *after* the decisions are made.
-            if not (day < self.adoption_frozen_until and self.netmaster.habit):
-                self.netmaster.adopt_model(self.habits.to_model())
+            self.netmaster.adopt_model(self.habits.to_model())
             trace = self._day_trace(day)
             if day < self.quarantined_until:
                 self.netmaster.force_degraded = True
@@ -337,11 +333,11 @@ class OnlineNetMaster:
         Undrained completed days are not part of the state — drain (and
         price) them before checkpointing.
 
-        Monitor feedback windows (``quarantined_until``,
-        ``adoption_frozen_until``) are emitted only when nonzero, so a
-        monitored-but-unalerted engine checkpoints to exactly the same
-        bytes as an unmonitored one.  ``update_model`` is always
-        ``true``: every executed day folds into the habit model.
+        The monitor's ``quarantined_until`` window is emitted only when
+        nonzero, so a monitored-but-unalerted engine checkpoints to
+        exactly the same bytes as an unmonitored one.  ``update_model``
+        is always ``true``: every executed day folds into the habit
+        model.
         """
         state = self._state()
         state["habits"] = self.habits.state_dict()
@@ -398,8 +394,6 @@ class OnlineNetMaster:
         }
         if self.quarantined_until:
             state["quarantined_until"] = self.quarantined_until
-        if self.adoption_frozen_until:
-            state["adoption_frozen_until"] = self.adoption_frozen_until
         return state
 
     @classmethod
@@ -411,7 +405,9 @@ class OnlineNetMaster:
         round-trip through JSON exactly.  Raises
         :class:`CheckpointError` on an unknown schema version, a
         structurally broken document, a fixed field holding another
-        value, or habit state that disagrees with the engine's day.
+        value, an ``adoption_frozen_until`` window (every executed day
+        adopts the freshly mined model), or habit state that disagrees
+        with the engine's day.
         """
         if not isinstance(state, dict):
             raise CheckpointError(
@@ -427,6 +423,11 @@ class OnlineNetMaster:
             if state["update_model"] is not True:
                 raise ValueError(
                     f"'update_model' must be true, got {state['update_model']!r}"
+                )
+            if "adoption_frozen_until" in state:
+                raise ValueError(
+                    "'adoption_frozen_until' is not read: every executed day "
+                    "adopts the freshly mined model"
                 )
             engine = cls(
                 str(state["user_id"]),
@@ -444,7 +445,6 @@ class OnlineNetMaster:
             engine.interrupts = int(state["interrupts"])
             # Absent in unalerted checkpoints (emitted only when nonzero).
             engine.quarantined_until = int(state.get("quarantined_until", 0))
-            engine.adoption_frozen_until = int(state.get("adoption_frozen_until", 0))
             if engine.habits.next_day != engine.day:
                 raise ValueError(
                     f"habit state closes day {engine.habits.next_day} next, "

@@ -26,21 +26,19 @@ values for reports.
 :class:`SummarySpill` is the optional escape hatch for consumers that
 do need the full per-user documents: an append-only JSONL sink
 (``summaries.jsonl``) written next to the run and published atomically
-on close (tempfile + ``os.replace``, the discipline of
-:func:`repro._util.write_text_atomic`), which
+on close (:class:`repro._util.AtomicJsonLines`), which
 :class:`~repro.stream.fleet.FleetResult` re-reads lazily.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
+from repro._util import AtomicJsonLines
 from repro.telemetry import metrics
 
 if TYPE_CHECKING:  # import cycle: fleet.py imports this module
@@ -162,46 +160,18 @@ class FleetRollup:
         }
 
 
-class SummarySpill:
+class SummarySpill(AtomicJsonLines):
     """Append-only JSONL sink for full per-user summary documents.
 
-    Lines accumulate in a hidden sibling temp file; :meth:`close`
-    flushes, fsyncs and renames it over the target path, so readers
-    only ever observe a complete spill file — the atomic-publish
-    discipline of :func:`repro._util.write_text_atomic`, adapted to a
-    file that is appended to for the whole run.  Each appended summary
-    bumps the ``fleet.summaries_spilled`` counter.
+    Readers only ever observe a complete spill file (see
+    :class:`repro._util.AtomicJsonLines`).  Each appended summary bumps
+    the ``fleet.summaries_spilled`` counter.
     """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self.count = 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{self.path.name}.", suffix=".partial", dir=self.path.parent
-        )
-        self._tmp = Path(tmp_name)
-        self._fh = os.fdopen(fd, "w", encoding="utf-8")
 
     def append(self, summary: "UserStreamSummary") -> None:
         """Spill one summary document as a JSON line."""
-        self._fh.write(json.dumps(summary.as_dict()) + "\n")
-        self.count += 1
+        self.write(summary.as_dict())
         metrics().inc("fleet.summaries_spilled")
-
-    def close(self) -> Path:
-        """Flush, fsync and atomically publish the spill file."""
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._fh.close()
-        os.replace(self._tmp, self.path)
-        return self.path
-
-    def abort(self) -> None:
-        """Discard the partial spill (run failed before completing)."""
-        if not self._fh.closed:
-            self._fh.close()
-        self._tmp.unlink(missing_ok=True)
 
 
 def iter_spilled(path: str | Path) -> Iterator["UserStreamSummary"]:

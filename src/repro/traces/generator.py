@@ -21,7 +21,6 @@ so traces are bit-for-bit reproducible.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,7 +269,6 @@ def generate_cohort(
     *,
     seed: int = 2014,
     start_weekday: int = 0,
-    profiles: list[UserProfile] | None = None,
 ) -> list[Trace]:
     """Generate the 8-user, 3-week profiling cohort of the paper.
 
@@ -279,16 +277,12 @@ def generate_cohort(
     independent.
 
     Generation is fully deterministic, so results are served from the
-    content-addressed :mod:`repro.runtime.cache` when the same
-    ``(profiles, seed, n_days, start_weekday)`` tuple was built before
-    in this process.  Cache hits are bit-identical to a fresh generation
-    and return independent ``Trace`` objects.  For the built-in persona
-    sets the cache key is remembered per integer ``(seed, n_days,
-    start_weekday)``, so a hit neither builds nor hashes the personas.
+    in-process :mod:`repro.runtime.cache` when the same persona set,
+    integer seed, ``n_days`` and ``start_weekday`` were built before in
+    this process.  Cache hits are bit-identical to a fresh generation,
+    return independent ``Trace`` objects and build no personas.
     """
-    if profiles is None:
-        return _generate(n_days, seed, start_weekday, persona_set="default")
-    return _generate(n_days, seed, start_weekday, profiles=profiles)
+    return _generate(n_days, seed, start_weekday, "default")
 
 
 def generate_volunteers(
@@ -298,36 +292,22 @@ def generate_volunteers(
     start_weekday: int = 0,
 ) -> list[Trace]:
     """Generate traces for the 3 evaluation volunteers of Section VI."""
-    return _generate(n_days, seed, start_weekday, persona_set="volunteers")
-
-
-def _builtin_profiles(persona_set: str) -> list[UserProfile]:
-    """The personas of a built-in set: ``"default"`` or ``"volunteers"``."""
-    return default_profiles() if persona_set == "default" else volunteer_profiles()
-
-
-@functools.lru_cache(maxsize=256)
-def _builtin_key(persona_set: str, seed: int, n_days: int, start_weekday: int) -> str:
-    """The cache key of a built-in set's cohort: a pure function of its inputs."""
-    from repro.runtime.cache import cohort_cache_key
-
-    return cohort_cache_key(_builtin_profiles(persona_set), seed, n_days, start_weekday)
+    return _generate(n_days, seed, start_weekday, "volunteers")
 
 
 def _generate(
-    n_days: int,
-    seed: int,
-    start_weekday: int,
-    *,
-    profiles: list[UserProfile] | None = None,
-    persona_set: str | None = None,
+    n_days: int, seed: int, start_weekday: int, persona_set: str
 ) -> list[Trace]:
-    """Generate (or serve from the cache) ``profiles`` or a built-in set."""
+    """Generate (or serve from the cache) a built-in persona set's cohort:
+    ``"default"`` (:func:`default_profiles`) or ``"volunteers"``
+    (:func:`volunteer_profiles`)."""
 
     def build() -> list[Trace]:
         from repro.telemetry import metrics, tracer
 
-        personas = profiles if profiles is not None else _builtin_profiles(persona_set)
+        personas = (
+            default_profiles() if persona_set == "default" else volunteer_profiles()
+        )
         with tracer().span(
             "generate-cohort", "traces", users=len(personas), days=n_days
         ):
@@ -347,19 +327,12 @@ def _generate(
 
     # Imported lazily so the trace substrate has no hard runtime-package
     # dependency at import time.
-    from repro.runtime.cache import cohort_cache_key, default_cache
+    from repro.runtime.cache import default_cache
 
     cache = default_cache()
-    if not cache.enabled:
+    # A seed that is not an integer (``None`` draws OS entropy) is never
+    # cached: no key could name the cohort it builds.
+    if not cache.enabled or not isinstance(seed, (int, np.integer)):
         return build()
-    if persona_set is not None and all(
-        isinstance(v, (int, np.integer)) for v in (seed, n_days, start_weekday)
-    ):
-        key = _builtin_key(persona_set, int(seed), int(n_days), int(start_weekday))
-    else:
-        if profiles is None:
-            profiles = _builtin_profiles(persona_set)
-        key = cohort_cache_key(profiles, seed, n_days, start_weekday)
-    if key is None:
-        return build()
+    key = (persona_set, int(seed), int(n_days), int(start_weekday))
     return cache.get_or_generate(key, build)

@@ -90,6 +90,7 @@ class TestMonitorConfig:
             {"drift_run_days": 0},
             {"quarantine_days": 0},
             {"release_clean_days": -1},
+            {"action": "freeze"},
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -102,7 +103,7 @@ class TestMonitorConfig:
 
 class TestRunawayEnergy:
     def test_quiet_before_min_days(self):
-        det = RunawayEnergyDetector(z_threshold=6.0, min_days=4)
+        det = RunawayEnergyDetector(z_threshold=6.0, min_days=4, min_std_j=25.0)
         for day in range(3):
             assert det.feed(sig(day, energy=400.0)) is None
         # Day 3 spikes but only 3 history days are folded: still unarmed.

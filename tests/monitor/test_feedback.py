@@ -32,7 +32,7 @@ def sig(day, *, stuck=False):
 
 
 def engine(day=10):
-    return SimpleNamespace(day=day, quarantined_until=0, adoption_frozen_until=0)
+    return SimpleNamespace(day=day, quarantined_until=0)
 
 
 class TestHysteresis:
@@ -81,7 +81,6 @@ class TestApply:
         eng = engine(day=12)
         m.apply(eng)
         assert eng.quarantined_until == 12 + 1 + CONFIG.quarantine_days
-        assert eng.adoption_frozen_until == 0
 
     def test_quiet_monitor_writes_zero(self):
         # The byte-equality invariant: an inactive monitor writes the
@@ -91,23 +90,13 @@ class TestApply:
         eng = engine()
         m.apply(eng)
         assert eng.quarantined_until == 0
-        assert eng.adoption_frozen_until == 0
-
-    def test_freeze_action_targets_adoption(self):
-        m = UserMonitor("u0", MonitorConfig(action="freeze"))
-        m.feed(None, [sig(0, stuck=True)])
-        eng = engine(day=7)
-        m.apply(eng)
-        assert eng.adoption_frozen_until == 7 + 1 + 3
-        assert eng.quarantined_until == 0
 
     def test_none_action_never_touches_the_engine(self):
         m = UserMonitor("u0", MonitorConfig(action="none"))
         m.feed(None, [sig(0, stuck=True)])
-        eng = SimpleNamespace(day=5, quarantined_until=-1, adoption_frozen_until=-1)
+        eng = SimpleNamespace(day=5, quarantined_until=-1)
         m.apply(eng)
         assert eng.quarantined_until == -1
-        assert eng.adoption_frozen_until == -1
 
     def test_feed_applies_feedback_when_engine_is_passed(self):
         m = UserMonitor("u0", CONFIG)

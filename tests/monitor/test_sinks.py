@@ -2,19 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 import json
 
 import pytest
 
 from repro.monitor.detectors import Alert, SEVERITY_WARNING
-from repro.monitor.sinks import (
-    CallbackSink,
-    CsvAlertSink,
-    JsonlAlertSink,
-    MonitorHub,
-    RingAlertSink,
-)
+from repro.monitor.sinks import JsonlAlertSink, MonitorHub, RingAlertSink
 from repro.telemetry import metrics
 
 
@@ -73,20 +66,6 @@ class TestJsonlSink:
         assert path.exists()
 
 
-class TestCsvSink:
-    def test_header_and_rows(self, tmp_path):
-        path = tmp_path / "alerts.csv"
-        sink = CsvAlertSink(path)
-        sink.emit(alert(4, kind="dch_stuck"))
-        sink.close()
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 1
-        assert rows[0]["kind"] == "dch_stuck"
-        assert rows[0]["day"] == "4"
-        assert float(rows[0]["value"]) == 7.0
-
-
 class TestRingSink:
     def test_keeps_only_the_newest(self):
         ring = RingAlertSink(capacity=2)
@@ -98,16 +77,6 @@ class TestRingSink:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             RingAlertSink(capacity=0)
-
-
-class TestCallbackSink:
-    def test_invokes_the_callable_per_alert(self):
-        seen = []
-        sink = CallbackSink(seen.append)
-        sink.emit(alert(0))
-        sink.emit(alert(1))
-        assert [a.day for a in seen] == [0, 1]
-        assert sink.count == 2
 
 
 class TestHubIsolation:
@@ -135,11 +104,3 @@ class TestHubIsolation:
         # The healthy sink still published despite the raising close.
         assert (tmp_path / "alerts.jsonl").exists()
         assert hub.sink_errors == 2  # one emit failure + one close failure
-
-    def test_add_sink_applies_to_future_alerts_only(self):
-        hub = MonitorHub()
-        hub.publish(alert(0))
-        late = RingAlertSink()
-        hub.add_sink(late)
-        hub.publish(alert(1))
-        assert [a.day for a in late.alerts()] == [1]

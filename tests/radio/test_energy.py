@@ -6,11 +6,8 @@ import pytest
 
 from repro.radio import (
     activities_energy,
-    activities_radio_intervals,
     activity_windows,
-    compare_schedules,
     delta_e,
-    isolated_activity_energy,
     trace_energy,
     wcdma_model,
 )
@@ -37,42 +34,9 @@ class TestActivityEnergy:
             activities_energy(tiny_trace.activities, MODEL).energy_j
         )
 
-    def test_radio_intervals(self):
-        intervals = activities_radio_intervals([_act(0.0)], MODEL)
-        assert intervals == [(0.0, 27.0)]
-
     def test_isolated_and_delta(self):
         act = _act(dur=8.0)
-        assert isolated_activity_energy(act, MODEL) == pytest.approx(
-            MODEL.isolated_transfer_energy_j(8.0)
-        )
         assert delta_e(act, MODEL) == pytest.approx(MODEL.saved_energy_j(8.0))
-
-
-class TestCompareSchedules:
-    def test_batched_schedule_wins(self):
-        before = [_act(0.0), _act(1000.0), _act(2000.0)]
-        after = [a.moved_to(i * 11.0) for i, a in enumerate(before)]
-        comparison = compare_schedules(before, after, MODEL)
-        assert comparison.saving_fraction > 0.3
-        assert comparison.radio_time_saving_fraction > 0.3
-
-    def test_payload_conservation_enforced(self):
-        before = [_act()]
-        after = [_act(down=1.0)]
-        with pytest.raises(ValueError, match="payload"):
-            compare_schedules(before, after, MODEL)
-
-    def test_identity_schedule_zero_saving(self):
-        acts = [_act(0.0), _act(500.0)]
-        comparison = compare_schedules(acts, acts, MODEL)
-        assert comparison.saving_fraction == pytest.approx(0.0)
-
-    def test_different_tail_policies(self):
-        from repro.radio import TruncatedTail
-
-        acts = [_act(0.0)]
-        comparison = compare_schedules(
-            acts, acts, MODEL, after_policy=TruncatedTail(0.5)
-        )
-        assert comparison.saving_fraction > 0.0
+        # Merging saves the promotion and the tail, never the transfer.
+        isolated = activities_energy([act], MODEL).energy_j
+        assert 0.0 < delta_e(act, MODEL) < isolated

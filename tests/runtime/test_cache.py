@@ -1,4 +1,4 @@
-"""Content-addressed trace cache: digests, hits, LRU."""
+"""In-process trace cache: keys, hits, LRU."""
 
 from __future__ import annotations
 
@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from repro.runtime.cache import (
+    MAX_ENTRIES,
     TraceCache,
-    cohort_cache_key,
     configure_cache,
     default_cache,
 )
-from repro.traces import default_profiles, volunteer_profiles
 from repro.traces.generator import generate_cohort, generate_volunteers
 
 
@@ -26,46 +25,44 @@ def isolated_cache(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# digests
+# keys
 # ----------------------------------------------------------------------
 
 
-def test_key_is_stable_across_calls():
-    profiles = default_profiles()
-    k1 = cohort_cache_key(profiles, 2014, 21, 0)
-    k2 = cohort_cache_key(default_profiles(), 2014, 21, 0)
-    assert k1 == k2
-    assert len(k1) == 64  # sha256 hex
+def test_key_is_stable_across_calls(isolated_cache):
+    """A cohort is cached under ``(persona_set, seed, n_days,
+    start_weekday)``, and a repeat call finds the same entry."""
+    generate_cohort(2, seed=5)
+    generate_cohort(2, seed=5)
+    generate_volunteers(2, seed=5, start_weekday=3)
+    assert len(isolated_cache) == 2
+    assert isolated_cache.lookup(("default", 5, 2, 0)) is not None
+    assert isolated_cache.lookup(("volunteers", 5, 2, 3)) is not None
 
 
-def test_key_distinguishes_every_input():
-    profiles = default_profiles()
-    base = cohort_cache_key(profiles, 2014, 21, 0)
-    assert cohort_cache_key(profiles, 2015, 21, 0) != base
-    assert cohort_cache_key(profiles, 2014, 20, 0) != base
-    assert cohort_cache_key(profiles, 2014, 21, 1) != base
-    assert cohort_cache_key(volunteer_profiles(), 2014, 21, 0) != base
-    assert cohort_cache_key(profiles[:4], 2014, 21, 0) != base
+def test_key_distinguishes_every_input(isolated_cache):
+    """A different seed, day count, start weekday or persona set is a
+    different entry."""
+    generate_cohort(2, seed=5)
+    generate_cohort(2, seed=6)
+    generate_cohort(3, seed=5)
+    generate_cohort(2, seed=5, start_weekday=1)
+    generate_volunteers(2, seed=5)
+    assert isolated_cache.stats.misses == 5
+    assert isolated_cache.stats.hits == 0
+    assert len(isolated_cache) == 5
 
 
-def test_key_sees_profile_content_changes():
-    """A mutated persona parameter must change the digest (no aliasing)."""
-    import copy
-
-    profiles = default_profiles()
-    base = cohort_cache_key(profiles, 2014, 21, 0)
-    tweaked = copy.deepcopy(profiles)
-    tweaked[0].weekday_intensity[3] += 1e-9
-    assert cohort_cache_key(tweaked, 2014, 21, 0) != base
-
-
-def test_key_accepts_numpy_seed_rejects_non_int():
-    profiles = default_profiles()
-    assert cohort_cache_key(profiles, np.int64(7), 21, 0) == cohort_cache_key(
-        profiles, 7, 21, 0
-    )
+def test_key_accepts_numpy_seed_rejects_non_int(isolated_cache):
+    cohort = generate_cohort(2, seed=5)
+    again = generate_cohort(np.int64(2), seed=np.int64(5), start_weekday=np.int64(0))
+    assert isolated_cache.stats.hits == 1
+    assert len(isolated_cache) == 1
+    assert [t.activities for t in again] == [t.activities for t in cohort]
     # seed=None means fresh OS entropy: never cacheable.
-    assert cohort_cache_key(profiles, None, 21, 0) is None
+    generate_cohort(2, seed=None)
+    assert isolated_cache.stats.misses == 1
+    assert len(isolated_cache) == 1
 
 
 # ----------------------------------------------------------------------
@@ -126,21 +123,8 @@ def test_entropy_seed_bypasses_cache(isolated_cache):
     assert len(isolated_cache) == 0
 
 
-def test_builtin_persona_sets_keep_their_content_keys(isolated_cache):
-    cohort = generate_cohort(2, seed=5)
-    volunteers = generate_volunteers(2, seed=np.int64(5))
-    assert isolated_cache.lookup(cohort_cache_key(default_profiles(), 5, 2, 0)) is not None
-    assert isolated_cache.lookup(cohort_cache_key(volunteer_profiles(), 5, 2, 0)) is not None
-    assert len(isolated_cache) == 2
-    # The same personas passed in as custom profiles hit the same entry.
-    custom = generate_cohort(2, seed=5, profiles=volunteer_profiles())
-    assert isolated_cache.stats.misses == 2
-    assert [t.activities for t in custom] == [t.activities for t in volunteers]
-    assert [t.user_id for t in cohort] == [p.user_id for p in default_profiles()]
-
-
 def test_warm_hit_builds_no_personas(isolated_cache, monkeypatch):
-    """A hit of a built-in persona set neither builds nor hashes personas."""
+    """A warm hit builds no personas."""
     import repro.traces.generator as generator
 
     cohort = generate_cohort(2, seed=5)
@@ -166,20 +150,18 @@ def test_warm_hit_builds_no_personas(isolated_cache, monkeypatch):
 
 
 def test_lru_evicts_oldest():
-    cache = TraceCache(max_entries=2)
-    cache.put("a", [])
-    cache.put("b", [])
-    cache.lookup("a")  # refresh a
-    cache.put("c", [])  # evicts b
-    assert cache.lookup("b") is None
-    assert cache.lookup("a") is not None
-    assert cache.lookup("c") is not None
+    cache = TraceCache()
+    keys = [("default", seed, 1, 0) for seed in range(MAX_ENTRIES + 1)]
+    for key in keys[:MAX_ENTRIES]:
+        cache.put(key, [])
+    assert cache.stats.evictions == 0
+    cache.lookup(keys[0])  # refresh the oldest
+    cache.put(keys[-1], [])  # evicts keys[1], now the least recent
+    assert len(cache) == MAX_ENTRIES
+    assert cache.lookup(keys[1]) is None
+    assert cache.lookup(keys[0]) is not None
+    assert cache.lookup(keys[-1]) is not None
     assert cache.stats.evictions == 1
-
-
-def test_max_entries_validated():
-    with pytest.raises(ValueError, match="max_entries"):
-        TraceCache(max_entries=0)
 
 
 # ----------------------------------------------------------------------
@@ -188,19 +170,8 @@ def test_max_entries_validated():
 
 
 def test_configure_cache_roundtrip(isolated_cache):
-    cache = configure_cache(enabled=False, max_entries=4)
+    cache = configure_cache(enabled=False)
     assert cache is default_cache()
     assert cache.enabled is False
-    assert cache.max_entries == 4
     configure_cache(enabled=True)
     assert cache.enabled is True
-
-
-def test_configure_cache_shrink_evicts(isolated_cache):
-    for name in "abcd":
-        isolated_cache.put(name, [])
-    configure_cache(max_entries=2)
-    assert len(isolated_cache) == 2
-    assert isolated_cache.lookup("d") is not None
-    with pytest.raises(ValueError, match="max_entries"):
-        configure_cache(max_entries=0)

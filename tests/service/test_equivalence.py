@@ -147,9 +147,10 @@ def test_restore_missing_file_is_400_and_corrupt_is_409(make_server,
 
 def test_restore_refuses_inconsistent_habit_state(make_server, service_trace,
                                                   tmp_path):
-    """Habit state no engine writes — counts without a day type, counts
-    off the row lists, a next day off the engine's day — is a 409, and
-    the gateway keeps serving the state it had."""
+    """Engine state no engine writes — habit counts without a day type,
+    counts off the row lists, a next day off the engine's day, a
+    frozen-adoption window — is a 409, and the gateway keeps serving the
+    state it had."""
     uid = service_trace.user_id
     records = list(stream_trace(service_trace))
     cut = len(records) // 2
@@ -168,15 +169,20 @@ def test_restore_refuses_inconsistent_habit_state(make_server, service_trace,
         habits[key][field] = habits[key][field] + 1
 
     damages = {
-        "counts-without-weekend": lambda habits: habits["counts"].pop("weekend"),
-        "counts-off-rows": lambda habits: bump(habits, "counts", "weekday"),
-        "next-day-off-day": lambda habits: habits.__setitem__(
-            "next_day", habits["next_day"] + 1
+        "counts-without-weekend": lambda engine: engine["habits"]["counts"].pop(
+            "weekend"
+        ),
+        "counts-off-rows": lambda engine: bump(engine["habits"], "counts", "weekday"),
+        "next-day-off-day": lambda engine: engine["habits"].__setitem__(
+            "next_day", engine["habits"]["next_day"] + 1
+        ),
+        "adoption-frozen-until": lambda engine: engine.__setitem__(
+            "adoption_frozen_until", engine["day"] + 2
         ),
     }
     for name, damage in damages.items():
         doc = json.loads(json.dumps(state))
-        damage(doc["users"][uid]["engine"]["habits"])
+        damage(doc["users"][uid]["engine"])
         bad = tmp_path / f"{name}.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         status, reply = server.request("POST", "/v1/restore", {"path": str(bad)})

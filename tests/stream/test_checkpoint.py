@@ -69,14 +69,13 @@ class TestWrongShapedCore:
 @pytest.fixture(scope="module")
 def mid_stream(volunteers):
     """A real mid-stream checkpoint: closed and pending habit rows,
-    executed days, an open-day buffer and monitor feedback windows."""
+    executed days, an open-day buffer and a monitor quarantine window."""
     volunteer = volunteers[0]
     engine = OnlineNetMaster(volunteer.user_id, train_days=8)
     records = list(stream_trace(volunteer))
     engine.observe_many(records[: 3 * len(records) // 4])
     engine.drain()
     engine.quarantined_until = engine.day + 1
-    engine.adoption_frozen_until = engine.day + 2
     doc = engine.state_dict()
     assert doc["buffers"] and doc["habits"]["pending_rows"]
     assert all(doc["habits"]["rows"].values())
@@ -118,8 +117,10 @@ class TestInconsistentHabitState:
 
 class TestFixedFields:
     """Format 1 keeps ``update_model``, ``window_days``, ``decay`` and
-    ``frozen`` with one value each: every closed day is kept and folded.
-    Any other value is refused, even one of the same JSON type."""
+    ``frozen`` with one value each, and has no ``adoption_frozen_until``:
+    every closed day is kept and folded, and every executed day adopts
+    the freshly mined model.  Any other value is refused, even one of
+    the same JSON type."""
 
     @pytest.mark.parametrize(
         "path, value",
@@ -130,6 +131,7 @@ class TestFixedFields:
             (("habits", "decay"), 0.9),
             (("habits", "frozen"), True),
             (("habits", "frozen"), 0),
+            (("adoption_frozen_until",), 10**6),
         ],
         ids=lambda v: repr(v),
     )

@@ -1,22 +1,9 @@
-"""Stream ingestion: chronological merges with bounded memory."""
+"""Stream ingestion: a trace's records as one chronological stream."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.stream import (
-    StreamEvent,
-    event_time,
-    merge_user_streams,
-    stream_trace,
-    stream_trace_jsonl,
-)
-from repro.traces import (
-    AppUsage,
-    NetworkActivity,
-    ScreenSession,
-    trace_to_jsonl,
-)
+from repro.stream import event_time, stream_trace
+from repro.traces import AppUsage, NetworkActivity, ScreenSession
 
 
 class TestEventTime:
@@ -53,51 +40,3 @@ class TestStreamTrace:
         assert not isinstance(stream, (list, tuple))
         first = next(stream)
         assert event_time(first) <= event_time(next(stream))
-
-
-class TestStreamTraceJsonl:
-    def test_matches_in_memory_stream(self, volunteer, tmp_path):
-        path = tmp_path / "vol.jsonl"
-        trace_to_jsonl(volunteer, path)
-        header, records = stream_trace_jsonl(path)
-        assert header.user_id == volunteer.user_id
-        assert header.n_days == volunteer.n_days
-        assert header.start_weekday == volunteer.start_weekday
-        streamed = list(records)
-        expected = list(stream_trace(volunteer))
-        assert len(streamed) == len(expected)
-        assert [event_time(r) for r in streamed] == [event_time(r) for r in expected]
-        assert [type(r).__name__ for r in streamed] == [
-            type(r).__name__ for r in expected
-        ]
-
-    def test_lenient_skips_bad_lines(self, tiny_trace, tmp_path):
-        path = tmp_path / "t.jsonl"
-        trace_to_jsonl(tiny_trace, path)
-        with path.open("a") as fh:
-            fh.write("{not json}\n")
-        with pytest.raises(ValueError):
-            list(stream_trace_jsonl(path)[1])
-        _, records = stream_trace_jsonl(path, lenient=True)
-        assert len(list(records)) == len(list(stream_trace(tiny_trace)))
-
-
-class TestMergeUserStreams:
-    def test_chronological_and_tagged(self, volunteers):
-        streams = {t.user_id: stream_trace(t) for t in volunteers}
-        merged = list(merge_user_streams(streams))
-        assert all(isinstance(e, StreamEvent) for e in merged)
-        times = [e.time for e in merged]
-        assert times == sorted(times)
-        per_user = {t.user_id: 0 for t in volunteers}
-        for e in merged:
-            per_user[e.user_id] += 1
-        for t in volunteers:
-            assert per_user[t.user_id] == len(list(stream_trace(t)))
-
-    def test_per_user_order_preserved(self, volunteers):
-        streams = {t.user_id: stream_trace(t) for t in volunteers}
-        seen: dict[str, float] = {}
-        for e in merge_user_streams(streams):
-            assert e.time >= seen.get(e.user_id, float("-inf"))
-            seen[e.user_id] = e.time

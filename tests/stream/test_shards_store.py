@@ -192,6 +192,23 @@ class TestRecovery:
         assert fresh.get("u1") is None
         assert fresh.get("u2").engine_state == {"events": 1}
 
+    def test_missing_snapshot_salvages_wal_tail(self, tmp_path):
+        store = ShardStore(tmp_path / "s0", compact_every_records=2)
+        store.append(_done("u1"))
+        store.append(_day("u2", 0))  # compaction fires
+        store.append(_day("u2", 1))  # gen-1 WAL
+        manifest = json.loads((tmp_path / "s0" / MANIFEST_NAME).read_text())
+        assert manifest["snapshot"] == "snapshot-00000001.json"
+        (tmp_path / "s0" / manifest["snapshot"]).unlink()
+        fresh = ShardStore(tmp_path / "s0")
+        report = fresh.recover()
+        assert any(
+            "snapshot snapshot-00000001.json is missing" in issue
+            for issue in report.issues
+        )
+        assert fresh.get("u1") is None
+        assert fresh.get("u2").engine_state == {"events": 1}
+
     def test_recovery_is_idempotent(self, tmp_path):
         store = ShardStore(tmp_path / "s0")
         store.append(_day("u1", 0))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,11 @@ from repro._util import (
     total_length,
     weekday_of,
 )
+
+from repro.monitor.detectors import SEVERITY_CRITICAL, Alert
+from repro.monitor.sinks import JsonlAlertSink
+from repro.stream.fleet import UserStreamSummary
+from repro.stream.rollup import SummarySpill
 
 from tests.baselines.affected_oracle import scan_count
 
@@ -182,3 +189,71 @@ class TestCountInWindows:
         times = times + [v for w in windows for v in w]
         assert count_in_windows(times, windows) == scan_count(times, windows)
         assert count_in_windows(iter(times), windows) == scan_count(times, windows)
+
+
+# ----------------------------------------------------------------------
+# atomic JSON-lines files: the summary spill and the alert log
+# ----------------------------------------------------------------------
+
+
+def _spill(path):
+    docs = [
+        UserStreamSummary(
+            user_id=f"ü-{i}",
+            n_days=14,
+            days_executed=4 + i,
+            events=1000 * i,
+            energy_j=0.1 + 0.2 * i,
+            radio_on_s=1e-7 * i,
+            interrupts=i,
+            user_interactions=10 * i,
+            deferred=3,
+            degraded_days=0,
+            drift_alerts=1,
+            checkpoints=2,
+        )
+        for i in range(3)
+    ]
+    spill = SummarySpill(path)
+    return spill, spill.append, docs
+
+
+def _alert_log(path):
+    docs = [
+        Alert(
+            user_id=f"ü-{i}",
+            day=10 + i,
+            kind="dch_stuck",
+            severity=SEVERITY_CRITICAL,
+            value=0.1 + 0.2 * i,
+            threshold=0.95,
+            message=f"share {i} \u2192 \"quoted\"",
+        )
+        for i in range(3)
+    ]
+    sink = JsonlAlertSink(path)
+    return sink, sink.emit, docs
+
+
+@pytest.mark.parametrize("make", [_spill, _alert_log], ids=["spill", "alert-log"])
+class TestJsonLinesFiles:
+    def test_published_bytes_are_one_json_line_per_doc(self, tmp_path, make):
+        path = tmp_path / "out.jsonl"
+        writer, add, docs = make(path)
+        for doc in docs:
+            add(doc)
+        assert writer.close() == path
+        expected = "".join(json.dumps(d.as_dict()) + "\n" for d in docs)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert writer.count == len(docs)
+
+    def test_close_is_idempotent(self, tmp_path, make):
+        path = tmp_path / "out.jsonl"
+        writer, add, docs = make(path)
+        add(docs[0])
+        published = writer.close().read_bytes()
+        assert writer.close() == path
+        writer.abort()  # after a publish, abort has nothing left to discard
+        assert path.read_bytes() == published
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+

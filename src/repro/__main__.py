@@ -26,6 +26,7 @@ reads that directory back and renders the summary tables.
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import sys
 from typing import Callable
@@ -59,28 +60,12 @@ _REGISTRY: dict[str, tuple[Callable, Callable]] = {
     "monitor": (ex_monitor, rpt.format_monitor),
 }
 
-#: Experiments whose drivers accept a ``seed`` keyword.
-_SEEDABLE = {
-    "fig1a",
-    "fig1b",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10c",
-    "ux",
-    "approx",
-    "robustness",
-    "stream",
-    "shards",
-    "monitor",
-}
 
-#: Experiments whose drivers accept a ``jobs`` keyword (process fan-out).
-_PARALLEL = {"fig7", "fig8", "fig9", "fig10c", "robustness", "stream", "shards"}
+def _accepts(name: str, keyword: str) -> bool:
+    """Whether experiment ``name``'s driver takes ``keyword``."""
+    driver, _ = _REGISTRY[name]
+    return keyword in inspect.signature(driver).parameters
+
 
 #: ``--quick`` keyword overrides: shrunk but still-representative runs.
 #: Every entry keeps the experiment's structure (same policies, same
@@ -171,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="fan parallel-capable experiments over N worker processes "
-        f"(applies to: {', '.join(sorted(_PARALLEL))})",
+        f"(applies to: {', '.join(n for n in sorted(_REGISTRY) if _accepts(n, 'jobs'))})",
     )
     parser.add_argument(
         "--quick",
@@ -270,9 +255,9 @@ def run(
             kwargs: dict[str, object] = (
                 dict(_QUICK.get(name, {})) if quick else {}
             )
-            if seed is not None and name in _SEEDABLE:
+            if seed is not None and _accepts(name, "seed"):
                 kwargs["seed"] = seed
-            if jobs > 1 and name in _PARALLEL:
+            if jobs > 1 and _accepts(name, "jobs"):
                 kwargs["jobs"] = jobs
             before = reg.snapshot()
             result = driver(**kwargs)

@@ -10,7 +10,11 @@ slot.  This module provides:
   profits (exact; used as ground truth in tests);
 * :func:`knapsack_bruteforce` — exhaustive search for tiny instances;
 * :func:`knapsack_greedy` — density-ordered greedy with the classic
-  best-single-item fix-up (``1/2`` guarantee), used by ``GreedyAdd``.
+  best-single-item fix-up (``1/2`` guarantee), a reference for tests.
+
+Algorithm 1's ``GreedyAdd`` step is a loop of its own in
+:func:`repro.core.overlapped.solve_overlapped`, which solves its slots
+with :func:`knapsack_fptas_batch`.
 
 Profits and weights are non-negative floats; capacities are floats.
 All solvers return a :class:`KnapsackSolution`.
@@ -365,8 +369,7 @@ def knapsack_greedy(
     """Density-greedy packing with the best-single-item fix-up.
 
     Sorting by profit/weight and taking the better of (greedy prefix,
-    best single item) guarantees half the optimum; this is the cheap
-    workhorse behind Algorithm 1's ``GreedyAdd`` step.
+    best single item) guarantees half the optimum.
     """
     profits = np.asarray(profits, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)

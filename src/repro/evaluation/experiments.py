@@ -59,7 +59,6 @@ from repro.traces.generator import generate_cohort, generate_volunteers
 #: History/test split used for the Section VI experiments: train on the
 #: first days of each volunteer trace, evaluate on the rest.
 DEFAULT_HISTORY_DAYS = 10
-DEFAULT_TEST_DAYS = 4
 
 
 def split_history(trace: Trace, n_history_days: int) -> tuple[Trace, list[Trace]]:

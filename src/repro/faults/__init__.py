@@ -5,9 +5,9 @@ paper's offline evaluation does not: failing transfers, radio outages
 and RRC promotion failures — plus the retry and degradation machinery
 that keeps the energy savings (and the max-delay guarantee) intact under
 them.  :func:`apply_faults` is the only place a finished schedule meets
-the fault model.  Corrupt monitoring traces are the lenient loaders'
-business (:func:`repro.traces.trace_from_jsonl_lenient`,
-:func:`repro.traces.trace_from_csv_lenient`).
+the fault model.  Corrupt monitoring records are refused, whole
+batch at a time, at the fleet service's ingest
+(:mod:`repro.service.schemas`, :class:`repro.service.gateway.FleetGateway`).
 :mod:`repro.faults.anomalies` supplies the labelled misbehaviour
 scenarios (runaway app, radio stuck in DCH) the monitor subsystem is
 graded against.

@@ -2,7 +2,6 @@
 
 from repro.habits.intensity import usage_intensity_matrix, usage_intensity_vector
 from repro.habits.pearson import (
-    cohort_cross_user_average,
     cross_user_matrix,
     day_matrix,
     intra_user_average,
@@ -17,11 +16,7 @@ from repro.habits.prediction import (
     SlotPrediction,
     prediction_accuracy,
 )
-from repro.habits.serialization import (
-    config_from_dict,
-    config_to_dict,
-    habit_models_equal,
-)
+from repro.habits.serialization import config_from_dict, config_to_dict
 from repro.habits.special_apps import SpecialAppRegistry
 from repro.habits.threshold import (
     DeltaStrategy,
@@ -40,12 +35,10 @@ __all__ = [
     "SlotPrediction",
     "SpecialAppRegistry",
     "WeekdayWeekendDelta",
-    "cohort_cross_user_average",
     "config_from_dict",
     "config_to_dict",
     "cross_user_matrix",
     "day_matrix",
-    "habit_models_equal",
     "intra_user_average",
     "mean_offdiagonal",
     "pairwise_matrix",

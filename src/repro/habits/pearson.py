@@ -78,11 +78,6 @@ def day_matrix(trace: Trace, *, n_days: int | None = None) -> np.ndarray:
     return pairwise_matrix([matrix[d] for d in range(matrix.shape[0])])
 
 
-def cohort_cross_user_average(traces: list[Trace]) -> float:
-    """The cohort's average cross-user Pearson (paper: 0.1353)."""
-    return mean_offdiagonal(cross_user_matrix(traces))
-
-
 def intra_user_average(trace: Trace) -> float:
     """One user's average day-to-day Pearson (paper: 0.54 cohort mean)."""
     return mean_offdiagonal(day_matrix(trace))

@@ -1,4 +1,4 @@
-"""JSON serialization for middleware configs, and habit-model equality.
+"""JSON serialization for middleware configs.
 
 Stream checkpoints (:mod:`repro.stream`) persist the
 :class:`~repro.core.netmaster.NetMasterConfig` driving the scheduler
@@ -8,17 +8,10 @@ byte-identical decisions.  Python's ``json`` emits floats with
 shortest-round-trip ``repr``, so every finite float64 survives a
 dump/load cycle bit-exactly; the helpers here only have to map the
 dataclasses onto plain JSON types and back.
-
-:func:`habit_models_equal` is the bit-exact equality of two fitted
-:class:`~repro.habits.prediction.HabitModel` objects that the
-online/offline parity tests assert.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.habits.prediction import HabitModel
 from repro.habits.threshold import (
     DeltaStrategy,
     FixedDelta,
@@ -27,48 +20,6 @@ from repro.habits.threshold import (
 )
 
 _CONFIG_FORMAT = 1
-
-#: The ten hour-level statistic vectors a HabitModel carries.
-_ARRAY_FIELDS = (
-    "weekday_user_probs",
-    "weekend_user_probs",
-    "weekday_net_counts",
-    "weekend_net_counts",
-    "weekday_net_bytes",
-    "weekend_net_bytes",
-    "weekday_net_seconds",
-    "weekend_net_seconds",
-    "weekday_screen_seconds",
-    "weekend_screen_seconds",
-)
-
-
-# ----------------------------------------------------------------------
-# habit models
-# ----------------------------------------------------------------------
-
-
-def habit_models_equal(a: HabitModel, b: HabitModel) -> bool:
-    """Bit-exact equality of two habit models.
-
-    Arrays compare by their raw float64 bytes (so ``-0.0 != 0.0`` and
-    NaN patterns are honoured — stricter than ``np.array_equal``), the
-    Special-App registry by set/dict equality.  This is the contract the
-    online/offline parity tests assert.
-    """
-    if (a.user_id, a.n_weekdays, a.n_weekends) != (b.user_id, b.n_weekdays, b.n_weekends):
-        return False
-    for name in _ARRAY_FIELDS:
-        left = np.ascontiguousarray(getattr(a, name), dtype=np.float64)
-        right = np.ascontiguousarray(getattr(b, name), dtype=np.float64)
-        if left.shape != right.shape or left.tobytes() != right.tobytes():
-            return False
-    return a.special_apps == b.special_apps
-
-
-# ----------------------------------------------------------------------
-# middleware configs
-# ----------------------------------------------------------------------
 
 
 def delta_to_dict(strategy: DeltaStrategy | None) -> dict | None:

@@ -36,7 +36,7 @@ from repro.radio.lanes import (
     segmented_cummax,
     simulate_many,
 )
-from repro.radio.power import RadioPowerModel, RRCState, lte_model, model_by_name, wcdma_model
+from repro.radio.power import RadioPowerModel, lte_model, wcdma_model
 from repro.radio.rrc import radio_on_intervals, simulate
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "LaneDecomposition",
     "LaneWindows",
     "LinkModel",
-    "RRCState",
     "RadioPowerModel",
     "TailPolicy",
     "TruncatedTail",
@@ -63,7 +62,6 @@ __all__ = [
     "lte_model",
     "merge_lanes",
     "merge_lanes_with_allowances",
-    "model_by_name",
     "pack_lanes",
     "radio_on_intervals",
     "replay_many",

@@ -15,22 +15,8 @@ all times seconds, all energies joules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from repro._util import check_positive
-
-
-class RRCState(Enum):
-    """Radio Resource Control states of the simplified machine.
-
-    ``PROMO`` covers both IDLE→DCH and FACH→DCH promotions; the tail
-    states reuse DCH/FACH power levels per the 3G measurements.
-    """
-
-    IDLE = "idle"
-    PROMO = "promo"
-    DCH = "dch"
-    FACH = "fach"
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,12 +157,3 @@ def lte_model() -> RadioPowerModel:
         dch_tail_s=0.0,
         fach_tail_s=11.6,
     )
-
-
-def model_by_name(name: str) -> RadioPowerModel:
-    """Look up a bundled power model by name (``"wcdma"`` or ``"lte"``)."""
-    models = {"wcdma": wcdma_model, "lte": lte_model}
-    try:
-        return models[name]()
-    except KeyError:
-        raise KeyError(f"unknown radio model {name!r}; choose from {sorted(models)}") from None

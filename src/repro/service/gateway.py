@@ -21,9 +21,10 @@ library directly.  Per user it keeps:
 
 The ingest path validates a batch's causal order *before* touching the
 engine, so a rejected out-of-order batch leaves no partial state behind
-(:class:`CausalityError`, HTTP 409; a non-finite event time, or one
+(:class:`CausalityError`, HTTP 409; a non-finite event time, one
 request moving a user's stream more than
-:data:`~repro.service.schemas.MAX_DAYS_AHEAD` days ahead, is a
+:data:`~repro.service.schemas.MAX_DAYS_AHEAD` days ahead, or a record
+that would break an executed day's trace is a
 :class:`~repro.service.schemas.SchemaError`, HTTP 400).  Checkpoints
 serialize the whole gateway — engines, aggregates, retained decisions —
 to one JSON document written through
@@ -44,7 +45,7 @@ from repro.evaluation.metrics import measure_outcome
 from repro.monitor import MonitorHub, RingAlertSink, UserMonitor, signal_of
 from repro.service.schemas import MAX_DAYS_AHEAD, SchemaError, decision_doc, saving_of
 from repro.stream.fleet import FleetConfig, UserDriver
-from repro.stream.ingest import event_time, stream_trace
+from repro.stream.ingest import stream_trace
 from repro.stream.online_netmaster import (
     _DAMAGE,
     CheckpointError,
@@ -52,8 +53,7 @@ from repro.stream.online_netmaster import (
     OnlineNetMaster,
 )
 from repro.telemetry import metrics
-from repro.traces.events import Trace
-from repro.traces.io import TraceRecord
+from repro.traces.events import NetworkActivity, ScreenSession, Trace, TraceRecord
 
 #: Schema version of the gateway checkpoint document.
 _SERVICE_CHECKPOINT_FORMAT = 1
@@ -176,11 +176,15 @@ class FleetGateway:
 
         The batch is validated against the causal order *before* any
         record reaches the engine: an out-of-order batch raises
-        :class:`CausalityError`, and a record at a non-finite time, or
-        a last record more than
+        :class:`CausalityError`, and a record at a non-finite time, a
+        last record more than
         :data:`~repro.service.schemas.MAX_DAYS_AHEAD` days past the open
-        day, :class:`~repro.service.schemas.SchemaError`, leaving the
-        session untouched.
+        day, or a record on an executed day that its day trace would
+        refuse at the close (:meth:`Trace.validate`: overlapping screen
+        sessions, a ``screen_on`` flag the sessions contradict, a session
+        starting at an earlier network record's time)
+        :class:`~repro.service.schemas.SchemaError`, leaving the session
+        untouched.
         Records then go through the session's
         :class:`~repro.stream.fleet.UserDriver` — days close exactly as
         in :func:`repro.stream.fleet.stream_one_user`, including the
@@ -195,29 +199,61 @@ class FleetGateway:
                 "batch shed whole"
             )
         session = self.ensure_user(user_id, start_weekday=start_weekday)
-        prev = session.engine.last_time
+        engine = session.engine
+        prev = engine.last_time
+        # Each executed day becomes a Trace when it closes; a record that
+        # would make that Trace fail validation is refused here instead.
+        executed = engine.train_days * DAY
+        session_end, network_t = engine.buffered_tail()
         for i, record in enumerate(records):
-            t = event_time(record)
-            if not math.isfinite(t):
-                raise SchemaError(
-                    f"events[{i}] has a non-finite time t={t}; batch rejected whole"
-                )
-            if t < prev:
+            is_session = isinstance(record, ScreenSession)
+            t = record.start if is_session else record.time
+            if not prev <= t < math.inf:  # NaN fails every comparison
+                if not math.isfinite(t):
+                    raise SchemaError(
+                        f"events[{i}] has a non-finite time t={t}; batch rejected whole"
+                    )
                 raise CausalityError(
                     f"stream went backwards: events[{i}] at t={t} after "
                     f"t={prev}; batch rejected whole"
                 )
             prev = t
-        if records and prev // DAY - session.engine.day > MAX_DAYS_AHEAD:
+            if is_session:
+                end = record.end
+                if end <= t:  # the engine buffers no empty session
+                    continue
+                if t < session_end and min(end, session_end) > executed:
+                    raise SchemaError(
+                        f"events[{i}] is a screen session starting at t={t}, "
+                        f"before the previous one ends at t={session_end}; "
+                        "batch rejected whole"
+                    )
+                if t == network_t:
+                    raise SchemaError(
+                        f"events[{i}] is a screen session starting at t={t}, "
+                        "after a screen-off network record at that time "
+                        "(sessions come first on equal times); batch rejected whole"
+                    )
+                session_end = max(session_end, end)
+            elif t >= executed and isinstance(record, NetworkActivity):
+                if record.screen_on != (t < session_end):
+                    raise SchemaError(
+                        f"events[{i}] is a network record tagged "
+                        f"screen_on={record.screen_on} at t={t}, but the screen "
+                        f"is {'on' if t < session_end else 'off'} then; "
+                        "batch rejected whole"
+                    )
+                network_t = t
+        if records and prev // DAY - engine.day > MAX_DAYS_AHEAD:
             raise SchemaError(
                 f"events[{len(records) - 1}] at t={prev} lies more than "
-                f"{MAX_DAYS_AHEAD} days past the open day {session.engine.day}; "
+                f"{MAX_DAYS_AHEAD} days past the open day {engine.day}; "
                 "batch rejected whole"
             )
         days_closed = session.driver.feed(records)
         self.events_total += len(records)
         metrics().inc("service.events_ingested", len(records))
-        engine = session.engine
+        engine = session.engine  # a checkpoint round trip replaces it
         return {
             "user_id": user_id,
             "accepted": len(records),

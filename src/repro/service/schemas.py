@@ -1,12 +1,13 @@
 """Wire documents of the fleet service (the schema layer).
 
-Requests and responses are plain JSON documents.  Event batches reuse
-the trace JSONL record schema (``kind``-tagged ``screen`` / ``usage`` /
-``network`` objects, :mod:`repro.traces.io`) so a phone upload, a trace
-file, and an HTTP ingest batch are one format.  Response documents are
-derived from engine outputs with no lossy formatting — floats are
-emitted as Python floats, which survive JSON bit-exactly — so the
-byte-equality contract between the HTTP surface and the library
+Requests and responses are plain JSON documents.  An event batch is a
+list of monitoring records, each a ``kind``-tagged ``screen`` /
+``usage`` / ``network`` object; this module is the one owner of that
+record format (:func:`parse_event_batch` reads it, :func:`record_to_doc`
+writes it).  Response documents are derived from engine outputs with no
+lossy formatting — floats are emitted as Python floats, which survive
+JSON bit-exactly — so the byte-equality contract between the HTTP
+surface and the library
 (:func:`repro.service.gateway.reference_decisions`) is meaningful.
 
 Everything that can reject a request raises :class:`SchemaError`; the
@@ -15,10 +16,11 @@ HTTP layer maps it to a 400 response.
 
 from __future__ import annotations
 
+import math
+
 from repro.evaluation.metrics import PolicyDayMetrics
 from repro.stream.online_netmaster import CompletedDay
-from repro.traces.events import AppUsage, NetworkActivity, ScreenSession
-from repro.traces.io import TraceRecord, _parse_record
+from repro.traces.events import AppUsage, NetworkActivity, ScreenSession, TraceRecord
 
 #: Hard cap on records per ingest batch (a schema concern: one batch is
 #: one admission unit through the single-writer queue, and an unbounded
@@ -42,14 +44,56 @@ def _require_object(doc: object, what: str) -> dict:
     return doc
 
 
+def _number(obj: dict, key: str) -> float:
+    """``obj[key]`` as a finite float.
+
+    ``json.loads`` parses ``NaN``, ``Infinity`` and overflowing literals
+    such as ``1e400``; none of them is a usable time, duration or size.
+    """
+    value = float(obj[key])
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
+def _app(obj: dict) -> str:
+    """``obj["app"]``, which must be a JSON string (``str(None)`` is ``"None"``)."""
+    app = obj["app"]
+    if not isinstance(app, str):
+        raise ValueError(f"app must be a string, got {app!r}")
+    return app
+
+
+def _parse_record(kind: str, obj: dict) -> TraceRecord:
+    """Parse one wire record object; raises on anything malformed."""
+    if kind == "screen":
+        return ScreenSession(_number(obj, "start"), _number(obj, "end"))
+    if kind == "usage":
+        return AppUsage(_number(obj, "time"), _app(obj), _number(obj, "duration"))
+    if kind == "network":
+        screen_on = obj["screen_on"]
+        if not isinstance(screen_on, bool):  # bool("false") is True
+            raise ValueError(f"screen_on must be true or false, got {screen_on!r}")
+        return NetworkActivity(
+            time=_number(obj, "time"),
+            app=_app(obj),
+            down_bytes=_number(obj, "down_bytes"),
+            up_bytes=_number(obj, "up_bytes"),
+            duration=_number(obj, "duration"),
+            screen_on=screen_on,
+        )
+    raise ValueError(f"unknown record kind: {kind!r}")
+
+
 def parse_event_batch(doc: object) -> tuple[list[TraceRecord], int]:
     """Parse a ``POST .../events`` body into trace records.
 
     The body is ``{"events": [<record>, ...]}`` with an optional
     ``"start_weekday"`` (0..6, used only when the batch creates the
-    user).  Each record is a JSONL trace record object: ``{"kind":
-    "screen", "start": s, "end": e}``, ``{"kind": "usage", "time": t,
-    "app": a, "duration": d}`` or ``{"kind": "network", ...}``.
+    user).  Each record is a wire record object: ``{"kind": "screen",
+    "start": s, "end": e}``, ``{"kind": "usage", "time": t, "app": a,
+    "duration": d}`` or ``{"kind": "network", ...}``.  Numbers must be
+    finite, ``app`` a string and ``screen_on`` a boolean.
     Returns ``(records, start_weekday)``.
     """
     doc = _require_object(doc, "event batch")

@@ -45,8 +45,7 @@ from repro.stream.ingest import stream_trace
 from repro.stream.online_netmaster import OnlineNetMaster
 from repro.stream.rollup import FleetRollup, SummarySpill, read_spilled
 from repro.telemetry import metrics
-from repro.traces.events import Trace
-from repro.traces.io import TraceRecord
+from repro.traces.events import Trace, TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.detectors import Alert, MonitorConfig

@@ -17,8 +17,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterator
 
-from repro.traces.events import ScreenSession, Trace
-from repro.traces.io import TraceRecord
+from repro.traces.events import ScreenSession, Trace, TraceRecord
 
 
 def event_time(record: TraceRecord) -> float:

@@ -6,9 +6,9 @@ screen-use indicators, screen-off network counts/bytes/seconds, and
 screen-on seconds.  It is the one habit fitter: the offline
 :meth:`repro.habits.prediction.HabitModel.fit` folds a whole history
 through it and closes every day, so a stream that has closed the same
-days holds **bit-exactly** the offline model (``habit_models_equal``
-exact-byte equality).  Its tests compare it, bit for bit, with a
-whole-trace matrix walk of the same statistics.
+days holds **bit-exactly** the offline model (equal array bytes).  Its
+tests compare it, bit for bit, with a whole-trace matrix walk of the
+same statistics.
 
 Causality: contributions land in *pending* per-day rows as events
 arrive; a day only influences :meth:`to_model` once it is *closed*
@@ -38,8 +38,7 @@ import numpy as np
 from repro._util import DAY, HOUR, HOURS_PER_DAY, dumps_spliced, is_weekend
 from repro.habits.prediction import HabitModel
 from repro.habits.special_apps import SpecialAppRegistry
-from repro.traces.events import AppUsage, NetworkActivity, ScreenSession
-from repro.traces.io import TraceRecord
+from repro.traces.events import AppUsage, NetworkActivity, ScreenSession, TraceRecord
 
 _STATE_FORMAT = 1
 

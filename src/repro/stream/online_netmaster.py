@@ -34,8 +34,13 @@ from repro.habits.serialization import config_from_dict, config_to_dict
 from repro.stream.ingest import event_time
 from repro.stream.online_habits import OnlineHabitModel
 from repro.telemetry import metrics
-from repro.traces.events import AppUsage, NetworkActivity, ScreenSession, Trace
-from repro.traces.io import TraceRecord
+from repro.traces.events import (
+    AppUsage,
+    NetworkActivity,
+    ScreenSession,
+    Trace,
+    TraceRecord,
+)
 
 #: Schema version stamped into every engine checkpoint ("format" field).
 _STATE_FORMAT = 1
@@ -45,6 +50,15 @@ POLICY_NAME = "netmaster-online"
 #: What a damaged checkpoint document raises while it is read: a
 #: missing key, a value of the wrong JSON type or range.
 _DAMAGE = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
+def _latest(buffers: dict[int, list], key) -> float:
+    """``key`` of the last record in the latest non-empty day buffer,
+    back in stream time (``-inf`` when every buffer is empty)."""
+    for day in sorted(buffers, reverse=True):
+        if buffers[day]:
+            return day * DAY + key(buffers[day][-1])
+    return -math.inf
 
 
 class CheckpointError(ValueError):
@@ -132,6 +146,21 @@ class OnlineNetMaster:
         """Stream time of the newest observed record (the causal floor:
         anything earlier is out of order and will be rejected)."""
         return self._last_time
+
+    def buffered_tail(self) -> tuple[float, float]:
+        """``(session_end, network_time)`` of the executed-day buffers.
+
+        The stream time at which the latest buffered screen session ends
+        and the time of the latest buffered network activity, each
+        ``-inf`` when no buffer holds one.  A session crossing midnight
+        is clipped into every day it spans, so the latest day's last
+        piece carries its end.  Read-only: the service checks a batch
+        against these before any of it is folded.
+        """
+        return (
+            _latest(self._sessions, lambda s: s.end),
+            _latest(self._activities, lambda a: a.time),
+        )
 
     # ------------------------------------------------------------------
     # ingestion

@@ -1,4 +1,4 @@
-"""Trace substrate: event model, personas, generator, store, I/O, analysis.
+"""Trace substrate: event model, personas, generator, store, analysis.
 
 This package replaces the paper's on-phone trace collection.  See
 ``DESIGN.md`` for the substitution rationale.
@@ -20,25 +20,11 @@ from repro.traces.analysis import (
 from repro.traces.apps import AppCatalog, AppModel, default_catalog
 from repro.traces.events import AppUsage, NetworkActivity, ScreenSession, Trace
 from repro.traces.generator import TraceGenerator, generate_cohort, generate_volunteers
-from repro.traces.io import (
-    TraceHeader,
-    TraceLoadReport,
-    cohort_from_dir,
-    cohort_to_dir,
-    iter_trace_records,
-    trace_from_csv,
-    trace_from_csv_lenient,
-    trace_from_jsonl,
-    trace_from_jsonl_lenient,
-    trace_to_csv,
-    trace_to_jsonl,
-)
 from repro.traces.store import TraceStore, WriteCache
 from repro.traces.users import (
     UserProfile,
     default_profiles,
     intensity_profile,
-    profile_by_id,
     volunteer_profiles,
 )
 
@@ -51,16 +37,12 @@ __all__ = [
     "ScreenUtilization",
     "Trace",
     "TraceGenerator",
-    "TraceHeader",
-    "TraceLoadReport",
     "TraceStore",
     "TrafficSplit",
     "UserProfile",
     "WriteCache",
     "active_app_share",
     "app_intensity",
-    "cohort_from_dir",
-    "cohort_to_dir",
     "cohort_traffic_split",
     "cohort_utilization",
     "default_catalog",
@@ -68,17 +50,9 @@ __all__ = [
     "generate_cohort",
     "generate_volunteers",
     "intensity_profile",
-    "iter_trace_records",
-    "profile_by_id",
     "rate_cdf",
     "rate_percentile",
     "rate_values",
     "screen_utilization",
-    "trace_from_csv",
-    "trace_from_csv_lenient",
-    "trace_from_jsonl",
-    "trace_from_jsonl_lenient",
-    "trace_to_csv",
-    "trace_to_jsonl",
     "traffic_split",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -130,6 +130,11 @@ class NetworkActivity:
             self.time, self.app, self.down_bytes, self.up_bytes,
             duration, self.screen_on,
         )
+
+
+#: One monitoring record: what a phone logs, what the fleet service's
+#: ingest parses, and what the online engine folds.
+TraceRecord = Union[ScreenSession, AppUsage, NetworkActivity]
 
 
 def _require_finite(kind: str, times: Iterable[float]) -> None:

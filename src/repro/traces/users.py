@@ -237,11 +237,3 @@ def volunteer_profiles() -> list[UserProfile]:
             bg_scale=1.3,
         ),
     ]
-
-
-def profile_by_id(user_id: str) -> UserProfile:
-    """Look up a built-in persona by its ``user_id``."""
-    for profile in default_profiles() + volunteer_profiles():
-        if profile.user_id == user_id:
-            return profile
-    raise KeyError(user_id)

@@ -7,7 +7,8 @@ rows are averaged.  The shipped fitter
 (:class:`repro.stream.online_habits.OnlineHabitModel`, which
 :meth:`repro.habits.HabitModel.fit` folds a history through) keeps the
 same rows one record at a time; its contract is bit-identity with
-:func:`oracle_fit`, so every comparison against it is exact equality.
+:func:`oracle_fit`, so every comparison against it is exact equality
+(:func:`habit_models_equal`).
 """
 
 from __future__ import annotations
@@ -155,3 +156,36 @@ def oracle_fit(trace: Trace) -> HabitModel:
         weekend_screen_seconds=mean(secs_we),
         special_apps=oracle_registry(trace),
     )
+
+
+#: The ten hour-level statistic vectors a HabitModel carries.
+_ARRAY_FIELDS = (
+    "weekday_user_probs",
+    "weekend_user_probs",
+    "weekday_net_counts",
+    "weekend_net_counts",
+    "weekday_net_bytes",
+    "weekend_net_bytes",
+    "weekday_net_seconds",
+    "weekend_net_seconds",
+    "weekday_screen_seconds",
+    "weekend_screen_seconds",
+)
+
+
+def habit_models_equal(a: HabitModel, b: HabitModel) -> bool:
+    """Bit-exact equality of two habit models.
+
+    Arrays compare by their raw float64 bytes (so ``-0.0 != 0.0`` and
+    NaN patterns are honoured — stricter than ``np.array_equal``), the
+    Special-App registry by set/dict equality.  This is the contract the
+    online/offline parity tests assert.
+    """
+    if (a.user_id, a.n_weekdays, a.n_weekends) != (b.user_id, b.n_weekdays, b.n_weekends):
+        return False
+    for name in _ARRAY_FIELDS:
+        left = np.ascontiguousarray(getattr(a, name), dtype=np.float64)
+        right = np.ascontiguousarray(getattr(b, name), dtype=np.float64)
+        if left.shape != right.shape or left.tobytes() != right.tobytes():
+            return False
+    return a.special_apps == b.special_apps

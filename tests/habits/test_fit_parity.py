@@ -7,10 +7,10 @@ from hypothesis import given, settings
 
 from repro import telemetry
 from repro.evaluation import split_history
-from repro.habits import HabitModel, habit_models_equal
+from repro.habits import HabitModel
 from repro.traces import generate_cohort, generate_volunteers
 
-from tests.habits.habit_oracle import oracle_fit
+from tests.habits.habit_oracle import habit_models_equal, oracle_fit
 from tests.traces.strategies import valid_traces
 
 

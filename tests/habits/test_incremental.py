@@ -11,10 +11,11 @@ import pytest
 
 from repro._util import DAY, HOUR
 from repro.evaluation import split_history
-from repro.habits import HabitModel, habit_models_equal
+from repro.habits import HabitModel
 from repro.stream import OnlineHabitModel, stream_trace
 from repro.traces import AppUsage, NetworkActivity, ScreenSession, Trace
 
+from tests.habits.habit_oracle import habit_models_equal
 from tests.habits.test_prediction import _repeating_trace
 
 

@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.netmaster import NetMasterConfig
-from repro.habits import (
-    HabitModel,
-    config_from_dict,
-    config_to_dict,
-    habit_models_equal,
-)
+from repro.habits import HabitModel, config_from_dict, config_to_dict
 from repro.habits.serialization import delta_from_dict, delta_to_dict
 from repro.habits.threshold import (
     FixedDelta,
@@ -22,6 +17,8 @@ from repro.habits.threshold import (
     WeekdayWeekendDelta,
 )
 from repro.radio import lte_model
+
+from tests.habits.habit_oracle import habit_models_equal
 
 
 class TestHabitModelEquality:

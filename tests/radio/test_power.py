@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.radio import RadioPowerModel, lte_model, model_by_name, wcdma_model
+from repro.radio import RadioPowerModel
 
 
 class TestBundledModels:
@@ -18,14 +18,6 @@ class TestBundledModels:
     def test_lte_single_tail(self, lte):
         assert lte.dch_tail_s == 0.0
         assert lte.fach_tail_s == pytest.approx(11.6)
-
-    def test_lookup(self):
-        assert model_by_name("wcdma").name == "wcdma"
-        assert model_by_name("lte").name == "lte"
-
-    def test_lookup_unknown(self):
-        with pytest.raises(KeyError, match="unknown radio model"):
-            model_by_name("5g")
 
     def test_tail_composition(self, wcdma):
         assert wcdma.tail_s == pytest.approx(17.0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +25,11 @@ from repro.service.schemas import MAX_DAYS_AHEAD, SchemaError
 from repro.stream.fleet import stream_one_user
 from repro.stream.ingest import event_time, stream_trace
 from repro.stream.online_netmaster import CheckpointError, OnlineNetMaster
-from repro.traces.events import AppUsage
+from repro.traces.events import AppUsage, NetworkActivity, ScreenSession
 
 from tests.retyped_fields import NO_SHRINK, retyped
 from tests.service.conftest import service_config
+from tests.traces.strategies import valid_traces
 
 
 def drive(gateway: FleetGateway, trace, *, batches=None) -> None:
@@ -122,6 +124,87 @@ def test_batch_split_invariance(service_trace, batch_size):
     }
     ref = reference_decisions(service_trace, config=config)
     assert json.dumps(got) == json.dumps(ref)
+
+
+def _damages(records) -> list:
+    """Every one-record damage of a valid stream: one network flag
+    flipped, or one screen session stretched over the next."""
+    sessions = [i for i, r in enumerate(records) if isinstance(r, ScreenSession)]
+    flips = [
+        (i, replace(r, screen_on=not r.screen_on))
+        for i, r in enumerate(records)
+        if isinstance(r, NetworkActivity)
+    ]
+    stretches = [
+        (i, ScreenSession(records[i].start, records[j].end))
+        for i, j in zip(sessions, sessions[1:])
+        if records[j].end > records[i].end
+    ]
+    return flips + stretches
+
+
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
+@given(trace=valid_traces(), data=st.data())
+def test_damaged_streams_raise_only_schema_error(trace, data):
+    """A record that would break an executed day's trace refuses its
+    batch whole (state unchanged); nothing else escapes, and the
+    stream still finishes."""
+    records = list(stream_trace(trace))
+    damages = _damages(records)
+    if damages:
+        i, record = data.draw(st.sampled_from(damages), label="damage")
+        records[i] = record
+    cuts = sorted(
+        data.draw(st.lists(st.integers(0, len(records)), max_size=4), label="cuts")
+    )
+    bounds = [0, *cuts, len(records)]
+    gateway = FleetGateway(
+        service_config(train_days=data.draw(st.integers(1, 3), label="train_days"))
+    )
+    gateway.ensure_user(trace.user_id, start_weekday=trace.start_weekday)
+    for lo, hi in zip(bounds, bounds[1:]):
+        before = json.dumps(gateway.state_dict())
+        try:
+            gateway.ingest(trace.user_id, records[lo:hi], start_weekday=trace.start_weekday)
+        except SchemaError:
+            assert json.dumps(gateway.state_dict()) == before
+    gateway.finish(trace.user_id, trace.n_days)
+
+
+class TestTraceConsistency:
+    """The ingest refuses a record that would break an executed day's
+    trace, reading what earlier batches left in the day buffers."""
+
+    @staticmethod
+    def transfer(t: float, screen_on: bool) -> NetworkActivity:
+        return NetworkActivity(t, "mail", 10.0, 1.0, 1.0, screen_on)
+
+    def test_checks_carry_across_batches(self):
+        gateway = FleetGateway(service_config(train_days=1))
+        gateway.ingest("u", [ScreenSession(DAY + 100.0, DAY + 1000.0)])
+        refused = [
+            ([self.transfer(DAY + 150.0, False)], "screen_on=False"),
+            ([ScreenSession(DAY + 500.0, DAY + 600.0)], "before the previous one ends"),
+        ]
+        for batch, message in refused:
+            with pytest.raises(SchemaError, match=message):
+                gateway.ingest("u", batch)
+        gateway.ingest("u", [self.transfer(DAY + 1100.0, False)])
+        with pytest.raises(SchemaError, match="network record at that time"):
+            gateway.ingest("u", [ScreenSession(DAY + 1100.0, DAY + 1200.0)])
+        gateway.finish("u", 3)
+        assert gateway.savings("u")["days_executed"] == 2
+
+    def test_training_day_overlap_is_refused_only_past_midnight(self):
+        gateway = FleetGateway(service_config(train_days=1))
+        crossing = ScreenSession(DAY - 600.0, DAY + 600.0)
+        with pytest.raises(SchemaError, match="before the previous one ends"):
+            gateway.ingest("u", [crossing, ScreenSession(DAY - 300.0, DAY + 300.0)])
+        # No trace is built for a training day, so an overlap inside one
+        # breaks nothing.
+        gateway.ingest("u", [crossing, ScreenSession(DAY - 300.0, DAY - 200.0)])
+        gateway.finish("u", 2)
+        assert gateway.savings("u")["days_executed"] == 1
 
 
 def test_out_of_order_batch_rejected_atomically(service_trace):

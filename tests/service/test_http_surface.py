@@ -6,11 +6,14 @@ from __future__ import annotations
 import json
 import socket
 import threading
+from dataclasses import replace
 
 from repro._util import DAY
 from repro.service.gateway import reference_decisions
 from repro.service.schemas import MAX_DAYS_AHEAD, record_to_doc
-from repro.stream.ingest import stream_trace
+from repro.stream.ingest import event_time, stream_trace
+from repro.traces.events import NetworkActivity, ScreenSession
+from repro.traces.generator import generate_cohort
 
 from tests.service.conftest import service_config
 
@@ -116,6 +119,55 @@ def test_far_future_requests_are_400_and_service_stays_up(server):
         "POST", "/v1/users/u1/finish", {"n_days": 2 * MAX_DAYS_AHEAD}
     )
     assert status == 200, doc
+
+
+def test_contradictory_screen_flag_is_400_and_service_stays_up(make_server):
+    """A batch whose records would break an executed day's trace is
+    refused whole; the user's stream then carries on unharmed."""
+    config = service_config(train_days=7)
+    server = make_server(config)
+    trace = generate_cohort(10, seed=2014)[0]
+    records = list(stream_trace(trace))
+    day7 = next(i for i, r in enumerate(records) if event_time(r) >= 7 * DAY)
+    day9 = next(i for i, r in enumerate(records) if event_time(r) >= 9 * DAY)
+    head, days_7_8, tail = records[:day7], records[day7:day9], records[day9:]
+    path = f"/v1/users/{trace.user_id}"
+
+    status, doc = server.request("POST", f"{path}/events", batch_doc(trace, head))
+    assert status == 200, doc
+    _, savings = server.request("GET", f"{path}/savings")
+
+    # Day 7 closes inside the batch: one screen-off transfer re-tagged on,
+    # then one screen session uploaded twice.
+    off = next(
+        i for i, r in enumerate(days_7_8)
+        if isinstance(r, NetworkActivity) and not r.screen_on and r.time < 8 * DAY
+    )
+    flipped = list(days_7_8)
+    flipped[off] = replace(days_7_8[off], screen_on=True)
+    first = next(i for i, r in enumerate(days_7_8) if isinstance(r, ScreenSession))
+    doubled = days_7_8[: first + 1] + days_7_8[first:]
+    for bad, message in (
+        (flipped, "tagged screen_on=True"),
+        (doubled, "before the previous one ends"),
+    ):
+        status, doc = server.request("POST", f"{path}/events", batch_doc(trace, bad))
+        assert status == 400, doc
+        assert doc["error"]["code"] == "bad-request"
+        assert message in doc["error"]["message"]
+        assert server.request("GET", f"{path}/savings") == (200, savings)
+
+    for batch in (days_7_8, tail):
+        status, doc = server.request("POST", f"{path}/events", batch_doc(trace, batch))
+        assert status == 200, doc
+    status, doc = server.request("POST", f"{path}/finish", {"n_days": trace.n_days})
+    assert status == 200, doc
+    ref = reference_decisions(trace, config=config)
+    for read in ("decisions", "savings"):
+        status, doc = server.request("GET", f"{path}/{read}")
+        assert status == 200
+        assert json.dumps(doc) == json.dumps(ref[read])
+    assert server.request("GET", "/health")[1]["status"] == "ok"
 
 
 def test_unknown_user_is_404(server):

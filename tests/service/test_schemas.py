@@ -51,6 +51,15 @@ def test_record_to_doc_covers_all_kinds():
         {"events": ["not an object"]},
         {"events": [{"kind": "mystery"}]},
         {"events": [{"kind": "screen", "start": 1.0}]},
+        *(
+            {"events": [{"kind": "network", "time": 1.0, "app": "a", "down_bytes": 1.0,
+                         "up_bytes": 0.0, "duration": 1.0, "screen_on": flag}]}
+            for flag in ("false", 0, None)
+        ),
+        *(
+            {"events": [{"kind": "usage", "time": 1.0, "app": app, "duration": 1.0}]}
+            for app in (None, 5)
+        ),
     ],
 )
 def test_bad_event_batches_raise_schema_error(doc):

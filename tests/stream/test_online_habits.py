@@ -8,11 +8,10 @@ import pytest
 
 from repro._util import DAY, HOUR
 from repro.evaluation import split_history
-from repro.habits import habit_models_equal
 from repro.stream import OnlineHabitModel, event_time, stream_trace
 from repro.traces import NetworkActivity, ScreenSession
 
-from tests.habits.habit_oracle import oracle_fit, oracle_registry
+from tests.habits.habit_oracle import habit_models_equal, oracle_fit, oracle_registry
 
 
 def _streamed(trace, **kwargs) -> OnlineHabitModel:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 
 from repro.__main__ import _REGISTRY, build_parser, main, run
+from repro.evaluation.experiments import fig10b
+from repro.evaluation.reporting import format_fig10b
 
 
 class TestCli:
@@ -34,6 +36,11 @@ class TestCli:
         assert run(["fig1a"], seed=1, out=a) == 0
         assert run(["fig1a"], seed=2, out=b) == 0
         assert a.getvalue() != b.getvalue()
+
+    def test_seed_reaches_every_seedable_driver(self):
+        out = io.StringIO()
+        assert run(["fig10b"], 3, out=out) == 0
+        assert out.getvalue() == format_fig10b(fig10b(seed=3)) + "\n"
 
     def test_parser_defaults(self):
         args = build_parser().parse_args(["fig7"])

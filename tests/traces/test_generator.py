@@ -10,22 +10,26 @@ from repro.traces import (
     TraceGenerator,
     cohort_traffic_split,
     cohort_utilization,
+    default_profiles,
     generate_cohort,
     generate_volunteers,
-    profile_by_id,
+    volunteer_profiles,
 )
+
+#: The built-in personas by ``user_id``.
+PERSONAS = {p.user_id: p for p in default_profiles() + volunteer_profiles()}
 
 
 class TestDeterminism:
     def test_same_seed_same_trace(self):
-        profile = profile_by_id("user1")
+        profile = PERSONAS["user1"]
         t1 = TraceGenerator(profile, seed=7).generate(3)
         t2 = TraceGenerator(profile, seed=7).generate(3)
         assert [s.start for s in t1.screen_sessions] == [s.start for s in t2.screen_sessions]
         assert [a.time for a in t1.activities] == [a.time for a in t2.activities]
 
     def test_different_seed_differs(self):
-        profile = profile_by_id("user1")
+        profile = PERSONAS["user1"]
         t1 = TraceGenerator(profile, seed=7).generate(3)
         t2 = TraceGenerator(profile, seed=8).generate(3)
         assert [s.start for s in t1.screen_sessions] != [s.start for s in t2.screen_sessions]
@@ -45,7 +49,7 @@ class TestDeterminism:
 class TestStructure:
     def test_rejects_zero_days(self):
         with pytest.raises(ValueError, match="n_days"):
-            TraceGenerator(profile_by_id("user1"), seed=0).generate(0)
+            TraceGenerator(PERSONAS["user1"], seed=0).generate(0)
 
     def test_sessions_disjoint_and_in_horizon(self, volunteer):
         prev_end = -1.0

@@ -10,7 +10,7 @@ from repro.traces import (
     default_profiles,
     volunteer_profiles,
 )
-from repro.traces.users import intensity_profile, profile_by_id
+from repro.traces.users import intensity_profile
 
 
 class TestIntensityProfile:
@@ -99,12 +99,6 @@ class TestBuiltinPersonas:
         for profile in default_profiles():
             total = profile.expected_sessions_per_day()
             assert 15.0 < total < 150.0, profile.user_id
-
-    def test_profile_by_id(self):
-        assert profile_by_id("user4").user_id == "user4"
-        assert profile_by_id("volunteer2").user_id == "volunteer2"
-        with pytest.raises(KeyError):
-            profile_by_id("nobody")
 
     def test_night_hours_are_quiet(self):
         # "Near zero usage from 2am to 6am" (paper Section IV-C1), except

@@ -52,9 +52,7 @@ from repro.core import (
     NetMasterScheduler,
     ProfitParams,
     RandomSleep,
-    knapsack_exact,
     knapsack_fptas,
-    knapsack_greedy,
     solve_overlapped,
 )
 from repro.faults import (
@@ -175,9 +173,7 @@ __all__ = [
     "default_profiles",
     "generate_cohort",
     "generate_volunteers",
-    "knapsack_exact",
     "knapsack_fptas",
-    "knapsack_greedy",
     "lte_model",
     "metrics",
     "pearson",

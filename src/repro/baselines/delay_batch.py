@@ -26,6 +26,9 @@ from repro.traces.events import NetworkActivity, Trace
 
 #: Gap between transfers released together.
 _PACK_GAP_S = 0.2
+#: Tail allowed after a deferred release (fast dormancy); foreground
+#: transfers keep the carrier timers.
+FAST_DORMANCY_S = 0.5
 
 
 @dataclass
@@ -34,9 +37,6 @@ class DelayBatchPolicy:
 
     interval_s: float
     link: LinkModel = field(default_factory=LinkModel)
-    #: Tail allowed after a deferred release (fast dormancy); ``None``
-    #: keeps the carrier timers even for deferred traffic.
-    fast_dormancy_s: float | None = 0.5
     name: str = ""
 
     #: Pure function of the day: safe to fan days over worker processes.
@@ -44,8 +44,6 @@ class DelayBatchPolicy:
 
     def __post_init__(self) -> None:
         check_positive("interval_s", self.interval_s)
-        if self.fast_dormancy_s is not None:
-            check_positive("fast_dormancy_s", self.fast_dormancy_s, strict=False)
         if not self.name:
             self.name = f"delay-batch-{self.interval_s:g}s"
 
@@ -83,12 +81,10 @@ class DelayBatchPolicy:
 
         executed.sort(key=lambda pair: pair[0].time)
         activities = [a for a, _ in executed]
-        tails: list[float] | None = None
-        if self.fast_dormancy_s is not None:
-            tails = [
-                self.fast_dormancy_s if was_deferred else math.inf
-                for _, was_deferred in executed
-            ]
+        tails = [
+            FAST_DORMANCY_S if was_deferred else math.inf
+            for _, was_deferred in executed
+        ]
         affected = count_in_windows((u.time for u in day.usages), hold_windows)
         return PolicyOutcome(
             policy=self.name,

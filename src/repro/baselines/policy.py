@@ -158,20 +158,6 @@ class PolicyOutcome:
 
         return merge_intervals(list(intervals) + list(self.extra_windows))
 
-    @property
-    def interrupt_ratio(self) -> float:
-        """Wrong decisions per user interaction."""
-        if self.user_interactions == 0:
-            return 0.0
-        return self.interrupts / self.user_interactions
-
-    @property
-    def affected_ratio(self) -> float:
-        """Fraction of user interactions falling in deferral windows."""
-        if self.user_interactions == 0:
-            return 0.0
-        return self.affected_user_activities / self.user_interactions
-
     def validate_payload(
         self,
         day: Trace,

@@ -21,10 +21,7 @@ from repro.core.duty_cycle import (
 )
 from repro.core.knapsack import (
     KnapsackSolution,
-    knapsack_bruteforce,
-    knapsack_exact,
     knapsack_fptas,
-    knapsack_greedy,
 )
 from repro.core.netmaster import DayExecution, NetMaster, NetMasterConfig
 from repro.core.overlapped import (
@@ -77,10 +74,7 @@ __all__ = [
     "clear_slot_memo",
     "compare_placements",
     "expected_activities",
-    "knapsack_bruteforce",
-    "knapsack_exact",
     "knapsack_fptas",
-    "knapsack_greedy",
     "measure_outcomes_columnar",
     "place_blind",
     "place_channel_aware",

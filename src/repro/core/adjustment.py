@@ -130,7 +130,3 @@ class RealTimeAdjustment:
 
     special_apps: SpecialAppRegistry
     servicer: GapServicer = field(default_factory=GapServicer)
-
-    def allow_radio(self, app: str) -> bool:
-        """Whether a foreground use of ``app`` gets the radio on demand."""
-        return self.special_apps.is_special(app)

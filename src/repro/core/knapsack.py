@@ -1,23 +1,19 @@
-"""Single-knapsack solvers: exact DP, Ibarra–Kim FPTAS, greedy.
+"""Single-knapsack solver: the Ibarra–Kim FPTAS.
 
 The paper's Algorithm 1 rests on ``SinKnap`` — the fully-polynomial
 approximation scheme of Ibarra & Kim (JACM 1975) — applied per user-active
-slot.  This module provides:
-
-* :func:`knapsack_fptas` — profit-scaled dynamic programming with a
-  ``(1-ε)`` guarantee in ``O(n²/ε)`` time (vectorized DP rows);
-* :func:`knapsack_exact` — the same DP without scaling for integer
-  profits (exact; used as ground truth in tests);
-* :func:`knapsack_bruteforce` — exhaustive search for tiny instances;
-* :func:`knapsack_greedy` — density-ordered greedy with the classic
-  best-single-item fix-up (``1/2`` guarantee), a reference for tests.
+slot.  :func:`knapsack_fptas` is profit-scaled dynamic programming with a
+``(1-ε)`` guarantee in ``O(n²/ε)`` time (vectorized DP rows);
+:func:`knapsack_fptas_batch` solves many slots through one
+:class:`SolutionMemo`.  The exact, exhaustive and greedy references the
+tests compare it with live in the test suite.
 
 Algorithm 1's ``GreedyAdd`` step is a loop of its own in
 :func:`repro.core.overlapped.solve_overlapped`, which solves its slots
 with :func:`knapsack_fptas_batch`.
 
 Profits and weights are non-negative floats; capacities are floats.
-All solvers return a :class:`KnapsackSolution`.
+The solvers return a :class:`KnapsackSolution`.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -194,28 +189,6 @@ def _profit_dp(
     return chosen
 
 
-def knapsack_exact(
-    profits: np.ndarray | list[float],
-    weights: np.ndarray | list[float],
-    capacity: float,
-) -> KnapsackSolution:
-    """Exact 0/1 knapsack for integer-valued profits.
-
-    Raises :class:`ValueError` when profits are not (near-)integers —
-    use :func:`knapsack_fptas` for general floats.
-    """
-    profits = np.asarray(profits, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    _validate(profits, weights, capacity)
-    rounded = np.rint(profits)
-    if not np.allclose(profits, rounded, atol=1e-9):
-        raise ValueError("knapsack_exact requires integer profits")
-    usable = weights <= capacity
-    sub_idx = np.nonzero(usable)[0]
-    chosen_sub = _profit_dp(rounded[usable].astype(np.int64), weights[usable], capacity)
-    return _solution([int(sub_idx[i]) for i in chosen_sub], profits, weights)
-
-
 def knapsack_fptas(
     profits: np.ndarray | list[float],
     weights: np.ndarray | list[float],
@@ -234,7 +207,7 @@ def knapsack_fptas(
     _validate(profits, weights, capacity)
     check_fraction("eps", eps)
     if eps == 0.0:
-        raise ValueError("eps must be > 0 for the FPTAS; use knapsack_exact instead")
+        raise ValueError("eps must be > 0 for the FPTAS")
     reg = metrics()
     if reg.enabled:
         reg.inc("core.knapsack.fptas_solves")
@@ -359,62 +332,3 @@ def knapsack_fptas_batch(
         reg.inc("core.knapsack.fptas_batch_calls")
         reg.inc("core.knapsack.fptas_batch_solves", n_problems)
     return out
-
-
-def knapsack_greedy(
-    profits: np.ndarray | list[float],
-    weights: np.ndarray | list[float],
-    capacity: float,
-) -> KnapsackSolution:
-    """Density-greedy packing with the best-single-item fix-up.
-
-    Sorting by profit/weight and taking the better of (greedy prefix,
-    best single item) guarantees half the optimum.
-    """
-    profits = np.asarray(profits, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    _validate(profits, weights, capacity)
-
-    usable = np.nonzero(weights <= capacity)[0]
-    if usable.size == 0:
-        return _solution([], profits, weights)
-
-    with np.errstate(divide="ignore"):
-        density = np.where(weights[usable] > 0, profits[usable] / weights[usable], np.inf)
-    order = usable[np.argsort(-density, kind="stable")]
-
-    chosen: list[int] = []
-    remaining = capacity
-    for i in order:
-        if weights[i] <= remaining:
-            chosen.append(int(i))
-            remaining -= weights[i]
-    greedy_sol = _solution(chosen, profits, weights)
-
-    best_single = int(usable[np.argmax(profits[usable])])
-    single_sol = _solution([best_single], profits, weights)
-    return greedy_sol if greedy_sol.profit >= single_sol.profit else single_sol
-
-
-def knapsack_bruteforce(
-    profits: np.ndarray | list[float],
-    weights: np.ndarray | list[float],
-    capacity: float,
-) -> KnapsackSolution:
-    """Exhaustive optimum for tiny instances (n ≤ 22); test ground truth."""
-    profits = np.asarray(profits, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    _validate(profits, weights, capacity)
-    n = profits.size
-    if n > 22:
-        raise ValueError(f"bruteforce limited to n <= 22 items, got {n}")
-    best: KnapsackSolution = _solution([], profits, weights)
-    for r in range(1, n + 1):
-        for combo in combinations(range(n), r):
-            w = float(weights[list(combo)].sum())
-            if w > capacity:
-                continue
-            p = float(profits[list(combo)].sum())
-            if p > best.profit:
-                best = _solution(list(combo), profits, weights)
-    return best

@@ -111,19 +111,6 @@ class DayExecution:
     #: (insufficient/corrupt history, or the circuit breaker was open).
     degraded: bool = False
 
-    @property
-    def interrupt_ratio(self) -> float:
-        """Wrong decisions per user interaction (Section VI-B metric)."""
-        if self.user_interactions == 0:
-            return 0.0
-        return self.interrupts / self.user_interactions
-
-    def transfer_windows(self) -> list[tuple[float, float]]:
-        """All radio-demanding windows: transfers plus duty wake-ups."""
-        windows = [a.interval for a in self.activities]
-        windows.extend(self.wake_windows)
-        return windows
-
 
 class NetMaster:
     """The middleware service: train on history, execute held-out days."""

@@ -103,10 +103,6 @@ class MKPSolution:
     total_profit: float
     slot_loads: dict[int, float]
 
-    def items_in(self, slot_id: int) -> list[int]:
-        """Item ids assigned to ``slot_id``."""
-        return [i for i, s in self.assignment.items() if s == slot_id]
-
     def validate(self, slots: list[MKPSlot], items: list[MKPItem]) -> None:
         """Assert feasibility: capacities respected, candidates honoured."""
         by_slot = {s.slot_id: s for s in slots}

@@ -80,11 +80,6 @@ class ScheduleInstance:
     activity_info: dict[int, PlannedActivity]
     unplaced: list[PlannedActivity]
 
-    @property
-    def n_planned(self) -> int:
-        """Expected activities that made it into the instance."""
-        return len(self.items)
-
 
 def expected_activities(
     model: HabitModel, *, weekend: bool, min_expected_count: float = MIN_EXPECTED_COUNT

@@ -71,19 +71,6 @@ class DayPlan:
         """The wall-clock slot behind a knapsack id."""
         return self.instance.slot_info[slot_id]
 
-    @property
-    def planned_hours(self) -> list[int]:
-        """Hours of ``T_n`` with at least one scheduled pseudo-activity."""
-        return sorted(self.hour_slots)
-
-    @property
-    def scheduled_fraction(self) -> float:
-        """Fraction of planned pseudo-activities that got a slot."""
-        total = len(self.instance.items) + len(self.instance.unplaced)
-        if total == 0:
-            return 1.0
-        return len(self.solution.assignment) / total
-
     # ------------------------------------------------------------------
     # runtime admission
     # ------------------------------------------------------------------

@@ -32,20 +32,6 @@ class PolicyDayMetrics:
     affected_user_activities: int
     deferred: int
 
-    @property
-    def interrupt_ratio(self) -> float:
-        """Wrong decisions per user interaction."""
-        if self.user_interactions == 0:
-            return 0.0
-        return self.interrupts / self.user_interactions
-
-    @property
-    def affected_ratio(self) -> float:
-        """Fraction of interactions falling in deferral windows."""
-        if self.user_interactions == 0:
-            return 0.0
-        return self.affected_user_activities / self.user_interactions
-
 
 def measure_outcome(
     outcome: PolicyOutcome, model: RadioPowerModel, day: Trace

@@ -223,7 +223,7 @@ def format_stream(result) -> str:
     )
     lines.append(
         f"  checkpoints {result.checkpoints}, drift alerts {result.drift_alerts}, "
-        f"degraded days {result.degraded_days}, shed users {result.shed_users}"
+        f"degraded days {result.degraded_days}"
     )
     lines.append(
         f"  energy (J): naive {result.naive_energy_j:.0f}, "

@@ -241,12 +241,6 @@ class HabitModel:
         active = probs >= delta if delta > 0 else probs > 0
         return SlotPrediction(hour_probs=probs, delta=delta, slots=_merge_hours(active))
 
-    def network_hours(self, *, weekend: bool, user_slots: SlotPrediction) -> list[int]:
-        """Step 2: hours in ``T_n`` — expected screen-off traffic outside U."""
-        counts = self.net_counts(weekend=weekend)
-        active = user_slots.active_hours
-        return [h for h in range(HOURS_PER_DAY) if counts[h] > 0 and not active[h]]
-
     def usage_prob_integral(self, t0: float, t1: float, *, weekend: bool) -> float:
         """``∫_{t0}^{t1} Pr[u(t)] dt`` over seconds-of-day (Eq. (4)).
 

@@ -69,26 +69,6 @@ class DaySignal:
     drift_alerts_total: int
     degraded: bool
 
-    def as_dict(self) -> dict:
-        """JSON-safe dump (floats survive bit-exactly)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DaySignal":
-        """Rebuild from :meth:`as_dict` output, byte-identical."""
-        return cls(
-            user_id=str(doc["user_id"]),
-            day=int(doc["day"]),
-            energy_j=float(doc["energy_j"]),
-            radio_on_s=float(doc["radio_on_s"]),
-            transfer_s=float(doc["transfer_s"]),
-            naive_energy_j=float(doc["naive_energy_j"]),
-            screen_on_s=float(doc["screen_on_s"]),
-            events=int(doc["events"]),
-            drift_alerts_total=int(doc["drift_alerts_total"]),
-            degraded=bool(doc["degraded"]),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Alert:
@@ -105,19 +85,6 @@ class Alert:
     def as_dict(self) -> dict:
         """JSON-safe dump (floats survive bit-exactly)."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Alert":
-        """Rebuild from :meth:`as_dict` output, byte-identical."""
-        return cls(
-            user_id=str(doc["user_id"]),
-            day=int(doc["day"]),
-            kind=str(doc["kind"]),
-            severity=str(doc["severity"]),
-            value=float(doc["value"]),
-            threshold=float(doc["threshold"]),
-            message=str(doc.get("message", "")),
-        )
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,9 @@ DEFAULT_TRAIN_DAYS = 10
 #: Environment knob: tee alerts to this JSONL path when set.
 ALERTS_OUT_ENV = "REPRO_MONITOR_ALERTS_OUT"
 
+#: Every this-many-th user (from the first) carries an anomaly.
+ANOMALOUS_EVERY = 4
+
 #: Anomaly kind -> the detector expected to name it.
 EXPECTED_DETECTOR = {"runaway": "runaway_energy", "dch": "dch_stuck"}
 
@@ -161,29 +164,24 @@ def monitor_experiment(
     n_users: int = DEFAULT_USERS,
     n_days: int = DEFAULT_DAYS,
     train_days: int = DEFAULT_TRAIN_DAYS,
-    anomalous_every: int = 4,
-    onset_day: int | None = None,
-    monitor: MonitorConfig | None = None,
 ) -> MonitorResult:
     """Closed-loop fleet monitoring graded against seeded anomalies.
 
-    Every ``anomalous_every``-th user carries an injected scenario
-    (alternating runaway-app and stuck-DCH) from ``onset_day`` on; the
-    default onset leaves four executed days of per-user history so the
-    z-score detectors are armed when the anomaly lands.  Raises
+    Every :data:`ANOMALOUS_EVERY`-th user carries an injected scenario
+    (alternating runaway-app and stuck-DCH) from the onset day on; the
+    onset leaves ``runaway_min_days`` executed days of per-user history
+    so the z-score detectors are armed when the anomaly lands.  Raises
     :class:`MonitorContractError` if any monitoring contract fails —
     the experiment doubles as the subsystem's end-to-end gate.
     """
     from repro.faults import AnomalyInjector
 
-    if anomalous_every < 2:
-        raise ValueError(f"anomalous_every must be >= 2, got {anomalous_every}")
-    monitor_config = monitor or MonitorConfig()
-    if onset_day is None:
-        onset_day = train_days + monitor_config.runaway_min_days
-    if not train_days < onset_day < n_days:
+    monitor_config = MonitorConfig()
+    onset_day = train_days + monitor_config.runaway_min_days
+    if not onset_day < n_days:
         raise ValueError(
-            f"onset_day must be in ({train_days}, {n_days}), got {onset_day}"
+            f"the anomaly onset (day {onset_day}) must fall before n_days "
+            f"({n_days})"
         )
     config = FleetConfig(train_days=train_days, monitor=monitor_config)
 
@@ -208,9 +206,9 @@ def monitor_experiment(
     with trc.span("monitor-fleet", "monitor", users=n_users, days=n_days):
         for i, spec in enumerate(specs):
             trace = _spec_trace(spec)
-            anomalous = i % anomalous_every == 0
+            anomalous = i % ANOMALOUS_EVERY == 0
             if anomalous:
-                kind = "runaway" if (i // anomalous_every) % 2 == 0 else "dch"
+                kind = "runaway" if (i // ANOMALOUS_EVERY) % 2 == 0 else "dch"
                 injected[spec.user_id] = kind
                 streamed = (
                     injector.runaway_app(trace, start_day=onset_day)
@@ -263,8 +261,7 @@ def monitor_experiment(
             f"matching-detector contract violated: {missed} fired "
             f"{ {u: sorted({a.kind for a in alerts_by_user[u]}) for u in missed} }"
         )
-    unquarantined = quarantine_effective < len(injected)
-    if monitor_config.action == "quarantine" and unquarantined:
+    if quarantine_effective < len(injected):
         raise MonitorContractError(
             f"feedback contract violated: only {quarantine_effective} of "
             f"{len(injected)} anomalous users show extra degraded days"

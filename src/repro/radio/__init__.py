@@ -15,7 +15,6 @@ from repro.radio.energy import (
     activities_energy,
     activity_windows,
     delta_e,
-    trace_energy,
 )
 from repro.radio.lanes import (
     EnergyReport,
@@ -31,10 +30,8 @@ from repro.radio.lanes import (
     merge_lanes,
     merge_lanes_with_allowances,
     pack_lanes,
-    replay_many,
     replay_many_lengths,
     segmented_cummax,
-    simulate_many,
 )
 from repro.radio.power import RadioPowerModel, lte_model, wcdma_model
 from repro.radio.rrc import radio_on_intervals, simulate
@@ -64,12 +61,9 @@ __all__ = [
     "merge_lanes_with_allowances",
     "pack_lanes",
     "radio_on_intervals",
-    "replay_many",
     "replay_many_lengths",
     "segmented_cummax",
     "simulate",
-    "simulate_many",
-    "trace_energy",
     "transfer_energy_multiplier",
     "utilization",
     "wcdma_model",

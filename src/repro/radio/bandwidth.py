@@ -40,11 +40,6 @@ class LinkModel:
         check_positive("active_seconds", active_seconds, strict=False)
         return self.bandwidth_bps * active_seconds
 
-    def transfer_time_s(self, payload_bytes: float) -> float:
-        """Link time needed to move ``payload_bytes`` at full bandwidth."""
-        check_positive("payload_bytes", payload_bytes, strict=False)
-        return payload_bytes / self.bandwidth_bps
-
 
 @dataclass(frozen=True, slots=True)
 class UtilizationStats:
@@ -54,19 +49,6 @@ class UtilizationStats:
     avg_up_bps: float
     peak_down_bps: float
     peak_up_bps: float
-
-    def ratio_to(self, other: "UtilizationStats") -> dict[str, float]:
-        """Improvement ratios of ``self`` relative to ``other``."""
-
-        def ratio(a: float, b: float) -> float:
-            return a / b if b > 0 else 0.0
-
-        return {
-            "down_avg": ratio(self.avg_down_bps, other.avg_down_bps),
-            "up_avg": ratio(self.avg_up_bps, other.avg_up_bps),
-            "down_peak": ratio(self.peak_down_bps, other.peak_down_bps),
-            "up_peak": ratio(self.peak_up_bps, other.peak_up_bps),
-        }
 
 
 def utilization(

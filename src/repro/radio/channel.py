@@ -10,9 +10,8 @@ this module provides:
 * a smooth, seeded signal-quality process over the day (sum of slow
   sinusoids plus a daily commute dip, mimicking mobility-driven RSSI
   swings);
-* per-instant effective bandwidth and per-byte energy multipliers (bad
-  signal costs more transmit power per byte, per Ding et al.,
-  SIGMETRICS'13);
+* a per-byte energy multiplier over a transfer window (bad signal
+  costs more transmit power per byte, per Ding et al., SIGMETRICS'13);
 * :func:`best_window` — the greedy good-channel window picker a
   channel-aware scheduler uses.
 """
@@ -61,25 +60,6 @@ class ChannelModel:
         """The quality samples (one per ``resolution_s``)."""
         return self._grid
 
-    def quality_at(self, time_s: float) -> float:
-        """Signal quality in [min_quality, 1] at a second-of-day."""
-        idx = int((time_s % DAY) / self.resolution_s) % self._grid.size
-        return float(self._grid[idx])
-
-    def bandwidth_factor(self, time_s: float) -> float:
-        """Multiplier on link bandwidth at ``time_s``."""
-        return self.quality_at(time_s)
-
-    def energy_factor(self, time_s: float) -> float:
-        """Multiplier on transmit energy per byte at ``time_s``.
-
-        Bad signal roughly doubles the per-byte cost at the floor quality
-        (linear interpolation, following the measured RSSI-vs-drain trend
-        of Ding et al.).
-        """
-        quality = self.quality_at(time_s)
-        return 2.0 - quality
-
     def mean_quality(self, start: float, end: float) -> float:
         """Average quality over ``[start, end)`` (seconds-of-day)."""
         if end <= start:
@@ -124,5 +104,10 @@ def best_window(
 def transfer_energy_multiplier(
     channel: ChannelModel, start: float, duration_s: float
 ) -> float:
-    """Mean per-byte energy multiplier over a transfer window."""
+    """Mean per-byte energy multiplier over a transfer window.
+
+    Bad signal roughly doubles the per-byte cost at the floor quality
+    (linear interpolation, following the measured RSSI-vs-drain trend
+    of Ding et al.).
+    """
     return 2.0 - channel.mean_quality(start, start + duration_s)

@@ -2,8 +2,8 @@
 
 Bridges the event world (:class:`~repro.traces.events.NetworkActivity`)
 and the RRC world (transfer windows): compute the network energy of an
-entire trace or of an arbitrary re-scheduled activity list, and the
-per-activity ΔE the scheduler's profit model needs.
+activity list at its recorded times, and the per-activity ΔE the
+scheduler's profit model needs.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Sequence
 
 from repro.radio.power import RadioPowerModel
 from repro.radio.rrc import EnergyReport, TailPolicy, simulate
-from repro.traces.events import NetworkActivity, Trace
+from repro.traces.events import NetworkActivity
 
 
 def activity_windows(activities: Sequence[NetworkActivity]) -> list[tuple[float, float]]:
@@ -27,15 +27,6 @@ def activities_energy(
 ) -> EnergyReport:
     """RRC energy of executing ``activities`` at their recorded times."""
     return simulate(activity_windows(activities), model, tail_policy)
-
-
-def trace_energy(
-    trace: Trace,
-    model: RadioPowerModel,
-    tail_policy: TailPolicy | None = None,
-) -> EnergyReport:
-    """RRC energy of a whole trace executed as recorded."""
-    return activities_energy(trace.activities, model, tail_policy)
 
 
 def delta_e(activity: NetworkActivity, model: RadioPowerModel) -> float:

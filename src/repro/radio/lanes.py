@@ -68,10 +68,8 @@ __all__ = [
     "merge_lanes",
     "merge_lanes_with_allowances",
     "pack_lanes",
-    "replay_many",
     "replay_many_lengths",
     "segmented_cummax",
-    "simulate_many",
 ]
 
 _EMPTY_F = np.empty(0)
@@ -785,44 +783,6 @@ def _replay_lanes(
     )
 
 
-def simulate_many(
-    window_lists: Sequence[Sequence[tuple[float, float]]],
-    model: RadioPowerModel,
-    tail_policies: Sequence[TailPolicy | None] | None = None,
-    *,
-    window_tails: Sequence[Sequence[float] | None] | None = None,
-) -> list[EnergyReport]:
-    """Batched :func:`repro.radio.rrc.simulate` over many lanes.
-
-    ``reports[i]`` is bit-equal to
-    ``simulate(window_lists[i], model, tail_policies[i],
-    window_tails=window_tails[i])``, and telemetry counter totals equal
-    the lane-by-lane sums.
-    """
-    reports, _, _ = _replay_lanes(window_lists, model, tail_policies, window_tails)
-    return reports
-
-
-def replay_many(
-    window_lists: Sequence[Sequence[tuple[float, float]]],
-    model: RadioPowerModel,
-    tail_policies: Sequence[TailPolicy | None] | None = None,
-    *,
-    window_tails: Sequence[Sequence[float] | None] | None = None,
-) -> list[tuple[EnergyReport, list[tuple[float, float]]]]:
-    """Batched energy *and* radio-on pricing sharing one decomposition.
-
-    ``results[i]`` is ``(report, radio_on_intervals)``, bit-equal to the
-    pair ``(simulate(...), radio_on_intervals(...))`` for lane ``i`` —
-    but the merge and decomposition run once per lane instead of twice,
-    on top of the cross-lane batching.
-    """
-    reports, radio_on, _ = _replay_lanes(
-        window_lists, model, tail_policies, window_tails, want_radio_on=True
-    )
-    return list(zip(reports, radio_on))
-
-
 def replay_many_lengths(
     window_lists: Sequence[Sequence[tuple[float, float]]],
     model: RadioPowerModel,
@@ -832,13 +792,17 @@ def replay_many_lengths(
     keep_intervals: Sequence[bool],
     sim_contexts: Sequence[str] | None = None,
 ) -> list[tuple[EnergyReport, float, list[tuple[float, float]] | None]]:
-    """:func:`replay_many` returning merged radio-on *lengths*.
+    """Batched energy and radio-on pricing sharing one decomposition.
 
-    ``results[i]`` is ``(report, radio_on_length, intervals)`` where
-    ``radio_on_length`` is bit-equal to
+    ``results[i]`` is ``(report, radio_on_length, intervals)``: the
+    report is bit-equal to ``simulate(window_lists[i], model,
+    tail_policies[i], window_tails=window_tails[i])`` and
+    ``radio_on_length`` to
     ``total_length(merge_intervals(radio_on_intervals(...)))`` for lane
     ``i`` — the scalar most consumers actually need — computed inside
     the lane batch without materializing Python interval lists.  The
+    merge and decomposition run once per lane, on top of the cross-lane
+    batching, and telemetry counter totals equal the lane-by-lane sums.  The
     ``intervals`` element is only built (and only for lanes whose
     ``keep_intervals`` flag is True) for callers that must re-merge with
     extra windows; it is ``None`` elsewhere.

@@ -138,9 +138,11 @@ def _config(args: argparse.Namespace) -> FleetConfig:
         checkpoint_every_days=args.checkpoint_every,
         event_budget=args.event_budget,
         monitor=monitor,
-        # Determinism over graceful degradation: the service's decisions
-        # must be byte-equal to the library drive regardless of wall
-        # clock, so the latency circuit breaker stays out of the loop.
+        # Served decisions come from NetMaster without the misprediction
+        # circuit breaker.  The breaker is deterministic either way
+        # (CircuitBreaker.record reads only a day's interrupt and
+        # interaction counts, never the clock), so this is a policy
+        # choice, not what keeps decisions byte-equal to the library.
         netmaster=NetMasterConfig(enable_circuit_breaker=False),
     )
 

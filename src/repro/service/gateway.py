@@ -23,7 +23,8 @@ The ingest path validates a batch's causal order *before* touching the
 engine, so a rejected out-of-order batch leaves no partial state behind
 (:class:`CausalityError`, HTTP 409; a non-finite event time, one
 request moving a user's stream more than
-:data:`~repro.service.schemas.MAX_DAYS_AHEAD` days ahead, or a record
+:data:`~repro.service.schemas.MAX_DAYS_AHEAD` days ahead (a screen
+session's end included), or a record
 that would break an executed day's trace is a
 :class:`~repro.service.schemas.SchemaError`, HTTP 400).  Checkpoints
 serialize the whole gateway — engines, aggregates, retained decisions —
@@ -177,7 +178,7 @@ class FleetGateway:
         The batch is validated against the causal order *before* any
         record reaches the engine: an out-of-order batch raises
         :class:`CausalityError`, and a record at a non-finite time, a
-        last record more than
+        last record starting or a screen session ending more than
         :data:`~repro.service.schemas.MAX_DAYS_AHEAD` days past the open
         day, or a record on an executed day that its day trace would
         refuse at the close (:meth:`Trace.validate`: overlapping screen
@@ -205,6 +206,9 @@ class FleetGateway:
         # would make that Trace fail validation is refused here instead.
         executed = engine.train_days * DAY
         session_end, network_t = engine.buffered_tail()
+        # The engine buffers a session into every day it spans, so its
+        # end obeys the same horizon as a record's start.
+        horizon = (engine.day + MAX_DAYS_AHEAD + 1) * DAY
         for i, record in enumerate(records):
             is_session = isinstance(record, ScreenSession)
             t = record.start if is_session else record.time
@@ -222,6 +226,12 @@ class FleetGateway:
                 end = record.end
                 if end <= t:  # the engine buffers no empty session
                     continue
+                if end > horizon:
+                    raise SchemaError(
+                        f"events[{i}] is a screen session ending at t={end}, "
+                        f"more than {MAX_DAYS_AHEAD} days past the open day "
+                        f"{engine.day}; batch rejected whole"
+                    )
                 if t < session_end and min(end, session_end) > executed:
                     raise SchemaError(
                         f"events[{i}] is a screen session starting at t={t}, "

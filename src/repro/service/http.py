@@ -426,7 +426,6 @@ class ServeOptions:
     restore_path: str | Path | None = None
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
     config: object | None = None  # FleetConfig
-    install_signal_handlers: bool = True
     #: Called with the bound (host, port) once the listener is up.
     on_ready: Callable[[tuple[str, int]], None] | None = field(default=None)
 
@@ -453,13 +452,12 @@ async def serve(options: ServeOptions | None = None) -> ServiceApp:
     await app.start(options.host, options.port)
     loop = asyncio.get_running_loop()
     installed: list[signal.Signals] = []
-    if options.install_signal_handlers:
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, app.request_stop)
-                installed.append(sig)
-            except (NotImplementedError, RuntimeError):  # non-unix loops
-                pass
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(sig, app.request_stop)
+            installed.append(sig)
+        except (NotImplementedError, RuntimeError):  # non-unix loops
+            pass
     if options.on_ready is not None:
         options.on_ready(app.address)
     try:

@@ -42,8 +42,6 @@ class LoadOptions:
     seed: int = 2014
     concurrency: int = 4
     batch_events: int = DEFAULT_BATCH_EVENTS
-    #: Close every stream (``finish``) and read decisions + savings.
-    full_lifecycle: bool = True
 
 
 @dataclass
@@ -172,15 +170,14 @@ async def _worker(
                 if status == 200:
                     tally.events += doc.get("accepted", 0)
                     tally.days_closed += doc.get("days_closed", 0)
-            if options.full_lifecycle:
-                status, doc = await _timed(
-                    client, tally, "POST", f"{base}/finish",
-                    {"n_days": trace.n_days},
-                )
-                if status == 200:
-                    tally.days_closed += doc.get("days_closed", 0)
-                await _timed(client, tally, "GET", f"{base}/decisions")
-                await _timed(client, tally, "GET", f"{base}/savings")
+            status, doc = await _timed(
+                client, tally, "POST", f"{base}/finish",
+                {"n_days": trace.n_days},
+            )
+            if status == 200:
+                tally.days_closed += doc.get("days_closed", 0)
+            await _timed(client, tally, "GET", f"{base}/decisions")
+            await _timed(client, tally, "GET", f"{base}/savings")
             queue.task_done()
     finally:
         await client.close()

@@ -45,12 +45,26 @@ def _require_object(doc: object, what: str) -> dict:
 
 
 def _number(obj: dict, key: str) -> float:
-    """``obj[key]`` as a finite float.
+    """``obj[key]``, which must be a JSON number, as a finite float.
 
-    ``json.loads`` parses ``NaN``, ``Infinity`` and overflowing literals
-    such as ``1e400``; none of them is a usable time, duration or size.
+    ``json.loads`` gives a number as exactly ``float`` or ``int``; a
+    string, a boolean (its own type, although ``True`` is an ``int``) or
+    ``null`` is refused rather than coerced (``float("5")`` and
+    ``float(True)`` would parse), and so is an integer no float holds.
+    ``json.loads`` also parses ``NaN``, ``Infinity`` and overflowing
+    literals such as ``1e400``; none of them is a usable time, duration
+    or size.
     """
-    value = float(obj[key])
+    value = obj[key]
+    if type(value) is not float:
+        if type(value) is not int:
+            raise ValueError(f"{key} must be a JSON number, got {type(value).__name__}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(
+                f"{key} must be a finite number, got an integer too large for a float"
+            ) from None
     if not math.isfinite(value):
         raise ValueError(f"{key} must be a finite number, got {value!r}")
     return value
@@ -93,7 +107,7 @@ def parse_event_batch(doc: object) -> tuple[list[TraceRecord], int]:
     user).  Each record is a wire record object: ``{"kind": "screen",
     "start": s, "end": e}``, ``{"kind": "usage", "time": t, "app": a,
     "duration": d}`` or ``{"kind": "network", ...}``.  Numbers must be
-    finite, ``app`` a string and ``screen_on`` a boolean.
+    finite JSON numbers, ``app`` a string and ``screen_on`` a boolean.
     Returns ``(records, start_weekday)``.
     """
     doc = _require_object(doc, "event batch")
@@ -106,7 +120,7 @@ def parse_event_batch(doc: object) -> tuple[list[TraceRecord], int]:
             f"the per-batch cap is {MAX_BATCH_EVENTS}"
         )
     start_weekday = doc.get("start_weekday", 0)
-    if not isinstance(start_weekday, int) or not 0 <= start_weekday < 7:
+    if type(start_weekday) is not int or not 0 <= start_weekday < 7:
         raise SchemaError(
             f"start_weekday must be an integer in [0, 7), got {start_weekday!r}"
         )
@@ -148,7 +162,7 @@ def parse_finish(doc: object) -> int:
     """Parse a ``POST .../finish`` body: ``{"n_days": N}``."""
     doc = _require_object(doc, "finish request")
     n_days = doc.get("n_days")
-    if not isinstance(n_days, int) or n_days < 1:
+    if type(n_days) is not int or n_days < 1:
         raise SchemaError(f"n_days must be a positive integer, got {n_days!r}")
     return n_days
 

@@ -16,8 +16,7 @@ package is that online engine, in four layers:
 * :mod:`repro.stream.fleet` — a multi-tenant session manager driving
   thousands of streamed user-days with bounded per-user memory;
 * :mod:`repro.stream.shards` — sharded durable fleet state: per-shard
-  write-ahead logs, snapshot compaction, crash recovery, and per-shard
-  load shedding under failure.
+  write-ahead logs, snapshot compaction and crash recovery.
 
 ``python -m repro stream`` runs the fleet experiment
 (:func:`repro.stream.experiment.stream_experiment`);

@@ -43,7 +43,6 @@ class StreamResult:
     n_days: int
     train_days: int
     users_streamed: int
-    shed_users: int
     user_days_streamed: int
     days_executed: int
     events: int
@@ -85,39 +84,30 @@ def stream_experiment(
     n_days: int = DEFAULT_DAYS,
     train_days: int = DEFAULT_TRAIN_DAYS,
     jobs: int = 1,
-    batch_size: int = 16,
     checkpoint_every_days: int | None = 2,
-    event_budget: int | None = None,
-    retain_summaries: bool = True,
 ) -> StreamResult:
     """Streaming fleet: causal online NetMaster vs the offline harness.
 
     Every fleet-side statistic is read off the O(1)
-    :class:`~repro.stream.rollup.FleetRollup` counters, so the
-    experiment also runs with ``retain_summaries=False`` (constant-RSS
-    fleets that keep no per-user summary list).
+    :class:`~repro.stream.rollup.FleetRollup` counters.
     """
     config = FleetConfig(
         train_days=train_days,
-        batch_size=batch_size,
         checkpoint_every_days=checkpoint_every_days,
-        event_budget=event_budget,
-        retain_summaries=retain_summaries,
     )
     specs = fleet_specs(seed=seed, n_users=n_users, n_days=n_days)
     trc = tracer()
     with trc.span("fleet-stream", "stream", users=n_users, days=n_days):
         fleet = FleetService(config).run(specs, jobs=jobs)
 
-    # Offline comparison on the users that actually streamed: NetMaster
-    # trained on the full history prefix (the Fig. 7 harness) and the
-    # naive always-on baseline, over the same held-out days the online
-    # engine executed.
+    # Offline comparison on the same users: NetMaster trained on the
+    # full history prefix (the Fig. 7 harness) and the naive always-on
+    # baseline, over the same held-out days the online engine executed.
     power = config.netmaster.power
     nm_tasks: list[PolicyTask] = []
     naive_tasks: list[PolicyTask] = []
     with trc.span("fleet-offline-reference", "stream", users=fleet.users):
-        for spec in specs[: fleet.users]:
+        for spec in specs:
             trace = _spec_trace(spec)
             history, test_days = split_history(trace, train_days)
             nm_tasks.append(
@@ -145,8 +135,7 @@ def stream_experiment(
     offline_interactions = sum(
         m.user_interactions for metrics in nm_grid for m in metrics
     )
-    # O(1) rollup reads, not O(N) re-sums over fleet.summaries — which
-    # would also raise when the run retained nothing (no list, no spill).
+    # O(1) rollup reads, not O(N) re-sums over fleet.summaries.
     online_energy = fleet.rollup.energy_j
     online_interrupts = fleet.rollup.interrupts
     online_interactions = fleet.rollup.user_interactions
@@ -162,7 +151,6 @@ def stream_experiment(
         n_days=n_days,
         train_days=train_days,
         users_streamed=fleet.users,
-        shed_users=fleet.shed_users,
         user_days_streamed=fleet.user_days_streamed,
         days_executed=fleet.days_executed,
         events=fleet.events,

@@ -1,7 +1,7 @@
 """Multi-tenant fleet service: thousands of streamed user-days.
 
 The fleet drives one :class:`~repro.stream.online_netmaster.OnlineNetMaster`
-per user over that user's event stream, with three serving-shaped
+per user over that user's event stream, with two serving-shaped
 properties the offline harness never needed:
 
 * **bounded per-user memory** — finished days are priced (a plain drive
@@ -12,10 +12,10 @@ properties the offline harness never needed:
 * **admission batching** — users are admitted in batches over the
   existing :class:`~repro.runtime.parallel.ParallelRunner`, so a big
   fleet fans over worker processes with the same telemetry-merge
-  discipline as the evaluation grids;
-* **load shedding** — a configurable event budget: once the streamed
-  event count crosses it, remaining users are shed whole (deterministic
-  — admission order decides who), counted in ``stream.shed_users``.
+  discipline as the evaluation grids.
+
+The fleet admits every user it is given; the one event budget is the
+HTTP gateway's ingest budget (:attr:`FleetConfig.event_budget`).
 
 Checkpointing is exercised in-line: with ``checkpoint_every_days`` set,
 the engine is serialized to JSON and restored every N executed days, so
@@ -60,7 +60,10 @@ class FleetConfig:
     train_days: int = 10
     #: Users admitted per runner submission round.
     batch_size: int = 16
-    #: Total streamed-event budget; ``None`` admits everyone.
+    #: The HTTP gateway's ingest budget (``serve --event-budget``): once
+    #: this many events were accepted, ingest batches are refused whole
+    #: with HTTP 429.  ``None`` is unbounded.  The library fleet
+    #: (:class:`FleetService`) admits every user whatever it holds.
     event_budget: int | None = None
     #: Serialize/restore each engine every N executed days (``None`` off).
     checkpoint_every_days: int | None = None
@@ -295,13 +298,8 @@ class FleetResult:
         )
 
     @property
-    def shed_users(self) -> int:
-        """Users shed whole when the event budget ran out."""
-        return self.rollup.shed_users
-
-    @property
     def users(self) -> int:
-        """Users fully streamed (admitted, not shed)."""
+        """Users fully streamed."""
         return self.rollup.users
 
     @property
@@ -560,13 +558,10 @@ class FleetService:
         ``specs`` may be any iterable — a list, or a lazy generator such
         as :func:`repro.stream.specgen.iter_fleet_specs` — and admission
         windows over it one ``islice`` batch at a time, so the cohort
-        never materializes.  Once the event budget is exhausted the
-        remaining users are shed whole (the iterator tail is drained
-        only to count it).  ``jobs > 1`` fans each batch over the shared
-        process pool with worker telemetry merged back in admission
-        order (deterministic registries).  Decisions, aggregates and
-        shed counts are byte-identical between list and iterator
-        sources.
+        never materializes.  ``jobs > 1`` fans each batch over the
+        shared process pool with worker telemetry merged back in
+        admission order (deterministic registries).  Decisions and
+        aggregates are byte-identical between list and iterator sources.
 
         Passing a :class:`~repro.monitor.sinks.MonitorHub` (or setting
         ``config.monitor``) attaches per-user anomaly monitoring:
@@ -598,13 +593,6 @@ class FleetService:
             while True:
                 batch = list(islice(source, config.batch_size))
                 if not batch:
-                    break
-                if (
-                    config.event_budget is not None
-                    and rollup.events >= config.event_budget
-                ):
-                    rollup.shed_users = len(batch) + sum(1 for _ in source)
-                    registry.inc("stream.shed_users", rollup.shed_users)
                     break
                 registry.inc("stream.batches")
                 results = self._admit(batch, jobs, config)
@@ -645,7 +633,7 @@ class FleetService:
         streamed, in admission order, identical serial or parallel.
 
         The one per-batch step a subclass overrides (the sharded fleet
-        serves users from its logs and sheds per shard here).
+        serves users from its logs here).
         """
         payloads = [(spec, config, None) for spec in batch]
         return [

@@ -9,7 +9,7 @@ What survives per fleet (not per user!) is a fixed set of scalars:
 
 * **counters** — users, events, user-days, executed days, checkpoints,
   drift alerts, degraded days, interrupts, interactions, deferrals,
-  fleet- and shard-level shed counts, spilled summaries;
+  spilled summaries;
 * **energy totals** — summed ``energy_j`` / ``radio_on_s`` (the inputs
   to every savings comparison: ``saving = 1 - energy/naive_energy``);
 * **savings moments** — min / max / sum / sum-of-squares of each user's
@@ -69,8 +69,6 @@ class FleetRollup:
     interrupts: int = 0
     user_interactions: int = 0
     deferred: int = 0
-    shed_users: int = 0
-    shard_shed_users: int = 0
     spilled: int = 0
     energy_j: float = 0.0
     radio_on_s: float = 0.0
@@ -116,20 +114,6 @@ class FleetRollup:
         self.savings_hist[bisect_left(SAVINGS_BUCKETS_J, per_day)] += 1
 
     # ------------------------------------------------------------------
-    # derived
-    # ------------------------------------------------------------------
-    @property
-    def energy_day_mean(self) -> float:
-        """Mean per-user energy per executed day (0.0 when empty)."""
-        return self.energy_day_sum / self.users if self.users else 0.0
-
-    def savings_fraction(self, naive_energy_j: float) -> float:
-        """Fleet saving against a supplied always-on baseline total."""
-        if naive_energy_j <= 0:
-            return 0.0
-        return 1.0 - self.energy_j / naive_energy_j
-
-    # ------------------------------------------------------------------
     # report
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
@@ -146,8 +130,6 @@ class FleetRollup:
             "interrupts": self.interrupts,
             "user_interactions": self.user_interactions,
             "deferred": self.deferred,
-            "shed_users": self.shed_users,
-            "shard_shed_users": self.shard_shed_users,
             "spilled": self.spilled,
             "energy_j": self.energy_j,
             "radio_on_s": self.radio_on_s,

@@ -5,8 +5,8 @@ shard owns an append-only CRC-framed write-ahead log of day-close
 deltas, periodically compacted into content-hashed snapshots
 (:class:`ShardStore`).  :class:`ShardedFleetService` runs the fleet
 admission loop on top — byte-identical decisions to the plain
-:class:`~repro.stream.fleet.FleetService`, plus crash recovery and
-per-shard load shedding.  See DESIGN.md, "Durability architecture".
+:class:`~repro.stream.fleet.FleetService`, plus crash recovery.  See
+DESIGN.md, "Durability architecture".
 """
 
 from repro.stream.shards.experiment import ShardsResult, shards_experiment
@@ -14,7 +14,6 @@ from repro.stream.shards.service import (
     ShardConfig,
     ShardedFleetResult,
     ShardedFleetService,
-    ShardStats,
     stream_user_durable,
 )
 from repro.stream.shards.store import (
@@ -35,7 +34,6 @@ from repro.stream.shards.wal import (
 __all__ = [
     "RecoveryReport",
     "ShardConfig",
-    "ShardStats",
     "ShardStore",
     "ShardedFleetResult",
     "ShardedFleetService",

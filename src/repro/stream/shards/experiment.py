@@ -69,7 +69,6 @@ def shards_experiment(
     compact_every_records: int = 64,
     checkpoint_every_days: int | None = 2,
     jobs: int = 1,
-    root: str | Path | None = None,
 ) -> ShardsResult:
     """Sharded durable fleet: crash, recover, equal the unbroken run."""
     config = FleetConfig(
@@ -78,11 +77,7 @@ def shards_experiment(
     specs = fleet_specs(seed=seed, n_users=n_users, n_days=n_days)
     trc = tracer()
 
-    tmp = None
-    if root is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-shards-")
-        root = tmp.name
-    try:
+    with tempfile.TemporaryDirectory(prefix="repro-shards-") as root:
         shards = ShardConfig(
             root=Path(root),
             n_shards=n_shards,
@@ -126,6 +121,3 @@ def shards_experiment(
             + sum(store.compactions for store in second.stores),
             matches_baseline=result.summaries == baseline.summaries,
         )
-    finally:
-        if tmp is not None:
-            tmp.cleanup()

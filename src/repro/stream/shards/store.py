@@ -162,7 +162,6 @@ class ShardStore(DayCloseLog):
         self._users: dict[str, UserShardState] = {}
         self._generation = 0
         self._wal_records = 0
-        self._done_events = 0
         self._initialized = False
 
     # ------------------------------------------------------------------
@@ -184,10 +183,6 @@ class ShardStore(DayCloseLog):
         return self._wal_path(self._generation)
 
     @property
-    def generation(self) -> int:
-        return self._generation
-
-    @property
     def wal_records(self) -> int:
         """Records in the current WAL segment (replayed + appended)."""
         return self._wal_records
@@ -198,31 +193,6 @@ class ShardStore(DayCloseLog):
     def get(self, user_id: str) -> UserShardState | None:
         """The durable state of one user (``None`` if never logged)."""
         return self._users.get(user_id)
-
-    @property
-    def users(self) -> dict[str, UserShardState]:
-        """Live view of every user's durable state (do not mutate)."""
-        return self._users
-
-    @property
-    def events(self) -> int:
-        """Completed (done-user) events in this shard — the admission
-        currency for per-shard load shedding.
-
-        A running counter maintained as records fold in, so the
-        per-batch budget read is O(1) instead of re-summing every done
-        user's summary (O(users) per batch, O(users²) per run)."""
-        return self._done_events
-
-    @staticmethod
-    def _summary_events(summary: dict | None) -> int:
-        """Event count of a done-user summary (0 for damaged docs)."""
-        if isinstance(summary, dict):
-            try:
-                return int(summary.get("events", 0))
-            except (OverflowError, TypeError, ValueError):
-                return 0
-        return 0
 
     # ------------------------------------------------------------------
     # appends
@@ -277,16 +247,11 @@ class ShardStore(DayCloseLog):
             # (``resumable`` requires not-done).  This is what keeps a
             # long-lived shard's memory proportional to its *summaries*,
             # not its engines.
-            prev = self._users.get(user_id)
-            if prev is not None and prev.done:
-                self._done_events -= self._summary_events(prev.summary)
-            summary = payload.get("summary")
             self._users[user_id] = UserShardState(
                 user_id=user_id,
                 done=True,
-                summary=summary,
+                summary=payload.get("summary"),
             )
-            self._done_events += self._summary_events(summary)
         elif during_replay:
             logger.warning(
                 "shard %s: unknown WAL record type %r for user %s; skipping",
@@ -378,7 +343,6 @@ class ShardStore(DayCloseLog):
         self._users = {}
         self._generation = 0
         self._wal_records = 0
-        self._done_events = 0
         existed = self.path.is_dir() and any(self.path.iterdir())
         if not existed:
             self._initialized = False
@@ -529,11 +493,9 @@ class ShardStore(DayCloseLog):
             if bool(state.get("done", False)):
                 # Same eviction as the live fold: done users keep only
                 # their summary in memory (and in future snapshots).
-                summary = state.get("summary")
                 self._users[str(user_id)] = UserShardState(
-                    user_id=str(user_id), done=True, summary=summary
+                    user_id=str(user_id), done=True, summary=state.get("summary")
                 )
-                self._done_events += self._summary_events(summary)
             else:
                 self._users[str(user_id)] = UserShardState(
                     user_id=str(user_id),

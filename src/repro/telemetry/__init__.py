@@ -56,7 +56,6 @@ __all__ = [
     "isolated",
     "metrics",
     "metrics_enabled",
-    "reset_metrics",
     "tracer",
     "tracing_enabled",
 ]
@@ -114,12 +113,6 @@ def configure(
         elif not tracing_enabled and _tracer.enabled:
             _tracer = NullTracer()
     return _registry, _tracer
-
-
-def reset_metrics() -> MetricsRegistry:
-    """Clear the global registry (keeps its enabled/disabled state)."""
-    _registry.clear()
-    return _registry
 
 
 @contextmanager

@@ -244,16 +244,6 @@ class MetricsRegistry:
             mine.count += h["count"]
             mine.sum_micro += h["sum_micro"]
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one (via its snapshot)."""
-        self.merge_snapshot(other.snapshot())
-
-    def clear(self) -> None:
-        """Drop every instrument."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-
 
 def diff_snapshots(before: dict, after: dict) -> dict:
     """The updates that happened between two snapshots of one registry.
@@ -339,10 +329,4 @@ class NullRegistry(MetricsRegistry):
         return {"counters": {}, "gauges": {}, "histograms": {}}
 
     def merge_snapshot(self, snap: dict) -> None:
-        pass
-
-    def merge(self, other: MetricsRegistry) -> None:
-        pass
-
-    def clear(self) -> None:
         pass

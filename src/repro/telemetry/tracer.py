@@ -90,10 +90,6 @@ class Tracer:
         self._epoch = time.perf_counter()
 
     # -- recording ------------------------------------------------------
-    def set_context(self, label: str) -> None:
-        """Set the lane prefix applied to subsequent sim-domain spans."""
-        self.context = label
-
     @contextmanager
     def sim_context(self, label: str) -> Iterator[None]:
         """Temporarily switch the sim-span lane prefix."""
@@ -259,11 +255,6 @@ class Tracer:
         }
         Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
 
-    def clear(self) -> None:
-        """Drop all recorded spans."""
-        self.spans.clear()
-        self.dropped = 0
-
 
 @contextmanager
 def _null_span() -> Iterator[None]:
@@ -281,9 +272,6 @@ class NullTracer(Tracer):
         self.dropped = 0
         self.context = ""
         self._epoch = 0.0
-
-    def set_context(self, label: str) -> None:
-        pass
 
     @contextmanager
     def sim_context(self, label: str) -> Iterator[None]:

@@ -44,12 +44,6 @@ class TrafficSplit:
         """Fraction of network activities occurring with the screen off."""
         return self.off_count / self.total_count if self.total_count else 0.0
 
-    @property
-    def off_bytes_fraction(self) -> float:
-        """Fraction of transferred bytes moved with the screen off."""
-        total = self.on_bytes + self.off_bytes
-        return self.off_bytes / total if total else 0.0
-
 
 def traffic_split(trace: Trace) -> TrafficSplit:
     """Fig. 1(a) decomposition for a single user."""

@@ -112,13 +112,6 @@ class AppCatalog:
     def __iter__(self):
         return iter(self.apps)
 
-    def get(self, name: str) -> AppModel:
-        """Look up an app by package name."""
-        for app in self.apps:
-            if app.name == name:
-                return app
-        raise KeyError(name)
-
     @property
     def names(self) -> list[str]:
         """All package names in catalog order."""
@@ -141,10 +134,6 @@ class AppCatalog:
         weights /= weights.sum()
         idx = int(rng.choice(len(candidates), p=weights))
         return candidates[idx]
-
-    def restrict(self, names: list[str]) -> "AppCatalog":
-        """A sub-catalog with only the given package names."""
-        return AppCatalog([self.get(n) for n in names])
 
 
 def default_catalog() -> AppCatalog:

@@ -56,11 +56,6 @@ class AppUsage:
     def __post_init__(self) -> None:
         check_positive("AppUsage.duration", self.duration, strict=False)
 
-    @property
-    def end(self) -> float:
-        """End time of the interaction."""
-        return self.time + self.duration
-
 
 @dataclass(frozen=True, slots=True)
 class NetworkActivity:
@@ -236,36 +231,12 @@ class Trace:
             return False
         return self.screen_sessions[idx].contains(time_s)
 
-    def session_at(self, time_s: float) -> ScreenSession | None:
-        """The screen session covering ``time_s``, if any."""
-        starts = self._session_starts()
-        idx = bisect.bisect_right(starts, time_s) - 1
-        if idx >= 0 and self.screen_sessions[idx].contains(time_s):
-            return self.screen_sessions[idx]
-        return None
-
     def _session_starts(self) -> list[float]:
         cached = getattr(self, "_starts_cache", None)
         if cached is None or len(cached) != len(self.screen_sessions):
             cached = [s.start for s in self.screen_sessions]
             object.__setattr__(self, "_starts_cache", cached)
         return cached
-
-    def screen_off_activities(self) -> list[NetworkActivity]:
-        """Activities whose original time was in a screen-off period."""
-        return [a for a in self.activities if not a.screen_on]
-
-    def screen_on_activities(self) -> list[NetworkActivity]:
-        """Activities whose original time was in a screen-on period."""
-        return [a for a in self.activities if a.screen_on]
-
-    def activities_between(self, start: float, end: float) -> list[NetworkActivity]:
-        """Activities with original start time in ``[start, end)``."""
-        return [a for a in self.activities if start <= a.time < end]
-
-    def usages_between(self, start: float, end: float) -> list[AppUsage]:
-        """App usages with start time in ``[start, end)``."""
-        return [u for u in self.usages if start <= u.time < end]
 
     def day_view(self, day_index: int) -> "Trace":
         """A single-day sub-trace (times re-based to that day's midnight)."""
@@ -302,10 +273,6 @@ class Trace:
     # ------------------------------------------------------------------
     # numpy accessors (vectorized analytics paths)
     # ------------------------------------------------------------------
-    def activity_times(self) -> np.ndarray:
-        """Array of activity start times (float64, sorted)."""
-        return np.array([a.time for a in self.activities], dtype=np.float64)
-
     def activity_bytes(self) -> np.ndarray:
         """``(n, 2)`` array of per-activity (down, up) bytes."""
         return np.array(
@@ -331,15 +298,3 @@ class Trace:
     def total_screen_on_time(self) -> float:
         """Total seconds of screen-on time over the whole trace."""
         return float(sum(s.duration for s in self.screen_sessions))
-
-    def summary(self) -> dict[str, float]:
-        """A small numeric digest used by tests and reporting."""
-        off = self.screen_off_activities()
-        return {
-            "n_days": float(self.n_days),
-            "n_sessions": float(len(self.screen_sessions)),
-            "n_usages": float(len(self.usages)),
-            "n_activities": float(len(self.activities)),
-            "screen_off_fraction": (len(off) / len(self.activities)) if self.activities else 0.0,
-            "screen_on_time_s": self.total_screen_on_time(),
-        }

@@ -15,8 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from repro._util import DAY, HOURS_PER_DAY, check_positive, day_of, hour_of
-from repro.traces.events import AppUsage, NetworkActivity, ScreenSession, Trace
+from repro._util import HOURS_PER_DAY, check_positive, day_of, hour_of
+from repro.traces.events import AppUsage, NetworkActivity, ScreenSession
 
 #: Default write-cache capacity, matching the paper's 500 KB buffer.
 DEFAULT_CACHE_BYTES = 500 * 1024
@@ -124,16 +124,6 @@ class TraceStore:
         else:
             self._network.append(record.payload)  # type: ignore[arg-type]
 
-    def ingest_trace(self, trace: Trace) -> None:
-        """Bulk-load a whole trace (history import for the miner)."""
-        for session in trace.screen_sessions:
-            self.record_screen(session)
-        for usage in trace.usages:
-            self.record_usage(usage)
-        for activity in trace.activities:
-            self.record_network(activity)
-        self.checkpoint()
-
     def checkpoint(self) -> None:
         """Force a cache flush so all records become queryable."""
         for flushed in self.cache.flush():
@@ -174,14 +164,6 @@ class TraceStore:
         """Every package name appearing in usage or network records."""
         return {u.app for u in self._usage} | {a.app for a in self._network}
 
-    def usage_matrix(self) -> np.ndarray:
-        """``(n_days, 24)`` counts of app usages per day-hour cell."""
-        days = self.n_days()
-        matrix = np.zeros((days, HOURS_PER_DAY), dtype=np.float64)
-        for usage in self._usage:
-            matrix[day_of(usage.time), hour_of(usage.time)] += 1.0
-        return matrix
-
     def screen_use_matrix(self) -> np.ndarray:
         """``(n_days, 24)`` binary matrix: phone used in that day-hour.
 
@@ -204,21 +186,6 @@ class TraceStore:
                     matrix[last_day, : last + 1] = 1.0
         return matrix
 
-    def network_matrix(self, *, screen_off_only: bool = True) -> np.ndarray:
-        """``(n_days, 24)`` count of network activities per day-hour.
-
-        With ``screen_off_only`` this is the paper's ``n(p_m, t_i)_j``
-        aggregated over apps — the raw material for screen-off network
-        slot prediction.
-        """
-        days = self.n_days()
-        matrix = np.zeros((days, HOURS_PER_DAY), dtype=np.float64)
-        for activity in self._network:
-            if screen_off_only and activity.screen_on:
-                continue
-            matrix[day_of(activity.time), hour_of(activity.time)] += 1.0
-        return matrix
-
     def app_network_counts(self) -> dict[str, int]:
         """Per-app network-activity counts (Special Apps evidence)."""
         counts: dict[str, int] = {}
@@ -232,8 +199,3 @@ class TraceStore:
         for usage in self._usage:
             counts[usage.app] = counts.get(usage.app, 0) + 1
         return counts
-
-    def activities_in_day(self, day_index: int) -> list[NetworkActivity]:
-        """Committed activities whose start falls on trace day ``day_index``."""
-        lo, hi = day_index * DAY, (day_index + 1) * DAY
-        return [a for a in self.activities if lo <= a.time < hi]

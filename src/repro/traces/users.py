@@ -107,10 +107,6 @@ class UserProfile:
         """The hourly intensity curve for a weekday or weekend day."""
         return self.weekend_intensity if weekend else self.weekday_intensity
 
-    def expected_sessions_per_day(self, weekend: bool = False) -> float:
-        """Expected number of screen-on sessions in one day."""
-        return float(self.intensity_for(weekend).sum())
-
 
 def _persona(
     user_id: str,

@@ -137,10 +137,6 @@ class TestDelayBatchPolicy:
         finite = [t for t in outcome.activity_tails if not math.isinf(t)]
         assert len(finite) == 3
 
-    def test_fast_dormancy_optional(self):
-        outcome = DelayBatchPolicy(60.0, fast_dormancy_s=None).execute_day(_burst_day())
-        assert outcome.activity_tails is None
-
     def test_saves_energy(self, test_day):
         base = NaivePolicy().execute_day(test_day).energy(MODEL)
         db = DelayBatchPolicy(60.0).execute_day(test_day).energy(MODEL)

@@ -7,6 +7,7 @@ import pytest
 from repro.baselines import NaivePolicy, PolicyOutcome, SchedulingPolicy
 from repro.radio import FullTail, wcdma_model
 from repro.traces import NetworkActivity
+from tests.radio.rrc_oracle import trace_energy
 
 
 class TestNaivePolicy:
@@ -17,11 +18,9 @@ class TestNaivePolicy:
         assert outcome.interrupts == 0
 
     def test_energy_matches_trace_energy(self, test_day, wcdma):
-        from repro.radio import trace_energy
-
         outcome = NaivePolicy().execute_day(test_day)
         assert outcome.energy(wcdma).energy_j == pytest.approx(
-            trace_energy(test_day, wcdma).energy_j
+            trace_energy(test_day, wcdma)["energy_j"]
         )
 
     def test_rejects_multiday(self, volunteer):
@@ -42,15 +41,6 @@ class TestPolicyOutcome:
     def test_transfer_windows(self):
         outcome = self._outcome()
         assert outcome.transfer_windows() == [(0.0, 5.0)]
-
-    def test_interrupt_ratio(self):
-        outcome = self._outcome(interrupts=1, user_interactions=100)
-        assert outcome.interrupt_ratio == 0.01
-        assert self._outcome().interrupt_ratio == 0.0
-
-    def test_affected_ratio(self):
-        outcome = self._outcome(affected_user_activities=5, user_interactions=50)
-        assert outcome.affected_ratio == 0.1
 
     def test_payload_validation(self, tiny_trace):
         outcome = self._outcome()

@@ -83,4 +83,4 @@ class TestNetMasterPolicyAdapter:
     def test_interrupts_tracked(self, history, test_day):
         outcome = NetMasterPolicy(history).execute_day(test_day)
         assert outcome.user_interactions == len(test_day.usages)
-        assert outcome.interrupt_ratio <= 0.01
+        assert outcome.interrupts <= 0.01 * outcome.user_interactions

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import GapServicer, RealTimeAdjustment
-from repro.habits import HabitModel
+from repro.core import GapServicer
 from repro.traces import NetworkActivity
 
 
@@ -111,13 +110,3 @@ class TestGapServicer:
         assert first_after_second == pytest.approx(
             second_service + 4.0 + 0.2 + 30.0
         )
-
-
-class TestRealTimeAdjustment:
-    def test_special_app_gating(self, tiny_trace):
-        adjustment = RealTimeAdjustment(
-            special_apps=HabitModel.fit(tiny_trace).special_apps
-        )
-        assert adjustment.allow_radio("com.tencent.mm")
-        assert not adjustment.allow_radio("com.android.email")
-        assert adjustment.allow_radio("never.seen.app")

@@ -60,7 +60,7 @@ class TestDegenerateDays:
         execution = trained.execute_day(day)
         assert len(execution.activities) == 1
         assert execution.user_interactions == 0
-        assert execution.interrupt_ratio == 0.0
+        assert execution.interrupts == 0
 
     def test_activity_near_midnight_clamped(self, trained):
         day = Trace(

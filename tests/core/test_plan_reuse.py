@@ -74,7 +74,7 @@ def test_each_plan_owns_its_admission_state(history):
     nm = NetMaster()
     nm.train(history)
     a = nm.plan_day(weekend=False)
-    hour = a.planned_hours[0]
+    hour = min(a.hour_slots)
     slot_id = a.admit(hour, 1.0)
     a.execution_time(slot_id, 1.0)
     b = nm.plan_day(weekend=False)

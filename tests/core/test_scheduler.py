@@ -33,14 +33,6 @@ class TestPlanConstruction:
         # Adjacent user-active slot: hour 9 or hour 20 of the day.
         assert slot.start in (9 * HOUR, 20 * HOUR)
 
-    def test_scheduled_fraction(self, scheduler):
-        plan = scheduler.plan(weekend=False)
-        assert 0.0 < plan.scheduled_fraction <= 1.0
-
-    def test_planned_hours_sorted(self, scheduler):
-        plan = scheduler.plan(weekend=False)
-        assert plan.planned_hours == sorted(plan.planned_hours)
-
     def test_eps_validation(self, scheduler):
         with pytest.raises(ValueError):
             NetMasterScheduler(habit=scheduler.habit, params=scheduler.params, eps=0.0)

@@ -7,15 +7,16 @@ import pytest
 from repro.baselines import NetMasterPolicy
 from repro.device import DeviceSimulator
 from repro.habits import HabitModel
-from repro.radio import TruncatedTail, trace_energy, wcdma_model
+from repro.radio import TruncatedTail, wcdma_model
+from tests.radio.rrc_oracle import trace_energy
 
 
 class TestStockReplay:
     def test_energy_matches_analytic(self, test_day, wcdma):
         report = DeviceSimulator().replay(test_day)
         analytic = trace_energy(test_day, wcdma)
-        assert report.energy.energy_j == pytest.approx(analytic.energy_j)
-        assert report.energy.radio_on_s == pytest.approx(analytic.radio_on_s)
+        assert report.energy.energy_j == pytest.approx(analytic["energy_j"])
+        assert report.energy.radio_on_s == pytest.approx(analytic["radio_on_s"])
 
     def test_all_activities_transferred(self, test_day):
         report = DeviceSimulator().replay(test_day)

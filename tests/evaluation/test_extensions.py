@@ -44,7 +44,7 @@ class TestRandomProfile:
         rng = np.random.default_rng(0)
         profile = random_profile("x", rng)
         assert profile.weekday_intensity.shape == (24,)
-        assert profile.expected_sessions_per_day() > 10.0
+        assert profile.intensity_for(False).sum() > 10.0
 
     def test_distinct_draws(self):
         rng = np.random.default_rng(0)

@@ -29,15 +29,6 @@ class TestMeasureOutcome:
         with pytest.raises(ValueError, match="payload"):
             measure_outcome(outcome, wcdma, test_day)
 
-    def test_ratios(self, test_day, wcdma):
-        outcome = NaivePolicy().execute_day(test_day)
-        outcome.interrupts = 2
-        metrics = measure_outcome(outcome, wcdma, test_day)
-        assert metrics.interrupt_ratio == pytest.approx(
-            2 / len(test_day.usages)
-        )
-        assert metrics.affected_ratio == 0.0
-
 
 class TestAggregation:
     def test_run_policy_over_days(self, history_and_days, wcdma):
@@ -79,4 +70,3 @@ class TestAggregation:
         assert energy_saving(base, zero) == 0.0
         assert radio_time_saving(base, zero) == 0.0
         assert aggregate_energy_saving([base], [zero]) == 0.0
-        assert zero.interrupt_ratio == 0.0

@@ -82,8 +82,7 @@ class TestStuckDch:
             # Foreground placement is the whole point: a screen-off hold
             # would be compressed to sub-second carrier-speed transfers.
             assert hold.screen_on
-            session = volunteer.session_at(hold.time)
-            assert session is not None and session.contains(hold.time)
+            assert volunteer.screen_on_at(hold.time)
             assert hold.duration == 1800.0
             # Each hold fits inside its day horizon.
             assert hold.time + hold.duration <= volunteer.n_days * DAY

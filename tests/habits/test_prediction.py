@@ -144,14 +144,6 @@ class TestUserSlots:
         assert prediction.active_hours.sum() == 2  # only hours ever used
 
 
-class TestNetworkHours:
-    def test_excludes_active_slots(self):
-        model = HabitModel.fit(_repeating_trace())
-        prediction = model.user_slots(weekend=False)
-        hours = model.network_hours(weekend=False, user_slots=prediction)
-        assert hours == [3]
-
-
 _FITTED = HabitModel.fit(_repeating_trace())
 
 #: Seconds of the day, hour boundaries and their float neighbours included.

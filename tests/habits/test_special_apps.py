@@ -20,7 +20,13 @@ class TestFitting:
 
     def test_from_store(self, tiny_trace):
         store = TraceStore()
-        store.ingest_trace(tiny_trace)
+        for session in tiny_trace.screen_sessions:
+            store.record_screen(session)
+        for usage in tiny_trace.usages:
+            store.record_usage(usage)
+        for activity in tiny_trace.activities:
+            store.record_network(activity)
+        store.checkpoint()
         registry = SpecialAppRegistry.from_store(store)
         assert registry.special == HabitModel.fit(tiny_trace).special_apps.special
 

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.monitor.detectors import (
-    Alert,
     DaySignal,
     DchStuckDetector,
     DetectorBank,
@@ -19,7 +19,6 @@ from repro.monitor.detectors import (
     RunawayEnergyDetector,
     SavingsCollapseDetector,
     SEVERITY_CRITICAL,
-    SEVERITY_WARNING,
 )
 
 
@@ -47,33 +46,6 @@ def sig(
         drift_alerts_total=drift,
         degraded=degraded,
     )
-
-
-class TestRecords:
-    def test_signal_roundtrips_through_json(self):
-        s = sig(3, energy=123.456789, radio=0.1 + 0.2)  # non-representable floats
-        doc = json.loads(json.dumps(s.as_dict()))
-        assert DaySignal.from_dict(doc) == s
-
-    def test_alert_roundtrips_through_json(self):
-        a = Alert(
-            user_id="u1",
-            day=9,
-            kind="runaway_energy",
-            severity=SEVERITY_CRITICAL,
-            value=7.25,
-            threshold=6.0,
-            message="boom",
-        )
-        assert Alert.from_dict(json.loads(json.dumps(a.as_dict()))) == a
-
-    def test_alert_message_defaults_empty(self):
-        doc = Alert(
-            user_id="u", day=0, kind="k", severity=SEVERITY_WARNING,
-            value=1.0, threshold=0.5,
-        ).as_dict()
-        del doc["message"]
-        assert Alert.from_dict(doc).message == ""
 
 
 class TestMonitorConfig:
@@ -193,16 +165,15 @@ class TestResidualEnergy:
                 events=20 + 3 * day,
                 radio=1500.0 + 61.0 * day,
             )
-            s = DaySignal(
-                **{**s.as_dict(), "energy_j": 10.0 + 0.1 * s.screen_on_s
-                   + 2.0 * s.events + 0.05 * s.radio_on_s}
+            s = replace(
+                s, energy_j=10.0 + 0.1 * s.screen_on_s + 2.0 * s.events + 0.05 * s.radio_on_s
             )
             assert det.feed(s) is None
         spike = sig(8, screen=2000.0, events=44, radio=2000.0, energy=50_000.0)
         alert = det.feed(spike)
         assert alert is not None and alert.kind == "energy_residual"
         # Self-exclusion: residual stats unchanged, so it fires again.
-        assert det.feed(DaySignal(**{**spike.as_dict(), "day": 9})) is not None
+        assert det.feed(replace(spike, day=9)) is not None
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,7 @@ class TestJsonlSink:
         assert not path.exists()
         assert sink.close() == path
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert [Alert.from_dict(json.loads(line)) for line in lines] == alerts
+        assert [json.loads(line) for line in lines] == [a.as_dict() for a in alerts]
         assert sink.count == 3
 
     def test_abort_discards_the_partial_log(self, tmp_path):

@@ -146,6 +146,14 @@ def reference_radio_on(merged, model, allowances):
     return reference_merge(extended)
 
 
+def trace_energy(trace, model):
+    """The stock phone's accounting of a whole trace executed as recorded:
+    every activity at its recorded time, every window with the full
+    carrier tails."""
+    merged = reference_merge(a.interval for a in trace.activities)
+    return reference_machine(merged, model, [math.inf] * len(merged))
+
+
 def reference_sequential_sum(values, initial=0.0):
     """Left-to-right float accumulation, the order every total uses."""
     total = float(initial)

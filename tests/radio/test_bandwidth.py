@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.radio import DEFAULT_BANDWIDTH_BPS, LinkModel, UtilizationStats, utilization
+from repro.radio import DEFAULT_BANDWIDTH_BPS, LinkModel, utilization
 from repro.traces import NetworkActivity
 
 
@@ -15,10 +15,6 @@ class TestLinkModel:
     def test_slot_capacity(self):
         link = LinkModel(bandwidth_bps=1000.0)
         assert link.slot_capacity_bytes(60.0) == 60_000.0
-
-    def test_transfer_time(self):
-        link = LinkModel(bandwidth_bps=1000.0)
-        assert link.transfer_time_s(5000.0) == 5.0
 
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError):
@@ -59,15 +55,3 @@ class TestUtilization:
         assert stats.avg_down_bps == 0.0
         assert stats.peak_up_bps == 0.0
 
-    def test_ratio_to(self):
-        a = UtilizationStats(100.0, 50.0, 1000.0, 500.0)
-        b = UtilizationStats(25.0, 25.0, 1000.0, 250.0)
-        ratios = a.ratio_to(b)
-        assert ratios["down_avg"] == pytest.approx(4.0)
-        assert ratios["up_avg"] == pytest.approx(2.0)
-        assert ratios["down_peak"] == pytest.approx(1.0)
-
-    def test_ratio_to_zero_denominator(self):
-        a = UtilizationStats(100.0, 50.0, 1000.0, 500.0)
-        zero = UtilizationStats(0.0, 0.0, 0.0, 0.0)
-        assert all(v == 0.0 for v in a.ratio_to(zero).values())

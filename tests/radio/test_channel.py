@@ -22,13 +22,17 @@ class TestChannelModel:
 
     def test_quality_wraps_at_midnight(self):
         channel = ChannelModel(seed=1)
-        assert channel.quality_at(DAY + 100.0) == channel.quality_at(100.0)
+        assert channel.mean_quality(DAY + 100.0, DAY + 700.0) == channel.mean_quality(
+            100.0, 700.0
+        )
 
     def test_energy_factor_inverse_to_quality(self):
         channel = ChannelModel(seed=4)
         t_best = float(np.argmax(channel.grid)) * channel.resolution_s
         t_worst = float(np.argmin(channel.grid)) * channel.resolution_s
-        assert channel.energy_factor(t_best) < channel.energy_factor(t_worst)
+        assert transfer_energy_multiplier(
+            channel, t_best, channel.resolution_s
+        ) < transfer_energy_multiplier(channel, t_worst, channel.resolution_s)
 
     def test_mean_quality(self):
         channel = ChannelModel(seed=1)

@@ -8,10 +8,10 @@ from repro.radio import (
     activities_energy,
     activity_windows,
     delta_e,
-    trace_energy,
     wcdma_model,
 )
 from repro.traces import NetworkActivity
+from tests.radio.rrc_oracle import assert_report_matches, trace_energy
 
 MODEL = wcdma_model()
 
@@ -30,8 +30,9 @@ class TestActivityEnergy:
         assert report.energy_j == pytest.approx(MODEL.isolated_transfer_energy_j(10.0))
 
     def test_trace_energy_equals_activity_energy(self, tiny_trace):
-        assert trace_energy(tiny_trace, MODEL).energy_j == pytest.approx(
-            activities_energy(tiny_trace.activities, MODEL).energy_j
+        assert_report_matches(
+            activities_energy(tiny_trace.activities, MODEL),
+            trace_energy(tiny_trace, MODEL),
         )
 
     def test_isolated_and_delta(self):

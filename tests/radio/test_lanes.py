@@ -18,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+from repro._util import total_length
 from repro.radio import (
     FullTail,
     TruncatedTail,
@@ -33,9 +34,8 @@ from repro.radio.lanes import (
     merge_lanes,
     merge_lanes_with_allowances,
     pack_lanes,
-    replay_many,
+    replay_many_lengths,
     segmented_cummax,
-    simulate_many,
 )
 from repro.telemetry import isolated
 from tests.radio.rrc_oracle import (
@@ -218,8 +218,10 @@ def test_replay_many_matches_per_lane_simulate(seed, model):
             else:
                 policies.append(None)
                 window_tails.append(_random_tails(rng, len(lane)))
-        results = replay_many(grid, model, policies, window_tails=window_tails)
-        reports = simulate_many(grid, model, policies, window_tails=window_tails)
+        keep = [bool(rng.integers(0, 2)) for _ in grid]
+        results = replay_many_lengths(
+            grid, model, policies, window_tails=window_tails, keep_intervals=keep
+        )
         assert len(results) == len(grid)
         for i, lane in enumerate(grid):
             ref_report = simulate(
@@ -228,10 +230,10 @@ def test_replay_many_matches_per_lane_simulate(seed, model):
             ref_on = radio_on_intervals(
                 lane, model, policies[i], window_tails=window_tails[i]
             )
-            report, on = results[i]
+            report, length, on = results[i]
             assert report == ref_report
-            assert reports[i] == ref_report
-            assert on == ref_on
+            assert length == total_length(ref_on)
+            assert on == (ref_on if keep[i] else None)
 
 
 def test_telemetry_counters_match_per_lane_totals():
@@ -245,25 +247,25 @@ def test_telemetry_counters_match_per_lane_totals():
             simulate(lane, model)
         per_lane = reg.snapshot()["counters"]
     with isolated(with_tracing=False) as (reg, _):
-        simulate_many(grid, model)
+        replay_many_lengths(grid, model, keep_intervals=[False] * len(grid))
         columnar = reg.snapshot()["counters"]
     assert columnar == per_lane
 
 
 class TestEdges:
     def test_no_lanes(self):
-        assert simulate_many([], MODELS[0]) == []
-        assert replay_many([], MODELS[0]) == []
+        assert replay_many_lengths([], MODELS[0], keep_intervals=[]) == []
 
     def test_all_lanes_empty(self):
-        results = replay_many([[], [], []], MODELS[0])
-        for report, on in results:
+        results = replay_many_lengths([[], [], []], MODELS[0], keep_intervals=[True] * 3)
+        for report, length, on in results:
             assert report == simulate([], MODELS[0])
-            assert on == []
+            assert (length, on) == (0.0, [])
 
     def test_single_window_lanes(self):
         grid = [[(5.0, 9.0)], [], [(4.0, 4.0)]]
-        for (report, on), lane in zip(replay_many(grid, MODELS[0]), grid):
+        results = replay_many_lengths(grid, MODELS[0], keep_intervals=[True] * 3)
+        for (report, _, on), lane in zip(results, grid):
             assert report == simulate(lane, MODELS[0])
             assert on == radio_on_intervals(lane, MODELS[0])
 
@@ -278,14 +280,15 @@ class TestEdges:
                 (100.0 + 3 * model.tail_s, 101.0 + 3 * model.tail_s),
             ]
             grid = [lane, lane[:2], lane[2:]]
-            for (report, on), windows in zip(replay_many(grid, model), grid):
+            results = replay_many_lengths(grid, model, keep_intervals=[True] * 3)
+            for (report, _, on), windows in zip(results, grid):
                 assert report == simulate(windows, model)
                 assert on == radio_on_intervals(windows, model)
 
     def test_bad_window_raises_like_per_lane(self):
         grid = [[(0.0, 1.0)], [(5.0, 2.0)]]
         with pytest.raises(ValueError) as batch_err:
-            simulate_many(grid, MODELS[0])
+            replay_many_lengths(grid, MODELS[0], keep_intervals=[False] * 2)
         with pytest.raises(ValueError) as lane_err:
             simulate(grid[1], MODELS[0])
         assert str(batch_err.value) == str(lane_err.value)
@@ -294,24 +297,27 @@ class TestEdges:
         grid = [[(0.0, 1.0)]]
         tails = [[-1.0]]
         with pytest.raises(ValueError) as batch_err:
-            simulate_many(grid, MODELS[0], window_tails=tails)
+            replay_many_lengths(grid, MODELS[0], window_tails=tails, keep_intervals=[False])
         with pytest.raises(ValueError) as lane_err:
             simulate(grid[0], MODELS[0], window_tails=tails[0])
         assert str(batch_err.value) == str(lane_err.value)
 
     def test_tails_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="window_tails must match windows"):
-            simulate_many([[(0.0, 1.0)]], MODELS[0], window_tails=[[0.0, 1.0]])
+            replay_many_lengths(
+                [[(0.0, 1.0)]], MODELS[0], window_tails=[[0.0, 1.0]], keep_intervals=[False]
+            )
 
     def test_tails_with_custom_policy_raises(self):
         with pytest.raises(ValueError, match="cannot be combined"):
-            simulate_many(
+            replay_many_lengths(
                 [[(0.0, 1.0)]],
                 MODELS[0],
                 [TruncatedTail(1.0)],
                 window_tails=[[0.0]],
+                keep_intervals=[False],
             )
 
     def test_parallel_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="must parallel"):
-            simulate_many([[(0.0, 1.0)]], MODELS[0], [None, None])
+            replay_many_lengths([[(0.0, 1.0)]], MODELS[0], [None, None], keep_intervals=[False])

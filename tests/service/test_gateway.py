@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import replace
 
 import pytest
@@ -398,6 +399,26 @@ class TestIngestHorizon:
         assert not closed
         gateway.ingest(uid, records)  # the stream continues where it stood
         assert self._position(gateway, uid)[1] == before[1] + len(records)
+
+    def test_far_session_end_rejected_quickly(self, gateway, closed, service_trace):
+        """A session's end obeys the horizon too: the engine would buffer
+        it into every day it spans, one piece per day."""
+        uid = service_trace.user_id
+        before, state = self._position(gateway, uid), json.dumps(gateway.state_dict())
+        session_end, _ = gateway.session(uid).engine.buffered_tail()
+        start = max(before[2], session_end) + 1.0
+        t0 = time.perf_counter()
+        with pytest.raises(SchemaError, match="ending at"):
+            gateway.ingest(uid, [ScreenSession(start, 1e12)])
+        assert time.perf_counter() - t0 < 1.0
+        assert self._position(gateway, uid) == before
+        assert json.dumps(gateway.state_dict()) == state
+        assert not closed
+        horizon = (before[0] + MAX_DAYS_AHEAD + 1) * DAY
+        with pytest.raises(SchemaError, match="ending at"):
+            gateway.ingest(uid, [ScreenSession(start, horizon + 1.0)])
+        gateway.ingest(uid, [ScreenSession(start, horizon)])  # at the limit
+        assert self._position(gateway, uid)[1] == before[1] + 1
 
     def test_far_finish_rejected(self, gateway, closed, service_trace):
         uid = service_trace.user_id

@@ -93,6 +93,27 @@ def test_non_finite_event_time_is_400_and_service_stays_up(server):
     assert status == 200, doc
 
 
+def test_huge_integer_is_400_and_service_stays_up(server):
+    """An integer no float holds is a bad request, not a server error."""
+    body = (
+        b'{"events": [{"kind": "usage", "time": ' + b"9" * 400
+        + b', "app": "a", "duration": 1.0}]}'
+    )
+    status, doc = server.request("POST", "/v1/users/u1/events", raw_body=body)
+    assert status == 400
+    assert doc["error"]["code"] == "bad-request"
+    assert "too large for a float" in doc["error"]["message"]
+    status, health = server.request("GET", "/health")
+    assert status == 200
+    assert health["status"] == "ok"
+    assert health["events"] == 0
+    status, doc = server.request(
+        "POST", "/v1/users/u1/events",
+        {"events": [{"kind": "usage", "time": 5.0, "app": "a", "duration": 1.0}]},
+    )
+    assert status == 200, doc
+
+
 def test_far_future_requests_are_400_and_service_stays_up(server):
     """One request may move a user's stream at most MAX_DAYS_AHEAD days."""
     usage = {"kind": "usage", "time": 10.0, "app": "a", "duration": 1.0}

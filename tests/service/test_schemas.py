@@ -60,6 +60,18 @@ def test_record_to_doc_covers_all_kinds():
             {"events": [{"kind": "usage", "time": 1.0, "app": app, "duration": 1.0}]}
             for app in (None, 5)
         ),
+        # Numbers must be JSON numbers: no strings, booleans or null.
+        *(
+            {"events": [{"kind": "usage", "time": time, "app": "a", "duration": 1.0}]}
+            for time in ("5", True, None, [5.0])
+        ),
+        {"events": [{"kind": "usage", "time": 1.0, "app": "a", "duration": True}]},
+        {"events": [{"kind": "screen", "start": 0.0, "end": "9"}]},
+        {"events": [{"kind": "network", "time": 1.0, "app": "a", "down_bytes": False,
+                     "up_bytes": 0.0, "duration": 1.0, "screen_on": False}]},
+        # An integer no float holds (json.loads parses it as an int).
+        {"events": [{"kind": "usage", "time": 10**400, "app": "a", "duration": 1.0}]},
+        {"events": [], "start_weekday": True},
     ],
 )
 def test_bad_event_batches_raise_schema_error(doc):
@@ -105,6 +117,13 @@ def test_non_finite_numbers_raise_schema_error(body):
         parse_event_batch(doc)
 
 
+def test_json_integers_are_numbers():
+    doc = {"events": [{"kind": "usage", "time": 5, "app": "a", "duration": 2}]}
+    (usage,), _ = parse_event_batch(doc)
+    assert usage == AppUsage(5.0, "a", 2.0)
+    assert isinstance(usage.time, float)
+
+
 def test_oversized_batch_rejected():
     record = {"kind": "usage", "time": 0.0, "app": "a", "duration": 1.0}
     with pytest.raises(SchemaError, match="cap"):
@@ -113,7 +132,8 @@ def test_oversized_batch_rejected():
 
 def test_parse_finish():
     assert parse_finish({"n_days": 9}) == 9
-    for bad in ({}, {"n_days": 0}, {"n_days": -3}, {"n_days": "many"}, []):
+    for bad in ({}, {"n_days": 0}, {"n_days": -3}, {"n_days": "many"},
+                {"n_days": True}, []):
         with pytest.raises(SchemaError):
             parse_finish(bad)
 

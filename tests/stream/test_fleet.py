@@ -1,4 +1,4 @@
-"""FleetService: batching, shedding, checkpoint cadence, determinism."""
+"""FleetService: batching, checkpoint cadence, determinism."""
 
 from __future__ import annotations
 
@@ -64,7 +64,6 @@ class TestFleetService:
     def test_runs_all_users_in_spec_order(self, volunteers):
         result = FleetService(CONFIG).run(_specs(volunteers))
         assert result.users == len(volunteers)
-        assert result.shed_users == 0
         assert [s.user_id for s in result.summaries] == [
             t.user_id for t in volunteers
         ]
@@ -85,28 +84,6 @@ class TestFleetService:
         ).run(_specs(volunteers))
         assert wide.summaries == one.summaries
 
-    def test_event_budget_sheds_remaining_users_whole(self, volunteers):
-        config = FleetConfig(
-            train_days=10,
-            batch_size=1,
-            event_budget=1,  # exhausted after the first user's batch
-            netmaster=CONFIG.netmaster,
-        )
-        result = FleetService(config).run(_specs(volunteers))
-        assert result.users == 1
-        assert result.shed_users == len(volunteers) - 1
-        # The admitted user was streamed completely, not truncated.
-        assert result.summaries[0].n_days == volunteers[0].n_days
-
-    def test_zero_budget_sheds_everyone(self, volunteers):
-        config = FleetConfig(
-            train_days=10, event_budget=0, netmaster=CONFIG.netmaster
-        )
-        result = FleetService(config).run(_specs(volunteers))
-        assert result.users == 0
-        assert result.shed_users == len(volunteers)
-        assert result.events_per_s == 0.0
-
 
 class TestIteratorSource:
     """Admission from a lazy iterator is byte-equal to the list drive."""
@@ -120,19 +97,6 @@ class TestIteratorSource:
     def test_iterator_equals_list_in_parallel(self, volunteers):
         base = FleetService(CONFIG).run(_specs(volunteers), jobs=2)
         lazy = FleetService(CONFIG).run(iter(_specs(volunteers)), jobs=2)
-        assert lazy.summaries == base.summaries
-        assert lazy.rollup == base.rollup
-
-    def test_iterator_sheds_the_same_tail(self, volunteers):
-        config = FleetConfig(
-            train_days=10,
-            batch_size=1,
-            event_budget=1,
-            netmaster=CONFIG.netmaster,
-        )
-        base = FleetService(config).run(_specs(volunteers))
-        lazy = FleetService(config).run(iter(_specs(volunteers)))
-        assert lazy.shed_users == base.shed_users == len(volunteers) - 1
         assert lazy.summaries == base.summaries
         assert lazy.rollup == base.rollup
 

@@ -55,19 +55,12 @@ class TestFold:
 
     def test_moments_bound_the_mean(self, result):
         r = result.rollup
-        assert r.energy_day_min <= r.energy_day_mean <= r.energy_day_max
+        assert r.energy_day_min <= r.energy_day_sum / r.users <= r.energy_day_max
         assert r.energy_day_sumsq >= 0
 
     def test_empty_rollup_derived_values(self):
         r = FleetRollup()
-        assert r.energy_day_mean == 0.0
-        assert r.savings_fraction(0.0) == 0.0
         assert r.energy_day_min is None and r.energy_day_max is None
-
-    def test_savings_fraction(self, result):
-        r = result.rollup
-        naive = 2.0 * r.energy_j
-        assert r.savings_fraction(naive) == 1.0 - r.energy_j / naive
 
 
 class TestRoundTrip:

@@ -1,6 +1,8 @@
-"""ShardedFleetService: byte-equality with the fleet, shedding, budgets."""
+"""ShardedFleetService: byte-equality with the fleet, durability."""
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
@@ -39,21 +41,6 @@ class TestFleetEquality:
             _specs(volunteers)
         )
         assert sharded.summaries == base.summaries
-        assert sharded.shed_users == base.shed_users
-
-    def test_matches_under_load_shedding(self, volunteers, tmp_path):
-        config = FleetConfig(
-            train_days=10,
-            batch_size=1,
-            event_budget=1,
-            netmaster=CONFIG.netmaster,
-        )
-        base = FleetService(config).run(_specs(volunteers))
-        sharded = ShardedFleetService(config, shards=_shards(tmp_path)).run(
-            _specs(volunteers)
-        )
-        assert sharded.summaries == base.summaries
-        assert sharded.shed_users == base.shed_users == len(volunteers) - 1
 
     def test_matches_with_checkpoint_cadence(self, volunteers, tmp_path):
         config = FleetConfig(
@@ -105,22 +92,6 @@ class TestIteratorSource:
         for sa, sb in zip(a.stores, b.stores):
             assert sa.wal_path.read_bytes() == sb.wal_path.read_bytes()
 
-    def test_iterator_sheds_the_same_tail(self, volunteers, tmp_path):
-        config = FleetConfig(
-            train_days=10,
-            batch_size=1,
-            event_budget=1,
-            netmaster=CONFIG.netmaster,
-        )
-        base = ShardedFleetService(config, shards=_shards(tmp_path / "a")).run(
-            _specs(volunteers)
-        )
-        lazy = ShardedFleetService(config, shards=_shards(tmp_path / "b")).run(
-            iter(_specs(volunteers))
-        )
-        assert lazy.shed_users == base.shed_users == len(volunteers) - 1
-        assert lazy.summaries == base.summaries
-
     def test_unretained_spilled_run_matches_wal_bytes(self, volunteers, tmp_path):
         config = FleetConfig(
             train_days=10,
@@ -160,66 +131,42 @@ class TestDurability:
             for i, store in enumerate(service.stores):
                 assert (store.get(trace.user_id) is not None) == (i == owner)
 
+    def test_fsync_leaves_the_same_bytes(self, volunteers, tmp_path, monkeypatch):
+        """``fsync=True`` flushes each WAL append to the disk and changes
+        nothing else: the shard files are byte-identical to a run without
+        it, and both recover the same users."""
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))[1])
+        files, syncs, appends, recovered = [], [], [], []
+        for fsync in (False, True):
+            shards = _shards(tmp_path / str(fsync), fsync=fsync, compact_every_records=8)
+            before = len(synced)
+            service = ShardedFleetService(CONFIG, shards=shards)
+            service.run(_specs(volunteers))
+            syncs.append(len(synced) - before)
+            appends.append(sum(store.appends for store in service.stores))
+            files.append({
+                path.relative_to(shards.root): path.read_bytes()
+                for path in sorted(shards.root.rglob("*")) if path.is_file()
+            })
+            fresh = ShardedFleetService(CONFIG, shards=shards)
+            fresh.recover()
+            recovered.append([fresh.stores[shard_of(t.user_id, shards.n_shards)].get(t.user_id)
+                              for t in volunteers])
+        # One more fsync per WAL append; compactions fsync either way.
+        assert syncs[1] - syncs[0] == appends[1] == appends[0] > 0
+        assert files[0] == files[1]
+        assert recovered[0] == recovered[1]
+        assert all(state.done for state in recovered[1])
+
     def test_recover_on_fresh_root_is_safe(self, tmp_path):
         service = ShardedFleetService(CONFIG, shards=_shards(tmp_path))
         reports = service.recover()
         assert all(not r.existed for r in reports)
 
 
-class TestPerShardBudget:
-    def test_hot_shard_sheds_alone(self, volunteers, tmp_path):
-        # Stream everyone once so shard event counts are known...
-        shards = _shards(tmp_path, shard_event_budget=1)
-        service = ShardedFleetService(CONFIG, shards=shards)
-        first = service.run(_specs(volunteers))
-        assert first.users == len(volunteers)  # budgets bite at *admission*
-        # ...then admit a fresh user routed to each shard: only users on
-        # now-over-budget shards are shed, others stream fine.
-        fresh = [
-            FleetUserSpec(user_id=f"fresh-{i}", n_days=3, seed=100 + i)
-            for i in range(6)
-        ]
-        over = {
-            i for i, store in enumerate(service.stores) if store.events >= 1
-        }
-        second = service.run(fresh)
-        expect_shed = sum(
-            1 for s in fresh if shard_of(s.user_id, shards.n_shards) in over
-        )
-        assert second.shard_shed_users == expect_shed
-        assert second.users == len(fresh) - expect_shed
-
-    def test_shedding_is_deterministic_across_jobs(self, volunteers, tmp_path):
-        specs = _specs(volunteers) + [
-            FleetUserSpec(user_id=f"extra-{i}", n_days=3, seed=50 + i)
-            for i in range(4)
-        ]
-        results = []
-        for name, jobs in (("a", 1), ("b", 2)):
-            shards = _shards(tmp_path / name, shard_event_budget=1)
-            service = ShardedFleetService(
-                FleetConfig(
-                    train_days=2, batch_size=2, netmaster=CONFIG.netmaster
-                ),
-                shards=shards,
-            )
-            results.append(service.run(specs, jobs=jobs))
-        assert results[0].summaries == results[1].summaries
-        assert results[0].shard_shed_users == results[1].shard_shed_users
-
+class TestShardConfig:
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError, match="n_shards"):
             ShardConfig(root=tmp_path, n_shards=0)
-        with pytest.raises(ValueError, match="shard_event_budget"):
-            ShardConfig(root=tmp_path, shard_event_budget=-1)
-
-
-class TestStats:
-    def test_stats_cover_every_shard(self, volunteers, tmp_path):
-        shards = _shards(tmp_path, n_shards=3)
-        service = ShardedFleetService(CONFIG, shards=shards)
-        result = service.run(_specs(volunteers))
-        assert len(result.shard_stats) == 3
-        assert sum(s.done_users for s in result.shard_stats) == len(volunteers)
-        assert sum(s.events for s in result.shard_stats) == result.events
-        assert result.events_per_s > 0

@@ -40,13 +40,6 @@ class TestConfigure:
         telemetry.configure(tracing_enabled=False)
         assert isinstance(telemetry.tracer(), NullTracer)
 
-    def test_reset_metrics_keeps_enabled_state(self):
-        telemetry.metrics().inc("x")
-        reg = telemetry.reset_metrics()
-        assert reg is telemetry.metrics()
-        assert reg.snapshot()["counters"] == {}
-        assert telemetry.metrics_enabled()
-
 
 class TestIsolated:
     def test_swaps_in_fresh_pair_and_restores(self):

@@ -62,13 +62,6 @@ class TestRecording:
         b.ingest(a.export_spans())
         assert b.export_spans() == a.export_spans()
 
-    def test_clear(self):
-        trc = Tracer(max_spans=1)
-        trc.record_span("a", "c", 0.0, 1.0)
-        trc.record_span("b", "c", 0.0, 1.0)
-        trc.clear()
-        assert trc.spans == [] and trc.dropped == 0
-
 
 class TestChromeExport:
     def test_complete_events_in_microseconds(self):
@@ -130,7 +123,7 @@ class TestNullTracer:
         with trc.span("x"):
             pass
         with trc.sim_context("lane"):
-            trc.set_context("other")
+            trc.record_span("b", "c", 0.0, 1.0)
         trc.ingest([{"name": "a"}])
         assert trc.spans == []
         assert trc.chrome_trace_events() == []

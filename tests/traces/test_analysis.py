@@ -29,13 +29,12 @@ class TestTrafficSplit:
         split = traffic_split(tiny_trace)
         assert split.on_bytes == pytest.approx(54000.0)
         assert split.off_bytes == pytest.approx(4300.0)
-        assert 0.0 < split.off_bytes_fraction < 0.1
 
     def test_empty_trace(self):
         split = traffic_split(Trace(user_id="e", n_days=1, start_weekday=0))
         assert split.total_count == 0
         assert split.off_fraction == 0.0
-        assert split.off_bytes_fraction == 0.0
+        assert split.on_bytes == split.off_bytes == 0.0
 
     def test_cohort_average(self, cohort):
         splits, avg = cohort_traffic_split(cohort)

@@ -65,11 +65,6 @@ class TestAppCatalog:
         assert len(cat) == 3
         assert cat.names == ["a", "b", "c"]
 
-    def test_get(self):
-        assert self._catalog().get("b").name == "b"
-        with pytest.raises(KeyError):
-            self._catalog().get("zzz")
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             AppCatalog([AppModel("a"), AppModel("a")])
@@ -91,10 +86,6 @@ class TestAppCatalog:
     def test_sample_foreground_empty(self):
         with pytest.raises(ValueError, match="no foreground"):
             AppCatalog([AppModel("c")]).sample_foreground(np.random.default_rng(0))
-
-    def test_restrict(self):
-        sub = self._catalog().restrict(["a", "c"])
-        assert sub.names == ["a", "c"]
 
 
 class TestDefaultCatalog:

@@ -34,9 +34,6 @@ class TestScreenSession:
 
 
 class TestAppUsage:
-    def test_end(self):
-        assert AppUsage(100.0, "browser", 30.0).end == 130.0
-
     def test_rejects_negative_duration(self):
         with pytest.raises(ValueError, match="duration"):
             AppUsage(100.0, "browser", -1.0)
@@ -257,37 +254,12 @@ class TestTraceQueries:
         assert not tiny_trace.screen_on_at(5000.0)
         assert tiny_trace.screen_on_at(7200.0)
 
-    def test_session_at(self, tiny_trace):
-        session = tiny_trace.session_at(110.0)
-        assert session is not None and session.start == 100.0
-        assert tiny_trace.session_at(131.0) is None
-
-    def test_screen_off_activities(self, tiny_trace):
-        off = tiny_trace.screen_off_activities()
-        assert [a.app for a in off] == ["com.android.email", "com.facebook.katana"]
-
-    def test_screen_on_activities(self, tiny_trace):
-        on = tiny_trace.screen_on_activities()
-        assert [a.app for a in on] == ["com.tencent.mm", "browser"]
-
-    def test_activities_between(self, tiny_trace):
-        mid = tiny_trace.activities_between(1000.0, 10000.0)
-        assert [a.app for a in mid] == ["com.android.email", "browser"]
-
-    def test_usages_between(self, tiny_trace):
-        assert len(tiny_trace.usages_between(0.0, 1000.0)) == 1
-
     def test_is_weekend_day(self, two_day_trace):
         assert not two_day_trace.is_weekend_day(0)  # Friday
         assert two_day_trace.is_weekend_day(1)  # Saturday
 
     def test_total_screen_on_time(self, tiny_trace):
         assert tiny_trace.total_screen_on_time() == pytest.approx(90.0)
-
-    def test_summary_fields(self, tiny_trace):
-        summary = tiny_trace.summary()
-        assert summary["n_activities"] == 4.0
-        assert summary["screen_off_fraction"] == pytest.approx(0.5)
 
 
 class TestDayView:
@@ -325,10 +297,6 @@ class TestDayView:
 
 
 class TestNumpyAccessors:
-    def test_activity_times_sorted(self, tiny_trace):
-        times = tiny_trace.activity_times()
-        assert np.all(np.diff(times) >= 0)
-
     def test_activity_bytes_shape(self, tiny_trace):
         assert tiny_trace.activity_bytes().shape == (4, 2)
 
@@ -345,6 +313,5 @@ class TestNumpyAccessors:
 
     def test_empty_trace_accessors(self):
         trace = Trace(user_id="e", n_days=1, start_weekday=0)
-        assert trace.activity_times().size == 0
         assert trace.activity_bytes().shape == (0, 2)
-        assert trace.summary()["screen_off_fraction"] == 0.0
+        assert trace.activity_rates().size == 0

@@ -70,8 +70,9 @@ class TestStructure:
         # Foreground transfers are contained in their session; background
         # syncs that *start* during a session may legitimately spill past
         # its end, so only containment of the start is universal.
-        for activity in volunteer.screen_on_activities()[:100]:
-            assert volunteer.session_at(activity.time) is not None
+        screen_on = [a for a in volunteer.activities if a.screen_on]
+        for activity in screen_on[:100]:
+            assert volunteer.screen_on_at(activity.time)
 
     def test_volunteers_distinct_from_cohort(self):
         cohort_ids = {t.user_id for t in generate_cohort(1, seed=1)}
@@ -127,7 +128,7 @@ class TestCalibration:
     def test_bg_clusters_exist(self, full_cohort):
         """Cluster-anchored syncs land within the 90 s jitter window."""
         trace = full_cohort[0]
-        off = trace.screen_off_activities()
+        off = [a for a in trace.activities if not a.screen_on]
         gaps = np.diff([a.time for a in off])
         # A visible fraction of consecutive screen-off syncs are bursts.
         assert (gaps < 90.0).mean() > 0.1

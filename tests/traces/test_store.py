@@ -15,6 +15,19 @@ from repro.traces import (
 from repro.traces.store import Record, RecordKind
 
 
+def _filled(trace) -> TraceStore:
+    """A store holding every record of ``trace``, committed."""
+    store = TraceStore()
+    for session in trace.screen_sessions:
+        store.record_screen(session)
+    for usage in trace.usages:
+        store.record_usage(usage)
+    for activity in trace.activities:
+        store.record_network(activity)
+    store.checkpoint()
+    return store
+
+
 def _screen(start=100.0, end=130.0):
     return Record(RecordKind.SCREEN, ScreenSession(start, end))
 
@@ -51,8 +64,7 @@ class TestWriteCache:
 
     def test_fewer_flushes_than_records(self, volunteer):
         """The point of the cache: many records, few flash bursts."""
-        store = TraceStore()
-        store.ingest_trace(volunteer)
+        store = _filled(volunteer)
         n_records = (
             len(volunteer.screen_sessions)
             + len(volunteer.usages)
@@ -65,9 +77,7 @@ class TestWriteCache:
 class TestTraceStoreQueries:
     @pytest.fixture
     def store(self, tiny_trace):
-        s = TraceStore()
-        s.ingest_trace(tiny_trace)
-        return s
+        return _filled(tiny_trace)
 
     def test_records_visible_after_checkpoint(self, store):
         assert len(store.screen_sessions) == 2
@@ -91,13 +101,6 @@ class TestTraceStoreQueries:
         assert "com.tencent.mm" in store.apps_seen()
         assert "com.facebook.katana" in store.apps_seen()
 
-    def test_usage_matrix(self, store):
-        matrix = store.usage_matrix()
-        assert matrix.shape == (1, 24)
-        assert matrix[0, 0] == 1.0  # usage at t=100s -> hour 0
-        assert matrix[0, 2] == 1.0  # usage at t=7200s -> hour 2
-        assert matrix.sum() == 2.0
-
     def test_screen_use_matrix(self, store):
         matrix = store.screen_use_matrix()
         assert matrix[0, 0] == 1.0
@@ -119,18 +122,7 @@ class TestTraceStoreQueries:
         assert matrix.shape[0] == 2
         assert matrix[0, 23] == 1.0 and matrix[1, 0] == 1.0
 
-    def test_network_matrix_screen_off_only(self, store):
-        matrix = store.network_matrix(screen_off_only=True)
-        assert matrix.sum() == 2.0
-        assert matrix[0, 1] == 1.0  # email at 3600s -> hour 1
-
-    def test_network_matrix_all(self, store):
-        assert store.network_matrix(screen_off_only=False).sum() == 4.0
-
     def test_app_counts(self, store):
         assert store.app_network_counts()["browser"] == 1
         assert store.app_usage_counts()["com.tencent.mm"] == 1
 
-    def test_activities_in_day(self, store):
-        assert len(store.activities_in_day(0)) == 4
-        assert store.activities_in_day(1) == []

@@ -53,9 +53,6 @@ class TestUserProfile:
         assert p.intensity_for(weekend=False).sum() == pytest.approx(24.0)
         assert p.intensity_for(weekend=True).sum() == pytest.approx(12.0)
 
-    def test_expected_sessions(self):
-        assert self._profile().expected_sessions_per_day() == pytest.approx(24.0)
-
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="shape"):
             self._profile(weekday_intensity=np.ones(23))
@@ -97,7 +94,7 @@ class TestBuiltinPersonas:
 
     def test_daily_session_counts_plausible(self):
         for profile in default_profiles():
-            total = profile.expected_sessions_per_day()
+            total = float(profile.intensity_for(False).sum())
             assert 15.0 < total < 150.0, profile.user_id
 
     def test_night_hours_are_quiet(self):

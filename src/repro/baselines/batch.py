@@ -5,7 +5,8 @@ released together when the batch fills; the screen coming on flushes
 whatever is pending (the user's radio is up anyway).  The paper finds the
 benefit saturates past 5 batched activities because users rarely have
 more simultaneous background streams than that, given the ≤1% interrupt
-constraint.
+constraint.  A flush releases its batch back to back at the shared
+:data:`~repro.traces.events.PACK_GAP_S` gaps.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from repro._util import DAY, count_in_windows
 from repro.baselines.policy import PolicyOutcome
 from repro.radio.rrc import FullTail
-from repro.traces.events import NetworkActivity, Trace
+from repro.traces.events import PACK_GAP_S, NetworkActivity, Trace
 
 
 @dataclass
@@ -24,7 +25,6 @@ class BatchPolicy:
     """Aggregate up to ``max_batch`` consecutive screen-off activities."""
 
     max_batch: int
-    name: str = ""
 
     #: Pure function of the day: safe to fan days over worker processes.
     day_independent = True
@@ -32,8 +32,11 @@ class BatchPolicy:
     def __post_init__(self) -> None:
         if self.max_batch < 0:
             raise ValueError(f"max_batch must be >= 0, got {self.max_batch}")
-        if not self.name:
-            self.name = f"batch-{self.max_batch}"
+
+    @property
+    def name(self) -> str:
+        """The policy's label, e.g. ``batch-5``."""
+        return f"batch-{self.max_batch}"
 
     def execute_day(self, day: Trace) -> PolicyOutcome:
         """Hold screen-off activities until the batch fills or flushes."""
@@ -60,7 +63,7 @@ class BatchPolicy:
             for held in pending:
                 hold_windows.append((held.time, at))
                 executed.append(held.moved_to(min(cursor, DAY - held.duration)))
-                cursor += held.duration + 0.2
+                cursor += held.duration + PACK_GAP_S
                 deferred += 1
             pending.clear()
 

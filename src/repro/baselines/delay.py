@@ -10,7 +10,8 @@ save almost nothing, large intervals interrupt the user — a user
 interaction arriving while traffic is held means stale data or a blocked
 sync (the "affected user activities" of Fig. 8(c)); the paper also notes
 17% of interactions fall between adjacent sub-100 s screen-off slots,
-which is why interval-fixed delays hurt.
+which is why interval-fixed delays hurt.  Activities released at the
+same tick are packed back to back (:func:`repro.traces.events.pack_release`).
 """
 
 from __future__ import annotations
@@ -18,13 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro._util import DAY, check_positive, count_in_windows
+from repro._util import check_positive, count_in_windows
 from repro.baselines.policy import PolicyOutcome
 from repro.radio.rrc import FullTail
-from repro.traces.events import NetworkActivity, Trace
-
-#: Gap between transfers released at the same tick (stays within DCH).
-_RELEASE_PACK_GAP_S = 0.2
+from repro.traces.events import NetworkActivity, Trace, pack_release
 
 
 @dataclass
@@ -32,15 +30,17 @@ class DelayPolicy:
     """Fixed-interval aggregate-and-release of screen-off activities."""
 
     interval_s: float
-    name: str = ""
 
     #: Pure function of the day: safe to fan days over worker processes.
     day_independent = True
 
     def __post_init__(self) -> None:
         check_positive("interval_s", self.interval_s, strict=False)
-        if not self.name:
-            self.name = f"delay-{self.interval_s:g}s"
+
+    @property
+    def name(self) -> str:
+        """The policy's label, e.g. ``delay-60s``."""
+        return f"delay-{self.interval_s:g}s"
 
     def execute_day(self, day: Trace) -> PolicyOutcome:
         """Release each screen-off activity at the next interval tick.
@@ -70,11 +70,8 @@ class DelayPolicy:
                 continue
             tick = int(math.floor(activity.time / self.interval_s)) + 1
             release = tick * self.interval_s
-            cursor = tick_cursor.get(tick, release)
-            cursor = min(cursor, DAY - activity.duration)
             hold_windows.append((activity.time, max(release, activity.time)))
-            executed.append(activity.moved_to(cursor))
-            tick_cursor[tick] = cursor + activity.duration + _RELEASE_PACK_GAP_S
+            executed.append(pack_release(tick_cursor, tick, release, activity))
             deferred += 1
         executed.sort(key=lambda a: a.time)
 

@@ -9,23 +9,23 @@ the strongest prior method the paper compares NetMaster against (22.54%
 average saving in their traces).  Fast dormancy releases the RRC
 connection right after a deferred batch completes instead of letting the
 carrier's 17 s inactivity timers run; foreground traffic keeps the stock
-timers (the method never touches the user's own transfers).
+timers (the method never touches the user's own transfers).  Activities
+sharing a release time are packed back to back
+(:func:`repro.traces.events.pack_release`).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro._util import DAY, check_positive, count_in_windows
+from repro._util import check_positive, count_in_windows
 from repro.baselines.policy import PolicyOutcome
-from repro.radio.bandwidth import LinkModel
+from repro.radio.bandwidth import DEFAULT_BANDWIDTH_BPS
 from repro.radio.rrc import FullTail
-from repro.traces.events import NetworkActivity, Trace
+from repro.traces.events import NetworkActivity, Trace, pack_release
 
-#: Gap between transfers released together.
-_PACK_GAP_S = 0.2
 #: Tail allowed after a deferred release (fast dormancy); foreground
 #: transfers keep the carrier timers.
 FAST_DORMANCY_S = 0.5
@@ -36,16 +36,17 @@ class DelayBatchPolicy:
     """Hold screen-off traffic ≤ ``interval_s``; flush early on screen-on."""
 
     interval_s: float
-    link: LinkModel = field(default_factory=LinkModel)
-    name: str = ""
 
     #: Pure function of the day: safe to fan days over worker processes.
     day_independent = True
 
     def __post_init__(self) -> None:
         check_positive("interval_s", self.interval_s)
-        if not self.name:
-            self.name = f"delay-batch-{self.interval_s:g}s"
+
+    @property
+    def name(self) -> str:
+        """The policy's label, e.g. ``delay-batch-60s``."""
+        return f"delay-batch-{self.interval_s:g}s"
 
     def execute_day(self, day: Trace) -> PolicyOutcome:
         """Defer screen-off activities to screen-on or interval expiry."""
@@ -68,14 +69,11 @@ class DelayBatchPolicy:
                 release = next_on
                 # Batched releases riding a session aggregate and move at
                 # carrier speed.
-                moved = activity.compressed(self.link.bandwidth_bps)
+                moved = activity.compressed(DEFAULT_BANDWIDTH_BPS)
             else:
                 release = timeout
                 moved = activity
-            cursor = release_cursor.get(release, release)
-            cursor = min(cursor, DAY - moved.duration)
-            executed.append((moved.moved_to(cursor), True))
-            release_cursor[release] = cursor + moved.duration + _PACK_GAP_S
+            executed.append((pack_release(release_cursor, release, release, moved), True))
             hold_windows.append((activity.time, release))
             deferred += 1
 

@@ -18,7 +18,7 @@ from repro.traces.events import Trace
 class NaivePolicy:
     """Default device behaviour — no scheduling, full RRC tails."""
 
-    name: str = "baseline"
+    name = "baseline"
 
     #: Pure function of the day: safe to fan days over worker processes.
     day_independent = True

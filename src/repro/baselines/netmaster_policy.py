@@ -2,6 +2,9 @@
 
 Lets the evaluation harness run NetMaster side-by-side with the naive,
 delay, batch and oracle baselines under identical accounting.
+:func:`execution_outcome` is the one conversion of a replayed
+:class:`~repro.core.netmaster.DayExecution` into a :class:`PolicyOutcome`;
+the online engine (:mod:`repro.stream`) prices its days through it too.
 """
 
 from __future__ import annotations
@@ -9,8 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.baselines.policy import PolicyOutcome
-from repro.core.netmaster import NetMaster, NetMasterConfig
+from repro.core.netmaster import DayExecution, NetMaster, NetMasterConfig
 from repro.traces.events import Trace
+
+
+def execution_outcome(execution: DayExecution, policy: str) -> PolicyOutcome:
+    """One replayed NetMaster day as the outcome of ``policy``."""
+    return PolicyOutcome(
+        policy=policy,
+        activities=execution.activities,
+        activity_tails=execution.activity_tails,
+        extra_windows=execution.wake_windows,
+        interrupts=execution.interrupts,
+        user_interactions=execution.user_interactions,
+        deferred=execution.deferred_to_slots + execution.duty_serviced,
+    )
 
 
 @dataclass
@@ -19,7 +35,8 @@ class NetMasterPolicy:
 
     history: Trace
     config: NetMasterConfig = field(default_factory=NetMasterConfig)
-    name: str = "netmaster"
+
+    name = "netmaster"
 
     #: The misprediction circuit breaker carries state between days, so
     #: a day sequence must replay in order inside one process; the
@@ -37,13 +54,4 @@ class NetMasterPolicy:
 
     def execute_day(self, day: Trace) -> PolicyOutcome:
         """Run the full middleware pipeline over one held-out day."""
-        execution = self._middleware.execute_day(day)
-        return PolicyOutcome(
-            policy=self.name,
-            activities=execution.activities,
-            activity_tails=execution.activity_tails,
-            extra_windows=execution.wake_windows,
-            interrupts=execution.interrupts,
-            user_interactions=execution.user_interactions,
-            deferred=execution.deferred_to_slots + execution.duty_serviced,
-        )
+        return execution_outcome(self._middleware.execute_day(day), self.name)

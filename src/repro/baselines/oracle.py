@@ -2,39 +2,36 @@
 
 With perfect knowledge of the day ("solution under optimal condition",
 Section IV-B), every screen-off activity rides the radio window of the
-*nearest actual screen session* at full link bandwidth, and the radio is
-force-idled one guard second after the last byte moves (the same guard
-NetMaster's real-time control uses, so the comparison isolates the value
-of perfect prediction rather than a different radio-off latency).  This is the "Oracle" bar of
-Fig. 7(a) — the paper reports NetMaster within 5% of it in 81.6% of
-tests.
+*nearest actual screen session* at full link bandwidth, packed back to
+back with the session's other transfers
+(:func:`repro.traces.events.pack_release`), and the radio is force-idled
+one guard second after the last byte moves (:class:`TruncatedTail`'s
+default, the same guard NetMaster's real-time control uses, so the
+comparison isolates the value of perfect prediction rather than a
+different radio-off latency).  This is the "Oracle" bar of Fig. 7(a) —
+the paper reports NetMaster within 5% of it in 81.6% of tests.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro._util import DAY, check_positive
+from repro._util import DAY
 from repro.baselines.policy import PolicyOutcome
-from repro.radio.bandwidth import LinkModel
+from repro.radio.bandwidth import DEFAULT_BANDWIDTH_BPS
 from repro.radio.rrc import TruncatedTail
-from repro.traces.events import NetworkActivity, Trace
+from repro.traces.events import NetworkActivity, Trace, pack_release
 
 
 @dataclass
 class OraclePolicy:
     """Perfect-knowledge scheduler (lower bound on network energy)."""
 
-    link: LinkModel = field(default_factory=LinkModel)
-    guard_s: float = 1.0
-    name: str = "oracle"
+    name = "oracle"
 
     #: Pure function of the day: safe to fan days over worker processes.
     day_independent = True
-
-    def __post_init__(self) -> None:
-        check_positive("guard_s", self.guard_s, strict=False)
 
     def execute_day(self, day: Trace) -> PolicyOutcome:
         """Pack all screen-off traffic onto actual session windows."""
@@ -48,24 +45,21 @@ class OraclePolicy:
             if activity.screen_on:
                 executed.append(activity)
                 continue
-            compressed = activity.compressed(self.link.bandwidth_bps)
+            compressed = activity.compressed(DEFAULT_BANDWIDTH_BPS)
             idx = _nearest_session(session_starts, activity.time)
             if idx is None:
-                # A day with no sessions at all: nothing to ride; the
-                # oracle still batches everything at one moment.
+                # A day with no sessions at all: nothing to ride.  Each
+                # transfer stays at its own time, compressed and clamped
+                # to end by midnight.
                 executed.append(compressed.moved_to(min(activity.time, DAY - compressed.duration)))
-                deferred += 1
-                continue
-            start = cursor.get(idx, session_starts[idx])
-            start = min(start, DAY - compressed.duration)
-            executed.append(compressed.moved_to(start))
-            cursor[idx] = start + compressed.duration + 0.2
+            else:
+                executed.append(pack_release(cursor, idx, session_starts[idx], compressed))
             deferred += 1
         executed.sort(key=lambda a: a.time)
         return PolicyOutcome(
             policy=self.name,
             activities=executed,
-            tail_policy=TruncatedTail(self.guard_s),
+            tail_policy=TruncatedTail(),
             user_interactions=len(day.usages),
             deferred=deferred,
         )

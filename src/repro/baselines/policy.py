@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 from repro.radio.power import RadioPowerModel
-from repro.radio.rrc import EnergyReport, FullTail, TailPolicy, radio_on_intervals, simulate
+from repro.radio.rrc import EnergyReport, FullTail, TailPolicy, simulate
 from repro.traces.events import NetworkActivity, Trace
 
 
@@ -136,24 +136,11 @@ class PolicyOutcome:
             state_energy_j=state,
         )
 
-    def radio_on(self, model: RadioPowerModel) -> list[tuple[float, float]]:
-        """Radio-on intervals of this outcome under ``model``.
-
-        Includes the idle wake windows — the radio is enabled there even
-        though no data moves.
-        """
-        intervals = radio_on_intervals(
-            self.priced_windows(),
-            model,
-            self.priced_tail_policy(),
-            window_tails=self.priced_window_tails(),
-        )
-        return self.merge_radio_on(intervals)
-
     def merge_radio_on(
         self, intervals: list[tuple[float, float]]
     ) -> list[tuple[float, float]]:
-        """Fuse RRC radio-on intervals with the idle wake windows."""
+        """Fuse RRC radio-on intervals with the idle wake windows (the
+        radio is enabled there even though no data moves)."""
         from repro._util import merge_intervals
 
         return merge_intervals(list(intervals) + list(self.extra_windows))

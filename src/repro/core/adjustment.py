@@ -13,10 +13,12 @@ a runtime layer that handles the two special cases the paper lists:
   at wake-ups and resetting the back-off whenever traffic is seen.
 
 :class:`GapServicer` implements the wake-up/service event loop over one
-idle gap; :class:`RealTimeAdjustment` bundles it with the Special-App
-check.  Both plan for a radio that never fails: failures, retries and
-the max-delay bound they must keep are applied to the finished day's
-schedule by :func:`repro.faults.apply_faults`, and nowhere else.
+idle gap, releasing what a wake-up finds as one burst at the shared
+:data:`~repro.traces.events.PACK_GAP_S` gaps; :class:`RealTimeAdjustment`
+bundles it with the Special-App check.  Both plan for a radio that never
+fails: failures, retries and the max-delay bound they must keep are
+applied to the finished day's schedule by :func:`repro.faults.apply_faults`,
+and nowhere else.
 """
 
 from __future__ import annotations
@@ -27,10 +29,7 @@ from repro._util import check_positive
 from repro.core.duty_cycle import ExponentialSleep
 from repro.habits.special_apps import SpecialAppRegistry
 from repro.telemetry import metrics
-from repro.traces.events import NetworkActivity
-
-#: Gap between transfers packed at one wake-up (keeps the radio in DCH).
-SERVICE_PACK_GAP_S = 0.2
+from repro.traces.events import PACK_GAP_S, NetworkActivity
 
 
 @dataclass
@@ -98,7 +97,7 @@ class GapServicer:
                 cursor = wake_at
                 for activity in queue[i:ready_end]:
                     result.executed.append(activity.moved_to(cursor))
-                    cursor += activity.duration + SERVICE_PACK_GAP_S
+                    cursor += activity.duration + PACK_GAP_S
                 result.serviced += ready_end - i
                 i = ready_end
                 scheme.reset()
@@ -112,7 +111,7 @@ class GapServicer:
         cursor = gap_end
         for activity in queue[i:]:
             result.executed.append(activity.moved_to(cursor))
-            cursor += activity.duration + SERVICE_PACK_GAP_S
+            cursor += activity.duration + PACK_GAP_S
             result.carried_to_end += 1
         reg = metrics()
         if reg.enabled:

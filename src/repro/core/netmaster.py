@@ -14,7 +14,9 @@ architecture figure (Fig. 6) draws them:
 :meth:`NetMaster.execute_day` replays one held-out day through the full
 pipeline and returns everything the evaluation needs: the executed
 transfer schedule, the duty-cycle wake windows, and the interrupt
-accounting of Section VI-B.
+accounting of Section VI-B.  A degraded day (untrusted history, an open
+circuit breaker or a monitor quarantine) runs the same loop with no
+plan: only the duty cycle moves screen-off traffic.
 """
 
 from __future__ import annotations
@@ -28,13 +30,13 @@ from repro.core.adjustment import GapServicer, RealTimeAdjustment
 from repro.core.profit import DEFAULT_ET, ProfitParams
 from repro.core.scheduler import DayPlan, NetMasterScheduler
 from repro.faults.degradation import CircuitBreaker
-from repro.habits.prediction import DataSufficiency, HabitModel
+from repro.habits.prediction import DataSufficiency, HabitModel, SlotPrediction
 from repro.habits.threshold import DeltaStrategy
 from repro.radio.bandwidth import LinkModel
 from repro.radio.power import RadioPowerModel, wcdma_model
 from repro.radio.rrc import TruncatedTail
 from repro.telemetry import metrics, tracer
-from repro.traces.events import NetworkActivity, Trace
+from repro.traces.events import NetworkActivity, Trace, pack_release
 
 logger = logging.getLogger(__name__)
 
@@ -221,20 +223,19 @@ class NetMaster:
         """Replay a single-day trace through the full middleware.
 
         ``day`` must be a single-day trace (times in ``[0, DAY)``), e.g.
-        from :meth:`repro.traces.events.Trace.day_view`.
+        from :meth:`repro.traces.events.Trace.day_view`.  On a degraded
+        day (see :attr:`degraded`) nothing is planned: the radio follows
+        the user, every screen-off transfer is duty-cycled over the gaps
+        between screen sessions — the paper's real-time adjustment layer
+        alone — and no interrupt is counted, since nothing was predicted.
         """
         self._require_trained()
         assert self.adjustment is not None
         if day.n_days != 1:
             raise ValueError("execute_day expects a single-day trace")
-        if self.degraded:
-            execution = self._execute_duty_cycle_only(day)
-            if self.breaker.open:
-                self.breaker.tick_degraded()
-            return execution
+        degraded = self.degraded
         weekend = day.is_weekend_day(0)
-        plan = self.plan_day(weekend=weekend)
-        prediction = plan.prediction
+        plan = None if degraded else self.plan_day(weekend=weekend)
         special = self.adjustment.special_apps
 
         bandwidth = self.config.link.bandwidth_bps
@@ -254,13 +255,19 @@ class NetMaster:
                 # special nor newly installed would find the radio down:
                 # that is the "wrong decision" of Section VI-B.
                 executed.append((activity, guard))
-                if not prediction.covers(activity.time) and not special.is_special(
-                    activity.app
+                if (
+                    plan is not None
+                    and not plan.prediction.covers(activity.time)
+                    and not special.is_special(activity.app)
                 ):
                     interrupts += 1
                 continue
             compressed = activity.compressed(bandwidth)
-            if prediction.covers(activity.time):
+            if plan is None:
+                # Degraded: the duty cycle services every screen-off transfer.
+                pending.append(compressed)
+                continue
+            if plan.prediction.covers(activity.time):
                 if not self.config.optimize_in_slot_traffic:
                     # Offline δ-sweep semantics (Eq. (3)): traffic inside
                     # U is not NetMaster's to touch — stock timers apply.
@@ -272,36 +279,37 @@ class NetMaster:
                 # the slot — and flush it at carrier speed (real-time
                 # adjustment piggybacking).  No session left in the slot:
                 # fall through to planning/duty-cycle handling.
-                target = _next_session_start(
-                    session_starts, activity.time, prediction, day
-                )
-                if target is not None:
-                    idx, start = target
-                    cursor = session_cursor.get(idx, start)
-                    cursor = min(cursor, DAY - compressed.duration)
-                    executed.append((compressed.moved_to(cursor), guard))
-                    session_cursor[idx] = cursor + compressed.duration + 0.2
+                idx = _next_session_in_slot(session_starts, activity.time, plan.prediction)
+                if idx is not None:
+                    executed.append(
+                        (pack_release(session_cursor, idx, session_starts[idx], compressed), guard)
+                    )
                     immediate += 1
                     continue
             slot_id = plan.admit(hour_of(activity.time), activity.total_bytes)
             if slot_id is not None:
-                start = plan.execution_time(slot_id, compressed.duration)
-                start = min(start, DAY - compressed.duration)
-                executed.append((compressed.moved_to(max(0.0, start)), guard))
+                slot_start = plan.instance.slot_info[slot_id].start
+                moved = pack_release(plan.cursors, slot_id, slot_start, compressed)
+                if moved.time < 0.0:  # longer than a day: start at midnight
+                    moved = moved.moved_to(0.0)
+                executed.append((moved, guard))
                 deferred += 1
             else:
                 pending.append(compressed)
 
         # Duty-cycle the idle gaps (screen off AND outside predicted slots).
         busy = [(s.start, s.end) for s in day.screen_sessions]
-        busy.extend((slot.start, slot.end) for slot in prediction.slots)
+        if plan is not None:
+            busy.extend((slot.start, slot.end) for slot in plan.prediction.slots)
         wake_windows, duty_serviced, carried, in_place = self._service_gaps(
             busy, pending, executed
         )
         immediate += in_place
 
         executed.sort(key=lambda pair: pair[0].time)
-        if self.config.enable_circuit_breaker:
+        if degraded:
+            self.breaker.tick_degraded()
+        elif self.config.enable_circuit_breaker:
             self.breaker.record(interrupts, len(day.usages))
         execution = DayExecution(
             weekend=weekend,
@@ -315,6 +323,7 @@ class NetMaster:
             deferred_to_slots=deferred,
             duty_serviced=duty_serviced,
             carried_to_gap_end=carried,
+            degraded=degraded,
         )
         _record_day(execution, day)
         return execution
@@ -327,7 +336,7 @@ class NetMaster:
     ) -> tuple[list[tuple[float, float]], int, int, int]:
         """Duty-cycle ``pending`` over the gaps of ``[0, DAY)`` outside ``busy``.
 
-        ``pending`` is in time order (both callers fill it in
+        ``pending`` is in time order (:meth:`execute_day` fills it in
         ``day.activities`` order), so each gap's transfers are one slice
         found by bisection.  Transfers land in ``executed`` with the
         guard tail.  Anything left pending sits inside a busy period
@@ -365,53 +374,6 @@ class NetMaster:
         )
         return wake_windows, serviced, carried, len(outside)
 
-    # ------------------------------------------------------------------
-    # degraded execution (duty-cycle-only fallback)
-    # ------------------------------------------------------------------
-    def _execute_duty_cycle_only(self, day: Trace) -> DayExecution:
-        """Replay one day with prediction and planning disabled.
-
-        The radio follows the user (screen sessions run as recorded) and
-        every screen-off transfer is serviced by the exponential duty
-        cycle over the screen-off gaps — the paper's real-time adjustment
-        layer alone.  It never mispredicts, so it cannot interrupt the
-        user; it just saves less than the full middleware.
-        """
-        assert self.adjustment is not None
-        weekend = day.is_weekend_day(0)
-        guard = self.config.guard_s
-        bandwidth = self.config.link.bandwidth_bps
-
-        executed: list[tuple[NetworkActivity, float]] = []
-        pending: list[NetworkActivity] = []
-        for activity in day.activities:
-            if activity.screen_on:
-                executed.append((activity, guard))
-            else:
-                pending.append(activity.compressed(bandwidth))
-
-        wake_windows, duty_serviced, carried, immediate = self._service_gaps(
-            [(s.start, s.end) for s in day.screen_sessions], pending, executed
-        )
-
-        executed.sort(key=lambda pair: pair[0].time)
-        execution = DayExecution(
-            weekend=weekend,
-            plan=None,
-            activities=[a for a, _ in executed],
-            activity_tails=[t for _, t in executed],
-            wake_windows=wake_windows,
-            user_interactions=len(day.usages),
-            interrupts=0,
-            immediate=immediate,
-            deferred_to_slots=0,
-            duty_serviced=duty_serviced,
-            carried_to_gap_end=carried,
-            degraded=True,
-        )
-        _record_day(execution, day)
-        return execution
-
 
 def _record_day(execution: DayExecution, day: Trace) -> None:
     """Telemetry for one replayed day (no effect on the execution)."""
@@ -433,23 +395,18 @@ def _record_day(execution: DayExecution, day: Trace) -> None:
             trc.record_span("duty-wake", "duty", start, end)
 
 
-def _next_session_start(
-    session_starts: list[float],
-    time_s: float,
-    prediction,
-    day: Trace,
-) -> tuple[int, float] | None:
-    """The next screen session starting within the slot covering ``time_s``.
-
-    Returns ``(session_index, session_start)`` or ``None`` when the
-    covering slot runs out before the user shows up again.
-    """
+def _next_session_in_slot(
+    session_starts: list[float], time_s: float, prediction: SlotPrediction
+) -> int | None:
+    """Index of the next screen session starting within the slot covering
+    ``time_s``, or ``None`` when the slot runs out before the user shows
+    up again."""
     covering = next((s for s in prediction.slots if s.contains(time_s)), None)
     if covering is None:
         return None
     idx = bisect.bisect_left(session_starts, time_s)
     if idx < len(session_starts) and session_starts[idx] < covering.end:
-        return idx, session_starts[idx]
+        return idx
     return None
 
 

@@ -11,7 +11,8 @@ Glues the mining outputs to Algorithm 1 (Section V-C "decision making"):
    transfer go to, and is there capacity left?*
 
 Scheduled transfers are packed back-to-back from the start of their slot
-so they coalesce into a single radio-on window.
+(:func:`repro.traces.events.pack_release`, keyed by slot id) so they
+coalesce into a single radio-on window.
 
 Steps 1-3 depend only on the model and the day type, so a model that
 will plan many days builds them once per day type
@@ -26,22 +27,18 @@ from dataclasses import dataclass, field
 from repro._util import check_fraction
 from repro.core.overlapped import MKPSolution, solve_overlapped
 from repro.core.profit import ProfitParams, ScheduleInstance, build_instance
-from repro.habits.prediction import HabitModel, Slot, SlotPrediction
+from repro.habits.prediction import HabitModel, SlotPrediction
 from repro.habits.threshold import DeltaStrategy
 from repro.telemetry import metrics, tracer
-
-#: Gap inserted between packed transfers inside a slot; small enough that
-#: the RRC machine keeps the radio in DCH across the whole burst.
-PACK_GAP_S = 0.2
 
 
 @dataclass
 class DayPlan:
     """The executable outcome of one day's planning.
 
-    Stateful at runtime: :meth:`admit` consumes slot capacity and
-    :meth:`execution_time` advances per-slot packing cursors, so create a
-    fresh plan (or call :meth:`reset`) per simulated day.
+    Stateful at runtime: :meth:`admit` consumes slot capacity and the
+    executor advances the per-slot packing ``cursors``, so create a fresh
+    plan (or call :meth:`reset`) per simulated day.
     """
 
     weekend: bool
@@ -50,7 +47,9 @@ class DayPlan:
     solution: MKPSolution
     hour_slots: dict[int, list[int]]
     capacity_left: dict[int, float] = field(default_factory=dict)
-    _cursor: dict[int, float] = field(default_factory=dict)
+    #: Next packed start per slot id (:func:`~repro.traces.events.pack_release`);
+    #: a slot's first transfer starts at the slot start.
+    cursors: dict[int, float] = field(default_factory=dict)
     _rotation: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -59,21 +58,9 @@ class DayPlan:
     def reset(self) -> None:
         """Restore full capacities and packing cursors."""
         self.capacity_left = {s.slot_id: s.capacity for s in self.instance.slots}
-        self._cursor = {
-            slot_id: slot.start for slot_id, slot in self.instance.slot_info.items()
-        }
+        self.cursors = {}
         self._rotation = {}
 
-    # ------------------------------------------------------------------
-    # plan queries
-    # ------------------------------------------------------------------
-    def slot(self, slot_id: int) -> Slot:
-        """The wall-clock slot behind a knapsack id."""
-        return self.instance.slot_info[slot_id]
-
-    # ------------------------------------------------------------------
-    # runtime admission
-    # ------------------------------------------------------------------
     def admit(self, hour: int, payload_bytes: float) -> int | None:
         """Admit a real activity of hour ``hour`` into a planned slot.
 
@@ -94,12 +81,6 @@ class DayPlan:
                 return slot_id
         return None
 
-    def execution_time(self, slot_id: int, duration_s: float) -> float:
-        """Packed execution start time (second-of-day) within a slot."""
-        t = self._cursor[slot_id]
-        self._cursor[slot_id] = t + duration_s + PACK_GAP_S
-        return t
-
 
 @dataclass(frozen=True)
 class PlanParts:
@@ -107,9 +88,8 @@ class PlanParts:
 
     A plan is a pure function of (habit model, day type, profit
     parameters, ε, δ), so every plan of one day type can share these
-    parts.  No :class:`DayPlan` method writes to them: :meth:`DayPlan.admit`
-    and :meth:`DayPlan.execution_time` touch only the plan's own
-    capacities, cursors and rotation.
+    parts.  Nothing writes to them at run time: admission and packing
+    touch only the plan's own capacities, cursors and rotation.
     """
 
     prediction: SlotPrediction

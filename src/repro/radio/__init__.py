@@ -4,7 +4,6 @@ from repro.radio.bandwidth import (
     DEFAULT_BANDWIDTH_BPS,
     LinkModel,
     UtilizationStats,
-    utilization,
 )
 from repro.radio.channel import (
     ChannelModel,
@@ -14,7 +13,6 @@ from repro.radio.channel import (
 from repro.radio.energy import (
     activities_energy,
     activity_windows,
-    delta_e,
 )
 from repro.radio.lanes import (
     EnergyReport,
@@ -34,7 +32,7 @@ from repro.radio.lanes import (
     segmented_cummax,
 )
 from repro.radio.power import RadioPowerModel, lte_model, wcdma_model
-from repro.radio.rrc import radio_on_intervals, simulate
+from repro.radio.rrc import simulate
 
 __all__ = [
     "DEFAULT_BANDWIDTH_BPS",
@@ -52,7 +50,6 @@ __all__ = [
     "best_window",
     "activity_windows",
     "decompose_lanes",
-    "delta_e",
     "extend_lanes_by_tails",
     "lane_radio_on_lengths",
     "lane_serial_sums",
@@ -60,11 +57,9 @@ __all__ = [
     "merge_lanes",
     "merge_lanes_with_allowances",
     "pack_lanes",
-    "radio_on_intervals",
     "replay_many_lengths",
     "segmented_cummax",
     "simulate",
     "transfer_energy_multiplier",
-    "utilization",
     "wcdma_model",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro._util import check_positive, total_length
+from repro._util import check_positive
 from repro.traces.events import NetworkActivity
 
 #: Default effective carrier bandwidth, bytes/second (WCDMA-era HSPA
@@ -49,21 +49,6 @@ class UtilizationStats:
     avg_up_bps: float
     peak_down_bps: float
     peak_up_bps: float
-
-
-def utilization(
-    activities: Sequence[NetworkActivity],
-    radio_on: Sequence[tuple[float, float]],
-) -> UtilizationStats:
-    """Bandwidth utilization of a schedule over its radio-on intervals.
-
-    Average rates divide the total payload by total radio-on time (so
-    eliminating wasted radio-on time *raises* utilization even at constant
-    payload — the effect NetMaster exploits).  Peak rates are the maximum
-    per-activity instantaneous rates, which no scheduler can raise because
-    they are set by the channel (paper, Section VI-A).
-    """
-    return utilization_from_digest(activity_digest(activities), total_length(radio_on))
 
 
 def activity_digest(
@@ -106,7 +91,15 @@ def activity_digest(
 def utilization_from_digest(
     digest: tuple[float, float, float, float, float], on_time: float
 ) -> UtilizationStats:
-    """Finish :func:`utilization` from a precomputed activity digest."""
+    """Bandwidth utilization of a schedule over ``on_time`` radio-on seconds.
+
+    Average rates divide the total payload by total radio-on time (so
+    eliminating wasted radio-on time *raises* utilization even at constant
+    payload — the effect NetMaster exploits).  Peak rates are the maximum
+    per-activity instantaneous rates, which no scheduler can raise because
+    they are set by the channel (paper, Section VI-A).  ``digest`` is
+    :func:`activity_digest` of the schedule.
+    """
     down, up, peak_down, peak_up, _ = digest
     return UtilizationStats(
         avg_down_bps=down / on_time if on_time > 0 else 0.0,

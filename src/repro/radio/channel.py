@@ -55,11 +55,6 @@ class ChannelModel:
         signal = (signal - signal.min()) / max(float(np.ptp(signal)), 1e-12)
         self._grid = self.min_quality + (1.0 - self.min_quality) * signal
 
-    @property
-    def grid(self) -> np.ndarray:
-        """The quality samples (one per ``resolution_s``)."""
-        return self._grid
-
     def mean_quality(self, start: float, end: float) -> float:
         """Average quality over ``[start, end)`` (seconds-of-day)."""
         if end <= start:

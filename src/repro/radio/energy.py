@@ -2,8 +2,7 @@
 
 Bridges the event world (:class:`~repro.traces.events.NetworkActivity`)
 and the RRC world (transfer windows): compute the network energy of an
-activity list at its recorded times, and the per-activity ΔE the
-scheduler's profit model needs.
+activity list at its recorded times.
 """
 
 from __future__ import annotations
@@ -28,11 +27,3 @@ def activities_energy(
     """RRC energy of executing ``activities`` at their recorded times."""
     return simulate(activity_windows(activities), model, tail_policy)
 
-
-def delta_e(activity: NetworkActivity, model: RadioPowerModel) -> float:
-    """ΔE_j: energy saved by merging this activity into an active slot.
-
-    The transfer's own DCH energy must be paid either way; the promotion
-    and the inactivity tail are eliminated.
-    """
-    return model.saved_energy_j(activity.duration)

@@ -9,8 +9,7 @@ implementation of that walk.  It packs independent replay problems —
 window ``starts``/``ends`` plus per-lane ``offsets``) and runs the whole
 pipeline (merge, allowance merge, decomposition, tail extension, energy
 reduction) across all lanes in a handful of array passes;
-:func:`repro.radio.rrc.simulate` and
-:func:`repro.radio.rrc.radio_on_intervals` are one-lane calls into it.
+:func:`repro.radio.rrc.simulate` is a one-lane call into it.
 
 * lane-major sorting via ``np.lexsort`` with the lane id as the primary
   key reproduces each lane's private sort;
@@ -670,24 +669,22 @@ def _replay_lanes(
     tail_policies: Sequence[TailPolicy | None] | None,
     window_tails: Sequence[Sequence[float] | None] | None,
     *,
-    want_reports: bool = True,
-    want_radio_on: bool = False,
     keep_intervals: Sequence[bool] | None = None,
     sim_contexts: Sequence[str] | None = None,
 ) -> tuple[
-    list[EnergyReport] | None,
-    list[list[tuple[float, float]] | None] | None,
-    list[float] | None,
+    list[EnergyReport],
+    list[list[tuple[float, float]] | None],
+    list[float | None],
 ]:
     """Validate, merge, decompose and price every lane.
 
     Lanes with per-window tails and lanes without are batched as two
     groups (their merges have different tie rules).  Returns
-    ``(reports, radio_on, lengths)``: reports unless ``want_reports`` is
-    False; radio-on intervals with ``want_radio_on``; with
-    ``keep_intervals`` set, merged radio-on lengths for every lane and
-    intervals only where the flag is True.  Reporting lanes record their
-    RRC spans in lane order, under ``sim_contexts[i]`` when given.
+    ``(reports, radio_on, lengths)``: with ``keep_intervals`` set,
+    merged radio-on lengths for every lane and intervals only where the
+    flag is True; without it, only the reports.
+    Lanes record their RRC spans in lane order, under ``sim_contexts[i]``
+    when given.
     """
     n = len(window_lists)
     if tail_policies is None:
@@ -754,33 +751,25 @@ def _replay_lanes(
         decomp = decompose_lanes(
             merged, allowances, tail_s=model.tail_s, dch_tail_s=model.dch_tail_s
         )
-        if want_reports:
-            for j, (i, report) in enumerate(
-                zip(idx, _machine_reports(decomp, model))
-            ):
-                reports[i] = report
-                traced[i] = (decomp, j)
-        if not want_radio_on:
+        for j, (i, report) in enumerate(zip(idx, _machine_reports(decomp, model))):
+            reports[i] = report
+            traced[i] = (decomp, j)
+        if keep_intervals is None:
             continue
         extended = extend_lanes_by_tails(decomp)
-        if keep_intervals is not None:
-            for i, length in zip(idx, lane_radio_on_lengths(extended).tolist()):
-                lengths[i] = length
+        for i, length in zip(idx, lane_radio_on_lengths(extended).tolist()):
+            lengths[i] = length
         for j, i in enumerate(idx):
-            if keep_intervals is None or keep_intervals[i]:
+            if keep_intervals[i]:
                 radio_on[i] = extended.lane(j)
-    if want_reports and trc.enabled:
+    if trc.enabled:
         for i, (decomp, j) in enumerate(traced):
             if sim_contexts is None:
                 _record_rrc_spans(trc, decomp.lane(j))
             else:
                 with trc.sim_context(sim_contexts[i]):
                     _record_rrc_spans(trc, decomp.lane(j))
-    return (
-        (reports if want_reports else None),
-        (radio_on if want_radio_on else None),
-        (lengths if keep_intervals is not None else None),
-    )
+    return reports, radio_on, lengths
 
 
 def replay_many_lengths(
@@ -797,9 +786,9 @@ def replay_many_lengths(
     ``results[i]`` is ``(report, radio_on_length, intervals)``: the
     report is bit-equal to ``simulate(window_lists[i], model,
     tail_policies[i], window_tails=window_tails[i])`` and
-    ``radio_on_length`` to
-    ``total_length(merge_intervals(radio_on_intervals(...)))`` for lane
-    ``i`` — the scalar most consumers actually need — computed inside
+    ``radio_on_length`` to the total length of lane ``i``'s merged
+    radio-on intervals (each merged transfer window extended by its
+    tail) — the scalar most consumers actually need — computed inside
     the lane batch without materializing Python interval lists.  The
     merge and decomposition run once per lane, on top of the cross-lane
     batching, and telemetry counter totals equal the lane-by-lane sums.  The
@@ -824,7 +813,6 @@ def replay_many_lengths(
         model,
         tail_policies,
         window_tails,
-        want_radio_on=True,
         keep_intervals=keep_intervals,
         sim_contexts=sim_contexts,
     )

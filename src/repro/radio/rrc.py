@@ -4,8 +4,8 @@ Given a set of transfer windows (absolute ``(start, end)`` intervals) and a
 :class:`~repro.radio.power.RadioPowerModel`, :func:`simulate` walks the
 radio through DCH transfers, inactivity tails, demotions and promotions,
 and returns an :class:`EnergyReport` with the total network energy and
-radio-on time.  Both entry points here are one-lane calls into the
-replay engine, :mod:`repro.radio.lanes`.
+radio-on time.  It is a one-lane call into the replay engine,
+:mod:`repro.radio.lanes`.
 
 Two simplifications (both standard in trace-driven RRC studies, and shared
 by the paper's model-based accounting):
@@ -41,7 +41,6 @@ __all__ = [
     "FullTail",
     "TailPolicy",
     "TruncatedTail",
-    "radio_on_intervals",
     "simulate",
 ]
 
@@ -71,29 +70,3 @@ def simulate(
     reports, _, _ = _replay_lanes([windows], model, [tail_policy], [window_tails])
     return reports[0]
 
-
-def radio_on_intervals(
-    windows: Sequence[tuple[float, float]],
-    model: RadioPowerModel,
-    tail_policy: TailPolicy | None = None,
-    *,
-    window_tails: Sequence[float] | None = None,
-) -> list[tuple[float, float]]:
-    """The absolute intervals during which the radio is non-IDLE.
-
-    Each merged transfer window is extended by its (possibly truncated)
-    tail; windows whose gaps stay within the tail budget fuse into one
-    radio-on interval.  Promotion latency is not laid on the timeline, in
-    keeping with :func:`simulate`.  ``window_tails`` follows the same
-    fast-dormancy semantics as in :func:`simulate`.  Prices nothing, so it
-    records no RRC counters or spans.
-    """
-    _, radio_on, _ = _replay_lanes(
-        [windows],
-        model,
-        [tail_policy],
-        [window_tails],
-        want_reports=False,
-        want_radio_on=True,
-    )
-    return radio_on[0]

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro._util import DAY, dumps_spliced
+from repro.baselines.netmaster_policy import execution_outcome
 from repro.baselines.policy import PolicyOutcome
 from repro.core.netmaster import DayExecution, NetMaster, NetMasterConfig
 from repro.habits.serialization import config_from_dict, config_to_dict
@@ -83,16 +84,7 @@ class CompletedDay:
     def outcome(self) -> PolicyOutcome:
         """The execution as a policy outcome (same shape as the offline
         :class:`~repro.baselines.netmaster_policy.NetMasterPolicy`)."""
-        ex = self.execution
-        return PolicyOutcome(
-            policy=POLICY_NAME,
-            activities=ex.activities,
-            activity_tails=ex.activity_tails,
-            extra_windows=ex.wake_windows,
-            interrupts=ex.interrupts,
-            user_interactions=ex.user_interactions,
-            deferred=ex.deferred_to_slots + ex.duty_serviced,
-        )
+        return execution_outcome(self.execution, POLICY_NAME)
 
 
 class OnlineNetMaster:

@@ -112,11 +112,6 @@ class AppCatalog:
     def __iter__(self):
         return iter(self.apps)
 
-    @property
-    def names(self) -> list[str]:
-        """All package names in catalog order."""
-        return [a.name for a in self.apps]
-
     def foreground_apps(self) -> list[AppModel]:
         """Apps with nonzero foreground weight."""
         return [a for a in self.apps if a.foreground_weight > 0]

@@ -4,7 +4,9 @@ These types mirror the records NetMaster's monitoring component collects on
 a real handset (Section V-A of the paper): screen state, foreground app
 usage, and cellular network activity.  Every downstream subsystem — habit
 mining, scheduling, the device simulator, and the evaluation harness —
-consumes traces expressed in these types.
+consumes traces expressed in these types.  Every scheduler that holds
+transfers and releases them together places them with
+:func:`pack_release`, back to back at :data:`PACK_GAP_S` gaps.
 
 Times are absolute seconds from the trace epoch (midnight of day 0).
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Iterable, Iterator, Union
+from typing import Hashable, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -127,6 +129,28 @@ class NetworkActivity:
         )
 
 
+#: Gap between transfers released together.  It is far inside the DCH
+#: inactivity tail, so the whole burst keeps the radio in DCH and shares
+#: one tail.
+PACK_GAP_S = 0.2
+
+
+def pack_release(
+    cursors: dict, key: Hashable, release: float, activity: NetworkActivity
+) -> NetworkActivity:
+    """``activity`` moved to the next packed start of release ``key``.
+
+    Transfers released under one key (a delay tick, a session, a planned
+    slot) run back to back: the first starts at ``release``, each later
+    one :data:`PACK_GAP_S` after the previous one ends.  A start is
+    clamped so the transfer ends by midnight.  ``cursors`` holds each
+    key's next start and is updated in place.
+    """
+    start = min(cursors.get(key, release), DAY - activity.duration)
+    cursors[key] = start + activity.duration + PACK_GAP_S
+    return activity.moved_to(start)
+
+
 #: One monitoring record: what a phone logs, what the fleet service's
 #: ingest parses, and what the online engine folds.
 TraceRecord = Union[ScreenSession, AppUsage, NetworkActivity]
@@ -148,9 +172,9 @@ class Trace:
     * every record time (session start and end, usage and activity
       start) is finite;
     * event lists are sorted by start time;
-    * every record lies in ``[0, horizon)`` — a session starts at or
-      after 0 and ends by the horizon; a usage or activity starts in
-      ``[0, horizon)``;
+    * every record lies in ``[0, horizon)``, the horizon being ``n_days``
+      days — a session starts at or after 0 and ends by the horizon; a
+      usage or activity starts in ``[0, horizon)``;
     * screen sessions are disjoint;
     * every screen-on activity's original time falls inside some session,
       and every screen-off activity's falls outside all sessions.
@@ -214,11 +238,6 @@ class Trace:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    @property
-    def horizon(self) -> float:
-        """Trace length in seconds."""
-        return self.n_days * DAY
-
     def is_weekend_day(self, day_index: int) -> bool:
         """Whether trace day ``day_index`` is a Saturday or Sunday."""
         return is_weekend(day_index, self.start_weekday)

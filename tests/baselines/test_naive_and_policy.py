@@ -8,6 +8,7 @@ from repro.baselines import NaivePolicy, PolicyOutcome, SchedulingPolicy
 from repro.radio import FullTail, wcdma_model
 from repro.traces import NetworkActivity
 from tests.radio.rrc_oracle import trace_energy
+from tests.radio.test_lanes import lane_radio_on
 
 
 class TestNaivePolicy:
@@ -60,7 +61,9 @@ class TestPolicyOutcome:
 
     def test_radio_on_includes_wakes(self, wcdma):
         outcome = self._outcome(extra_windows=[(1000.0, 1001.0)])
-        intervals = outcome.radio_on(wcdma)
+        rrc_on = lane_radio_on(outcome.priced_windows(), wcdma, outcome.priced_tail_policy())
+        intervals = outcome.merge_radio_on(rrc_on)
+        assert not any(lo <= 1000.0 < hi for lo, hi in rrc_on)
         assert any(lo <= 1000.0 < hi for lo, hi in intervals)
 
     def test_activity_tails_length_checked(self, wcdma):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import NaivePolicy, NetMasterPolicy, OraclePolicy
+from repro.core import NetMasterConfig
 from repro.radio import wcdma_model
 from repro.traces import NetworkActivity, ScreenSession, Trace
 
@@ -56,9 +57,11 @@ class TestOraclePolicy:
         moved = outcome.activities[0]
         assert moved.duration == pytest.approx(2.0)  # 48 kB at 24 kB/s
 
-    def test_guard_validation(self):
-        with pytest.raises(ValueError):
-            OraclePolicy(guard_s=-1.0)
+    def test_guard_is_netmasters(self, test_day):
+        """The oracle cuts the radio after NetMaster's own guard, so the
+        comparison isolates the value of perfect prediction."""
+        outcome = OraclePolicy().execute_day(test_day)
+        assert outcome.tail_policy == NetMasterConfig().tail_policy()
 
 
 class TestNetMasterPolicyAdapter:

@@ -18,7 +18,8 @@ from repro.core.netmaster import NetMaster, NetMasterConfig
 from repro.core.scheduler import NetMasterScheduler
 from repro.evaluation import split_history
 from repro.stream import OnlineNetMaster, stream_trace
-from repro.traces import generate_cohort
+from repro.traces import NetworkActivity, generate_cohort
+from repro.traces.events import PACK_GAP_S, pack_release
 
 from tests.core.day_fields import execution_fields
 
@@ -76,11 +77,13 @@ def test_each_plan_owns_its_admission_state(history):
     a = nm.plan_day(weekend=False)
     hour = min(a.hour_slots)
     slot_id = a.admit(hour, 1.0)
-    a.execution_time(slot_id, 1.0)
+    start = a.instance.slot_info[slot_id].start
+    pack_release(a.cursors, slot_id, start, NetworkActivity(0.0, "sync", 1.0, 0.0, 1.0, False))
     b = nm.plan_day(weekend=False)
     assert b.instance is a.instance and b.hour_slots is a.hour_slots
     assert b.capacity_left[slot_id] == a.capacity_left[slot_id] + 1.0
-    assert b._cursor[slot_id] < a._cursor[slot_id]
+    assert a.cursors == {slot_id: start + 1.0 + PACK_GAP_S}
+    assert b.cursors == {}
     assert b._rotation == {}
 
 

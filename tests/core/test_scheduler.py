@@ -8,6 +8,8 @@ from repro._util import HOUR
 from repro.core import NetMasterScheduler, ProfitParams
 from repro.habits import HabitModel
 from repro.radio import LinkModel, wcdma_model
+from repro.traces import NetworkActivity
+from repro.traces.events import PACK_GAP_S, pack_release
 
 from tests.habits.test_prediction import _repeating_trace
 
@@ -29,7 +31,7 @@ class TestPlanConstruction:
         plan = scheduler.plan(weekend=False)
         assert 3 in plan.hour_slots
         slot_id = plan.hour_slots[3][0]
-        slot = plan.slot(slot_id)
+        slot = plan.instance.slot_info[slot_id]
         # Adjacent user-active slot: hour 9 or hour 20 of the day.
         assert slot.start in (9 * HOUR, 20 * HOUR)
 
@@ -72,17 +74,22 @@ class TestAdmission:
 
 
 class TestExecutionTimes:
+    """A slot's admitted transfers are packed from the slot start, keyed
+    by slot id in the plan's own ``cursors``."""
+
     def test_packing_advances_cursor(self, scheduler):
         plan = scheduler.plan(weekend=False)
         slot_id = plan.hour_slots[3][0]
-        t1 = plan.execution_time(slot_id, 4.0)
-        t2 = plan.execution_time(slot_id, 4.0)
-        assert t1 == plan.slot(slot_id).start
-        assert t2 > t1 + 4.0 - 1e-9
+        start = plan.instance.slot_info[slot_id].start
+        sync = NetworkActivity(3 * HOUR, "sync", 500.0, 0.0, 4.0, False)
+        first = pack_release(plan.cursors, slot_id, start, sync)
+        second = pack_release(plan.cursors, slot_id, start, sync)
+        assert first.time == start
+        assert second.time == first.end + PACK_GAP_S
+        plan.reset()
+        assert plan.cursors == {}
 
     def test_packed_transfers_stay_contiguous(self, scheduler):
         """Packed gaps are smaller than the DCH tail, so the whole batch
         rides one radio session."""
-        from repro.core.scheduler import PACK_GAP_S
-
         assert PACK_GAP_S < wcdma_model().dch_tail_s

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import DelayBatchPolicy, NaivePolicy, NetMasterPolicy
+from repro.evaluation import measure_outcome
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -36,7 +37,9 @@ class TestInertPlan:
             outcome = policy.execute_day(test_day)
             faulted, _ = apply_faults(outcome, injector, RetryPolicy())
             assert faulted.energy(wcdma) == outcome.energy(wcdma)
-            assert faulted.radio_on(wcdma) == outcome.radio_on(wcdma)
+            assert measure_outcome(faulted, wcdma, test_day) == measure_outcome(
+                outcome, wcdma, test_day
+            )
 
 
 class TestFaultyPlan:

@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.radio import DEFAULT_BANDWIDTH_BPS, LinkModel, utilization
+from repro._util import total_length
+from repro.radio import DEFAULT_BANDWIDTH_BPS, LinkModel
+from repro.radio.bandwidth import activity_digest, utilization_from_digest
 from repro.traces import NetworkActivity
+
+
+def utilization(activities, radio_on):
+    """Utilization of ``activities`` over the ``radio_on`` intervals."""
+    return utilization_from_digest(activity_digest(activities), total_length(radio_on))
 
 
 class TestLinkModel:

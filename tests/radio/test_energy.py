@@ -7,7 +7,6 @@ import pytest
 from repro.radio import (
     activities_energy,
     activity_windows,
-    delta_e,
     wcdma_model,
 )
 from repro.traces import NetworkActivity
@@ -37,7 +36,6 @@ class TestActivityEnergy:
 
     def test_isolated_and_delta(self):
         act = _act(dur=8.0)
-        assert delta_e(act, MODEL) == pytest.approx(MODEL.saved_energy_j(8.0))
         # Merging saves the promotion and the tail, never the transfer.
         isolated = activities_energy([act], MODEL).energy_j
-        assert 0.0 < delta_e(act, MODEL) < isolated
+        assert 0.0 < MODEL.saved_energy_j(act.duration) < isolated

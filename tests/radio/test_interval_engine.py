@@ -1,6 +1,6 @@
-"""One-lane replay (``simulate`` / ``radio_on_intervals``) vs the oracle.
+"""One-lane replay (``simulate`` / radio-on intervals) vs the oracle.
 
-Both entry points are one-lane calls into the lane engine
+Both are one-lane calls into the lane engine
 (:mod:`repro.radio.lanes`), which replaced the per-window Python loops
 the RRC accounting started as.  The replacement must be *bit-identical*:
 every :class:`EnergyReport` field and every radio-on interval has to
@@ -21,11 +21,11 @@ from repro.radio import (
     FullTail,
     TruncatedTail,
     lte_model,
-    radio_on_intervals,
     simulate,
     wcdma_model,
 )
 from repro.radio.lanes import merge_lanes, merge_lanes_with_allowances, pack_lanes
+from tests.radio.test_lanes import lane_radio_on
 from tests.radio.rrc_oracle import (
     assert_report_matches,
     reference_machine,
@@ -87,7 +87,7 @@ def test_per_window_tails_match_reference_randomized(seed, model):
         assert_report_matches(
             simulate(windows, model, window_tails=tails), expected
         )
-        assert radio_on_intervals(
+        assert lane_radio_on(
             windows, model, window_tails=tails
         ) == reference_radio_on(merged, model, allowances)
 
@@ -101,7 +101,7 @@ def test_radio_on_intervals_match_reference(seed, model):
         merged = reference_merge(windows)
         for policy in (FullTail(), TruncatedTail(0.0), TruncatedTail(2.5)):
             allowances = [policy.max_tail_s()] * len(merged)
-            assert radio_on_intervals(
+            assert lane_radio_on(
                 windows, model, policy
             ) == reference_radio_on(merged, model, allowances)
 
@@ -132,7 +132,7 @@ class TestEdgeCases:
             report = simulate([], model)
             assert report.energy_j == 0.0
             assert report.window_count == 0
-            assert radio_on_intervals([], model) == []
+            assert lane_radio_on([], model) == []
 
     def test_single_window(self):
         model = MODELS[0]

@@ -3,7 +3,7 @@
 ``radio.lanes`` batches many independent replay problems into one set of
 array passes; the contract is *bit-identity per lane* with the scalar
 reference walk in ``tests/radio/rrc_oracle.py``, and batched results
-must equal one-lane calls (``simulate`` / ``radio_on_intervals``) —
+must equal one-lane calls (``simulate`` / :func:`lane_radio_on`) —
 a lane never depends on its neighbours.  Random ragged grids cover
 empty lanes, one-lane grids and single-window lanes (the single-segment
 shortcut), zero-length windows, and lanes whose windows bridge
@@ -23,7 +23,6 @@ from repro.radio import (
     FullTail,
     TruncatedTail,
     lte_model,
-    radio_on_intervals,
     simulate,
     wcdma_model,
 )
@@ -47,6 +46,15 @@ from tests.radio.rrc_oracle import (
 )
 
 MODELS = [wcdma_model(), lte_model()]
+
+
+def lane_radio_on(windows, model, tail_policy=None, *, window_tails=None):
+    """The engine's radio-on intervals of one lane: what
+    ``replay_many_lengths`` keeps for it."""
+    [(_, _, on)] = replay_many_lengths(
+        [windows], model, [tail_policy], window_tails=[window_tails], keep_intervals=[True]
+    )
+    return on
 
 
 def _random_lane(rng: np.random.Generator) -> list[tuple[float, float]]:
@@ -192,7 +200,7 @@ def test_decompose_and_extend_match_per_lane(model):
 
 
 # ----------------------------------------------------------------------
-# full batched pricing vs one-lane simulate / radio_on_intervals
+# full batched pricing vs one-lane simulate / lane_radio_on
 # ----------------------------------------------------------------------
 
 
@@ -227,7 +235,7 @@ def test_replay_many_matches_per_lane_simulate(seed, model):
             ref_report = simulate(
                 lane, model, policies[i], window_tails=window_tails[i]
             )
-            ref_on = radio_on_intervals(
+            ref_on = lane_radio_on(
                 lane, model, policies[i], window_tails=window_tails[i]
             )
             report, length, on = results[i]
@@ -267,7 +275,7 @@ class TestEdges:
         results = replay_many_lengths(grid, MODELS[0], keep_intervals=[True] * 3)
         for (report, _, on), lane in zip(results, grid):
             assert report == simulate(lane, MODELS[0])
-            assert on == radio_on_intervals(lane, MODELS[0])
+            assert on == lane_radio_on(lane, MODELS[0])
 
     def test_promo_bridging_gaps(self):
         # Gaps straddling the DCH and total tail timers on either model:
@@ -283,7 +291,7 @@ class TestEdges:
             results = replay_many_lengths(grid, model, keep_intervals=[True] * 3)
             for (report, _, on), windows in zip(results, grid):
                 assert report == simulate(windows, model)
-                assert on == radio_on_intervals(windows, model)
+                assert on == lane_radio_on(windows, model)
 
     def test_bad_window_raises_like_per_lane(self):
         grid = [[(0.0, 1.0)], [(5.0, 2.0)]]

@@ -105,14 +105,38 @@ def test_slower_pool_is_a_regression_only_with_cores(monkeypatch, cpu_count, fla
 
 def test_compare_reports_flags_regressions(quick_report):
     report, _ = quick_report
-    assert bench.compare_reports(report, report) == []
-    inflated = json.loads(json.dumps(report))
+    # The live monitor overhead is one noisy reading with an absolute
+    # bound of its own (checked below); pinned inside it, this test
+    # checks only the baseline-relative gates.
+    steady = json.loads(json.dumps(report))
+    steady["monitor"]["overhead_frac"] = 0.05
+    assert bench.compare_reports(steady, steady) == []
+    inflated = json.loads(json.dumps(steady))
     inflated["fptas_batch"]["solves_per_s"] = report["fptas_batch"]["solves_per_s"] * 3
     inflated["cohort_generation"]["warm_s"] = report["cohort_generation"]["warm_s"] / 3
-    failures = bench.compare_reports(report, inflated)
+    failures = bench.compare_reports(steady, inflated)
     assert len(failures) == 2
     assert any("solves_per_s" in f for f in failures)
     assert any("warm_s" in f for f in failures)
+
+
+@pytest.mark.parametrize("quick, bound", [(True, 0.25), (False, 0.10)], ids=["quick", "full"])
+def test_compare_reports_bounds_monitor_overhead(quick_report, quick, bound):
+    """The monitor may cost at most 25% of stream throughput in a quick
+    report and 10% in a full one, whatever the baseline says."""
+    report, _ = quick_report
+    fresh = json.loads(json.dumps(report))
+    fresh["quick"] = quick
+    for overhead in (bound - 0.01, bound, bound + 0.01):
+        fresh["monitor"]["overhead_frac"] = overhead
+        failures = bench.compare_reports(fresh, fresh)
+        if overhead > bound:
+            assert failures == [
+                f"monitor.overhead_frac exceeds the {bound:.0%} stream-path "
+                f"budget: {overhead:.3f}"
+            ]
+        else:
+            assert failures == []
 
 
 def test_shard_recovery_points_grow_with_wal_length(quick_report):

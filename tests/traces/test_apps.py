@@ -63,7 +63,7 @@ class TestAppCatalog:
     def test_len_and_names(self):
         cat = self._catalog()
         assert len(cat) == 3
-        assert cat.names == ["a", "b", "c"]
+        assert [a.name for a in cat] == ["a", "b", "c"]
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -108,7 +108,7 @@ class TestDefaultCatalog:
         assert len(dormant) >= 10
 
     def test_fig5_app_names_present(self):
-        names = set(default_catalog().names)
+        names = {a.name for a in default_catalog()}
         for expected in (
             "com.tencent.mm",
             "browser",

@@ -55,7 +55,7 @@ class TestStructure:
         prev_end = -1.0
         for session in volunteer.screen_sessions:
             assert session.start >= prev_end
-            assert session.end <= volunteer.horizon
+            assert session.end <= volunteer.n_days * DAY
             prev_end = session.end
 
     def test_every_session_has_a_usage(self, volunteer):

@@ -219,27 +219,28 @@ def peak_rss_bytes() -> int | None:
 
 
 def merge_intervals(
-    intervals: Sequence[tuple[float, float]], *, gap: float = 0.0
+    intervals: Sequence[tuple[float, float]],
 ) -> list[tuple[float, float]]:
-    """Merge overlapping (or near-touching, within ``gap``) intervals.
+    """Merge overlapping (or touching) intervals.
 
-    Returns a sorted list of disjoint ``(start, end)`` tuples.  Used by the
-    radio state machine (coalescing transfer windows) and by slot-set
-    construction in the habit miner.
+    Returns a sorted list of disjoint ``(start, end)`` tuples.  The first
+    pair with ``start > end`` raises :func:`check_interval`'s error.
+    Used to fuse wake windows with radio-on intervals, to find the
+    duty-cycle gaps between busy periods, and by :func:`count_in_windows`.
     """
-    if gap < 0:
-        raise ValueError(f"gap must be >= 0, got {gap}")
-    cleaned = []
-    for start, end in intervals:
-        check_interval(start, end)
-        cleaned.append((float(start), float(end)))
+    # ``check_interval`` is reached only for a bad pair, where it raises.
+    cleaned = [
+        (float(start), float(end))
+        for start, end in intervals
+        if not start > end or check_interval(start, end)
+    ]
     if not cleaned:
         return []
     cleaned.sort()
     merged = [cleaned[0]]
     for start, end in cleaned[1:]:
         last_start, last_end = merged[-1]
-        if start <= last_end + gap:
+        if start <= last_end:
             merged[-1] = (last_start, max(last_end, end))
         else:
             merged.append((start, end))

@@ -71,7 +71,9 @@ class DelayPolicy:
             tick = int(math.floor(activity.time / self.interval_s)) + 1
             release = tick * self.interval_s
             hold_windows.append((activity.time, max(release, activity.time)))
-            executed.append(pack_release(tick_cursor, tick, release, activity))
+            executed.append(
+                pack_release(tick_cursor, tick, release, activity, activity.duration)
+            )
             deferred += 1
         executed.sort(key=lambda a: a.time)
 

@@ -69,11 +69,13 @@ class DelayBatchPolicy:
                 release = next_on
                 # Batched releases riding a session aggregate and move at
                 # carrier speed.
-                moved = activity.compressed(DEFAULT_BANDWIDTH_BPS)
+                duration = activity.compressed_duration(DEFAULT_BANDWIDTH_BPS)
             else:
                 release = timeout
-                moved = activity
-            executed.append((pack_release(release_cursor, release, release, moved), True))
+                duration = activity.duration
+            executed.append(
+                (pack_release(release_cursor, release, release, activity, duration), True)
+            )
             hold_windows.append((activity.time, release))
             deferred += 1
 

@@ -45,15 +45,18 @@ class OraclePolicy:
             if activity.screen_on:
                 executed.append(activity)
                 continue
-            compressed = activity.compressed(DEFAULT_BANDWIDTH_BPS)
             idx = _nearest_session(session_starts, activity.time)
             if idx is None:
                 # A day with no sessions at all: nothing to ride.  Each
                 # transfer stays at its own time, compressed and clamped
                 # to end by midnight.
+                compressed = activity.compressed(DEFAULT_BANDWIDTH_BPS)
                 executed.append(compressed.moved_to(min(activity.time, DAY - compressed.duration)))
             else:
-                executed.append(pack_release(cursor, idx, session_starts[idx], compressed))
+                duration = activity.compressed_duration(DEFAULT_BANDWIDTH_BPS)
+                executed.append(
+                    pack_release(cursor, idx, session_starts[idx], activity, duration)
+                )
             deferred += 1
         executed.sort(key=lambda a: a.time)
         return PolicyOutcome(
@@ -66,9 +69,17 @@ class OraclePolicy:
 
 
 def _nearest_session(session_starts: list[float], time_s: float) -> int | None:
-    """Index of the session whose start is closest to ``time_s``."""
+    """Index of the session whose start is closest to ``time_s``.
+
+    A tie goes to the earlier session.
+    """
     if not session_starts:
         return None
     idx = bisect.bisect_left(session_starts, time_s)
-    candidates = [i for i in (idx - 1, idx) if 0 <= i < len(session_starts)]
-    return min(candidates, key=lambda i: abs(session_starts[i] - time_s))
+    if idx == 0:
+        return 0
+    if idx == len(session_starts):
+        return idx - 1
+    if abs(session_starts[idx] - time_s) < abs(session_starts[idx - 1] - time_s):
+        return idx
+    return idx - 1

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
+from repro.radio.lanes import _replay_lanes
 from repro.radio.power import RadioPowerModel
-from repro.radio.rrc import EnergyReport, FullTail, TailPolicy, simulate
+from repro.radio.rrc import EnergyReport, FullTail, TailPolicy
 from repro.traces.events import NetworkActivity, Trace
 
 
@@ -42,15 +43,21 @@ class PolicyOutcome:
     #: Extra transfer attempts beyond the first, across all activities.
     retries: int = 0
 
-    def transfer_windows(self) -> list[tuple[float, float]]:
-        """Transfer intervals only (idle wake-ups are priced separately)."""
-        # Same tuples as ``a.interval`` without the two property hops —
-        # this listcomp runs once per priced cell.
-        return [(a.time, a.time + a.duration) for a in self.activities]
+    def priced_lane(self) -> tuple[list[float], list[float]]:
+        """The windows the RRC pricing pass replays, as ``(starts, ends)``.
 
-    def priced_windows(self) -> list[tuple[float, float]]:
-        """Transfer windows plus the partial windows of failed attempts."""
-        return self.transfer_windows() + list(self.failed_windows)
+        Every transfer (``a.time`` to ``a.time + a.duration``), then the
+        partial windows of failed attempts; idle wake-ups are priced
+        separately.  Built straight from the records, once per priced
+        cell, with no object per window.
+        """
+        activities = self.activities
+        starts = [a.time for a in activities]
+        ends = [a.time + a.duration for a in activities]
+        for lo, hi in self.failed_windows:
+            starts.append(lo)
+            ends.append(hi)
+        return starts, ends
 
     def priced_tail_policy(self) -> TailPolicy | None:
         """The tail policy the RRC pricing pass should use.
@@ -62,7 +69,7 @@ class PolicyOutcome:
         return self.tail_policy if self.activity_tails is None else None
 
     def priced_window_tails(self) -> list[float] | None:
-        """Per-window tail allowances aligned with :meth:`priced_windows`."""
+        """Per-window tail allowances aligned with :meth:`priced_lane`."""
         if self.activity_tails is None:
             return None
         if len(self.activity_tails) != len(self.activities):
@@ -96,11 +103,11 @@ class PolicyOutcome:
         attempts are priced as extra (partial, tail-less) DCH windows and
         each failed promotion is charged one IDLE→DCH promotion.
         """
-        base = simulate(
-            self.priced_windows(),
+        [base], _, _ = _replay_lanes(
+            [self.priced_lane()],
             model,
-            self.priced_tail_policy(),
-            window_tails=self.priced_window_tails(),
+            [self.priced_tail_policy()],
+            [self.priced_window_tails()],
         )
         return self.finalize_energy(base, model)
 

@@ -72,7 +72,7 @@ def measure_outcomes_columnar(
             src_bytes=digest(day.activities)[4],
             out_bytes=digest(outcome.activities)[4],
         )
-    window_lists = [outcome.priced_windows() for outcome, _ in cells]
+    lanes = [outcome.priced_lane() for outcome, _ in cells]
     policies = [outcome.priced_tail_policy() for outcome, _ in cells]
     tails = [outcome.priced_window_tails() for outcome, _ in cells]
     # Interval lists are only materialized for lanes that must re-merge
@@ -80,7 +80,7 @@ def measure_outcomes_columnar(
     # radio-on length, which the kernel totals in-array.
     keep = [bool(outcome.extra_windows) for outcome, _ in cells]
     priced = replay_many_lengths(
-        window_lists,
+        lanes,
         model,
         policies,
         window_tails=tails,

@@ -262,10 +262,9 @@ class NetMaster:
                 ):
                     interrupts += 1
                 continue
-            compressed = activity.compressed(bandwidth)
             if plan is None:
                 # Degraded: the duty cycle services every screen-off transfer.
-                pending.append(compressed)
+                pending.append(activity.compressed(bandwidth))
                 continue
             if plan.prediction.covers(activity.time):
                 if not self.config.optimize_in_slot_traffic:
@@ -281,21 +280,32 @@ class NetMaster:
                 # fall through to planning/duty-cycle handling.
                 idx = _next_session_in_slot(session_starts, activity.time, plan.prediction)
                 if idx is not None:
-                    executed.append(
-                        (pack_release(session_cursor, idx, session_starts[idx], compressed), guard)
+                    moved = pack_release(
+                        session_cursor,
+                        idx,
+                        session_starts[idx],
+                        activity,
+                        activity.compressed_duration(bandwidth),
                     )
+                    executed.append((moved, guard))
                     immediate += 1
                     continue
             slot_id = plan.admit(hour_of(activity.time), activity.total_bytes)
             if slot_id is not None:
                 slot_start = plan.instance.slot_info[slot_id].start
-                moved = pack_release(plan.cursors, slot_id, slot_start, compressed)
+                moved = pack_release(
+                    plan.cursors,
+                    slot_id,
+                    slot_start,
+                    activity,
+                    activity.compressed_duration(bandwidth),
+                )
                 if moved.time < 0.0:  # longer than a day: start at midnight
                     moved = moved.moved_to(0.0)
                 executed.append((moved, guard))
                 deferred += 1
             else:
-                pending.append(compressed)
+                pending.append(activity.compressed(bandwidth))
 
         # Duty-cycle the idle gaps (screen off AND outside predicted slots).
         busy = [(s.start, s.end) for s in day.screen_sessions]
@@ -401,12 +411,12 @@ def _next_session_in_slot(
     """Index of the next screen session starting within the slot covering
     ``time_s``, or ``None`` when the slot runs out before the user shows
     up again."""
-    covering = next((s for s in prediction.slots if s.contains(time_s)), None)
-    if covering is None:
-        return None
-    idx = bisect.bisect_left(session_starts, time_s)
-    if idx < len(session_starts) and session_starts[idx] < covering.end:
-        return idx
+    for slot in prediction.slots:
+        if slot.start <= time_s < slot.end:
+            idx = bisect.bisect_left(session_starts, time_s)
+            if idx < len(session_starts) and session_starts[idx] < slot.end:
+                return idx
+            return None
     return None
 
 

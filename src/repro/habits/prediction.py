@@ -67,7 +67,10 @@ class SlotPrediction:
 
     def covers(self, time_of_day: float) -> bool:
         """Whether a second-of-day falls inside any predicted slot."""
-        return any(s.contains(time_of_day) for s in self.slots)
+        for slot in self.slots:
+            if slot.start <= time_of_day < slot.end:
+                return True
+        return False
 
 
 def _merge_hours(active: np.ndarray) -> tuple[Slot, ...]:

@@ -9,7 +9,10 @@ implementation of that walk.  It packs independent replay problems —
 window ``starts``/``ends`` plus per-lane ``offsets``) and runs the whole
 pipeline (merge, allowance merge, decomposition, tail extension, energy
 reduction) across all lanes in a handful of array passes;
-:func:`repro.radio.rrc.simulate` is a one-lane call into it.
+:func:`repro.radio.rrc.simulate` is a one-lane call into it.  A lane
+comes in as two float columns, ``(starts, ends)``, window ``j`` being
+``[starts[j], ends[j]]``: a pricer builds them straight from its
+records, with no ``(start, end)`` object per window.
 
 * lane-major sorting via ``np.lexsort`` with the lane id as the primary
   key reproduces each lane's private sort;
@@ -73,6 +76,9 @@ __all__ = [
 
 _EMPTY_F = np.empty(0)
 _EMPTY_B = np.empty(0, dtype=bool)
+
+#: One lane's windows as columns: ``(starts, ends)``, equal in length.
+Lane = tuple[Sequence[float], Sequence[float]]
 
 
 class TailPolicy(Protocol):
@@ -177,31 +183,39 @@ class LaneWindows:
         return list(zip(self.starts[lo:hi].tolist(), self.ends[lo:hi].tolist()))
 
 
-def pack_lanes(
-    window_lists: Sequence[Sequence[tuple[float, float]]],
-) -> LaneWindows:
-    """Pack per-lane window lists into one :class:`LaneWindows`."""
-    n_lanes = len(window_lists)
-    counts = np.fromiter(
-        (len(w) for w in window_lists), dtype=np.intp, count=n_lanes
-    )
+def pack_lanes(lanes: Sequence[Lane]) -> LaneWindows:
+    """Pack per-lane ``(starts, ends)`` columns into one :class:`LaneWindows`.
+
+    A lane whose ``starts`` and ``ends`` differ in length raises
+    :class:`ValueError`.
+    """
+    n_lanes = len(lanes)
     offsets = np.zeros(n_lanes + 1, dtype=np.intp)
-    np.cumsum(counts, out=offsets[1:])
-    total = int(offsets[-1])
+    total = 0
+    for i, (starts, ends) in enumerate(lanes):
+        if len(starts) != len(ends):
+            raise ValueError(
+                f"lane {i}: starts and ends differ in length: "
+                f"{len(starts)} vs {len(ends)}"
+            )
+        total += len(starts)
+        offsets[i + 1] = total
     if total == 0:
         return LaneWindows(starts=_EMPTY_F, ends=_EMPTY_F, offsets=offsets)
-    # One flat conversion with a preallocated target: cheaper than a
-    # per-lane asarray/concatenate when the grid has hundreds of small
-    # lanes, and cheaper than asarray on a list of tuples.
-    flat: list[tuple[float, float]] = []
-    for w in window_lists:
-        flat.extend(w)
-    stacked = np.fromiter(
-        chain.from_iterable(flat), dtype=np.float64, count=2 * total
-    ).reshape(-1, 2)
+    # One flat conversion per column with a preallocated target: cheaper
+    # than a per-lane asarray/concatenate when the grid has hundreds of
+    # small lanes.
     return LaneWindows(
-        starts=np.ascontiguousarray(stacked[:, 0]),
-        ends=np.ascontiguousarray(stacked[:, 1]),
+        starts=np.fromiter(
+            chain.from_iterable(starts for starts, _ in lanes),
+            dtype=np.float64,
+            count=total,
+        ),
+        ends=np.fromiter(
+            chain.from_iterable(ends for _, ends in lanes),
+            dtype=np.float64,
+            count=total,
+        ),
         offsets=offsets,
     )
 
@@ -282,9 +296,9 @@ def _group_lanes(
 def merge_lanes(lanes: LaneWindows) -> LaneWindows:
     """Fuse overlapping windows within every lane, in one pass.
 
-    Per lane this is :func:`repro._util.merge_intervals` (``gap=0``):
-    sort by ``(start, end)`` and fuse wherever a start does not exceed
-    the running maximum end.  The lane-major ``lexsort`` reproduces
+    Per lane this is :func:`repro._util.merge_intervals`: sort by
+    ``(start, end)`` and fuse wherever a start does not exceed the
+    running maximum end.  The lane-major ``lexsort`` reproduces
     every lane's private sort, and the segmented running maximum its
     private ``np.maximum.accumulate``.
     """
@@ -664,7 +678,7 @@ def _record_rrc_spans(trc, decomp: LaneDecomposition) -> None:
 
 
 def _replay_lanes(
-    window_lists: Sequence[Sequence[tuple[float, float]]],
+    lanes: Sequence[Lane],
     model: RadioPowerModel,
     tail_policies: Sequence[TailPolicy | None] | None,
     window_tails: Sequence[Sequence[float] | None] | None,
@@ -686,50 +700,48 @@ def _replay_lanes(
     Lanes record their RRC spans in lane order, under ``sim_contexts[i]``
     when given.
     """
-    n = len(window_lists)
+    n = len(lanes)
     if tail_policies is None:
         tail_policies = [None] * n
     if window_tails is None:
         window_tails = [None] * n
     if len(tail_policies) != n or len(window_tails) != n:
-        raise ValueError(
-            "tail_policies and window_tails must parallel window_lists"
-        )
+        raise ValueError("tail_policies and window_tails must parallel lanes")
     plain_idx: list[int] = []
-    plain_lanes: list[Sequence[tuple[float, float]]] = []
+    plain_lanes: list[Lane] = []
     plain_allow: list[float] = []
     tailed_idx: list[int] = []
-    tailed_lanes: list[Sequence[tuple[float, float]]] = []
+    tailed_lanes: list[Lane] = []
     tailed_tails: list[float] = []
     # Per-lane argument validation in input order — the errors (and their
     # ordering across lanes) match replaying the lanes one by one.
-    for i, windows in enumerate(window_lists):
+    for i, lane in enumerate(lanes):
         tails = window_tails[i]
         policy = tail_policies[i]
         if policy is None:
             policy = FullTail()
         if tails is not None:
-            if len(tails) != len(windows):
+            if len(tails) != len(lane[0]):
                 raise ValueError(
-                    f"window_tails must match windows: {len(tails)} vs {len(windows)}"
+                    f"window_tails must match windows: {len(tails)} vs {len(lane[0])}"
                 )
             if not isinstance(policy, FullTail):
                 raise ValueError(
                     "window_tails cannot be combined with a custom tail_policy"
                 )
             tailed_idx.append(i)
-            tailed_lanes.append(windows)
+            tailed_lanes.append(lane)
             tailed_tails.extend(tails)
         else:
             plain_idx.append(i)
-            plain_lanes.append(windows)
+            plain_lanes.append(lane)
             plain_allow.append(policy.max_tail_s())
     reports: list[EnergyReport | None] = [None] * n
     radio_on: list[list[tuple[float, float]] | None] = [None] * n
     lengths: list[float | None] = [None] * n
     trc = tracer()
     traced: list[tuple[LaneDecomposition, int] | None] = [None] * n
-    for idx, lanes, flat_tails, lane_allow in (
+    for idx, group, flat_tails, lane_allow in (
         (
             tailed_idx,
             tailed_lanes,
@@ -740,7 +752,7 @@ def _replay_lanes(
     ):
         if not idx:
             continue
-        packed = pack_lanes(lanes)
+        packed = pack_lanes(group)
         if flat_tails is not None:
             merged, allowances = merge_lanes_with_allowances(packed, flat_tails)
         else:
@@ -773,7 +785,7 @@ def _replay_lanes(
 
 
 def replay_many_lengths(
-    window_lists: Sequence[Sequence[tuple[float, float]]],
+    lanes: Sequence[Lane],
     model: RadioPowerModel,
     tail_policies: Sequence[TailPolicy | None] | None = None,
     *,
@@ -783,8 +795,9 @@ def replay_many_lengths(
 ) -> list[tuple[EnergyReport, float, list[tuple[float, float]] | None]]:
     """Batched energy and radio-on pricing sharing one decomposition.
 
+    ``lanes[i]`` is lane ``i``'s ``(starts, ends)`` columns.
     ``results[i]`` is ``(report, radio_on_length, intervals)``: the
-    report is bit-equal to ``simulate(window_lists[i], model,
+    report is bit-equal to ``simulate(list(zip(*lanes[i])), model,
     tail_policies[i], window_tails=window_tails[i])`` and
     ``radio_on_length`` to the total length of lane ``i``'s merged
     radio-on intervals (each merged transfer window extended by its
@@ -799,17 +812,15 @@ def replay_many_lengths(
     ``sim_contexts`` names each lane's trace track prefix (the tracer's
     ``sim_context``) for its RRC spans; results never depend on it.
     """
-    n = len(window_lists)
+    n = len(lanes)
     for name, values in (
         ("keep_intervals", keep_intervals),
         ("sim_contexts", sim_contexts),
     ):
         if values is not None and len(values) != n:
-            raise ValueError(
-                f"{name} must parallel window_lists: {len(values)} vs {n}"
-            )
+            raise ValueError(f"{name} must parallel lanes: {len(values)} vs {n}")
     reports, radio_on, lengths = _replay_lanes(
-        window_lists,
+        lanes,
         model,
         tail_policies,
         window_tails,

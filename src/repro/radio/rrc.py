@@ -5,7 +5,8 @@ Given a set of transfer windows (absolute ``(start, end)`` intervals) and a
 radio through DCH transfers, inactivity tails, demotions and promotions,
 and returns an :class:`EnergyReport` with the total network energy and
 radio-on time.  It is a one-lane call into the replay engine,
-:mod:`repro.radio.lanes`.
+:mod:`repro.radio.lanes`, which takes each lane as ``(starts, ends)``
+columns; :func:`simulate` splits its window list into them.
 
 Two simplifications (both standard in trace-driven RRC studies, and shared
 by the paper's model-based accounting):
@@ -67,6 +68,7 @@ def simulate(
     (the tail follows the final transfer).  Mutually exclusive with a
     non-default ``tail_policy``.
     """
-    reports, _, _ = _replay_lanes([windows], model, [tail_policy], [window_tails])
+    lane = ([start for start, _ in windows], [end for _, end in windows])
+    reports, _, _ = _replay_lanes([lane], model, [tail_policy], [window_tails])
     return reports[0]
 

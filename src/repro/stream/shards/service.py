@@ -57,7 +57,8 @@ class ShardConfig:
     n_shards: int = 4
     #: Compact a shard once its WAL holds this many records.
     compact_every_records: int = 64
-    #: fsync every WAL append (power-loss durability; slower).
+    #: fsync every WAL append and each shard directory change
+    #: (power-loss durability; slower).
     fsync: bool = False
 
     def __post_init__(self) -> None:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
 import reprlib
 from dataclasses import dataclass, field
@@ -145,7 +146,8 @@ class ShardStore(DayCloseLog):
     #: Compact (snapshot + new WAL generation) once the current WAL
     #: holds this many records.
     compact_every_records: int = 64
-    #: fsync every WAL append (survives power loss, not just crashes).
+    #: fsync every WAL append, and the shard directory after every file
+    #: it creates or renames (survives power loss, not just crashes).
     fsync: bool = False
 
     #: Records appended by this process (not counting replayed history).
@@ -197,10 +199,21 @@ class ShardStore(DayCloseLog):
     # ------------------------------------------------------------------
     # appends
     # ------------------------------------------------------------------
+    def _sync_dir(self, path: Path) -> None:
+        """With ``fsync``, make ``path``'s new and renamed entries durable."""
+        if self.fsync:
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+
     def _ensure_initialized(self) -> None:
         if self._initialized:
             return
-        self.path.mkdir(parents=True, exist_ok=True)
+        if not self.path.is_dir():
+            self.path.mkdir(parents=True, exist_ok=True)
+            self._sync_dir(self.path.parent)
         if not self.manifest_path.exists():
             self._write_manifest(snapshot=None, snapshot_sha256=None)
         self._initialized = True
@@ -214,7 +227,10 @@ class ShardStore(DayCloseLog):
         *ahead* of everything else.
         """
         self._ensure_initialized()
+        created = self.fsync and not self.wal_path.exists()
         wal.append_record(self.wal_path, payload, fsync=self.fsync, line=line)
+        if created:
+            self._sync_dir(self.path)
         self.appends += 1
         self._wal_records += 1
         self._apply(payload, during_replay=False)
@@ -295,6 +311,9 @@ class ShardStore(DayCloseLog):
         write_text_atomic(snapshot, body)
         new_wal = self._wal_path(new_generation)
         new_wal.touch()
+        # The snapshot's rename and the new WAL are durable before the
+        # manifest names them.
+        self._sync_dir(self.path)
         self._write_manifest(
             snapshot=snapshot.name,
             snapshot_sha256=hashlib.sha256(body.encode("utf-8")).hexdigest(),
@@ -327,6 +346,7 @@ class ShardStore(DayCloseLog):
             },
             indent=1,
         )
+        self._sync_dir(self.path)
 
     # ------------------------------------------------------------------
     # recovery

@@ -59,6 +59,11 @@ class AppUsage:
         check_positive("AppUsage.duration", self.duration, strict=False)
 
 
+#: Shortest duration a compressed transfer runs for, however small its
+#: payload.  A copy's duration is thus the source's or at least this.
+COMPRESSED_FLOOR_S = 0.5
+
+
 @dataclass(frozen=True, slots=True)
 class NetworkActivity:
     """One cellular data transfer attributed to an application.
@@ -103,30 +108,62 @@ class NetworkActivity:
 
     def moved_to(self, new_time: float) -> "NetworkActivity":
         """A copy of this activity executing at ``new_time``."""
-        return NetworkActivity(
-            float(new_time), self.app, self.down_bytes, self.up_bytes,
-            self.duration, self.screen_on,
-        )
+        return _derived(self, float(new_time), self.duration)
 
-    def compressed(
-        self, bandwidth_bps: float, *, min_duration_s: float = 0.5
-    ) -> "NetworkActivity":
+    def compressed_duration(self, bandwidth_bps: float) -> float:
+        """How long this transfer runs once moved at ``bandwidth_bps``.
+
+        The payload at full link bandwidth, never below
+        :data:`COMPRESSED_FLOOR_S` and never longer than the recorded
+        duration.
+        """
+        if bandwidth_bps <= 0:
+            raise ValueError(f"bandwidth_bps must be > 0, got {bandwidth_bps}")
+        duration = max(COMPRESSED_FLOOR_S, self.total_bytes / bandwidth_bps)
+        return duration if duration < self.duration else self.duration
+
+    def compressed(self, bandwidth_bps: float) -> "NetworkActivity":
         """A copy transferring the same payload at full link bandwidth.
 
         Background syncs trickle at app-level rates (Fig. 1(b): 90% below
         1 kBps); when a scheduler batches them it can push the same bytes
         at carrier speed, which is where NetMaster's bandwidth-utilization
         gain (Fig. 7(c)) and much of its DCH-time saving come from.
+        Returns ``self`` when the link would not shorten the transfer.
         """
-        if bandwidth_bps <= 0:
-            raise ValueError(f"bandwidth_bps must be > 0, got {bandwidth_bps}")
-        duration = max(min_duration_s, self.total_bytes / bandwidth_bps)
-        if duration >= self.duration:
+        duration = self.compressed_duration(bandwidth_bps)
+        if duration == self.duration:
             return self
-        return NetworkActivity(
-            self.time, self.app, self.down_bytes, self.up_bytes,
-            duration, self.screen_on,
-        )
+        return _derived(self, self.time, duration)
+
+
+# The slot setters of ``NetworkActivity``, bound once for ``_derived``.
+_set_time, _set_app, _set_down, _set_up, _set_duration, _set_screen = (
+    NetworkActivity.__dict__[name].__set__
+    for name in ("time", "app", "down_bytes", "up_bytes", "duration", "screen_on")
+)
+_new_record = object.__new__
+
+
+def _derived(
+    source: NetworkActivity, time: float, duration: float
+) -> NetworkActivity:
+    """A copy of the validated ``source`` at ``time``, lasting ``duration``.
+
+    Every copy of a record (:meth:`~NetworkActivity.moved_to`,
+    :meth:`~NetworkActivity.compressed`, :func:`pack_release`) is built
+    here.  It sets the slots without re-running ``__post_init__``: the
+    payload fields are the source's, and ``duration`` is the source's or
+    a compressed one, at or above :data:`COMPRESSED_FLOOR_S`.
+    """
+    copy = _new_record(NetworkActivity)
+    _set_time(copy, time)
+    _set_app(copy, source.app)
+    _set_down(copy, source.down_bytes)
+    _set_up(copy, source.up_bytes)
+    _set_duration(copy, duration)
+    _set_screen(copy, source.screen_on)
+    return copy
 
 
 #: Gap between transfers released together.  It is far inside the DCH
@@ -136,19 +173,25 @@ PACK_GAP_S = 0.2
 
 
 def pack_release(
-    cursors: dict, key: Hashable, release: float, activity: NetworkActivity
+    cursors: dict,
+    key: Hashable,
+    release: float,
+    activity: NetworkActivity,
+    duration: float,
 ) -> NetworkActivity:
-    """``activity`` moved to the next packed start of release ``key``.
+    """``activity`` released under ``key``, running for ``duration``.
 
-    Transfers released under one key (a delay tick, a session, a planned
-    slot) run back to back: the first starts at ``release``, each later
-    one :data:`PACK_GAP_S` after the previous one ends.  A start is
-    clamped so the transfer ends by midnight.  ``cursors`` holds each
-    key's next start and is updated in place.
+    ``duration`` is the activity's own or its
+    :meth:`~NetworkActivity.compressed_duration`.  Transfers released
+    under one key (a delay tick, a session, a planned slot) run back to
+    back: the first starts at ``release``, each later one
+    :data:`PACK_GAP_S` after the previous one ends.  A start is clamped
+    so the transfer ends by midnight.  ``cursors`` holds each key's next
+    start and is updated in place.
     """
-    start = min(cursors.get(key, release), DAY - activity.duration)
-    cursors[key] = start + activity.duration + PACK_GAP_S
-    return activity.moved_to(start)
+    start = min(cursors.get(key, release), DAY - duration)
+    cursors[key] = start + duration + PACK_GAP_S
+    return _derived(activity, float(start), duration)
 
 
 #: One monitoring record: what a phone logs, what the fleet service's

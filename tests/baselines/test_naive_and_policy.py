@@ -4,11 +4,31 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import NaivePolicy, PolicyOutcome, SchedulingPolicy
+from repro.baselines import (
+    DelayBatchPolicy,
+    NaivePolicy,
+    NetMasterPolicy,
+    OraclePolicy,
+    PolicyOutcome,
+    SchedulingPolicy,
+)
+from repro.faults import FaultInjector, FaultPlan, apply_faults
 from repro.radio import FullTail, wcdma_model
 from repro.traces import NetworkActivity
 from tests.radio.rrc_oracle import trace_energy
-from tests.radio.test_lanes import lane_radio_on
+from tests.radio.test_lanes import columns, lane_radio_on
+
+
+def tuple_priced_windows(outcome: PolicyOutcome) -> list[tuple[float, float]]:
+    """The priced windows as the ``(start, end)`` tuples the column lane
+    replaced: every transfer, then the failed attempts' windows."""
+    return [(a.time, a.time + a.duration) for a in outcome.activities] + list(
+        outcome.failed_windows
+    )
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
 
 
 class TestNaivePolicy:
@@ -41,7 +61,35 @@ class TestPolicyOutcome:
 
     def test_transfer_windows(self):
         outcome = self._outcome()
-        assert outcome.transfer_windows() == [(0.0, 5.0)]
+        assert outcome.priced_lane() == ([0.0], [5.0])
+        failed = self._outcome(failed_windows=[(7.0, 7.5)])
+        assert failed.priced_lane() == ([0.0, 7.0], [5.0, 7.5])
+
+    def test_priced_lane_equals_the_tuple_windows(self, history_and_days):
+        """On real outcomes, faulted or not, the priced lane holds the
+        tuple windows' floats, bit for bit."""
+        history, days = history_and_days
+        policies = [
+            NaivePolicy(),
+            OraclePolicy(),
+            DelayBatchPolicy(10.0),
+            NetMasterPolicy(history),
+        ]
+        checked = failed = 0
+        for day in days:
+            for policy in policies:
+                outcome = policy.execute_day(day)
+                faulted, _ = apply_faults(
+                    outcome, FaultInjector(FaultPlan.uniform(0.3, seed=checked))
+                )
+                for o in (outcome, faulted):
+                    starts, ends = o.priced_lane()
+                    want_starts, want_ends = columns(tuple_priced_windows(o))
+                    assert _hex(starts) == _hex(want_starts)
+                    assert _hex(ends) == _hex(want_ends)
+                    checked += 1
+                    failed += len(o.failed_windows)
+        assert failed > 0
 
     def test_payload_validation(self, tiny_trace):
         outcome = self._outcome()
@@ -61,7 +109,7 @@ class TestPolicyOutcome:
 
     def test_radio_on_includes_wakes(self, wcdma):
         outcome = self._outcome(extra_windows=[(1000.0, 1001.0)])
-        rrc_on = lane_radio_on(outcome.priced_windows(), wcdma, outcome.priced_tail_policy())
+        rrc_on = lane_radio_on(outcome.priced_lane(), wcdma, outcome.priced_tail_policy())
         intervals = outcome.merge_radio_on(rrc_on)
         assert not any(lo <= 1000.0 < hi for lo, hi in rrc_on)
         assert any(lo <= 1000.0 < hi for lo, hi in intervals)

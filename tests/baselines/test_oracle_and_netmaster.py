@@ -2,14 +2,67 @@
 
 from __future__ import annotations
 
+import bisect
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import NaivePolicy, NetMasterPolicy, OraclePolicy
+from repro.baselines.oracle import _nearest_session
 from repro.core import NetMasterConfig
 from repro.radio import wcdma_model
 from repro.traces import NetworkActivity, ScreenSession, Trace
 
 MODEL = wcdma_model()
+
+
+def min_nearest_session(session_starts, time_s):
+    """The pick before it compared its two candidates directly: ``min``
+    over the in-range neighbours, whose first minimum wins a tie."""
+    if not session_starts:
+        return None
+    idx = bisect.bisect_left(session_starts, time_s)
+    candidates = [i for i in (idx - 1, idx) if 0 <= i < len(session_starts)]
+    return min(candidates, key=lambda i: abs(session_starts[i] - time_s))
+
+
+class TestNearestSession:
+    # Whole-second starts and half-second times make exact ties common;
+    # a repeated start is empty sessions sharing a start.
+    starts = st.lists(st.integers(0, 60), max_size=8).map(
+        lambda xs: sorted(float(x) for x in xs)
+    )
+    times = st.one_of(
+        st.integers(-10, 140).map(lambda x: x / 2),
+        st.floats(min_value=-1e3, max_value=1e3),
+        st.integers(-10, 70),
+        st.integers(-10, 70).map(np.int64),
+        st.floats(min_value=-10.0, max_value=70.0).map(np.float64),
+    )
+
+    @given(starts, times)
+    @settings(max_examples=500, deadline=None)
+    def test_equals_min_over_the_candidates(self, session_starts, time_s):
+        assert _nearest_session(session_starts, time_s) == min_nearest_session(
+            session_starts, time_s
+        )
+
+    @pytest.mark.parametrize(
+        "session_starts, time_s, want",
+        [
+            ([], 5.0, None),
+            ([10.0, 20.0], 15.0, 0),  # a tie goes to the earlier session
+            ([10.0, 20.0, 20.0], 20.0, 1),  # empty sessions sharing a start
+            ([10.0, 20.0, 20.0], 25.0, 2),
+            ([10.0, 20.0], -3.0, 0),  # before the first session
+            ([10.0, 20.0], 99.0, 1),  # after the last session
+        ],
+    )
+    def test_cases(self, session_starts, time_s, want):
+        assert _nearest_session(session_starts, time_s) == want
+        assert min_nearest_session(session_starts, time_s) == want
 
 
 class TestOraclePolicy:

@@ -2,13 +2,50 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro._util import DAY, HOUR
 from repro.core import NetMaster, NetMasterConfig
+from repro.core.netmaster import _next_session_in_slot
 from repro.habits import FixedDelta
 from repro.radio import activities_energy, simulate, wcdma_model
+from tests.habits.test_prediction import day_times, hour_masks, slot_prediction
+
+
+def generator_next_session_in_slot(session_starts, time_s, prediction):
+    """The search before it became a plain loop: the covering slot by a
+    generator, then the next session start by bisection."""
+    covering = next((s for s in prediction.slots if s.contains(time_s)), None)
+    if covering is None:
+        return None
+    idx = bisect.bisect_left(session_starts, time_s)
+    if idx < len(session_starts) and session_starts[idx] < covering.end:
+        return idx
+    return None
+
+
+@given(
+    hour_masks,
+    st.lists(
+        st.one_of(
+            st.integers(0, 24).map(lambda h: h * HOUR),
+            st.floats(min_value=0.0, max_value=DAY),
+        ),
+        max_size=10,
+    ).map(sorted),
+    day_times,
+)
+@settings(max_examples=500, deadline=None)
+def test_next_session_in_slot_equals_the_generator_search(mask, session_starts, time_s):
+    prediction = slot_prediction(mask)
+    assert _next_session_in_slot(
+        session_starts, time_s, prediction
+    ) == generator_next_session_in_slot(session_starts, time_s, prediction)
 
 
 @pytest.fixture(scope="module")

@@ -78,7 +78,9 @@ def test_each_plan_owns_its_admission_state(history):
     hour = min(a.hour_slots)
     slot_id = a.admit(hour, 1.0)
     start = a.instance.slot_info[slot_id].start
-    pack_release(a.cursors, slot_id, start, NetworkActivity(0.0, "sync", 1.0, 0.0, 1.0, False))
+    pack_release(
+        a.cursors, slot_id, start, NetworkActivity(0.0, "sync", 1.0, 0.0, 1.0, False), 1.0
+    )
     b = nm.plan_day(weekend=False)
     assert b.instance is a.instance and b.hour_slots is a.hour_slots
     assert b.capacity_left[slot_id] == a.capacity_left[slot_id] + 1.0

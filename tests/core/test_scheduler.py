@@ -82,8 +82,8 @@ class TestExecutionTimes:
         slot_id = plan.hour_slots[3][0]
         start = plan.instance.slot_info[slot_id].start
         sync = NetworkActivity(3 * HOUR, "sync", 500.0, 0.0, 4.0, False)
-        first = pack_release(plan.cursors, slot_id, start, sync)
-        second = pack_release(plan.cursors, slot_id, start, sync)
+        first = pack_release(plan.cursors, slot_id, start, sync, sync.duration)
+        second = pack_release(plan.cursors, slot_id, start, sync, sync.duration)
         assert first.time == start
         assert second.time == first.end + PACK_GAP_S
         plan.reset()

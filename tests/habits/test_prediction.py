@@ -54,6 +54,43 @@ class TestSlot:
             Slot(100.0, DAY + 1.0)
 
 
+def any_covers(prediction: SlotPrediction, time_of_day) -> bool:
+    """The slot test before it became a plain loop."""
+    return any(s.contains(time_of_day) for s in prediction.slots)
+
+
+#: Hour masks, the slots they merge into, and times of day that include
+#: every slot boundary, as Python and numpy ints and floats.
+hour_masks = st.lists(st.booleans(), min_size=HOURS_PER_DAY, max_size=HOURS_PER_DAY)
+day_times = st.one_of(
+    st.integers(-1, HOURS_PER_DAY + 1).map(lambda h: h * HOUR),
+    st.floats(min_value=-HOUR, max_value=DAY + HOUR),
+    st.integers(-3600, int(DAY) + 3600),
+    st.integers(-3600, int(DAY) + 3600).map(np.int64),
+    st.floats(min_value=-HOUR, max_value=DAY + HOUR).map(np.float64),
+)
+
+
+def slot_prediction(mask) -> SlotPrediction:
+    return SlotPrediction(
+        hour_probs=np.zeros(HOURS_PER_DAY), delta=0.2, slots=_merge_hours(np.array(mask))
+    )
+
+
+class TestCovers:
+    @given(hour_masks, day_times)
+    @settings(max_examples=500, deadline=None)
+    def test_equals_any_over_the_slots(self, mask, time_of_day):
+        prediction = slot_prediction(mask)
+        assert prediction.covers(time_of_day) is any_covers(prediction, time_of_day)
+
+    def test_half_open_slots(self):
+        prediction = slot_prediction([h in (3, 4, 9) for h in range(HOURS_PER_DAY)])
+        assert prediction.covers(3 * HOUR) and prediction.covers(5 * HOUR - 1e-9)
+        assert not prediction.covers(5 * HOUR) and not prediction.covers(3 * HOUR - 1e-9)
+        assert prediction.covers(9 * HOUR) and not prediction.covers(10 * HOUR)
+
+
 class TestMergeHours:
     def test_consecutive_hours_merge(self):
         active = np.zeros(24, dtype=bool)

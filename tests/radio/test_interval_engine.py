@@ -25,7 +25,7 @@ from repro.radio import (
     wcdma_model,
 )
 from repro.radio.lanes import merge_lanes, merge_lanes_with_allowances, pack_lanes
-from tests.radio.test_lanes import lane_radio_on
+from tests.radio.test_lanes import columns, lane_radio_on
 from tests.radio.rrc_oracle import (
     assert_report_matches,
     reference_machine,
@@ -88,7 +88,7 @@ def test_per_window_tails_match_reference_randomized(seed, model):
             simulate(windows, model, window_tails=tails), expected
         )
         assert lane_radio_on(
-            windows, model, window_tails=tails
+            columns(windows), model, window_tails=tails
         ) == reference_radio_on(merged, model, allowances)
 
 
@@ -102,7 +102,7 @@ def test_radio_on_intervals_match_reference(seed, model):
         for policy in (FullTail(), TruncatedTail(0.0), TruncatedTail(2.5)):
             allowances = [policy.max_tail_s()] * len(merged)
             assert lane_radio_on(
-                windows, model, policy
+                columns(windows), model, policy
             ) == reference_radio_on(merged, model, allowances)
 
 
@@ -110,7 +110,8 @@ def test_merge_windows_matches_reference():
     rng = np.random.default_rng(9)
     for _ in range(50):
         windows = _random_windows(rng)
-        assert merge_lanes(pack_lanes([windows])).lane(0) == reference_merge(windows)
+        merged = merge_lanes(pack_lanes([columns(windows)]))
+        assert merged.lane(0) == reference_merge(windows)
 
 
 def test_merge_with_allowances_matches_reference():
@@ -119,7 +120,7 @@ def test_merge_with_allowances_matches_reference():
         windows = _random_windows(rng)
         tails = _random_tails(rng, len(windows))
         merged, allowances = merge_lanes_with_allowances(
-            pack_lanes([windows]), np.asarray(tails, dtype=np.float64)
+            pack_lanes([columns(windows)]), np.asarray(tails, dtype=np.float64)
         )
         assert (merged.lane(0), allowances.tolist()) == (
             reference_merge_with_allowances(windows, tails)
@@ -132,7 +133,7 @@ class TestEdgeCases:
             report = simulate([], model)
             assert report.energy_j == 0.0
             assert report.window_count == 0
-            assert lane_radio_on([], model) == []
+            assert lane_radio_on(([], []), model) == []
 
     def test_single_window(self):
         model = MODELS[0]

@@ -4,16 +4,21 @@
 array passes; the contract is *bit-identity per lane* with the scalar
 reference walk in ``tests/radio/rrc_oracle.py``, and batched results
 must equal one-lane calls (``simulate`` / :func:`lane_radio_on`) —
-a lane never depends on its neighbours.  Random ragged grids cover
-empty lanes, one-lane grids and single-window lanes (the single-segment
-shortcut), zero-length windows, and lanes whose windows bridge
-promo-bearing gaps; every comparison is exact equality, never
+a lane never depends on its neighbours.  The engine takes each lane as
+``(starts, ends)`` columns; the grids here are drawn as ``(start, end)``
+windows, the oracle's form, and handed to the engine through
+:func:`columns`.  The list-of-tuples packer the columns replaced is
+the packing oracle (:func:`tuple_pack_lanes`).  Random ragged grids
+cover empty lanes, one-lane grids and single-window lanes (the
+single-segment shortcut), zero-length windows, and lanes whose windows
+bridge promo-bearing gaps; every comparison is exact equality, never
 approximate.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -48,11 +53,40 @@ from tests.radio.rrc_oracle import (
 MODELS = [wcdma_model(), lte_model()]
 
 
-def lane_radio_on(windows, model, tail_policy=None, *, window_tails=None):
-    """The engine's radio-on intervals of one lane: what
-    ``replay_many_lengths`` keeps for it."""
+def columns(windows):
+    """``(start, end)`` windows as one engine lane: ``(starts, ends)``."""
+    return [start for start, _ in windows], [end for _, end in windows]
+
+
+def tuple_pack_lanes(window_lists):
+    """The packer the column lanes replaced: one list of ``(start, end)``
+    tuples per lane, flattened through one interleaved array.  Returns
+    ``(starts, ends, offsets)``."""
+    n_lanes = len(window_lists)
+    counts = np.fromiter((len(w) for w in window_lists), dtype=np.intp, count=n_lanes)
+    offsets = np.zeros(n_lanes + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    total = int(offsets[-1])
+    if total == 0:
+        return np.empty(0), np.empty(0), offsets
+    flat = []
+    for w in window_lists:
+        flat.extend(w)
+    stacked = np.fromiter(
+        chain.from_iterable(flat), dtype=np.float64, count=2 * total
+    ).reshape(-1, 2)
+    return (
+        np.ascontiguousarray(stacked[:, 0]),
+        np.ascontiguousarray(stacked[:, 1]),
+        offsets,
+    )
+
+
+def lane_radio_on(lane, model, tail_policy=None, *, window_tails=None):
+    """The engine's radio-on intervals of one ``(starts, ends)`` lane:
+    what ``replay_many_lengths`` keeps for it."""
     [(_, _, on)] = replay_many_lengths(
-        [windows], model, [tail_policy], window_tails=[window_tails], keep_intervals=[True]
+        [lane], model, [tail_policy], window_tails=[window_tails], keep_intervals=[True]
     )
     return on
 
@@ -158,7 +192,7 @@ def test_merge_lanes_matches_per_lane_merge():
     rng = np.random.default_rng(52)
     for _ in range(60):
         grid = _random_grid(rng)
-        merged = merge_lanes(pack_lanes(grid))
+        merged = merge_lanes(pack_lanes([columns(lane) for lane in grid]))
         assert merged.n_lanes == len(grid)
         for i, lane in enumerate(grid):
             assert merged.lane(i) == reference_merge(lane)
@@ -170,7 +204,7 @@ def test_merge_lanes_with_allowances_matches_per_lane():
         grid = _random_grid(rng)
         tails = [_random_tails(rng, len(lane)) for lane in grid]
         merged, allow = merge_lanes_with_allowances(
-            pack_lanes(grid), _flat_tails(tails)
+            pack_lanes([columns(lane) for lane in grid]), _flat_tails(tails)
         )
         for i, lane in enumerate(grid):
             ref_m, ref_a = reference_merge_with_allowances(lane, tails[i])
@@ -186,7 +220,7 @@ def test_decompose_and_extend_match_per_lane(model):
         grid = _random_grid(rng)
         tails = [_random_tails(rng, len(lane)) for lane in grid]
         merged, allow = merge_lanes_with_allowances(
-            pack_lanes(grid), _flat_tails(tails)
+            pack_lanes([columns(lane) for lane in grid]), _flat_tails(tails)
         )
         decomp = decompose_lanes(
             merged, allow, tail_s=model.tail_s, dch_tail_s=model.dch_tail_s
@@ -204,31 +238,42 @@ def test_decompose_and_extend_match_per_lane(model):
 # ----------------------------------------------------------------------
 
 
+def _random_priced_grid(rng: np.random.Generator):
+    """A random grid with a tail mode per lane, and which lanes keep
+    their radio-on intervals: ``(grid, policies, window_tails, keep)``."""
+    grid = _random_grid(rng)
+    policies: list = []
+    window_tails: list = []
+    for lane in grid:
+        mode = int(rng.integers(0, 4))
+        if mode == 0:
+            policies.append(None)
+            window_tails.append(None)
+        elif mode == 1:
+            policies.append(FullTail())
+            window_tails.append(None)
+        elif mode == 2:
+            policies.append(TruncatedTail(float(rng.uniform(0.0, 8.0))))
+            window_tails.append(None)
+        else:
+            policies.append(None)
+            window_tails.append(_random_tails(rng, len(lane)))
+    keep = [bool(rng.integers(0, 2)) for _ in grid]
+    return grid, policies, window_tails, keep
+
+
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("model", MODELS, ids=["wcdma", "lte"])
 def test_replay_many_matches_per_lane_simulate(seed, model):
     rng = np.random.default_rng(6000 + seed)
     for _ in range(12):
-        grid = _random_grid(rng)
-        policies: list = []
-        window_tails: list = []
-        for lane in grid:
-            mode = int(rng.integers(0, 4))
-            if mode == 0:
-                policies.append(None)
-                window_tails.append(None)
-            elif mode == 1:
-                policies.append(FullTail())
-                window_tails.append(None)
-            elif mode == 2:
-                policies.append(TruncatedTail(float(rng.uniform(0.0, 8.0))))
-                window_tails.append(None)
-            else:
-                policies.append(None)
-                window_tails.append(_random_tails(rng, len(lane)))
-        keep = [bool(rng.integers(0, 2)) for _ in grid]
+        grid, policies, window_tails, keep = _random_priced_grid(rng)
         results = replay_many_lengths(
-            grid, model, policies, window_tails=window_tails, keep_intervals=keep
+            [columns(lane) for lane in grid],
+            model,
+            policies,
+            window_tails=window_tails,
+            keep_intervals=keep,
         )
         assert len(results) == len(grid)
         for i, lane in enumerate(grid):
@@ -236,12 +281,42 @@ def test_replay_many_matches_per_lane_simulate(seed, model):
                 lane, model, policies[i], window_tails=window_tails[i]
             )
             ref_on = lane_radio_on(
-                lane, model, policies[i], window_tails=window_tails[i]
+                columns(lane), model, policies[i], window_tails=window_tails[i]
             )
             report, length, on = results[i]
             assert report == ref_report
             assert length == total_length(ref_on)
             assert on == (ref_on if keep[i] else None)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("model", MODELS, ids=["wcdma", "lte"])
+def test_simulate_equals_the_column_call(seed, model):
+    """``simulate`` takes ``(start, end)`` windows and hands the engine
+    their columns: on every lane of the property above it equals the
+    one-lane column call."""
+    rng = np.random.default_rng(6000 + seed)
+    for _ in range(12):
+        grid, policies, window_tails, _ = _random_priced_grid(rng)
+        for lane, policy, tails in zip(grid, policies, window_tails):
+            [(report, _, _)] = replay_many_lengths(
+                [columns(lane)], model, [policy], window_tails=[tails], keep_intervals=[False]
+            )
+            assert simulate(lane, model, policy, window_tails=tails) == report
+
+
+def test_pack_lanes_equals_the_tuple_packer():
+    """Packing columns gives the same arrays, bit for bit, as packing the
+    same windows as ``(start, end)`` tuples did."""
+    rng = np.random.default_rng(56)
+    for _ in range(100):
+        grid = _random_grid(rng)
+        packed = pack_lanes([columns(lane) for lane in grid])
+        starts, ends, offsets = tuple_pack_lanes(grid)
+        assert packed.starts.tobytes() == starts.tobytes()
+        assert packed.ends.tobytes() == ends.tobytes()
+        assert packed.starts.dtype == packed.ends.dtype == np.float64
+        assert packed.offsets.tolist() == offsets.tolist()
 
 
 def test_telemetry_counters_match_per_lane_totals():
@@ -255,7 +330,9 @@ def test_telemetry_counters_match_per_lane_totals():
             simulate(lane, model)
         per_lane = reg.snapshot()["counters"]
     with isolated(with_tracing=False) as (reg, _):
-        replay_many_lengths(grid, model, keep_intervals=[False] * len(grid))
+        replay_many_lengths(
+            [columns(lane) for lane in grid], model, keep_intervals=[False] * len(grid)
+        )
         columnar = reg.snapshot()["counters"]
     assert columnar == per_lane
 
@@ -265,17 +342,21 @@ class TestEdges:
         assert replay_many_lengths([], MODELS[0], keep_intervals=[]) == []
 
     def test_all_lanes_empty(self):
-        results = replay_many_lengths([[], [], []], MODELS[0], keep_intervals=[True] * 3)
+        results = replay_many_lengths(
+            [([], [])] * 3, MODELS[0], keep_intervals=[True] * 3
+        )
         for report, length, on in results:
             assert report == simulate([], MODELS[0])
             assert (length, on) == (0.0, [])
 
     def test_single_window_lanes(self):
         grid = [[(5.0, 9.0)], [], [(4.0, 4.0)]]
-        results = replay_many_lengths(grid, MODELS[0], keep_intervals=[True] * 3)
+        results = replay_many_lengths(
+            [columns(lane) for lane in grid], MODELS[0], keep_intervals=[True] * 3
+        )
         for (report, _, on), lane in zip(results, grid):
             assert report == simulate(lane, MODELS[0])
-            assert on == lane_radio_on(lane, MODELS[0])
+            assert on == lane_radio_on(columns(lane), MODELS[0])
 
     def test_promo_bridging_gaps(self):
         # Gaps straddling the DCH and total tail timers on either model:
@@ -288,15 +369,19 @@ class TestEdges:
                 (100.0 + 3 * model.tail_s, 101.0 + 3 * model.tail_s),
             ]
             grid = [lane, lane[:2], lane[2:]]
-            results = replay_many_lengths(grid, model, keep_intervals=[True] * 3)
+            results = replay_many_lengths(
+                [columns(windows) for windows in grid], model, keep_intervals=[True] * 3
+            )
             for (report, _, on), windows in zip(results, grid):
                 assert report == simulate(windows, model)
-                assert on == lane_radio_on(windows, model)
+                assert on == lane_radio_on(columns(windows), model)
 
     def test_bad_window_raises_like_per_lane(self):
         grid = [[(0.0, 1.0)], [(5.0, 2.0)]]
         with pytest.raises(ValueError) as batch_err:
-            replay_many_lengths(grid, MODELS[0], keep_intervals=[False] * 2)
+            replay_many_lengths(
+                [columns(lane) for lane in grid], MODELS[0], keep_intervals=[False] * 2
+            )
         with pytest.raises(ValueError) as lane_err:
             simulate(grid[1], MODELS[0])
         assert str(batch_err.value) == str(lane_err.value)
@@ -305,7 +390,9 @@ class TestEdges:
         grid = [[(0.0, 1.0)]]
         tails = [[-1.0]]
         with pytest.raises(ValueError) as batch_err:
-            replay_many_lengths(grid, MODELS[0], window_tails=tails, keep_intervals=[False])
+            replay_many_lengths(
+                [columns(grid[0])], MODELS[0], window_tails=tails, keep_intervals=[False]
+            )
         with pytest.raises(ValueError) as lane_err:
             simulate(grid[0], MODELS[0], window_tails=tails[0])
         assert str(batch_err.value) == str(lane_err.value)
@@ -313,19 +400,29 @@ class TestEdges:
     def test_tails_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="window_tails must match windows"):
             replay_many_lengths(
-                [[(0.0, 1.0)]], MODELS[0], window_tails=[[0.0, 1.0]], keep_intervals=[False]
+                [([0.0], [1.0])], MODELS[0], window_tails=[[0.0, 1.0]], keep_intervals=[False]
             )
 
     def test_tails_with_custom_policy_raises(self):
         with pytest.raises(ValueError, match="cannot be combined"):
             replay_many_lengths(
-                [[(0.0, 1.0)]],
+                [([0.0], [1.0])],
                 MODELS[0],
                 [TruncatedTail(1.0)],
                 window_tails=[[0.0]],
                 keep_intervals=[False],
             )
 
+    def test_lane_columns_of_unequal_length_raise(self):
+        with pytest.raises(ValueError, match="differ in length: 2 vs 1"):
+            pack_lanes([([0.0], [1.0]), ([0.0, 2.0], [1.0])])
+        with pytest.raises(ValueError, match="starts and ends differ in length"):
+            replay_many_lengths(
+                [([0.0, 2.0], [1.0])], MODELS[0], keep_intervals=[False]
+            )
+
     def test_parallel_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="must parallel"):
-            replay_many_lengths([[(0.0, 1.0)]], MODELS[0], [None, None], keep_intervals=[False])
+            replay_many_lengths(
+                [([0.0], [1.0])], MODELS[0], [None, None], keep_intervals=[False]
+            )

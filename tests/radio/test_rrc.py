@@ -14,7 +14,7 @@ from repro.radio import (
     simulate,
     wcdma_model,
 )
-from tests.radio.test_lanes import lane_radio_on
+from tests.radio.test_lanes import columns, lane_radio_on
 
 MODEL = wcdma_model()
 
@@ -139,20 +139,20 @@ class TestPerWindowTails:
 
 class TestRadioOnIntervals:
     def test_single_window_extended_by_tail(self):
-        intervals = lane_radio_on([(0.0, 10.0)], MODEL)
+        intervals = lane_radio_on(([0.0], [10.0]), MODEL)
         assert intervals == [(0.0, 27.0)]
 
     def test_truncated(self):
-        intervals = lane_radio_on([(0.0, 10.0)], MODEL, TruncatedTail(1.0))
+        intervals = lane_radio_on(([0.0], [10.0]), MODEL, TruncatedTail(1.0))
         assert intervals == [(0.0, 11.0)]
 
     def test_fusion_within_tail(self):
-        intervals = lane_radio_on([(0.0, 10.0), (15.0, 20.0)], MODEL)
+        intervals = lane_radio_on(([0.0, 15.0], [10.0, 20.0]), MODEL)
         assert len(intervals) == 1
 
     def test_per_window_tails(self):
         intervals = lane_radio_on(
-            [(0.0, 10.0), (100.0, 110.0)], MODEL, window_tails=[0.0, 5.0]
+            ([0.0, 100.0], [10.0, 110.0]), MODEL, window_tails=[0.0, 5.0]
         )
         assert intervals == [(0.0, 10.0), (100.0, 115.0)]
 
@@ -213,6 +213,6 @@ def test_adding_work_never_saves_energy(windows, extra_start):
 @settings(max_examples=60, deadline=None)
 def test_radio_on_intervals_cover_transfers(windows):
     """Every transfer second lies inside a radio-on interval."""
-    intervals = lane_radio_on(windows, MODEL)
+    intervals = lane_radio_on(columns(windows), MODEL)
     for start, end in windows:
         assert any(lo <= start and end <= hi for lo, hi in intervals)

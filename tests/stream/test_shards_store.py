@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +66,68 @@ class TestAppendAndState:
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError, match="compact_every_records"):
             ShardStore(tmp_path, compact_every_records=0)
+
+
+class TestDirectoryFsync:
+    """With ``fsync=True`` a new or renamed file is durable only once its
+    directory is fsynced: the store fsyncs the root after creating the
+    shard directory, and the shard directory after each ``os.replace``
+    and each new WAL file."""
+
+    def _calls(self, monkeypatch, tmp_path, *, fsync):
+        calls = []
+        names = {}
+        real_open, real_fsync, real_replace = os.open, os.fsync, os.replace
+
+        def record_open(path, flags, *args, **kwargs):
+            fd = real_open(path, flags, *args, **kwargs)
+            names[fd] = Path(path).name
+            return fd
+
+        def record_fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                calls.append(("fsync-dir", names[fd]))
+            else:
+                calls.append(("fsync-file",))
+            return real_fsync(fd)
+
+        def record_replace(src, dst):
+            calls.append(("replace", Path(dst).name))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "open", record_open)
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        store = ShardStore(tmp_path / "root" / "s0", compact_every_records=2, fsync=fsync)
+        (tmp_path / "root").mkdir()
+        store.append(_day("u1", 0))
+        store.append(_day("u1", 1))
+        return calls
+
+    def test_order_of_calls(self, monkeypatch, tmp_path):
+        assert self._calls(monkeypatch, tmp_path, fsync=True) == [
+            # First use: the new shard directory, then the manifest.
+            ("fsync-dir", "root"),
+            ("fsync-file",),
+            ("replace", MANIFEST_NAME),
+            ("fsync-dir", "s0"),
+            # The first append creates the WAL file.
+            ("fsync-file",),
+            ("fsync-dir", "s0"),
+            ("fsync-file",),
+            # Compaction: snapshot and new WAL, then the manifest switch.
+            ("fsync-file",),
+            ("replace", "snapshot-00000001.json"),
+            ("fsync-dir", "s0"),
+            ("fsync-file",),
+            ("replace", MANIFEST_NAME),
+            ("fsync-dir", "s0"),
+        ]
+
+    def test_no_directory_fsync_without_fsync(self, monkeypatch, tmp_path):
+        calls = self._calls(monkeypatch, tmp_path, fsync=False)
+        assert ("fsync-dir", "s0") not in calls and ("fsync-dir", "root") not in calls
+        assert calls.count(("replace", MANIFEST_NAME)) == 2
 
 
 class TestCompaction:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -105,15 +106,8 @@ class TestIntervals:
     def test_merge_touching(self):
         assert merge_intervals([(1.0, 2.0), (2.0, 3.0)]) == [(1.0, 3.0)]
 
-    def test_merge_with_gap_tolerance(self):
-        assert merge_intervals([(1.0, 2.0), (2.5, 3.0)], gap=1.0) == [(1.0, 3.0)]
-
     def test_merge_empty(self):
         assert merge_intervals([]) == []
-
-    def test_merge_rejects_negative_gap(self):
-        with pytest.raises(ValueError):
-            merge_intervals([(0.0, 1.0)], gap=-1.0)
 
     def test_total_length(self):
         assert total_length([(0.0, 2.0), (5.0, 6.0)]) == 3.0
@@ -144,6 +138,49 @@ class TestIntervals:
         for start, end in raw:
             assert any(lo <= start and end <= hi for lo, hi in merged)
         assert total_length(merged) <= sum(e - s for s, e in raw) + 1e-9
+
+    # Endpoints of every numeric kind the merge meets: Python and numpy
+    # floats and ints, with NaN and infinities.
+    endpoints = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(-(10**6), 10**6),
+        st.floats(min_value=-1e6, max_value=1e6).map(np.float64),
+        st.integers(-(10**6), 10**6).map(np.int64),
+    )
+    # Mostly ordered pairs, so most lists merge; some pairs are inverted.
+    pairs = st.lists(
+        st.one_of(
+            st.tuples(endpoints, endpoints).map(lambda p: tuple(sorted(p))),
+            st.tuples(endpoints, endpoints),
+        ),
+        max_size=12,
+    )
+
+    @given(pairs)
+    @settings(max_examples=300, deadline=None)
+    def test_merge_equals_the_validating_loop(self, raw):
+        """The one-comprehension merge gives the loop it replaced's output
+        bits, or raises its first exception."""
+        try:
+            want = _loop_merge_intervals(raw)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                merge_intervals(raw)
+            assert str(got.value) == str(exc)
+            return
+        got = merge_intervals(raw)
+        assert [(type(a), a.hex(), type(b), b.hex()) for a, b in got] == [
+            (type(a), a.hex(), type(b), b.hex()) for a, b in want
+        ]
+
+    def test_merge_raises_for_the_first_bad_pair(self):
+        for raw, message in (
+            ([(0, 1), (5, 2), (9, 3)], "got [5, 2]"),
+            ([(np.float64(4.5), np.float64(1.0))], "got [4.5, 1.0]"),
+            ([(np.int64(3), 1.5), (2.0, 1.0)], "got [3, 1.5]"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                merge_intervals(raw)
 
     @given(intervals, intervals)
     @settings(max_examples=60, deadline=None)
@@ -257,3 +294,22 @@ class TestJsonLinesFiles:
         assert path.read_bytes() == published
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
+
+def _loop_merge_intervals(intervals):
+    """The merge before its validation became one comprehension: a loop
+    that checks each pair, then the same fuse."""
+    cleaned = []
+    for start, end in intervals:
+        check_interval(start, end)
+        cleaned.append((float(start), float(end)))
+    if not cleaned:
+        return []
+    cleaned.sort()
+    merged = [cleaned[0]]
+    for start, end in cleaned[1:]:
+        last_start, last_end = merged[-1]
+        if start <= last_end + 0.0:
+            merged[-1] = (last_start, max(last_end, end))
+        else:
+            merged.append((start, end))
+    return merged

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro._util import DAY
 from repro.traces import AppUsage, NetworkActivity, ScreenSession, Trace
+from repro.traces.events import COMPRESSED_FLOOR_S, PACK_GAP_S, pack_release
 
 
 class TestScreenSession:
@@ -100,19 +101,19 @@ class TestNetworkActivity:
 
     def test_compressed_min_duration_floor(self):
         act = self._act(down_bytes=10.0, up_bytes=0.0, duration=5.0)
-        assert act.compressed(24000.0).duration == 0.5
+        assert act.compressed(24000.0).duration == COMPRESSED_FLOOR_S == 0.5
 
     def test_compressed_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError, match="bandwidth"):
             self._act().compressed(0.0)
 
     def test_copies_are_still_validated(self):
-        # A zero-byte transfer with no duration floor would last 0 s.
+        # A copy built from outside values is validated; a compressed
+        # zero-byte transfer is held at the floor instead of lasting 0 s.
         act = self._act(down_bytes=0.0, up_bytes=0.0)
         with pytest.raises(ValueError, match="duration"):
-            act.compressed(1000.0, min_duration_s=0.0)
-        with pytest.raises(ValueError, match="duration"):
             replace(act, duration=0.0)
+        assert act.compressed(1000.0).duration == COMPRESSED_FLOOR_S
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -123,18 +124,63 @@ class TestNetworkActivity:
         screen_on=st.booleans(),
         new_time=st.one_of(_times, st.integers(-(10**6), 10**6)),
         bandwidth=st.floats(min_value=1e-3, max_value=1e9),
-        min_duration=st.floats(min_value=1e-6, max_value=10.0),
     )
     def test_copies_equal_dataclasses_replace(
-        self, time, down, up, duration, screen_on, new_time, bandwidth, min_duration
+        self, time, down, up, duration, screen_on, new_time, bandwidth
     ):
         act = NetworkActivity(time, "app", down, up, duration, screen_on)
         moved = act.moved_to(new_time)
         assert _bits(moved) == _bits(replace(act, time=float(new_time)))
-        compressed = act.compressed(bandwidth, min_duration_s=min_duration)
-        floor = max(min_duration, act.total_bytes / bandwidth)
+        compressed = act.compressed(bandwidth)
+        floor = max(COMPRESSED_FLOOR_S, act.total_bytes / bandwidth)
         want = act if floor >= duration else replace(act, duration=floor)
         assert _bits(compressed) == _bits(want)
+        assert act.compressed_duration(bandwidth).hex() == want.duration.hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=DAY, exclude_max=True),
+                _sizes,
+                _sizes,
+                # Past half a day the midnight clamp moves the start; past
+                # a whole day it makes it negative.
+                st.floats(min_value=1e-3, max_value=2 * DAY),
+                st.integers(0, 2),
+                st.one_of(
+                    st.floats(min_value=0.0, max_value=DAY), st.integers(0, int(DAY))
+                ),
+                st.booleans(),
+            ),
+            max_size=12,
+        ),
+        bandwidth=st.floats(min_value=1e-3, max_value=1e9),
+    )
+    def test_pack_release_equals_compress_then_move(self, steps, bandwidth):
+        """``pack_release`` given the released duration builds, bit for
+        bit, the record and cursors of the two steps it replaced: a
+        compressed copy, then that copy moved to its packed start."""
+        cursors: dict = {}
+        two_step_cursors: dict = {}
+        for time, down, up, duration, key, release, compress in steps:
+            act = NetworkActivity(time, "app", down, up, duration, False)
+            runs_for = act.compressed_duration(bandwidth) if compress else act.duration
+            got = pack_release(cursors, key, release, act, runs_for)
+            source = act.compressed(bandwidth) if compress else act
+            want = _two_step_pack_release(two_step_cursors, key, release, source)
+            assert _bits(got) == _bits(want)
+            assert {k: v.hex() for k, v in cursors.items()} == {
+                k: v.hex() for k, v in two_step_cursors.items()
+            }
+
+
+def _two_step_pack_release(cursors, key, release, activity):
+    """The packing before it took a duration: ``activity`` (already
+    compressed where the release compresses) moved to its packed start."""
+    start = min(cursors.get(key, release), DAY - activity.duration)
+    cursors[key] = start + activity.duration + PACK_GAP_S
+    return activity.moved_to(start)
 
 
 class TestTraceInvariants:
